@@ -15,7 +15,8 @@ use std::sync::Arc;
 
 use neon_core::OccLevel;
 use neon_domain::{
-    Cell, Container, Field, FieldRead as _, FieldStencil as _, FieldWrite as _, GridLike, MemLayout,
+    Cell, Container, Field, FieldRead as _, FieldStencil as _, FieldWrite as _, GridLike, KernelFn,
+    KernelShape, MemLayout,
 };
 use neon_sys::Result;
 
@@ -53,15 +54,19 @@ pub fn elasticity_apply<G: GridLike>(
         }
     }
     let (p, ap) = (state.p.clone(), state.ap.clone());
-    Container::compute_opts(
+    // A Generic span kernel: the per-node body inlines into the loop over
+    // `span.cells()`, and on the dense grid's interior spans the 26
+    // `ngh_active` tests of the fast path fold to `true`.
+    Container::compute_shaped_opts(
         "ElasticApply",
         grid.as_space(),
+        KernelShape::Generic,
         move |ldr| {
             let pv = ldr.read_stencil(&p);
             let av = ldr.write(&ap);
             let ke = ke.clone();
             let blocks = blocks.clone();
-            Box::new(move |c: Cell| {
+            let per_node = move |c: Cell| {
                 // Dirichlet plane: identity rows keep fixed dofs pinned.
                 if c.z == 0 {
                     for k in 0..3 {
@@ -130,7 +135,8 @@ pub fn elasticity_apply<G: GridLike>(
                 for k in 0..3 {
                     av.set(c, k, acc[k]);
                 }
-            })
+            };
+            KernelFn::spans(move |span| span.cells().for_each(&per_node))
         },
         FEM_FLOPS_PER_CELL,
         NEON_FEM_EFFICIENCY,

@@ -318,7 +318,7 @@ impl LbmJob {
     ) -> Result<LidDrivenCavity<DenseGrid>> {
         let stencil = Stencil::d3q19();
         let grid = DenseGrid::new(backend, dim, &[&stencil], StorageMode::Real)?;
-        LidDrivenCavity::new(&grid, LbmParams::default(), options.occ)
+        LidDrivenCavity::with_options(&grid, LbmParams::default(), *options)
     }
 }
 
@@ -387,7 +387,7 @@ impl SolverJob for LbmJob {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neon_core::OccLevel;
+    use neon_core::{FunctionalMode, OccLevel};
     use neon_sys::DeviceId;
 
     fn options() -> SkeletonOptions {
@@ -437,6 +437,26 @@ mod tests {
                 "iteration slicing changed {spec:?}"
             );
         }
+    }
+
+    #[test]
+    fn lbm_job_runs_in_the_functional_mode_it_was_given() {
+        let b = Backend::dgx_a100(2);
+        let run = |mode: FunctionalMode| {
+            let opts = SkeletonOptions {
+                functional_mode: mode,
+                ..options()
+            };
+            let mut job = LbmJob::new(&b, 6, 5, opts).unwrap();
+            assert_eq!(job.app.skeleton().functional_mode(), mode);
+            job.advance(5);
+            job.result_bits()
+        };
+        assert_eq!(
+            run(FunctionalMode::Serial),
+            run(FunctionalMode::Parallel),
+            "serial and parallel LBM jobs diverged"
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 
 use neon_core::{ExecReport, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
-    Cell, Container, Field, FieldRead as _, FieldStencil as _, FieldWrite as _, GridLike, KernelFn,
-    KernelShape, MemLayout,
+    velocity_components, Cell, Container, Field, FieldRead as _, FieldStencil as _,
+    FieldWrite as _, GridLike, KernelFn, KernelShape, MemLayout, D2Q9_OFFSETS,
 };
 use neon_sys::Result;
 
@@ -27,6 +27,10 @@ pub const D2Q9_WEIGHTS: [f64; 9] = {
     [W0, WA, WA, WA, WA, WD, WD, WD, WD]
 };
 
+/// The D2Q9 directions by component, `D2Q9_C[axis][q]`, as `f64` factors
+/// (the z row is all zero).
+pub const D2Q9_C: [[f64; 9]; 3] = velocity_components(&D2Q9_OFFSETS);
+
 /// Opposite-direction table for the D2Q9 slot order.
 pub const D2Q9_OPPOSITE: [usize; 9] = [0, 3, 4, 1, 2, 7, 8, 5, 6];
 
@@ -36,8 +40,7 @@ pub const D2Q9_FLOPS_PER_CELL: u64 = 160;
 /// BGK equilibrium population for direction `q` (D2Q9).
 #[inline]
 pub fn equilibrium_d2q9(q: usize, rho: f64, ux: f64, uy: f64) -> f64 {
-    let o = neon_domain::d2q9_offsets()[q];
-    let cu = o.dx as f64 * ux + o.dy as f64 * uy;
+    let cu = D2Q9_C[0][q] * ux + D2Q9_C[1][q] * uy;
     let usq = ux * ux + uy * uy;
     D2Q9_WEIGHTS[q] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
 }
@@ -87,7 +90,7 @@ pub fn karman_step<G: GridLike>(
     let dim = grid.dim();
     let (fi, fo) = (f_in.clone(), f_out.clone());
     let name = format!("karman({}->{})", f_in.name(), f_out.name());
-    // Chunked Generic kernel — see the D3Q19 twin for the rationale.
+    // Span-level Generic kernel — see the D3Q19 twin for the rationale.
     Container::compute_shaped_opts(
         &name,
         grid.as_space(),
@@ -107,7 +110,7 @@ pub fn karman_step<G: GridLike>(
                 let mut f = [0.0f64; 9];
                 for q in 0..9 {
                     let qb = D2Q9_OPPOSITE[q];
-                    let o = neon_domain::d2q9_offsets()[qb];
+                    let o = D2Q9_OFFSETS[qb];
                     let (sx, sy) = (c.x + o.dx, c.y + o.dy);
                     if sx < 0 || sx >= dim.x as i32 {
                         // Inflow/outflow: impose the free-stream
@@ -124,9 +127,8 @@ pub fn karman_step<G: GridLike>(
                 let (mut jx, mut jy) = (0.0, 0.0);
                 for q in 0..9 {
                     rho += f[q];
-                    let o = neon_domain::d2q9_offsets()[q];
-                    jx += o.dx as f64 * f[q];
-                    jy += o.dy as f64 * f[q];
+                    jx += D2Q9_C[0][q] * f[q];
+                    jy += D2Q9_C[1][q] * f[q];
                 }
                 let (ux, uy) = (jx / rho, jy / rho);
                 for q in 0..9 {
@@ -134,11 +136,7 @@ pub fn karman_step<G: GridLike>(
                     fout.set(c, q, f[q] + params.omega * (feq - f[q]));
                 }
             };
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    per_cell(c);
-                }
-            })
+            KernelFn::spans(move |span| span.cells().for_each(&per_cell))
         },
         D2Q9_FLOPS_PER_CELL,
         NEON_LBM_EFFICIENCY,
@@ -216,9 +214,8 @@ impl<G: GridLike> KarmanVortex<G> {
         for q in 0..9 {
             let v = f.get(x, y, 0, q)?;
             rho += v;
-            let o = neon_domain::d2q9_offsets()[q];
-            jx += o.dx as f64 * v;
-            jy += o.dy as f64 * v;
+            jx += D2Q9_C[0][q] * v;
+            jy += D2Q9_C[1][q] * v;
         }
         Some((jx / rho, jy / rho))
     }
@@ -256,7 +253,7 @@ mod tests {
     #[test]
     fn d2q9_weights_and_opposites() {
         assert!((D2Q9_WEIGHTS.iter().sum::<f64>() - 1.0).abs() < 1e-15);
-        let offs = neon_domain::d2q9_offsets();
+        let offs = D2Q9_OFFSETS;
         for q in 0..9 {
             assert_eq!(offs[D2Q9_OPPOSITE[q]], offs[q].opposite());
         }
@@ -270,9 +267,8 @@ mod tests {
         for q in 0..9 {
             let f = equilibrium_d2q9(q, rho, ux, uy);
             s += f;
-            let o = neon_domain::d2q9_offsets()[q];
-            jx += o.dx as f64 * f;
-            jy += o.dy as f64 * f;
+            jx += D2Q9_C[0][q] * f;
+            jy += D2Q9_C[1][q] * f;
         }
         assert!((s - rho).abs() < 1e-12);
         assert!((jx - rho * ux).abs() < 1e-12);

@@ -12,8 +12,8 @@
 
 use neon_core::{ExecReport, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
-    Cell, Container, Field, FieldRead as _, FieldStencil as _, FieldWrite as _, GridLike, KernelFn,
-    KernelShape,
+    velocity_components, Cell, Container, Field, FieldRead as _, FieldStencil as _,
+    FieldWrite as _, GridLike, KernelFn, KernelShape, D3Q19_OFFSETS,
 };
 use neon_sys::Result;
 
@@ -37,6 +37,10 @@ pub const D3Q19_WEIGHTS: [f64; 19] = {
         W0, WF, WF, WF, WF, WF, WF, WE, WE, WE, WE, WE, WE, WE, WE, WE, WE, WE, WE,
     ]
 };
+
+/// The D3Q19 directions by component, `D3Q19_C[axis][q]`, as the `f64`
+/// factors the moment sums and the equilibrium multiply by.
+pub const D3Q19_C: [[f64; 19]; 3] = velocity_components(&D3Q19_OFFSETS);
 
 /// Opposite-direction table for the D3Q19 slot order.
 pub const D3Q19_OPPOSITE: [usize; 19] = [
@@ -64,8 +68,7 @@ impl Default for LbmParams {
 /// BGK equilibrium population for direction `q` (D3Q19).
 #[inline]
 pub fn equilibrium_d3q19(q: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
-    let o = neon_domain::d3q19_offsets()[q];
-    let cu = o.dx as f64 * ux + o.dy as f64 * uy + o.dz as f64 * uz;
+    let cu = D3Q19_C[0][q] * ux + D3Q19_C[1][q] * uy + D3Q19_C[2][q] * uz;
     let usq = ux * ux + uy * uy + uz * uz;
     D3Q19_WEIGHTS[q] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
 }
@@ -86,9 +89,9 @@ pub fn stream_collide<G: GridLike>(
     let dim = grid.dim();
     let (fi, fo) = (f_in.clone(), f_out.clone());
     let name = format!("lbm({}->{})", f_in.name(), f_out.name());
-    // Chunked kernel: the `dyn` dispatch boundary is crossed once per
-    // CELL_CHUNK cells. No named shape fits a 19-point pull kernel, so the
-    // shape stays Generic — the chunking alone carries the dispatch win.
+    // Span kernel: the `dyn` boundary is crossed once per row run and the
+    // per-cell body inlines into the loop over `span.cells()`. No named
+    // shape fits a 19-point pull kernel, so the shape stays Generic.
     Container::compute_shaped_opts(
         &name,
         grid.as_space(),
@@ -108,11 +111,9 @@ pub fn stream_collide<G: GridLike>(
                     } else {
                         // Half-way bounce-back off the wall crossed in
                         // direction c_qb; the lid plane y = ny-1 moves.
-                        let o = neon_domain::d3q19_offsets()[qb];
-                        let wall_is_lid = c.y + o.dy >= dim.y as i32;
+                        let wall_is_lid = c.y + D3Q19_OFFSETS[qb].dy >= dim.y as i32;
                         let corr = if wall_is_lid {
-                            let oq = neon_domain::d3q19_offsets()[q];
-                            6.0 * D3Q19_WEIGHTS[q] * (oq.dx as f64 * u_lid)
+                            6.0 * D3Q19_WEIGHTS[q] * (D3Q19_C[0][q] * u_lid)
                         } else {
                             0.0
                         };
@@ -123,10 +124,9 @@ pub fn stream_collide<G: GridLike>(
                 let (mut jx, mut jy, mut jz) = (0.0, 0.0, 0.0);
                 for q in 0..19 {
                     rho += f[q];
-                    let o = neon_domain::d3q19_offsets()[q];
-                    jx += o.dx as f64 * f[q];
-                    jy += o.dy as f64 * f[q];
-                    jz += o.dz as f64 * f[q];
+                    jx += D3Q19_C[0][q] * f[q];
+                    jy += D3Q19_C[1][q] * f[q];
+                    jz += D3Q19_C[2][q] * f[q];
                 }
                 let (ux, uy, uz) = (jx / rho, jy / rho, jz / rho);
                 for q in 0..19 {
@@ -134,11 +134,7 @@ pub fn stream_collide<G: GridLike>(
                     fout.set(c, q, f[q] + omega * (feq - f[q]));
                 }
             };
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    per_cell(c);
-                }
-            })
+            KernelFn::spans(move |span| span.cells().for_each(&per_cell))
         },
         D3Q19_FLOPS_PER_CELL,
         NEON_LBM_EFFICIENCY,
@@ -159,6 +155,12 @@ impl<G: GridLike> LidDrivenCavity<G> {
     /// Build the application on `grid` (constructed with the D3Q19
     /// stencil) with the chosen OCC level.
     pub fn new(grid: &G, params: LbmParams, occ: OccLevel) -> Result<Self> {
+        Self::with_options(grid, params, SkeletonOptions::with_occ(occ))
+    }
+
+    /// Build the application with full skeleton options (OCC level,
+    /// functional mode, tracing, …), applied to both ping-pong skeletons.
+    pub fn with_options(grid: &G, params: LbmParams, options: SkeletonOptions) -> Result<Self> {
         // Layout as policy: let layout-select pick for a 19-component
         // stencil-read field — AoS when halos are live (2 transfers per
         // partition pair instead of 2·19), SoA on a single partition.
@@ -179,13 +181,13 @@ impl<G: GridLike> LidDrivenCavity<G> {
             &backend,
             "lbm-even",
             vec![stream_collide(grid, &f0, &f1, params)],
-            SkeletonOptions::with_occ(occ),
+            options,
         );
         let odd = Skeleton::sequence(
             &backend,
             "lbm-odd",
             vec![stream_collide(grid, &f1, &f0, params)],
-            SkeletonOptions::with_occ(occ),
+            options,
         );
         Ok(LidDrivenCavity {
             grid: grid.clone(),
@@ -240,10 +242,9 @@ impl<G: GridLike> LidDrivenCavity<G> {
         for q in 0..19 {
             let v = f.get(x, y, z, q)?;
             rho += v;
-            let o = neon_domain::d3q19_offsets()[q];
-            j[0] += o.dx as f64 * v;
-            j[1] += o.dy as f64 * v;
-            j[2] += o.dz as f64 * v;
+            for (j, c) in j.iter_mut().zip(&D3Q19_C) {
+                *j += c[q] * v;
+            }
         }
         Some((rho, [j[0] / rho, j[1] / rho, j[2] / rho]))
     }
@@ -326,7 +327,7 @@ mod tests {
 
     #[test]
     fn opposite_table_is_consistent() {
-        let offs = neon_domain::d3q19_offsets();
+        let offs = D3Q19_OFFSETS;
         for q in 0..19 {
             assert_eq!(offs[D3Q19_OPPOSITE[q]], offs[q].opposite());
             assert_eq!(D3Q19_OPPOSITE[D3Q19_OPPOSITE[q]], q);
@@ -342,10 +343,9 @@ mod tests {
         for q in 0..19 {
             let f = equilibrium_d3q19(q, rho, u[0], u[1], u[2]);
             s += f;
-            let o = neon_domain::d3q19_offsets()[q];
-            j[0] += o.dx as f64 * f;
-            j[1] += o.dy as f64 * f;
-            j[2] += o.dz as f64 * f;
+            for (j, c) in j.iter_mut().zip(&D3Q19_C) {
+                *j += c[q] * f;
+            }
         }
         assert!((s - rho).abs() < 1e-12);
         for k in 0..3 {

@@ -4,7 +4,9 @@
 //! the same pull-form fused collide-and-stream with half-way bounce-back.
 //! Used to validate the Neon implementation field-by-field.
 
-use super::d3q19::{equilibrium_d3q19, LbmParams, D3Q19_OPPOSITE, D3Q19_WEIGHTS};
+use neon_domain::D3Q19_OFFSETS;
+
+use super::d3q19::{equilibrium_d3q19, LbmParams, D3Q19_C, D3Q19_OPPOSITE, D3Q19_WEIGHTS};
 
 /// A minimal host LBM simulation on a dense `nx × ny × nz` box.
 pub struct ReferenceCavity {
@@ -48,7 +50,6 @@ impl ReferenceCavity {
     /// Advance one iteration.
     pub fn step(&mut self) {
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        let offs = neon_domain::d3q19_offsets();
         let (omega, u_lid) = (self.params.omega, self.params.u_lid);
         let (src, dst) = if self.cur == 0 {
             let (a, b) = self.f.split_at_mut(1);
@@ -64,7 +65,7 @@ impl ReferenceCavity {
                     let mut f = [0.0f64; 19];
                     for q in 0..19 {
                         let qb = D3Q19_OPPOSITE[q];
-                        let o = offs[qb];
+                        let o = D3Q19_OFFSETS[qb];
                         let (sx, sy, sz) = (x as i32 + o.dx, y as i32 + o.dy, z as i32 + o.dz);
                         let inside = sx >= 0
                             && sy >= 0
@@ -77,7 +78,7 @@ impl ReferenceCavity {
                             f[q] = src[si * 19 + q];
                         } else {
                             let corr = if sy >= ny as i32 {
-                                6.0 * D3Q19_WEIGHTS[q] * (offs[q].dx as f64 * u_lid)
+                                6.0 * D3Q19_WEIGHTS[q] * (D3Q19_C[0][q] * u_lid)
                             } else {
                                 0.0
                             };
@@ -88,9 +89,9 @@ impl ReferenceCavity {
                     let (mut jx, mut jy, mut jz) = (0.0, 0.0, 0.0);
                     for q in 0..19 {
                         rho += f[q];
-                        jx += offs[q].dx as f64 * f[q];
-                        jy += offs[q].dy as f64 * f[q];
-                        jz += offs[q].dz as f64 * f[q];
+                        jx += D3Q19_C[0][q] * f[q];
+                        jy += D3Q19_C[1][q] * f[q];
+                        jz += D3Q19_C[2][q] * f[q];
                     }
                     let (ux, uy, uz) = (jx / rho, jy / rho, jz / rho);
                     for q in 0..19 {

@@ -4,7 +4,9 @@
 //! same pull-form fused kernel with cylinder/channel boundaries, used to
 //! validate the Neon D2Q9 kernel cell-by-cell.
 
-use super::d2q9::{equilibrium_d2q9, KarmanParams, D2Q9_OPPOSITE, D2Q9_WEIGHTS};
+use neon_domain::D2Q9_OFFSETS;
+
+use super::d2q9::{equilibrium_d2q9, KarmanParams, D2Q9_C, D2Q9_OPPOSITE, D2Q9_WEIGHTS};
 
 /// Host D2Q9 channel-with-cylinder simulation.
 pub struct ReferenceKarman {
@@ -40,7 +42,6 @@ impl ReferenceKarman {
     /// Advance one iteration.
     pub fn step(&mut self) {
         let (nx, ny) = (self.nx as i32, self.ny as i32);
-        let offs = neon_domain::d2q9_offsets();
         let p = self.params;
         let (src, dst) = if self.cur == 0 {
             let (a, b) = self.f.split_at_mut(1);
@@ -61,7 +62,7 @@ impl ReferenceKarman {
                 let mut f = [0.0f64; 9];
                 for q in 0..9 {
                     let qb = D2Q9_OPPOSITE[q];
-                    let o = offs[qb];
+                    let o = D2Q9_OFFSETS[qb];
                     let (sx, sy) = (x + o.dx, y + o.dy);
                     if sx < 0 || sx >= nx {
                         f[q] = equilibrium_d2q9(q, 1.0, p.u_in, 0.0);
@@ -76,8 +77,8 @@ impl ReferenceKarman {
                 let (mut jx, mut jy) = (0.0, 0.0);
                 for q in 0..9 {
                     rho += f[q];
-                    jx += offs[q].dx as f64 * f[q];
-                    jy += offs[q].dy as f64 * f[q];
+                    jx += D2Q9_C[0][q] * f[q];
+                    jy += D2Q9_C[1][q] * f[q];
                 }
                 let (ux, uy) = (jx / rho, jy / rho);
                 for q in 0..9 {
@@ -136,9 +137,8 @@ mod tests {
                 for q in 0..9 {
                     let v = reference.get(x as usize, y as usize, q);
                     rho += v;
-                    let o = neon_domain::d2q9_offsets()[q];
-                    jx += o.dx as f64 * v;
-                    jy += o.dy as f64 * v;
+                    jx += D2Q9_C[0][q] * v;
+                    jy += D2Q9_C[1][q] * v;
                 }
                 let (ur_x, ur_y) = (jx / rho, jy / rho);
                 assert!(

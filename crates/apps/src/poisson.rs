@@ -13,7 +13,7 @@
 
 use neon_core::OccLevel;
 use neon_domain::{
-    Cell, Container, Field, FieldRead as _, FieldStencil as _, FieldWrite as _, GridLike, KernelFn,
+    Container, Field, FieldRead as _, FieldStencil as _, FieldWrite as _, GridLike, KernelFn,
     KernelShape, MemLayout,
 };
 use neon_sys::Result;
@@ -27,9 +27,12 @@ pub const NEON_STENCIL_EFFICIENCY: f64 = 0.96;
 
 /// Build the 7-point negative-Laplacian container `Ap ← A·p`.
 ///
-/// Declared [`KernelShape::MapStencil7`] with a chunked kernel: the
-/// `dyn` dispatch boundary is crossed once per [`neon_set::CELL_CHUNK`]
-/// cells, and the shape feeds the `layout-select` pass.
+/// Declared [`KernelShape::MapStencil7`] with a span kernel. On an
+/// interior span of a grid whose neighbours sit at fixed linear distances
+/// (the dense grid) the six neighbour rows, the centre row and the output
+/// row are plain slices and the loop vectorises; edge spans and the
+/// sparse grids go cell by cell through `ngh`. Both add slots 0…5 in
+/// order before `6·p − s`, so they agree bit for bit.
 pub fn laplacian_apply<G: GridLike>(grid: &G, state: &CgState<G>) -> Container {
     let (p, ap) = (state.p.clone(), state.ap.clone());
     Container::compute_shaped_opts(
@@ -38,14 +41,31 @@ pub fn laplacian_apply<G: GridLike>(grid: &G, state: &CgState<G>) -> Container {
         KernelShape::MapStencil7,
         move |ldr| {
             let pv = ldr.read_stencil(&p);
-            let av = ldr.write(&ap);
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    let mut s = 0.0;
-                    for slot in 0..6 {
-                        s += pv.ngh(c, slot, 0);
+            let mut av = ldr.write(&ap);
+            KernelFn::spans(move |span| {
+                if let (Some(out), Some(centre), Some(ngh)) = (
+                    av.row_mut(span, 0),
+                    pv.row(span, 0),
+                    pv.ngh_rows::<6>(span, 0),
+                ) {
+                    let n = out.len();
+                    let centre = &centre[..n];
+                    let ngh = ngh.map(|row| &row[..n]);
+                    for i in 0..n {
+                        let mut s = 0.0;
+                        for row in ngh {
+                            s += row[i];
+                        }
+                        out[i] = 6.0 * centre[i] - s;
                     }
-                    av.set(c, 0, 6.0 * pv.at(c, 0) - s);
+                } else {
+                    for c in span.cells() {
+                        let mut s = 0.0;
+                        for slot in 0..6 {
+                            s += pv.ngh(c, slot, 0);
+                        }
+                        av.set(c, 0, 6.0 * pv.at(c, 0) - s);
+                    }
                 }
             })
         },

@@ -371,6 +371,11 @@ impl Skeleton {
         self.executor.set_functional_mode(mode);
     }
 
+    /// How the functional replay currently parallelizes.
+    pub fn functional_mode(&self) -> FunctionalMode {
+        self.executor.functional_mode()
+    }
+
     /// Per-iteration makespans of the most recent [`Skeleton::run_iters`].
     pub fn per_iteration_makespans(&self) -> &[SimTime] {
         self.executor.per_iteration_makespans()

@@ -11,17 +11,21 @@
 //! replay is skipped) and has no reductions (collective scheduling lives
 //! in neon-comm and builds its transfer lists per call by design). The
 //! functional replay cannot be allocation-free regardless: every kernel
-//! launch boxes the loading-lambda's closure.
+//! launch boxes the loading-lambda's closure. That box is the launch's
+//! *only* allocation, which the second half of the test pins: loading a
+//! stencil view and a write view of real fields and sweeping a partition
+//! with a span kernel over them touches the heap zero times (the stencil
+//! view's slot-delta table is the grid's, shared, not built per view).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use neon_core::{OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
-    Cell, Container, DenseGrid, Dim3, Field, FieldStencil as _, FieldWrite as _, GridLike,
-    KernelFn, KernelShape, MemLayout, Stencil, StorageMode,
+    Container, DataView, DenseGrid, Dim3, Field, FieldStencil, FieldWrite, GridLike, KernelFn,
+    KernelShape, Loader, MemLayout, Span, Stencil, StorageMode,
 };
-use neon_sys::Backend;
+use neon_sys::{Backend, DeviceId};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -74,21 +78,18 @@ fn steady_state_execute_does_not_allocate() {
             Box::new(move |c| yv.set(c, 0, xv.ngh(c, 0, 0)))
         })
     };
-    // A shaped chunked container: the monomorphized kernel data path must
-    // be as allocation-free in steady state as the per-cell one.
+    // A shaped span container with a stencil read: the span data path
+    // must be as allocation-free in steady state as the per-cell one.
     let shaped = {
-        let xc = x.clone();
+        let (xc, yc) = (x.clone(), y.clone());
         Container::compute_shaped(
-            "shaped-scale",
+            "shaped-shift",
             g.as_space(),
-            KernelShape::Scale,
+            KernelShape::Generic,
             move |ldr| {
-                let xv = ldr.read_write(&xc);
-                KernelFn::chunked(move |cells: &[Cell]| {
-                    for &c in cells {
-                        xv.set(c, 0, 2.0 * xv.at(c, 0));
-                    }
-                })
+                let xv = ldr.read_stencil(&xc);
+                let mut yv = ldr.write(&yc);
+                KernelFn::spans(move |span| shift_kernel(&xv, &mut yv, span))
             },
         )
     };
@@ -118,4 +119,46 @@ fn steady_state_execute_does_not_allocate() {
         0,
         "steady-state execute loop must not touch the heap"
     );
+
+    // Functional half: everything a launch does except boxing the kernel.
+    let b = Backend::dgx_a100(2);
+    let g = DenseGrid::new(&b, Dim3::new(8, 4, 8), &[&st], StorageMode::Real).unwrap();
+    let x = Field::<f64, _>::new(&g, "x", 2, -1.0, MemLayout::SoA).unwrap();
+    let y = Field::<f64, _>::new(&g, "y", 2, 0.0, MemLayout::SoA).unwrap();
+    x.fill(|cx, _, _, _| cx as f64);
+    let space = g.as_space();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for d in 0..2 {
+        let mut ldr = Loader::for_execution(DeviceId(d), 2, DataView::Standard);
+        let xv = ldr.read_stencil(&x);
+        let mut yv = ldr.write(&y);
+        space.for_each_span(DeviceId(d), DataView::Standard.into(), &mut |span| {
+            shift_kernel(&xv, &mut yv, span)
+        });
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "views and span iteration must not touch the heap"
+    );
+    // Slot 0 is the -x neighbour: y = x shifted right, -1 flowing in.
+    y.for_each(|cx, _, _, comp, v| {
+        if comp == 0 {
+            assert_eq!(v, cx as f64 - 1.0);
+        }
+    });
+}
+
+/// `y[cell] ← x[slot-0 neighbour of cell]`, by rows where the span has
+/// them and cell by cell where it does not.
+fn shift_kernel(xv: &impl FieldStencil<f64>, yv: &mut impl FieldWrite<f64>, span: &Span) {
+    match (yv.row_mut(span, 0), xv.ngh_row(span, 0, 0)) {
+        (Some(out), Some(ngh)) => out.copy_from_slice(ngh),
+        _ => {
+            for c in span.cells() {
+                yv.set(c, 0, xv.ngh(c, 0, 0));
+            }
+        }
+    }
 }

@@ -28,13 +28,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use neon_set::{Cell, ChunkBuffer, DataView, Elem, IterationSpace, RawRead, RawWrite, StorageMode};
+use neon_set::{Cell, DataView, Elem, IterationSpace, Span, StorageMode, Sweep};
 use neon_sys::{AllocationTicket, Backend, DeviceId, NeonSysError, Result};
 
 use crate::grid::{weighted_slab_partition, Dim3, FieldParts, GridLike};
 use crate::layout::MemLayout;
 use crate::stencil::{union_offsets, Offset3, Stencil};
-use crate::view::{FieldRead, FieldStencil, FieldWrite, HaloSegment};
+use crate::view::{FieldRead, FieldStencil, HaloSegment, PartRead, PartWrite};
 
 /// Block-connectivity sentinel: the neighbouring block is inactive.
 pub const BLOCK_NONE: u32 = u32::MAX;
@@ -52,8 +52,9 @@ struct BlockPart {
     /// Origins (block coords) of stored blocks, class-ordered.
     origins: Vec<(i32, i32, i32)>,
     /// `stored × 27` block neighbour table (3×3×3, index `(dx+1) +
-    /// 3(dy+1) + 9(dz+1)`), defined for owned blocks.
-    block_conn: Vec<u32>,
+    /// 3(dy+1) + 9(dz+1)`), defined for owned blocks. Shared with the
+    /// stencil views, which index it directly.
+    block_conn: Arc<[u32]>,
     /// Block coords → local block id (owned + halo).
     lookup: HashMap<(i32, i32, i32), u32>,
     /// In-domain cell count per owned block (padding excluded).
@@ -259,7 +260,8 @@ impl BlockSparseGrid {
                     .enumerate()
                     .map(|(i, &b)| (b, i as u32))
                     .collect();
-                let mut conn = vec![BLOCK_NONE; n_owned * 27];
+                let mut table: Arc<[u32]> = std::iter::repeat_n(BLOCK_NONE, n_owned * 27).collect();
+                let conn = Arc::get_mut(&mut table).expect("freshly built table is unshared");
                 for (i, &(bx, by, bz)) in origins[..n_owned].iter().enumerate() {
                     for dz in -1..=1i32 {
                         for dy in -1..=1i32 {
@@ -277,14 +279,14 @@ impl BlockSparseGrid {
                     .map(|&(bx, by, bz)| in_domain_count(bx, by, bz))
                     .collect();
                 lookup = lk;
-                block_conn = conn;
+                block_conn = table;
                 cells_in_domain = cid;
             } else {
                 // Virtual mode keeps only counts; compute the per-class
                 // in-domain totals directly from the origins we already
                 // gathered (then drop them).
                 lookup = HashMap::new();
-                block_conn = Vec::new();
+                block_conn = Arc::default();
                 cells_in_domain = origins[..n_owned]
                     .iter()
                     .map(|&(bx, by, bz)| in_domain_count(bx, by, bz))
@@ -383,62 +385,31 @@ impl IterationSpace for BlockSparseGrid {
             .sum()
     }
 
-    fn for_each_cell(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(Cell)) {
+    fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span)) {
         assert!(
             self.inner.mode == StorageMode::Real,
             "block-sparse grid has virtual storage"
         );
         let p = self.part(dev);
-        let bb = self.inner.block as i32;
-        let (a, b) = self.class_range(dev, view);
+        let dim = self.inner.dim;
+        let bb = self.inner.block;
+        let (a, b) = self.class_range(dev, sweep.owned_view());
+        // One span per x-row of a block, clipped to the domain box (the
+        // padding past it is never iterated). An active block has a cell
+        // inside the box, so every clipped extent is at least 1.
         for bi in a..b {
             let (bx, by, bz) = p.origins[bi as usize];
+            let (x0, y0, z0) = (bx as usize * bb, by as usize * bb, bz as usize * bb);
             let base = bi * (bb * bb * bb) as u32;
-            let mut intra = 0u32;
-            for z in 0..bb {
-                for y in 0..bb {
-                    for x in 0..bb {
-                        let (gx, gy, gz) = (bx * bb + x, by * bb + y, bz * bb + z);
-                        if self.inner.dim.contains(gx, gy, gz) {
-                            f(Cell::new(base + intra, gx, gy, gz));
-                        }
-                        intra += 1;
-                    }
+            let len = bb.min(dim.x - x0) as u32;
+            for z in 0..bb.min(dim.z - z0) {
+                for y in 0..bb.min(dim.y - y0) {
+                    let lin = base + ((z * bb + y) * bb) as u32;
+                    let first = Cell::new(lin, x0 as i32, (y0 + y) as i32, (z0 + z) as i32);
+                    f(&Span::new(first, len));
                 }
             }
         }
-    }
-
-    // The only grid that previously lacked a chunked variant: the domain
-    // mask makes block iteration skip out-of-domain padding cells, so the
-    // producer can't emit whole slices directly — it pushes into a
-    // `ChunkBuffer` (inlined per cell, one virtual call per chunk).
-    fn for_each_cell_chunked(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(&[Cell])) {
-        assert!(
-            self.inner.mode == StorageMode::Real,
-            "block-sparse grid has virtual storage"
-        );
-        let p = self.part(dev);
-        let bb = self.inner.block as i32;
-        let (a, b) = self.class_range(dev, view);
-        let mut chunks = ChunkBuffer::new();
-        for bi in a..b {
-            let (bx, by, bz) = p.origins[bi as usize];
-            let base = bi * (bb * bb * bb) as u32;
-            let mut intra = 0u32;
-            for z in 0..bb {
-                for y in 0..bb {
-                    for x in 0..bb {
-                        let (gx, gy, gz) = (bx * bb + x, by * bb + y, bz * bb + z);
-                        if self.inner.dim.contains(gx, gy, gz) {
-                            chunks.push(Cell::new(base + intra, gx, gy, gz), f);
-                        }
-                        intra += 1;
-                    }
-                }
-            }
-        }
-        chunks.flush(f);
     }
 
     fn supports_functional(&self) -> bool {
@@ -447,54 +418,32 @@ impl IterationSpace for BlockSparseGrid {
 }
 
 /// Cell-local read view of a block-sparse partition.
-pub struct BlockRead<T: Elem> {
-    raw: RawRead<T>,
-    card: usize,
-    layout: MemLayout,
-    stride: usize,
-}
+pub type BlockRead<T> = PartRead<T>;
 
-impl<T: Elem> FieldRead<T> for BlockRead<T> {
-    #[inline]
-    fn at(&self, cell: Cell, comp: usize) -> T {
-        self.raw
-            .get(self.layout.index(cell.idx(), comp, self.stride, self.card))
-    }
-    fn card(&self) -> usize {
-        self.card
-    }
-}
+/// Write view of a block-sparse partition.
+pub type BlockWrite<T> = PartWrite<T>;
 
 /// Neighbourhood read view: block-level connectivity + intra-block math.
 pub struct BlockStencil<T: Elem> {
-    raw: RawRead<T>,
-    card: usize,
-    layout: MemLayout,
-    stride: usize,
+    cells: PartRead<T>,
     outside: T,
-    grid: Arc<BlockInner>,
-    dev: DeviceId,
+    /// The partition's block neighbour table, resolved once per view.
+    block_conn: Arc<[u32]>,
+    offsets: Arc<Vec<Offset3>>,
+    dim: Dim3,
+    block: i32,
 }
 
-impl<T: Elem> FieldRead<T> for BlockStencil<T> {
-    #[inline]
-    fn at(&self, cell: Cell, comp: usize) -> T {
-        self.raw
-            .get(self.layout.index(cell.idx(), comp, self.stride, self.card))
-    }
-    fn card(&self) -> usize {
-        self.card
-    }
-}
+crate::view::read_through_cells!(BlockStencil);
 
 impl<T: Elem> BlockStencil<T> {
     #[inline]
     fn resolve(&self, cell: Cell, o: Offset3) -> Option<usize> {
         let (gx, gy, gz) = (cell.x + o.dx, cell.y + o.dy, cell.z + o.dz);
-        if !self.grid.dim.contains(gx, gy, gz) {
+        if !self.dim.contains(gx, gy, gz) {
             return None;
         }
-        let b = self.grid.block as i32;
+        let b = self.block;
         let bpb = (b * b * b) as u32;
         let my_block = cell.lin / bpb;
         // Intra coords of the current cell derive from its global coords.
@@ -509,8 +458,7 @@ impl<T: Elem> BlockStencil<T> {
             my_block
         } else {
             let slot = ((sx + 1) + 3 * (sy + 1) + 9 * (sz + 1)) as usize;
-            let part = &self.grid.parts[self.dev.0];
-            let t = part.block_conn[my_block as usize * 27 + slot];
+            let t = self.block_conn[my_block as usize * 27 + slot];
             if t == BLOCK_NONE {
                 return None;
             }
@@ -525,49 +473,19 @@ impl<T: Elem> BlockStencil<T> {
 impl<T: Elem> FieldStencil<T> for BlockStencil<T> {
     #[inline]
     fn ngh(&self, cell: Cell, slot: usize, comp: usize) -> T {
-        let o = self.grid.offsets[slot];
-        match self.resolve(cell, o) {
-            Some(idx) => self
-                .raw
-                .get(self.layout.index(idx, comp, self.stride, self.card)),
+        match self.resolve(cell, self.offsets[slot]) {
+            Some(idx) => self.cells.get(idx, comp),
             None => self.outside,
         }
     }
 
     #[inline]
     fn ngh_active(&self, cell: Cell, slot: usize) -> bool {
-        let o = self.grid.offsets[slot];
-        self.resolve(cell, o).is_some()
+        self.resolve(cell, self.offsets[slot]).is_some()
     }
 
     fn num_slots(&self) -> usize {
-        self.grid.offsets.len()
-    }
-}
-
-/// Write view of a block-sparse partition.
-pub struct BlockWrite<T: Elem> {
-    raw: RawWrite<T>,
-    card: usize,
-    layout: MemLayout,
-    stride: usize,
-}
-
-impl<T: Elem> FieldWrite<T> for BlockWrite<T> {
-    #[inline]
-    fn at(&self, cell: Cell, comp: usize) -> T {
-        self.raw
-            .get(self.layout.index(cell.idx(), comp, self.stride, self.card))
-    }
-    #[inline]
-    fn set(&self, cell: Cell, comp: usize, v: T) {
-        self.raw.set(
-            self.layout.index(cell.idx(), comp, self.stride, self.card),
-            v,
-        )
-    }
-    fn card(&self) -> usize {
-        self.card
+        self.offsets.len()
     }
 }
 
@@ -754,16 +672,7 @@ impl GridLike for BlockSparseGrid {
         null: bool,
     ) -> BlockRead<T> {
         let null = null || self.inner.mode == StorageMode::Virtual;
-        BlockRead {
-            raw: if null {
-                parts.mem.null_read()
-            } else {
-                parts.mem.read(dev)
-            },
-            card: parts.card,
-            layout: parts.layout,
-            stride: self.alloc_len(dev),
-        }
+        PartRead::new(parts, dev, self.alloc_len(dev), null)
     }
 
     fn make_stencil_view<T: Elem>(
@@ -772,19 +681,13 @@ impl GridLike for BlockSparseGrid {
         dev: DeviceId,
         null: bool,
     ) -> BlockStencil<T> {
-        let null = null || self.inner.mode == StorageMode::Virtual;
         BlockStencil {
-            raw: if null {
-                parts.mem.null_read()
-            } else {
-                parts.mem.read(dev)
-            },
-            card: parts.card,
-            layout: parts.layout,
-            stride: self.alloc_len(dev),
+            cells: self.make_read_view(parts, dev, null),
             outside: parts.outside,
-            grid: self.inner.clone(),
-            dev,
+            block_conn: self.part(dev).block_conn.clone(),
+            offsets: self.inner.offsets.clone(),
+            dim: self.inner.dim,
+            block: self.inner.block as i32,
         }
     }
 
@@ -795,16 +698,7 @@ impl GridLike for BlockSparseGrid {
         null: bool,
     ) -> BlockWrite<T> {
         let null = null || self.inner.mode == StorageMode::Virtual;
-        BlockWrite {
-            raw: if null {
-                parts.mem.null_write()
-            } else {
-                parts.mem.write(dev)
-            },
-            card: parts.card,
-            layout: parts.layout,
-            stride: self.alloc_len(dev),
-        }
+        PartWrite::new(parts, dev, self.alloc_len(dev), null)
     }
 }
 

@@ -12,20 +12,26 @@
 //!
 //! A cell's local linear index is `((z - z0 + r)·ny + y)·nx + x`, so a
 //! neighbour at offset `(dx,dy,dz)` is exactly `lin + dz·nx·ny + dy·nx +
-//! dx` away — stencil views need no divisions. Boundary cells (the owned
-//! layers within `radius` of an inter-partition edge) are contiguous,
-//! which is why a halo update is two plain copies per partition (times
-//! the cardinality for SoA fields).
+//! dx` away — stencil views need no divisions, and the grid computes that
+//! delta once per slot. Boundary cells (the owned layers within `radius`
+//! of an inter-partition edge) are contiguous, which is why a halo update
+//! is two plain copies per partition (times the cardinality for SoA
+//! fields).
+//!
+//! Iteration emits each x-row as [`Span`]s split at the stencils' x-reach:
+//! the middle run of a row that is itself `reach` away from the y and z
+//! domain faces is *interior* — every registered neighbour of every cell
+//! in it is in the domain — so stencil views skip the domain test there.
 
 use std::sync::Arc;
 
-use neon_set::{Cell, ChunkBuffer, DataView, Elem, IterationSpace, RawRead, RawWrite, StorageMode};
+use neon_set::{Cell, DataView, Elem, IterationSpace, Span, StorageMode, Sweep};
 use neon_sys::{Backend, DeviceId, NeonSysError, Result};
 
 use crate::grid::{proportional_slab_partition, slab_partition, Dim3, FieldParts, GridLike};
 use crate::layout::MemLayout;
 use crate::stencil::{union_offsets, Offset3, Stencil};
-use crate::view::{FieldRead, FieldStencil, FieldWrite, HaloSegment};
+use crate::view::{FieldRead, FieldStencil, HaloSegment, PartRead, PartWrite};
 
 #[derive(Debug, Clone, Copy)]
 struct DensePart {
@@ -52,9 +58,25 @@ struct DenseInner {
     /// default equals the radius; temporal blocking allocates `k·radius`
     /// so one deep exchange can stage `k` iterations' worth of ghosts.
     halo_cap: usize,
-    offsets: Arc<Vec<Offset3>>,
+    offsets: Vec<Offset3>,
+    /// The registered offsets again, each with the distance in local
+    /// linear indices from a cell to that neighbour (the same on every
+    /// partition) — what a stencil view reads per access.
+    slots: Arc<[Slot]>,
+    /// Largest `|dx|`, `|dy|`, `|dz|` over the registered offsets: a cell
+    /// at least this far from every domain face has all its neighbours in
+    /// the domain.
+    reach: [usize; 3],
     mode: StorageMode,
     parts: Vec<DensePart>,
+}
+
+/// One neighbour slot as a stencil view needs it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    offset: Offset3,
+    /// `dz·nx·ny + dy·nx + dx`.
+    delta: isize,
 }
 
 /// A dense rectilinear grid partitioned into z-slabs over the backend's
@@ -226,13 +248,31 @@ impl DenseGrid {
                 });
             }
         }
+        let (row, plane) = (dim.x as isize, (dim.x * dim.y) as isize);
+        let slots = offsets
+            .iter()
+            .map(|&offset| Slot {
+                offset,
+                delta: offset.dz as isize * plane + offset.dy as isize * row + offset.dx as isize,
+            })
+            .collect();
+        let reach_of = |axis: fn(&Offset3) -> i32| {
+            offsets
+                .iter()
+                .map(|o| axis(o).unsigned_abs() as usize)
+                .max()
+                .unwrap_or(0)
+        };
+        let reach = [reach_of(|o| o.dx), reach_of(|o| o.dy), radius];
         Ok(DenseGrid {
             inner: Arc::new(DenseInner {
                 backend: backend.clone(),
                 dim,
                 radius,
                 halo_cap,
-                offsets: Arc::new(offsets),
+                offsets,
+                slots,
+                reach,
                 mode,
                 parts,
             }),
@@ -329,40 +369,57 @@ impl IterationSpace for DenseGrid {
             .sum()
     }
 
-    fn for_each_cell(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(Cell)) {
+    fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span)) {
         let dim = self.inner.dim;
-        let (ranges, nr) = self.view_z_ranges(dev, view);
+        let (ranges, nr) = match sweep {
+            Sweep::View(view) => self.view_z_ranges(dev, view),
+            Sweep::Expanded(depth) => {
+                assert!(
+                    depth <= IterationSpace::ghost_capacity(self),
+                    "expanded depth {depth} exceeds ghost capacity {}",
+                    IterationSpace::ghost_capacity(self)
+                );
+                let p = self.part(dev);
+                let (lo, hi) = self.expand_layers(dev, depth);
+                ([(p.z0 - lo, p.z1 + hi), (0, 0)], 1)
+            }
+        };
+        let [rx, ry, rz] = self.inner.reach;
+        let nx = dim.x as u32;
+        // x-extent of a row's interior run; empty on rows shorter than
+        // the stencil is wide.
+        let (xa, xb) = if 2 * rx < dim.x {
+            (rx as u32, (dim.x - rx) as u32)
+        } else {
+            (0, 0)
+        };
         for &(za, zb) in &ranges[..nr] {
             for z in za..zb {
+                let z_inside = z >= rz && z + rz < dim.z;
                 for y in 0..dim.y {
                     let row = self.local_lin(dev, 0, y, z);
-                    for x in 0..dim.x {
-                        f(Cell::new(row + x as u32, x as i32, y as i32, z as i32));
+                    let mut run = |x0: u32, x1: u32, interior: bool| {
+                        if x0 < x1 {
+                            let first = Cell {
+                                lin: row + x0,
+                                x: x0 as i32,
+                                y: y as i32,
+                                z: z as i32,
+                                interior,
+                            };
+                            f(&Span::new(first, x1 - x0));
+                        }
+                    };
+                    if z_inside && y >= ry && y + ry < dim.y && xa < xb {
+                        run(0, xa, false);
+                        run(xa, xb, true);
+                        run(xb, nx, false);
+                    } else {
+                        run(0, nx, false);
                     }
                 }
             }
         }
-    }
-
-    // Overridden (not the buffered default) so the per-cell producer loop
-    // stays monomorphized: `ChunkBuffer::push` inlines here, and the only
-    // virtual call is the one per full chunk. Chunks also span x-rows, so
-    // small grids still hand the kernel full CELL_CHUNK slices.
-    fn for_each_cell_chunked(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(&[Cell])) {
-        let dim = self.inner.dim;
-        let (ranges, nr) = self.view_z_ranges(dev, view);
-        let mut chunks = ChunkBuffer::new();
-        for &(za, zb) in &ranges[..nr] {
-            for z in za..zb {
-                for y in 0..dim.y {
-                    let row = self.local_lin(dev, 0, y, z);
-                    for x in 0..dim.x {
-                        chunks.push(Cell::new(row + x as u32, x as i32, y as i32, z as i32), f);
-                    }
-                }
-            }
-        }
-        chunks.flush(f);
     }
 
     fn supports_functional(&self) -> bool {
@@ -379,131 +436,72 @@ impl IterationSpace for DenseGrid {
         let (lo, hi) = self.expand_layers(dev, depth);
         ((self.part(dev).nz() + lo + hi) * self.sxy()) as u64
     }
-
-    fn for_each_cell_chunked_expanded(
-        &self,
-        dev: DeviceId,
-        depth: usize,
-        f: &mut dyn FnMut(&[Cell]),
-    ) {
-        assert!(
-            depth <= IterationSpace::ghost_capacity(self),
-            "expanded depth {depth} exceeds ghost capacity {}",
-            IterationSpace::ghost_capacity(self)
-        );
-        let dim = self.inner.dim;
-        let p = self.part(dev);
-        let (lo, hi) = self.expand_layers(dev, depth);
-        let (za, zb) = (p.z0 - lo, p.z1 + hi);
-        let mut chunks = ChunkBuffer::new();
-        for z in za..zb {
-            for y in 0..dim.y {
-                let row = self.local_lin(dev, 0, y, z);
-                for x in 0..dim.x {
-                    chunks.push(Cell::new(row + x as u32, x as i32, y as i32, z as i32), f);
-                }
-            }
-        }
-        chunks.flush(f);
-    }
 }
 
 /// Cell-local read view of a dense partition.
-pub struct DenseRead<T: Elem> {
-    raw: RawRead<T>,
-    card: usize,
-    layout: MemLayout,
-    stride: usize,
-}
+pub type DenseRead<T> = PartRead<T>;
 
-impl<T: Elem> FieldRead<T> for DenseRead<T> {
-    #[inline]
-    fn at(&self, cell: Cell, comp: usize) -> T {
-        self.raw
-            .get(self.layout.index(cell.idx(), comp, self.stride, self.card))
-    }
-    fn card(&self) -> usize {
-        self.card
-    }
-}
+/// Write view of a dense partition.
+pub type DenseWrite<T> = PartWrite<T>;
 
 /// Neighbourhood read view of a dense partition.
 pub struct DenseStencil<T: Elem> {
-    raw: RawRead<T>,
-    card: usize,
-    layout: MemLayout,
-    stride: usize,
+    cells: PartRead<T>,
     outside: T,
-    offsets: Arc<Vec<Offset3>>,
+    slots: Arc<[Slot]>,
     dim: Dim3,
-    row: i64,
-    plane: i64,
 }
 
-impl<T: Elem> FieldRead<T> for DenseStencil<T> {
+impl<T: Elem> DenseStencil<T> {
+    /// Local linear index of the neighbour of the stored cell `lin` at
+    /// `slot`. A delta that leaves the storage wraps to an index the
+    /// storage bounds check rejects.
     #[inline]
-    fn at(&self, cell: Cell, comp: usize) -> T {
-        self.raw
-            .get(self.layout.index(cell.idx(), comp, self.stride, self.card))
+    fn ngh_lin(lin: usize, slot: Slot) -> usize {
+        lin.wrapping_add_signed(slot.delta)
     }
-    fn card(&self) -> usize {
-        self.card
+
+    /// Whether the neighbour of `cell` at `slot` is inside the domain box:
+    /// the grid's word for interior cells, the six comparisons otherwise.
+    #[inline]
+    fn in_domain(&self, cell: Cell, slot: Slot) -> bool {
+        let o = slot.offset;
+        cell.interior
+            || self
+                .dim
+                .contains(cell.x + o.dx, cell.y + o.dy, cell.z + o.dz)
     }
 }
+
+crate::view::read_through_cells!(DenseStencil);
 
 impl<T: Elem> FieldStencil<T> for DenseStencil<T> {
     #[inline]
     fn ngh(&self, cell: Cell, slot: usize, comp: usize) -> T {
-        let o = self.offsets[slot];
-        if !self
-            .dim
-            .contains(cell.x + o.dx, cell.y + o.dy, cell.z + o.dz)
-        {
-            return self.outside;
+        let slot = self.slots[slot];
+        if self.in_domain(cell, slot) {
+            self.cells.get(Self::ngh_lin(cell.idx(), slot), comp)
+        } else {
+            self.outside
         }
-        let lin = cell.lin as i64 + o.dz as i64 * self.plane + o.dy as i64 * self.row + o.dx as i64;
-        debug_assert!(lin >= 0);
-        self.raw.get(
-            self.layout
-                .index(lin as usize, comp, self.stride, self.card),
-        )
     }
 
     #[inline]
     fn ngh_active(&self, cell: Cell, slot: usize) -> bool {
-        let o = self.offsets[slot];
-        self.dim
-            .contains(cell.x + o.dx, cell.y + o.dy, cell.z + o.dz)
+        self.in_domain(cell, self.slots[slot])
     }
 
     fn num_slots(&self) -> usize {
-        self.offsets.len()
+        self.slots.len()
     }
-}
 
-/// Write view of a dense partition.
-pub struct DenseWrite<T: Elem> {
-    raw: RawWrite<T>,
-    card: usize,
-    layout: MemLayout,
-    stride: usize,
-}
-
-impl<T: Elem> FieldWrite<T> for DenseWrite<T> {
     #[inline]
-    fn at(&self, cell: Cell, comp: usize) -> T {
-        self.raw
-            .get(self.layout.index(cell.idx(), comp, self.stride, self.card))
-    }
-    #[inline]
-    fn set(&self, cell: Cell, comp: usize, v: T) {
-        self.raw.set(
-            self.layout.index(cell.idx(), comp, self.stride, self.card),
-            v,
-        )
-    }
-    fn card(&self) -> usize {
-        self.card
+    fn ngh_row(&self, span: &Span, slot: usize, comp: usize) -> Option<&[T]> {
+        if !span.interior() {
+            return None;
+        }
+        let first = Self::ngh_lin(span.first.idx(), self.slots[slot]);
+        self.cells.row_at(first, span.len(), comp)
     }
 }
 
@@ -686,16 +684,7 @@ impl GridLike for DenseGrid {
         null: bool,
     ) -> DenseRead<T> {
         let null = null || self.inner.mode == StorageMode::Virtual;
-        DenseRead {
-            raw: if null {
-                parts.mem.null_read()
-            } else {
-                parts.mem.read(dev)
-            },
-            card: parts.card,
-            layout: parts.layout,
-            stride: self.alloc_len(dev),
-        }
+        PartRead::new(parts, dev, self.alloc_len(dev), null)
     }
 
     fn make_stencil_view<T: Elem>(
@@ -704,21 +693,11 @@ impl GridLike for DenseGrid {
         dev: DeviceId,
         null: bool,
     ) -> DenseStencil<T> {
-        let null = null || self.inner.mode == StorageMode::Virtual;
         DenseStencil {
-            raw: if null {
-                parts.mem.null_read()
-            } else {
-                parts.mem.read(dev)
-            },
-            card: parts.card,
-            layout: parts.layout,
-            stride: self.alloc_len(dev),
+            cells: self.make_read_view(parts, dev, null),
             outside: parts.outside,
-            offsets: self.inner.offsets.clone(),
+            slots: self.inner.slots.clone(),
             dim: self.inner.dim,
-            row: self.inner.dim.x as i64,
-            plane: self.sxy() as i64,
         }
     }
 
@@ -729,16 +708,7 @@ impl GridLike for DenseGrid {
         null: bool,
     ) -> DenseWrite<T> {
         let null = null || self.inner.mode == StorageMode::Virtual;
-        DenseWrite {
-            raw: if null {
-                parts.mem.null_write()
-            } else {
-                parts.mem.write(dev)
-            },
-            card: parts.card,
-            layout: parts.layout,
-            stride: self.alloc_len(dev),
-        }
+        PartWrite::new(parts, dev, self.alloc_len(dev), null)
     }
 }
 
@@ -920,37 +890,32 @@ mod tests {
         // Edge partitions only expand toward their one neighbour.
         assert_eq!(g.cell_count_expanded(DeviceId(0), 2), 16 * 6);
         assert_eq!(g.cell_count_expanded(DeviceId(1), 2), 16 * 6);
-        let mut zs = std::collections::BTreeSet::new();
-        let mut n = 0usize;
-        g.for_each_cell_chunked_expanded(DeviceId(0), 2, &mut |cells| {
-            for c in cells {
-                zs.insert(c.z);
-                // Ghost cells carry valid local indices: round-trip via
-                // the same indexing rule locate() uses.
-                assert_eq!(
-                    c.lin,
-                    ((c.z as usize + 3) * 4 + c.y as usize) as u32 * 4 + c.x as u32
-                );
-                n += 1;
-            }
-        });
-        assert_eq!(n, 16 * 6);
-        assert_eq!(zs, (0..6).collect());
-        let mut zs1 = std::collections::BTreeSet::new();
-        g.for_each_cell_chunked_expanded(DeviceId(1), 2, &mut |cells| {
-            for c in cells {
-                zs1.insert(c.z);
-            }
-        });
-        assert_eq!(zs1, (2..8).collect());
+        let expanded = |dev: usize, depth: usize| {
+            let mut cells = Vec::new();
+            g.for_each_span(DeviceId(dev), Sweep::Expanded(depth), &mut |span| {
+                cells.extend(span.cells())
+            });
+            cells
+        };
+        let cells0 = expanded(0, 2);
+        assert_eq!(cells0.len(), 16 * 6);
+        for c in &cells0 {
+            // Ghost cells carry valid local indices: round-trip via the
+            // same indexing rule locate() uses.
+            assert_eq!(
+                c.lin,
+                ((c.z as usize + 3) * 4 + c.y as usize) as u32 * 4 + c.x as u32
+            );
+        }
+        let zs = |cells: &[Cell]| -> std::collections::BTreeSet<i32> {
+            cells.iter().map(|c| c.z).collect()
+        };
+        assert_eq!(zs(&cells0), (0..6).collect());
+        assert_eq!(zs(&expanded(1, 2)), (2..8).collect());
         // Depth 0 is exactly the standard view.
         let mut std_cells = Vec::new();
-        g.for_each_cell_chunked(DeviceId(0), DataView::Standard, &mut |cs| {
-            std_cells.extend_from_slice(cs)
-        });
-        let mut exp_cells = Vec::new();
-        g.for_each_cell_chunked_expanded(DeviceId(0), 0, &mut |cs| exp_cells.extend_from_slice(cs));
-        assert_eq!(std_cells, exp_cells);
+        g.for_each_cell(DeviceId(0), DataView::Standard, &mut |c| std_cells.push(c));
+        assert_eq!(std_cells, expanded(0, 0));
     }
 
     #[test]

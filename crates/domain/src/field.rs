@@ -377,7 +377,7 @@ mod tests {
     use crate::sparse::SparseGrid;
     use crate::stencil::Stencil;
     use crate::view::{FieldStencil as _, FieldWrite as _};
-    use neon_set::{DataView, IterationSpace, Loader, StorageMode};
+    use neon_set::{DataView, IterationSpace, Loader, StorageMode, Sweep};
     use neon_sys::Backend;
 
     fn dense(n: usize) -> DenseGrid {
@@ -534,10 +534,10 @@ mod tests {
         for dev in 0..2 {
             let mut ldr = Loader::for_execution(DeviceId(dev), 2, DataView::Standard);
             let rv = ldr.read(&f);
-            g.for_each_cell_chunked_expanded(DeviceId(dev), 2, &mut |cells| {
-                for c in cells {
+            g.for_each_span(DeviceId(dev), Sweep::Expanded(2), &mut |span| {
+                for c in span.cells() {
                     assert_eq!(
-                        crate::view::FieldRead::at(&rv, *c, 0),
+                        crate::view::FieldRead::at(&rv, c, 0),
                         10.0 * c.z as f64,
                         "dev {dev} cell ({}, {}, {})",
                         c.x,

@@ -2,8 +2,8 @@
 //!
 //! [`MemLayout`] moved down to the Set layer when layout became a
 //! *policy*: the compile pipeline's `layout-select` pass recommends a
-//! layout per data object, and the monomorphized kernel fast paths index
-//! partition storage through `MemLayout::index` directly. This module
-//! stays so `neon_domain::layout::MemLayout` keeps resolving.
+//! layout per data object. The field views in [`crate::view`] are its one
+//! consumer on the kernel data path. This module stays so
+//! `neon_domain::layout::MemLayout` keeps resolving.
 
 pub use neon_set::layout::MemLayout;

@@ -42,10 +42,13 @@ pub use grid::{
 };
 pub use layout::MemLayout;
 pub use sparse::{SparseGrid, SparseRead, SparseStencil, SparseWrite, SPARSE_NONE};
-pub use stencil::{d2q9_offsets, d3q19_offsets, union_offsets, Offset3, Stencil};
-pub use view::{FieldRead, FieldStencil, FieldWrite, HaloSegment};
+pub use stencil::{
+    d2q9_offsets, d3q19_offsets, union_offsets, velocity_components, Offset3, Stencil,
+    D2Q9_OFFSETS, D3Q19_OFFSETS,
+};
+pub use view::{FieldRead, FieldStencil, FieldWrite, HaloSegment, PartRead, PartWrite};
 
 // Re-export the Set-layer vocabulary domain users constantly need.
 pub use neon_set::{
-    Cell, Container, DataView, KernelFn, KernelShape, Loader, ScalarSet, StorageMode,
+    Cell, Container, DataView, KernelFn, KernelShape, Loader, ScalarSet, Span, StorageMode, Sweep,
 };

@@ -3,41 +3,73 @@
 //! BLAS operations (e.g., dot product) … to facilitate rapid
 //! prototyping").
 //!
-//! All operations work on any cardinality (components are looped) and any
-//! grid implementing [`GridLike`].
+//! All operations work on any cardinality and any grid implementing
+//! [`GridLike`].
 //!
 //! Every operation here declares a typed [`KernelShape`] and registers a
-//! **chunk-level** kernel: the `dyn Fn` boundary is crossed once per
-//! `CELL_CHUNK` cells and the per-cell body — view `at`/`set` calls that
-//! inline down to `MemLayout::index` arithmetic on the grid's concrete
-//! view types — stays monomorphized. The [`mod@reference`] module keeps the
-//! original per-cell `Generic` forms as the bit-identity oracle; the two
-//! families visit cells and update reduction partials in the identical
-//! order, so they must agree bit for bit (enforced by proptests in
-//! `neon-core`).
+//! **span-level** kernel: the `dyn` boundary is crossed once per row run,
+//! and the body works on the rows themselves — one contiguous slice per
+//! operand from the views' row accessors, combined in a plain indexed
+//! loop the compiler vectorises. Where a layout makes a row strided (AoS
+//! against SoA operands) the kernel walks `span.cells()` instead. The
+//! [`mod@reference`] module keeps the per-cell `Generic` forms as the
+//! bit-identity oracle; the two families visit cells and update reduction
+//! partials in the identical order, so they must agree bit for bit
+//! (enforced by proptests in `neon-core`).
 
-use neon_set::{Cell, Container, KernelFn, KernelShape, ScalarSet};
+use neon_set::{Cell, Container, KernelFn, KernelShape, ScalarSet, Span};
 
 use crate::field::Field;
 use crate::grid::GridLike;
-use crate::view::{FieldRead as _, FieldWrite as _};
+use crate::view::{all_some, FieldRead, FieldWrite};
+
+/// `dst[e] ← f(dst[e], [src[e]; N])` for every element `e` (cell ×
+/// component) of `span` — the body of every elementwise operation.
+///
+/// Elements are independent, so the order they are visited in is free:
+/// whole-span blocks when destination and sources all store the span
+/// contiguously, else one row per component, else cell by cell.
+#[inline]
+fn update<const N: usize, W: FieldWrite<f64>, R: FieldRead<f64>>(
+    span: &Span,
+    dst: &mut W,
+    srcs: [&R; N],
+    f: impl Fn(f64, [f64; N]) -> f64,
+) {
+    #[inline]
+    fn rows<const N: usize>(d: &mut [f64], s: [&[f64]; N], f: impl Fn(f64, [f64; N]) -> f64) {
+        let n = d.len();
+        let s = s.map(|s| &s[..n]);
+        for i in 0..n {
+            d[i] = f(d[i], s.map(|s| s[i]));
+        }
+    }
+    if let (Some(d), Some(s)) = (dst.block_mut(span), all_some(srcs.map(|s| s.block(span)))) {
+        return rows(d, s, &f);
+    }
+    for k in 0..dst.card() {
+        match (dst.row_mut(span, k), all_some(srcs.map(|s| s.row(span, k)))) {
+            (Some(d), Some(s)) => rows(d, s, &f),
+            _ => {
+                for c in span.cells() {
+                    dst.set(c, k, f(dst.at(c, k), srcs.map(|s| s.at(c, k))));
+                }
+            }
+        }
+    }
+}
 
 /// `dst[i] ← v` for every component.
 pub fn set_value<G: GridLike>(grid: &G, dst: &Field<f64, G>, v: f64) -> Container {
     let dst = dst.clone();
-    let card = dst.card();
     Container::compute_shaped(
         &format!("set({})", dst.name()),
         grid.as_space(),
         KernelShape::Fill,
         move |ldr| {
-            let d = ldr.write(&dst);
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    for k in 0..card {
-                        d.set(c, k, v);
-                    }
-                }
+            let mut d = ldr.write(&dst);
+            KernelFn::spans(move |span| {
+                update::<0, _, G::ReadView<f64>>(span, &mut d, [], |_, []| v)
             })
         },
     )
@@ -47,21 +79,14 @@ pub fn set_value<G: GridLike>(grid: &G, dst: &Field<f64, G>, v: f64) -> Containe
 pub fn copy<G: GridLike>(grid: &G, src: &Field<f64, G>, dst: &Field<f64, G>) -> Container {
     assert_eq!(src.card(), dst.card(), "cardinality mismatch");
     let (src, dst) = (src.clone(), dst.clone());
-    let card = src.card();
     Container::compute_shaped(
         &format!("copy({}->{})", src.name(), dst.name()),
         grid.as_space(),
         KernelShape::Copy,
         move |ldr| {
             let s = ldr.read(&src);
-            let d = ldr.write(&dst);
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    for k in 0..card {
-                        d.set(c, k, s.at(c, k));
-                    }
-                }
-            })
+            let mut d = ldr.write(&dst);
+            KernelFn::spans(move |span| update(span, &mut d, [&s], |_, [s]| s))
         },
     )
 }
@@ -75,21 +100,14 @@ pub fn axpy_const<G: GridLike>(
 ) -> Container {
     assert_eq!(x.card(), y.card(), "cardinality mismatch");
     let (x, y) = (x.clone(), y.clone());
-    let card = x.card();
     Container::compute_shaped(
         &format!("axpy({},{})", x.name(), y.name()),
         grid.as_space(),
         KernelShape::Axpy,
         move |ldr| {
             let xv = ldr.read(&x);
-            let yv = ldr.read_write(&y);
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    for k in 0..card {
-                        yv.set(c, k, a * xv.at(c, k) + yv.at(c, k));
-                    }
-                }
-            })
+            let mut yv = ldr.read_write(&y);
+            KernelFn::spans(move |span| update(span, &mut yv, [&xv], |y, [x]| a * x + y))
         },
     )
 }
@@ -105,7 +123,6 @@ pub fn axpy_scalar<G: GridLike>(
 ) -> Container {
     assert_eq!(x.card(), y.card(), "cardinality mismatch");
     let (x, y, alpha) = (x.clone(), y.clone(), alpha.clone());
-    let card = x.card();
     Container::compute_shaped(
         &format!("axpy[{}]({},{})", alpha.name(), x.name(), y.name()),
         grid.as_space(),
@@ -113,14 +130,8 @@ pub fn axpy_scalar<G: GridLike>(
         move |ldr| {
             let a = sign * ldr.scalar(&alpha);
             let xv = ldr.read(&x);
-            let yv = ldr.read_write(&y);
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    for k in 0..card {
-                        yv.set(c, k, a * xv.at(c, k) + yv.at(c, k));
-                    }
-                }
-            })
+            let mut yv = ldr.read_write(&y);
+            KernelFn::spans(move |span| update(span, &mut yv, [&xv], |y, [x]| a * x + y))
         },
     )
 }
@@ -128,19 +139,14 @@ pub fn axpy_scalar<G: GridLike>(
 /// `dst[i] ← a·dst[i]` with a constant `a`.
 pub fn scale_const<G: GridLike>(grid: &G, a: f64, dst: &Field<f64, G>) -> Container {
     let dst = dst.clone();
-    let card = dst.card();
     Container::compute_shaped(
         &format!("scale({})", dst.name()),
         grid.as_space(),
         KernelShape::Scale,
         move |ldr| {
-            let d = ldr.read_write(&dst);
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    for k in 0..card {
-                        d.set(c, k, a * d.at(c, k));
-                    }
-                }
+            let mut d = ldr.read_write(&dst);
+            KernelFn::spans(move |span| {
+                update::<0, _, G::ReadView<f64>>(span, &mut d, [], |d, []| a * d)
             })
         },
     )
@@ -148,8 +154,8 @@ pub fn scale_const<G: GridLike>(grid: &G, a: f64, dst: &Field<f64, G>) -> Contai
 
 /// `out ← Σ_i Σ_k x[i,k]·y[i,k]` (all components contribute).
 ///
-/// The chunked kernel still folds one per-cell product sum into the
-/// device partial *per cell*, in chunk order — the same floating-point
+/// The span kernel still folds one per-cell product sum into the device
+/// partial *per cell*, in ascending cell order — the same floating-point
 /// association as the per-cell reference, so the two are bit-identical.
 pub fn dot<G: GridLike>(
     grid: &G,
@@ -168,14 +174,27 @@ pub fn dot<G: GridLike>(
             let xv = ldr.read(&x);
             let yv = ldr.read(&y);
             let acc = ldr.reduce(&out_c);
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    let mut s = 0.0;
-                    for k in 0..card {
-                        s += xv.at(c, k) * yv.at(c, k);
+            KernelFn::spans(move |span| {
+                let mut partial = acc.get();
+                if let (Some(x), Some(y)) = (xv.block(span), yv.block(span)) {
+                    // Cell-major blocks: one `card`-wide chunk per cell.
+                    for (x, y) in x.chunks_exact(card).zip(y.chunks_exact(card)) {
+                        let mut s = 0.0;
+                        for (x, y) in x.iter().zip(y) {
+                            s += x * y;
+                        }
+                        partial += s;
                     }
-                    acc.update(|a| a + s);
+                } else {
+                    for c in span.cells() {
+                        let mut s = 0.0;
+                        for k in 0..card {
+                            s += xv.at(c, k) * yv.at(c, k);
+                        }
+                        partial += s;
+                    }
                 }
+                acc.set(partial);
             })
         },
     )
@@ -193,7 +212,6 @@ pub fn waxpby_const<G: GridLike>(
     assert_eq!(x.card(), y.card(), "cardinality mismatch");
     assert_eq!(x.card(), w.card(), "cardinality mismatch");
     let (x, y, w) = (x.clone(), y.clone(), w.clone());
-    let card = x.card();
     Container::compute_shaped(
         &format!("waxpby({},{},{})", x.name(), y.name(), w.name()),
         grid.as_space(),
@@ -201,13 +219,9 @@ pub fn waxpby_const<G: GridLike>(
         move |ldr| {
             let xv = ldr.read(&x);
             let yv = ldr.read(&y);
-            let wv = ldr.write(&w);
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    for k in 0..card {
-                        wv.set(c, k, a * xv.at(c, k) + b * yv.at(c, k));
-                    }
-                }
+            let mut wv = ldr.write(&w);
+            KernelFn::spans(move |span| {
+                update(span, &mut wv, [&xv, &yv], |_, [x, y]| a * x + b * y)
             })
         },
     )
@@ -222,20 +236,15 @@ pub fn norm2_sq<G: GridLike>(grid: &G, x: &Field<f64, G>, out: &ScalarSet<f64>) 
 /// `dst[i] ← s·dst[i]` where `s` is a host scalar read at launch time.
 pub fn scale_scalar<G: GridLike>(grid: &G, s: &ScalarSet<f64>, dst: &Field<f64, G>) -> Container {
     let (s, dst) = (s.clone(), dst.clone());
-    let card = dst.card();
     Container::compute_shaped(
         &format!("scale[{}]({})", s.name(), dst.name()),
         grid.as_space(),
         KernelShape::Scale,
         move |ldr| {
             let a = ldr.scalar(&s);
-            let d = ldr.read_write(&dst);
-            KernelFn::chunked(move |cells: &[Cell]| {
-                for &c in cells {
-                    for k in 0..card {
-                        d.set(c, k, a * d.at(c, k));
-                    }
-                }
+            let mut d = ldr.read_write(&dst);
+            KernelFn::spans(move |span| {
+                update::<0, _, G::ReadView<f64>>(span, &mut d, [], |d, []| a * d)
             })
         },
     )

@@ -20,19 +20,23 @@
 //! traffic are the sparse grid's overhead versus the dense grid — the
 //! trade-off Fig. 9 of the paper explores.
 //!
+//! Iteration emits the maximal x-runs of the class-ordered cell list as
+//! [`Span`]s (cells consecutive in `x` are consecutive in storage); the
+//! run boundaries are found once, at construction.
+//!
 //! Partitioning balances **active** cells per device: z-slabs are chosen
 //! by per-layer active counts ([`crate::grid::weighted_slab_partition`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use neon_set::{Cell, ChunkBuffer, DataView, Elem, IterationSpace, RawRead, RawWrite, StorageMode};
+use neon_set::{Cell, DataView, Elem, IterationSpace, Span, StorageMode, Sweep};
 use neon_sys::{AllocationTicket, Backend, DeviceId, NeonSysError, Result};
 
 use crate::grid::{weighted_slab_partition, Dim3, FieldParts, GridLike};
 use crate::layout::MemLayout;
 use crate::stencil::{union_offsets, Offset3, Stencil};
-use crate::view::{FieldRead, FieldStencil, FieldWrite, HaloSegment};
+use crate::view::{FieldRead, FieldStencil, HaloSegment, PartRead, PartWrite};
 
 /// Connectivity sentinel: neighbour is inactive or outside the domain.
 pub const SPARSE_NONE: u32 = u32::MAX;
@@ -50,7 +54,14 @@ struct SparsePart {
     /// Empty in virtual mode.
     cells: Vec<(i32, i32, i32)>,
     /// Connectivity: `owned × slots` local indices. Empty in virtual mode.
-    conn: Vec<u32>,
+    /// Shared with the stencil views, which index it directly.
+    conn: Arc<[u32]>,
+    /// Start index of every maximal x-run of owned cells, in cell order,
+    /// closed by `n_owned`. No run straddles the internal/boundary split.
+    /// Empty in virtual mode.
+    run_starts: Vec<u32>,
+    /// How many of the runs are internal cells.
+    n_int_runs: usize,
     /// Host lookup from coords to local index (owned + halo cells).
     lookup: HashMap<(i32, i32, i32), u32>,
     /// Ledger registrations for connectivity + cell-coordinate storage.
@@ -186,14 +197,14 @@ impl SparseGrid {
                 backend.ledger(dev).alloc(coord_bytes)?,
             ];
 
-            let (cells, conn, lookup) = if mode == StorageMode::Real {
+            let tables = if mode == StorageMode::Real {
                 build_partition_tables(dim, &mask, &offsets, radius, z0, z1, bl, bh, has_lo, has_hi)
             } else {
-                (Vec::new(), Vec::new(), HashMap::new())
+                PartitionTables::default()
             };
 
             if mode == StorageMode::Real {
-                debug_assert_eq!(cells.len() as u64, n_stored);
+                debug_assert_eq!(tables.cells.len() as u64, n_stored);
             }
             if n_stored > u32::MAX as u64 {
                 return Err(NeonSysError::InvalidConfig {
@@ -209,9 +220,11 @@ impl SparseGrid {
                 n_bnd_hi,
                 n_halo_lo,
                 n_halo_hi,
-                cells,
-                conn,
-                lookup,
+                cells: tables.cells,
+                conn: tables.conn,
+                run_starts: tables.run_starts,
+                n_int_runs: tables.n_int_runs,
+                lookup: tables.lookup,
                 _tickets: tickets,
             });
         }
@@ -256,14 +269,19 @@ impl SparseGrid {
     }
 }
 
-/// Cell list, connectivity table and coordinate lookup of one partition.
-type PartitionTables = (
-    Vec<(i32, i32, i32)>,
-    Vec<u32>,
-    HashMap<(i32, i32, i32), u32>,
-);
+/// Cell list, connectivity table, coordinate lookup and x-runs of one
+/// partition.
+#[derive(Default)]
+struct PartitionTables {
+    cells: Vec<(i32, i32, i32)>,
+    conn: Arc<[u32]>,
+    lookup: HashMap<(i32, i32, i32), u32>,
+    run_starts: Vec<u32>,
+    n_int_runs: usize,
+}
 
-/// Build the cell list, connectivity table and lookup map of one partition.
+/// Build the cell list, connectivity table, lookup map and x-runs of one
+/// partition.
 #[allow(clippy::too_many_arguments)]
 fn build_partition_tables(
     dim: Dim3,
@@ -310,6 +328,7 @@ fn build_partition_tables(
     let mut cells = Vec::with_capacity(
         internal.len() + bnd_lo.len() + bnd_hi.len() + halo_lo.len() + halo_hi.len(),
     );
+    let n_int = internal.len();
     cells.extend(internal);
     cells.extend(bnd_lo);
     cells.extend(bnd_hi);
@@ -324,7 +343,8 @@ fn build_partition_tables(
         .collect();
 
     let nslots = offsets.len();
-    let mut conn = vec![SPARSE_NONE; n_owned * nslots];
+    let mut conn_table: Arc<[u32]> = std::iter::repeat_n(SPARSE_NONE, n_owned * nslots).collect();
+    let conn = Arc::get_mut(&mut conn_table).expect("freshly built table is unshared");
     for (i, &(x, y, z)) in cells[..n_owned].iter().enumerate() {
         for (s, o) in offsets.iter().enumerate() {
             let (nx, ny, nz) = (x + o.dx, y + o.dy, z + o.dz);
@@ -340,7 +360,31 @@ fn build_partition_tables(
             conn[i * nslots + s] = idx;
         }
     }
-    (cells, conn, lookup)
+
+    // Maximal x-runs of the owned cells, internal cells first. Classes are
+    // collected in x-fastest order, so a run is a stretch where x steps by
+    // one on the same row.
+    let mut run_starts = Vec::new();
+    let mut n_int_runs = 0;
+    for class in [0..n_int, n_int..n_owned] {
+        // Left at its value on entering the boundary class.
+        n_int_runs = run_starts.len();
+        for i in class.clone() {
+            let (x, y, z) = cells[i];
+            if i == class.start || cells[i - 1] != (x - 1, y, z) {
+                run_starts.push(i as u32);
+            }
+        }
+    }
+    run_starts.push(n_owned as u32);
+
+    PartitionTables {
+        cells,
+        conn: conn_table,
+        lookup,
+        run_starts,
+        n_int_runs,
+    }
 }
 
 impl IterationSpace for SparseGrid {
@@ -361,42 +405,23 @@ impl IterationSpace for SparseGrid {
         }
     }
 
-    fn for_each_cell(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(Cell)) {
+    fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span)) {
         assert!(
             self.inner.mode == StorageMode::Real,
             "sparse grid has virtual storage; functional iteration unavailable"
         );
         let p = self.part(dev);
-        let (a, b) = match view {
-            DataView::Standard => (0u32, p.n_owned()),
-            DataView::Internal => (0, p.n_int),
-            DataView::Boundary => (p.n_int, p.n_owned()),
+        let starts = match sweep.owned_view() {
+            DataView::Standard => &p.run_starts[..],
+            DataView::Internal => &p.run_starts[..=p.n_int_runs],
+            DataView::Boundary => &p.run_starts[p.n_int_runs..],
         };
-        for i in a..b {
-            let (x, y, z) = p.cells[i as usize];
-            f(Cell::new(i, x, y, z));
+        // Whether a neighbour is active is the connectivity table's answer
+        // either way, so an `interior` promise would buy nothing here.
+        for run in starts.windows(2) {
+            let (x, y, z) = p.cells[run[0] as usize];
+            f(&Span::new(Cell::new(run[0], x, y, z), run[1] - run[0]));
         }
-    }
-
-    fn for_each_cell_chunked(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(&[Cell])) {
-        assert!(
-            self.inner.mode == StorageMode::Real,
-            "sparse grid has virtual storage; functional iteration unavailable"
-        );
-        let p = self.part(dev);
-        let (a, b) = match view {
-            DataView::Standard => (0u32, p.n_owned()),
-            DataView::Internal => (0, p.n_int),
-            DataView::Boundary => (p.n_int, p.n_owned()),
-        };
-        // Monomorphized producer loop over the class-ordered cell list;
-        // `ChunkBuffer` owns the buffering, one virtual call per chunk.
-        let mut chunks = ChunkBuffer::new();
-        for i in a..b {
-            let (x, y, z) = p.cells[i as usize];
-            chunks.push(Cell::new(i, x, y, z), f);
-        }
-        chunks.flush(f);
     }
 
     fn supports_functional(&self) -> bool {
@@ -405,95 +430,41 @@ impl IterationSpace for SparseGrid {
 }
 
 /// Cell-local read view of a sparse partition.
-pub struct SparseRead<T: Elem> {
-    raw: RawRead<T>,
-    card: usize,
-    layout: MemLayout,
-    stride: usize,
-}
+pub type SparseRead<T> = PartRead<T>;
 
-impl<T: Elem> FieldRead<T> for SparseRead<T> {
-    #[inline]
-    fn at(&self, cell: Cell, comp: usize) -> T {
-        self.raw
-            .get(self.layout.index(cell.idx(), comp, self.stride, self.card))
-    }
-    fn card(&self) -> usize {
-        self.card
-    }
-}
+/// Write view of a sparse partition.
+pub type SparseWrite<T> = PartWrite<T>;
 
 /// Neighbourhood read view of a sparse partition (connectivity-table
 /// based).
 pub struct SparseStencil<T: Elem> {
-    raw: RawRead<T>,
-    card: usize,
-    layout: MemLayout,
-    stride: usize,
+    cells: PartRead<T>,
     outside: T,
-    grid: Arc<SparseInner>,
-    dev: DeviceId,
+    /// The partition's connectivity table, resolved once per view.
+    conn: Arc<[u32]>,
     nslots: usize,
 }
 
-impl<T: Elem> FieldRead<T> for SparseStencil<T> {
-    #[inline]
-    fn at(&self, cell: Cell, comp: usize) -> T {
-        self.raw
-            .get(self.layout.index(cell.idx(), comp, self.stride, self.card))
-    }
-    fn card(&self) -> usize {
-        self.card
-    }
-}
+crate::view::read_through_cells!(SparseStencil);
 
 impl<T: Elem> FieldStencil<T> for SparseStencil<T> {
     #[inline]
     fn ngh(&self, cell: Cell, slot: usize, comp: usize) -> T {
-        let conn = &self.grid.parts[self.dev.0].conn;
-        let n = conn[cell.idx() * self.nslots + slot];
+        let n = self.conn[cell.idx() * self.nslots + slot];
         if n == SPARSE_NONE {
             self.outside
         } else {
-            self.raw
-                .get(self.layout.index(n as usize, comp, self.stride, self.card))
+            self.cells.get(n as usize, comp)
         }
     }
 
     #[inline]
     fn ngh_active(&self, cell: Cell, slot: usize) -> bool {
-        let conn = &self.grid.parts[self.dev.0].conn;
-        conn[cell.idx() * self.nslots + slot] != SPARSE_NONE
+        self.conn[cell.idx() * self.nslots + slot] != SPARSE_NONE
     }
 
     fn num_slots(&self) -> usize {
         self.nslots
-    }
-}
-
-/// Write view of a sparse partition.
-pub struct SparseWrite<T: Elem> {
-    raw: RawWrite<T>,
-    card: usize,
-    layout: MemLayout,
-    stride: usize,
-}
-
-impl<T: Elem> FieldWrite<T> for SparseWrite<T> {
-    #[inline]
-    fn at(&self, cell: Cell, comp: usize) -> T {
-        self.raw
-            .get(self.layout.index(cell.idx(), comp, self.stride, self.card))
-    }
-    #[inline]
-    fn set(&self, cell: Cell, comp: usize, v: T) {
-        self.raw.set(
-            self.layout.index(cell.idx(), comp, self.stride, self.card),
-            v,
-        )
-    }
-    fn card(&self) -> usize {
-        self.card
     }
 }
 
@@ -667,16 +638,7 @@ impl GridLike for SparseGrid {
         null: bool,
     ) -> SparseRead<T> {
         let null = null || self.inner.mode == StorageMode::Virtual;
-        SparseRead {
-            raw: if null {
-                parts.mem.null_read()
-            } else {
-                parts.mem.read(dev)
-            },
-            card: parts.card,
-            layout: parts.layout,
-            stride: self.alloc_len(dev),
-        }
+        PartRead::new(parts, dev, self.alloc_len(dev), null)
     }
 
     fn make_stencil_view<T: Elem>(
@@ -685,19 +647,10 @@ impl GridLike for SparseGrid {
         dev: DeviceId,
         null: bool,
     ) -> SparseStencil<T> {
-        let null = null || self.inner.mode == StorageMode::Virtual;
         SparseStencil {
-            raw: if null {
-                parts.mem.null_read()
-            } else {
-                parts.mem.read(dev)
-            },
-            card: parts.card,
-            layout: parts.layout,
-            stride: self.alloc_len(dev),
+            cells: self.make_read_view(parts, dev, null),
             outside: parts.outside,
-            grid: self.inner.clone(),
-            dev,
+            conn: self.part(dev).conn.clone(),
             nslots: self.inner.offsets.len(),
         }
     }
@@ -709,16 +662,7 @@ impl GridLike for SparseGrid {
         null: bool,
     ) -> SparseWrite<T> {
         let null = null || self.inner.mode == StorageMode::Virtual;
-        SparseWrite {
-            raw: if null {
-                parts.mem.null_write()
-            } else {
-                parts.mem.write(dev)
-            },
-            card: parts.card,
-            layout: parts.layout,
-            stride: self.alloc_len(dev),
-        }
+        PartWrite::new(parts, dev, self.alloc_len(dev), null)
     }
 }
 

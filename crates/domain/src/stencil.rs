@@ -142,12 +142,12 @@ impl Stencil {
     /// direction plus 18 neighbours (6 faces + 12 edges). Slot order
     /// follows the conventional D3Q19 velocity-set enumeration.
     pub fn d3q19() -> Self {
-        Stencil::new("D3Q19", d3q19_offsets().to_vec())
+        Stencil::new("D3Q19", D3Q19_OFFSETS.to_vec())
     }
 
     /// The D2Q9 lattice (2-D LBM): rest + 8 neighbours in the z=0 plane.
     pub fn d2q9() -> Self {
-        Stencil::new("D2Q9", d2q9_offsets().to_vec())
+        Stencil::new("D2Q9", D2Q9_OFFSETS.to_vec())
     }
 
     /// A star stencil of radius `r`: `±1..±r` along each axis (the shape
@@ -181,44 +181,67 @@ impl Stencil {
     }
 }
 
-/// The D3Q19 velocity set, slot `q` ↔ `offsets[q]`.
+/// The D3Q19 velocity set, slot `q` ↔ `D3Q19_OFFSETS[q]`.
+pub const D3Q19_OFFSETS: [Offset3; 19] = [
+    Offset3::new(0, 0, 0),
+    Offset3::new(1, 0, 0),
+    Offset3::new(-1, 0, 0),
+    Offset3::new(0, 1, 0),
+    Offset3::new(0, -1, 0),
+    Offset3::new(0, 0, 1),
+    Offset3::new(0, 0, -1),
+    Offset3::new(1, 1, 0),
+    Offset3::new(-1, -1, 0),
+    Offset3::new(1, -1, 0),
+    Offset3::new(-1, 1, 0),
+    Offset3::new(1, 0, 1),
+    Offset3::new(-1, 0, -1),
+    Offset3::new(1, 0, -1),
+    Offset3::new(-1, 0, 1),
+    Offset3::new(0, 1, 1),
+    Offset3::new(0, -1, -1),
+    Offset3::new(0, 1, -1),
+    Offset3::new(0, -1, 1),
+];
+
+/// The D2Q9 velocity set, slot `q` ↔ `D2Q9_OFFSETS[q]`.
+pub const D2Q9_OFFSETS: [Offset3; 9] = [
+    Offset3::new(0, 0, 0),
+    Offset3::new(1, 0, 0),
+    Offset3::new(0, 1, 0),
+    Offset3::new(-1, 0, 0),
+    Offset3::new(0, -1, 0),
+    Offset3::new(1, 1, 0),
+    Offset3::new(-1, 1, 0),
+    Offset3::new(-1, -1, 0),
+    Offset3::new(1, -1, 0),
+];
+
+/// [`D3Q19_OFFSETS`] by value.
+#[inline]
 pub fn d3q19_offsets() -> [Offset3; 19] {
-    [
-        Offset3::new(0, 0, 0),
-        Offset3::new(1, 0, 0),
-        Offset3::new(-1, 0, 0),
-        Offset3::new(0, 1, 0),
-        Offset3::new(0, -1, 0),
-        Offset3::new(0, 0, 1),
-        Offset3::new(0, 0, -1),
-        Offset3::new(1, 1, 0),
-        Offset3::new(-1, -1, 0),
-        Offset3::new(1, -1, 0),
-        Offset3::new(-1, 1, 0),
-        Offset3::new(1, 0, 1),
-        Offset3::new(-1, 0, -1),
-        Offset3::new(1, 0, -1),
-        Offset3::new(-1, 0, 1),
-        Offset3::new(0, 1, 1),
-        Offset3::new(0, -1, -1),
-        Offset3::new(0, 1, -1),
-        Offset3::new(0, -1, 1),
-    ]
+    D3Q19_OFFSETS
 }
 
-/// The D2Q9 velocity set, slot `q` ↔ `offsets[q]`.
+/// [`D2Q9_OFFSETS`] by value.
+#[inline]
 pub fn d2q9_offsets() -> [Offset3; 9] {
-    [
-        Offset3::new(0, 0, 0),
-        Offset3::new(1, 0, 0),
-        Offset3::new(0, 1, 0),
-        Offset3::new(-1, 0, 0),
-        Offset3::new(0, -1, 0),
-        Offset3::new(1, 1, 0),
-        Offset3::new(-1, 1, 0),
-        Offset3::new(-1, -1, 0),
-        Offset3::new(1, -1, 0),
-    ]
+    D2Q9_OFFSETS
+}
+
+/// The three components of a velocity set as `f64` rows `[x, y, z]`, for
+/// `const` tables: lattice kernels multiply by them once per direction
+/// per cell.
+pub const fn velocity_components<const Q: usize>(offsets: &[Offset3; Q]) -> [[f64; Q]; 3] {
+    let mut c = [[0.0; Q]; 3];
+    let mut q = 0;
+    while q < Q {
+        c[0][q] = offsets[q].dx as f64;
+        c[1][q] = offsets[q].dy as f64;
+        c[2][q] = offsets[q].dz as f64;
+        q += 1;
+    }
+    c
 }
 
 /// Union of several stencils' offsets, preserving first-occurrence order

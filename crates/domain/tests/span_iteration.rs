@@ -1,0 +1,370 @@
+//! The span iteration primitive, on every grid: `for_each_span` must cover
+//! exactly the cells of the sweep, once, in storage order, in runs that
+//! stay on one row; and a span the grid calls *interior* must really have
+//! every neighbour of every cell in the domain — checked against the
+//! stencil view's own domain test and against the field's values, so a
+//! wrong slot delta or a neighbour that lives in a halo layer shows.
+
+use std::collections::HashSet;
+
+use neon_domain::{
+    BlockSparseGrid, Cell, DataView, DenseGrid, Dim3, Field, FieldRead as _, FieldStencil as _,
+    GridLike, Loader, MemLayout, Offset3, Span, SparseGrid, Stencil, StorageMode, Sweep,
+};
+use neon_set::IterationSpace;
+use neon_sys::{Backend, DeviceId};
+
+const VIEWS: [DataView; 3] = [DataView::Standard, DataView::Internal, DataView::Boundary];
+const OUTSIDE: f64 = -7.0;
+
+fn value(x: i32, y: i32, z: i32) -> f64 {
+    (x + 100 * y + 10_000 * z) as f64
+}
+
+fn spans_of<G: IterationSpace>(g: &G, dev: DeviceId, sweep: Sweep) -> Vec<Span> {
+    let mut spans = Vec::new();
+    g.for_each_span(dev, sweep, &mut |s| spans.push(*s));
+    spans
+}
+
+fn cells_of(spans: &[Span]) -> Vec<Cell> {
+    spans.iter().flat_map(|s| s.cells()).collect()
+}
+
+/// Everything that holds for any sweep of any grid: runs stay on a row,
+/// storage order is ascending and duplicate-free, interior means what it
+/// says, and every neighbour read returns the neighbour's value. Returns
+/// how many cells were interior.
+fn check_sweep<G: GridLike + IterationSpace>(
+    g: &G,
+    field: &Field<f64, G>,
+    dev: DeviceId,
+    sweep: Sweep,
+) -> usize {
+    let spans = spans_of(g, dev, sweep);
+    let mut ldr = Loader::for_execution(dev, GridLike::num_partitions(g), DataView::Standard);
+    let sv = ldr.read_stencil(field);
+    let offsets = g.union_offsets().to_vec();
+    let mut last_lin = None;
+    let mut interior_cells = 0;
+    for span in &spans {
+        assert!(!span.is_empty(), "empty span emitted");
+        let cells: Vec<Cell> = span.cells().collect();
+        assert_eq!(cells.len(), span.len());
+        for (i, c) in cells.iter().enumerate() {
+            // One row, consecutive in x and in storage.
+            assert_eq!(
+                (c.y, c.z),
+                (span.first.y, span.first.z),
+                "span leaves its row"
+            );
+            assert_eq!(c.x, span.first.x + i as i32);
+            assert_eq!(c.lin, span.first.lin + i as u32);
+            assert_eq!(c.interior, span.interior());
+            assert!(last_lin < Some(c.lin), "storage order not ascending");
+            last_lin = Some(c.lin);
+            // The cell's own value sits where its lin says.
+            assert_eq!(sv.at(*c, 0), value(c.x, c.y, c.z), "cell {c:?}");
+            let checked = Cell {
+                interior: false,
+                ..*c
+            };
+            for (slot, o) in offsets.iter().enumerate() {
+                let (nx, ny, nz) = (c.x + o.dx, c.y + o.dy, c.z + o.dz);
+                let active = g.locate(nx, ny, nz).is_some();
+                let expect = if active { value(nx, ny, nz) } else { OUTSIDE };
+                assert_eq!(sv.ngh(*c, slot, 0), expect, "{c:?} slot {slot} ({o})");
+                assert_eq!(sv.ngh_active(*c, slot), active, "{c:?} slot {slot} ({o})");
+                if c.interior {
+                    // Sound: the view's own test agrees on every slot.
+                    assert!(
+                        sv.ngh_active(checked, slot),
+                        "interior {c:?} has no neighbour at slot {slot} ({o})"
+                    );
+                    assert_eq!(sv.ngh(checked, slot, 0), expect);
+                }
+            }
+        }
+        if span.interior() {
+            interior_cells += span.len();
+        }
+        // Row accessors agree with the per-cell ones.
+        if let Some(row) = sv.row(span, 0) {
+            let want: Vec<f64> = cells.iter().map(|c| sv.at(*c, 0)).collect();
+            assert_eq!(row, &want[..]);
+        }
+        for slot in 0..offsets.len() {
+            match sv.ngh_row(span, slot, 0) {
+                Some(row) => {
+                    assert!(span.interior(), "neighbour row of a non-interior span");
+                    let want: Vec<f64> = cells.iter().map(|c| sv.ngh(*c, slot, 0)).collect();
+                    assert_eq!(row, &want[..], "slot {slot}");
+                }
+                None => assert!(
+                    !span.interior() || sv.row(span, 0).is_none(),
+                    "an interior span of a contiguous field has neighbour rows"
+                ),
+            }
+        }
+    }
+    interior_cells
+}
+
+/// The owned views: Standard is exactly the cells `locate` assigns to the
+/// device, Internal and Boundary split it, Internal reads no remote cell.
+/// Returns the interior cell count of the standard view.
+fn check_views<G: GridLike + IterationSpace>(g: &G, field: &Field<f64, G>) -> usize {
+    let dim = g.dim();
+    let mut interior = 0;
+    for d in 0..GridLike::num_partitions(g) {
+        let dev = DeviceId(d);
+        let mut owned = HashSet::new();
+        for z in 0..dim.z as i32 {
+            for y in 0..dim.y as i32 {
+                for x in 0..dim.x as i32 {
+                    if let Some((owner, lin)) = g.locate(x, y, z) {
+                        if owner == dev {
+                            owned.insert((lin, x, y, z));
+                        }
+                    }
+                }
+            }
+        }
+        let key = |c: &Cell| (c.lin, c.x, c.y, c.z);
+        let mut per_view = Vec::new();
+        for view in VIEWS {
+            let n = check_sweep(g, field, dev, view.into());
+            if view == DataView::Standard {
+                interior += n;
+            }
+            let cells = cells_of(&spans_of(g, dev, view.into()));
+            assert_eq!(cells.len() as u64, g.cell_count(dev, view), "{view:?}");
+            // The derived per-cell method is the same walk.
+            let mut per_cell = Vec::new();
+            g.for_each_cell(dev, view, &mut |c| per_cell.push(c));
+            assert_eq!(per_cell, cells);
+            per_view.push(cells.iter().map(key).collect::<HashSet<_>>());
+        }
+        assert_eq!(per_view[0], owned, "standard view of device {d}");
+        assert!(per_view[1].is_disjoint(&per_view[2]));
+        let both: HashSet<_> = per_view[1].union(&per_view[2]).copied().collect();
+        assert_eq!(both, owned, "internal ∪ boundary of device {d}");
+        for &(_, x, y, z) in &per_view[1] {
+            for o in g.union_offsets() {
+                if let Some((owner, _)) = g.locate(x + o.dx, y + o.dy, z + o.dz) {
+                    assert_eq!(owner, dev, "internal cell ({x},{y},{z}) reads remote data");
+                }
+            }
+        }
+        // Expanded(0) is the standard view.
+        assert_eq!(
+            spans_of(g, dev, Sweep::Expanded(0)),
+            spans_of(g, dev, DataView::Standard.into())
+        );
+    }
+    interior
+}
+
+fn scalar_field<G: GridLike>(g: &G) -> Field<f64, G> {
+    let f = Field::<f64, _>::new(g, "f", 1, OUTSIDE, MemLayout::SoA).unwrap();
+    f.fill(|x, y, z, _| value(x, y, z));
+    f
+}
+
+fn dense(n_dev: usize, dim: Dim3, st: &Stencil) -> DenseGrid {
+    DenseGrid::new(&Backend::dgx_a100(n_dev), dim, &[st], StorageMode::Real).unwrap()
+}
+
+#[test]
+fn dense_spans_cover_views_and_interior_is_sound() {
+    let (st7, star2, d3q19) = (Stencil::seven_point(), Stencil::star(2), Stencil::d3q19());
+    for n_dev in 1..=4 {
+        for (dim, st) in [
+            (Dim3::new(6, 5, 16), &st7),
+            (Dim3::new(7, 6, 16), &star2),
+            (Dim3::new(5, 5, 16), &d3q19),
+        ] {
+            let g = dense(n_dev, dim, st);
+            let interior = check_views(&g, &scalar_field(&g));
+            // Interior is exactly the box `reach` away from every face.
+            let r = st.radius();
+            let expect: usize = [dim.x, dim.y, dim.z].iter().map(|n| n - 2 * r).product();
+            assert_eq!(interior, expect, "{dim} {} on {n_dev} devices", st.name());
+        }
+    }
+}
+
+#[test]
+fn dense_rows_too_short_for_the_stencil_have_no_interior() {
+    let (st7, star2) = (Stencil::seven_point(), Stencil::star(2));
+    let yz = Stencil::new(
+        "yz-cross",
+        vec![
+            Offset3::new(0, -1, 0),
+            Offset3::new(0, 1, 0),
+            Offset3::new(0, 0, -1),
+            Offset3::new(0, 0, 1),
+        ],
+    );
+    for n_dev in [1, 2] {
+        // nx = 2·rx: left and right edges meet.
+        for (dim, st) in [(Dim3::new(2, 4, 8), &st7), (Dim3::new(4, 5, 8), &star2)] {
+            let g = dense(n_dev, dim, st);
+            assert_eq!(check_views(&g, &scalar_field(&g)), 0, "{dim}");
+        }
+        // nx = 1 with no x-reach: the whole row is the interior run.
+        let g = dense(n_dev, Dim3::new(1, 4, 8), &yz);
+        assert_eq!(check_views(&g, &scalar_field(&g)), 2 * 6);
+        for span in spans_of(&g, DeviceId(0), DataView::Standard.into()) {
+            assert_eq!(span.len(), 1);
+        }
+    }
+}
+
+#[test]
+fn dense_expanded_sweeps_add_the_ghost_rings() {
+    let st = Stencil::seven_point();
+    for (n_dev, nz) in [(1, 8), (2, 12), (3, 18), (4, 24)] {
+        let b = Backend::dgx_a100(n_dev);
+        let dim = Dim3::new(5, 4, nz);
+        let g = DenseGrid::with_halo_capacity(&b, dim, &[&st], StorageMode::Real, 3).unwrap();
+        let field = scalar_field(&g);
+        check_views(&g, &field);
+        assert_eq!(IterationSpace::ghost_capacity(&g), 2);
+        for d in 0..n_dev {
+            let dev = DeviceId(d);
+            for depth in 0..=2 {
+                check_sweep(&g, &field, dev, Sweep::Expanded(depth));
+                let cells = cells_of(&spans_of(&g, dev, Sweep::Expanded(depth)));
+                assert_eq!(cells.len() as u64, g.cell_count_expanded(dev, depth));
+                let mut expect = Vec::new();
+                g.for_each_owned(dev, &mut |c| expect.push((c.lin, c.x, c.y, c.z)));
+                for level in 1..=depth {
+                    g.for_each_ghost_ring(dev, level, &mut |c| expect.push((c.lin, c.x, c.y, c.z)));
+                }
+                expect.sort_unstable();
+                let got: Vec<_> = cells.iter().map(|c| (c.lin, c.x, c.y, c.z)).collect();
+                assert_eq!(got, expect, "device {d} depth {depth}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "exceeds ghost capacity")]
+fn dense_expanded_sweep_past_capacity_panics() {
+    let g = dense(2, Dim3::new(4, 4, 8), &Stencil::seven_point());
+    g.for_each_span(DeviceId(0), Sweep::Expanded(1), &mut |_| {});
+}
+
+#[test]
+fn sparse_spans_are_the_x_runs_of_the_cell_list() {
+    let (st7, star2) = (Stencil::seven_point(), Stencil::star(2));
+    let dim = Dim3::new(8, 6, 16);
+    // A plate with a hole: rows break into several runs.
+    let mask = |x: i32, y: i32, _z: i32| x != 3 && (y != 2 || x < 6);
+    for n_dev in 1..=4 {
+        for st in [&st7, &star2] {
+            let b = Backend::dgx_a100(n_dev);
+            let g = SparseGrid::new(&b, dim, &[st], mask, StorageMode::Real).unwrap();
+            check_views(&g, &scalar_field(&g));
+            // Runs are maximal: no span continues the one before it.
+            for d in 0..n_dev {
+                let spans = spans_of(&g, DeviceId(d), DataView::Standard.into());
+                for pair in spans.windows(2) {
+                    let (a, b) = (pair[0], pair[1]);
+                    let continues = (a.first.y, a.first.z) == (b.first.y, b.first.z)
+                        && a.first.x + a.len as i32 == b.first.x
+                        && a.first.lin + a.len == b.first.lin;
+                    let class_cut = g.cell_count(DeviceId(d), DataView::Internal) as u32;
+                    assert!(!continues || b.first.lin == class_cut, "{a:?} then {b:?}");
+                }
+                for span in &spans {
+                    assert!((span.first.x..span.first.x + span.len as i32).all(|x| x != 3));
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn block_spans_are_block_rows_clipped_to_the_domain() {
+    let st = Stencil::seven_point();
+    // Extents that are not multiples of the block edge: clipped rows. A
+    // mask uniform in z keeps every partition two block layers thick.
+    let dim = Dim3::new(10, 9, 32);
+    let disc = |x: i32, y: i32, _z: i32| {
+        let (dx, dy) = (x as f64 - 4.5, y as f64 - 4.0);
+        dx * dx + dy * dy <= 16.0
+    };
+    for n_dev in 1..=4 {
+        let b = Backend::dgx_a100(n_dev);
+        for full in [true, false] {
+            let g = BlockSparseGrid::new(
+                &b,
+                dim,
+                4,
+                &[&st],
+                move |x, y, z| full || disc(x, y, z),
+                StorageMode::Real,
+            )
+            .unwrap();
+            check_views(&g, &scalar_field(&g));
+            for d in 0..n_dev {
+                for span in spans_of(&g, DeviceId(d), DataView::Standard.into()) {
+                    assert_eq!(span.first.x % 4, 0, "a block row starts at the block edge");
+                    let clipped = (dim.x as i32 - span.first.x).min(4);
+                    assert_eq!(span.len as i32, clipped);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn vector_fields_expose_rows_or_blocks_by_layout() {
+    let g = dense(2, Dim3::new(6, 4, 8), &Stencil::seven_point());
+    for layout in [MemLayout::SoA, MemLayout::AoS] {
+        let f = Field::<f64, _>::new(&g, "v", 3, OUTSIDE, layout).unwrap();
+        f.fill(|x, y, z, k| value(x, y, z) + k as f64 * 0.25);
+        let mut ldr = Loader::for_execution(DeviceId(1), 2, DataView::Standard);
+        let rv = ldr.read(&f);
+        for span in spans_of(&g, DeviceId(1), DataView::Standard.into()) {
+            let cells: Vec<Cell> = span.cells().collect();
+            match layout {
+                MemLayout::SoA => {
+                    assert!(rv.block(&span).is_none());
+                    for k in 0..3 {
+                        let want: Vec<f64> = cells.iter().map(|c| rv.at(*c, k)).collect();
+                        assert_eq!(rv.row(&span, k).unwrap(), &want[..]);
+                    }
+                }
+                MemLayout::AoS => {
+                    assert!(rv.row(&span, 0).is_none());
+                    let want: Vec<f64> = cells
+                        .iter()
+                        .flat_map(|c| (0..3).map(|k| rv.at(*c, k)))
+                        .collect();
+                    assert_eq!(rv.block(&span).unwrap(), &want[..]);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn a_forged_interior_bit_cannot_leave_the_storage() {
+    let g = dense(1, Dim3::new(4, 4, 4), &Stencil::seven_point());
+    let f = scalar_field(&g);
+    let mut ldr = Loader::for_execution(DeviceId(0), 1, DataView::Standard);
+    let sv = ldr.read_stencil(&f);
+    // The last stored cell, claimed interior: its +z neighbour would sit a
+    // whole plane past the end of the partition.
+    let last = Cell {
+        interior: true,
+        ..Cell::new(4 * 4 * 6 - 1, 3, 3, 4)
+    };
+    let up = g.slot_of(Offset3::new(0, 0, 1)).unwrap();
+    sv.ngh_row(&Span::new(last, 1), up, 0);
+}

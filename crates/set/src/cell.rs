@@ -1,9 +1,12 @@
-//! The index-space vocabulary: cells, data views and iteration spaces.
+//! The index-space vocabulary: cells, spans, data views and iteration
+//! spaces.
 //!
 //! A [`Cell`] is the per-partition index handed to a compute lambda; it
 //! carries both the local linear index (for direct addressing into field
 //! storage) and the global grid coordinates (for geometry-dependent code
-//! such as boundary conditions).
+//! such as boundary conditions). Grids iterate in [`Span`]s — runs of
+//! cells consecutive in `x` and in storage — so that no cell is ever
+//! materialised in memory on the way to a kernel.
 //!
 //! A [`DataView`] selects which part of a partition a container launch
 //! iterates over (paper §IV-C1, Fig. 3): *internal* cells depend only on
@@ -24,19 +27,86 @@ pub struct Cell {
     pub y: i32,
     /// Global z coordinate.
     pub z: i32,
+    /// The grid's promise that every registered stencil slot of this cell
+    /// is an active in-domain cell (see [`Span::interior`]). Sound, not
+    /// complete: `false` promises nothing.
+    pub interior: bool,
 }
 
 impl Cell {
-    /// Construct a cell.
+    /// Construct a cell the grid promises nothing about.
     #[inline]
     pub fn new(lin: u32, x: i32, y: i32, z: i32) -> Self {
-        Cell { lin, x, y, z }
+        Cell {
+            lin,
+            x,
+            y,
+            z,
+            interior: false,
+        }
     }
 
     /// The local linear index as `usize`.
     #[inline]
     pub fn idx(self) -> usize {
         self.lin as usize
+    }
+}
+
+/// A run of `len` cells on one grid row: consecutive in `x` *and* in
+/// `lin`, sharing `y`, `z` and the `interior` bit of the first cell.
+///
+/// Spans are what grids hand to kernels. A dense row is a span (split at
+/// the stencil's x-reach so its middle can be `interior`), a maximal
+/// x-run of an element-sparse cell list is a span, an x-row of a block
+/// is a span. Nothing is stored per cell: a span kernel works on whole
+/// rows through the views' row accessors, and a per-cell kernel gets its
+/// [`Cell`]s from [`Span::cells`], computed from the loop counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// First (lowest-`x`) cell of the run.
+    pub first: Cell,
+    /// Number of cells.
+    pub len: u32,
+}
+
+impl Span {
+    /// A run of `len` cells starting at `first`.
+    #[inline]
+    pub fn new(first: Cell, len: u32) -> Self {
+        Span { first, len }
+    }
+
+    /// Whether the grid promises that, for *every* cell of the run, every
+    /// registered stencil slot is an active in-domain cell. Stencil views
+    /// then skip the domain test and address the neighbour by a
+    /// precomputed linear delta; the storage bounds check stays.
+    #[inline]
+    pub fn interior(self) -> bool {
+        self.first.interior
+    }
+
+    /// Number of cells as `usize`.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the run is empty (grids never emit empty spans).
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The cells of the run in ascending `x`.
+    #[inline]
+    pub fn cells(self) -> impl Iterator<Item = Cell> {
+        let first = self.first;
+        (0..self.len).map(move |i| Cell {
+            lin: first.lin + i,
+            x: first.x + i as i32,
+            ..first
+        })
     }
 }
 
@@ -63,59 +133,39 @@ impl DataView {
     }
 }
 
-/// Number of cells handed to the kernel per call through the chunked
-/// iteration path. Chosen so a chunk of [`Cell`]s stays within a cache
-/// line budget while amortizing the `dyn FnMut` virtual dispatch.
-pub const CELL_CHUNK: usize = 64;
-
-/// Stack-allocated accumulator that turns per-cell emission into
-/// [`CELL_CHUNK`]-sized chunk emission.
-///
-/// This is the one home of the chunk-buffering logic: the default
-/// [`IterationSpace::for_each_cell_chunked`] uses it, and grids whose
-/// native iteration order cannot produce whole slices directly (sparse
-/// cell lists, block-sparse domain masks, dense x-rows shorter than a
-/// chunk) push into it from their own loops — a direct, inlinable call
-/// per cell, with the `dyn FnMut` boundary crossed once per chunk.
-pub struct ChunkBuffer {
-    buf: [Cell; CELL_CHUNK],
-    n: usize,
+/// What one launch sweeps on a partition: a data view of the owned
+/// cells, or the owned cells plus ghost layers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// The owned cells of a [`DataView`].
+    View(DataView),
+    /// The owned cells plus this many ghost layers per neighbouring side
+    /// — the expanded interior a temporally-blocked rep sweeps. Must not
+    /// exceed [`IterationSpace::ghost_capacity`].
+    Expanded(usize),
 }
 
-impl ChunkBuffer {
-    /// Fresh, empty buffer.
-    #[inline]
-    pub fn new() -> Self {
-        ChunkBuffer {
-            buf: [Cell::new(0, 0, 0, 0); CELL_CHUNK],
-            n: 0,
-        }
-    }
-
-    /// Append `c`; hands a full chunk to `f` when the buffer fills.
-    #[inline]
-    pub fn push(&mut self, c: Cell, f: &mut dyn FnMut(&[Cell])) {
-        self.buf[self.n] = c;
-        self.n += 1;
-        if self.n == CELL_CHUNK {
-            f(&self.buf[..]);
-            self.n = 0;
-        }
-    }
-
-    /// Hand any buffered tail chunk to `f` (call once, after the loop).
-    #[inline]
-    pub fn flush(&mut self, f: &mut dyn FnMut(&[Cell])) {
-        if self.n > 0 {
-            f(&self.buf[..self.n]);
-            self.n = 0;
-        }
+impl From<DataView> for Sweep {
+    fn from(view: DataView) -> Self {
+        Sweep::View(view)
     }
 }
 
-impl Default for ChunkBuffer {
-    fn default() -> Self {
-        ChunkBuffer::new()
+impl Sweep {
+    /// The data view this sweep is on a grid without ghost iteration
+    /// (`Expanded(0)` is the standard view).
+    ///
+    /// # Panics
+    ///
+    /// On `Expanded(depth)` with `depth > 0`.
+    pub fn owned_view(self) -> DataView {
+        match self {
+            Sweep::View(view) => view,
+            Sweep::Expanded(0) => DataView::Standard,
+            Sweep::Expanded(depth) => {
+                panic!("grid has no ghost-iteration support (depth {depth} requested)")
+            }
+        }
     }
 }
 
@@ -131,28 +181,18 @@ pub trait IterationSpace: Send + Sync {
     /// Number of cells device `dev` iterates for `view`.
     fn cell_count(&self, dev: DeviceId, view: DataView) -> u64;
 
-    /// Invoke `f` for every cell of `view` on device `dev`.
+    /// Invoke `f` with the [`Span`]s covering `sweep` on device `dev` —
+    /// the one iteration primitive a grid implements. Every cell of the
+    /// sweep lies in exactly one span, and the spans' cells in emission
+    /// order are the grid's cell order.
     ///
     /// Only meaningful for grids with real (non-virtual) storage; grids in
     /// timing-only mode may panic here.
-    fn for_each_cell(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(Cell));
+    fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span));
 
-    /// Invoke `f` with blocks of up to [`CELL_CHUNK`] cells of `view` on
-    /// device `dev`, in the same order `for_each_cell` would visit them.
-    ///
-    /// The per-cell path crosses the `dyn FnMut` boundary once *per cell*;
-    /// this path crosses it once per chunk, amortizing the virtual dispatch
-    /// over up to [`CELL_CHUNK`] cells. The default implementation buffers
-    /// `for_each_cell` output through a stack array; grids override it to
-    /// fill chunks directly from their native layout.
-    fn for_each_cell_chunked(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(&[Cell])) {
-        let mut chunks = ChunkBuffer::new();
-        {
-            let chunks = &mut chunks;
-            let f = &mut *f;
-            self.for_each_cell(dev, view, &mut |c| chunks.push(c, f));
-        }
-        chunks.flush(f);
+    /// Invoke `f` for every cell of `view` on device `dev`, in span order.
+    fn for_each_cell(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(Cell)) {
+        self.for_each_span(dev, view.into(), &mut |span| span.cells().for_each(&mut *f));
     }
 
     /// Whether functional iteration is possible (false for virtual-storage
@@ -191,24 +231,6 @@ pub trait IterationSpace: Send + Sync {
         let _ = depth;
         self.cell_count(dev, DataView::Standard)
     }
-
-    /// Invoke `f` with chunks covering the owned cells *plus* `depth` ghost
-    /// layers on device `dev` — the expanded interior a temporally-blocked
-    /// rep sweeps. `depth` must not exceed [`IterationSpace::ghost_capacity`].
-    /// The default (only valid for `depth == 0`) falls back to the standard
-    /// view.
-    fn for_each_cell_chunked_expanded(
-        &self,
-        dev: DeviceId,
-        depth: usize,
-        f: &mut dyn FnMut(&[Cell]),
-    ) {
-        assert!(
-            depth == 0,
-            "grid has no ghost-iteration support (depth {depth} requested)"
-        );
-        self.for_each_cell_chunked(dev, DataView::Standard, f);
-    }
 }
 
 #[cfg(test)]
@@ -232,15 +254,18 @@ mod tests {
                 DataView::Boundary => 2,
             }
         }
-        fn for_each_cell(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(Cell)) {
+        fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span)) {
             let base = dev.0 as i32 * self.len_per_dev as i32;
-            let range: Vec<u32> = match view {
-                DataView::Standard => (0..self.len_per_dev).collect(),
-                DataView::Internal => (1..self.len_per_dev - 1).collect(),
-                DataView::Boundary => vec![0, self.len_per_dev - 1],
-            };
-            for i in range {
-                f(Cell::new(i, base + i as i32, 0, 0));
+            let n = self.len_per_dev;
+            let mut run =
+                |a: u32, b: u32| f(&Span::new(Cell::new(a, base + a as i32, 0, 0), b - a));
+            match sweep.owned_view() {
+                DataView::Standard => run(0, n),
+                DataView::Internal => run(1, n - 1),
+                DataView::Boundary => {
+                    run(0, 1);
+                    run(n - 1, n);
+                }
             }
         }
     }
@@ -277,18 +302,36 @@ mod tests {
     }
 
     #[test]
-    fn chunked_default_matches_per_cell_order() {
-        let l = Line {
-            len_per_dev: CELL_CHUNK as u32 + 7, // exercises a partial tail chunk
-            devs: 1,
+    fn span_cells_step_x_and_lin_and_keep_the_rest() {
+        let first = Cell {
+            interior: true,
+            ..Cell::new(40, 3, 5, 7)
         };
-        for view in [DataView::Standard, DataView::Internal, DataView::Boundary] {
-            let mut per_cell = Vec::new();
-            l.for_each_cell(DeviceId(0), view, &mut |c| per_cell.push(c));
-            let mut chunked = Vec::new();
-            l.for_each_cell_chunked(DeviceId(0), view, &mut |cs| chunked.extend_from_slice(cs));
-            assert_eq!(per_cell, chunked, "{view:?}");
+        let span = Span::new(first, 3);
+        assert!(span.interior());
+        assert_eq!(span.len(), 3);
+        let cells: Vec<Cell> = span.cells().collect();
+        assert_eq!(cells[0], first);
+        for (i, c) in cells.iter().enumerate() {
+            assert_eq!((c.lin, c.x, c.y, c.z), (40 + i as u32, 3 + i as i32, 5, 7));
+            assert!(c.interior);
         }
+        assert!(!Span::new(Cell::new(0, 0, 0, 0), 1).interior());
+    }
+
+    #[test]
+    fn expanded_zero_is_the_standard_view() {
+        assert_eq!(Sweep::Expanded(0).owned_view(), DataView::Standard);
+        assert_eq!(
+            Sweep::from(DataView::Boundary).owned_view(),
+            DataView::Boundary
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no ghost-iteration support")]
+    fn expanded_sweep_needs_ghost_support() {
+        Sweep::Expanded(1).owned_view();
     }
 
     #[test]

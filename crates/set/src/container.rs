@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use neon_sys::DeviceId;
 
-use crate::cell::{Cell, DataView, IterationSpace};
+use crate::cell::{Cell, DataView, IterationSpace, Span, Sweep};
 use crate::loader::{AccessRecord, ComputePattern, Loader, ReduceHooks};
 use crate::shape::KernelShape;
 use crate::uid::DataUid;
@@ -42,10 +42,11 @@ pub enum ContainerKind {
 pub type ComputeFn = Box<dyn Fn(Cell) + Send>;
 
 /// The per-device kernel produced by a *shaped* loading lambda: invoked
-/// once per [`crate::cell::CELL_CHUNK`]-sized block of cells, so the
-/// `dyn Fn` boundary is crossed per chunk and the per-cell inner loop
-/// stays monomorphized in the caller.
-pub type ChunkFn = Box<dyn Fn(&[Cell]) + Send>;
+/// once per [`Span`], so the `dyn` boundary is crossed per row run and the
+/// inner loop — over the views' row slices, or over `span.cells()` — stays
+/// monomorphized in the kernel. `FnMut` because write rows borrow their
+/// view mutably; each kernel is built per launch and driven by one thread.
+pub type SpanFn = Box<dyn FnMut(&Span) + Send>;
 
 /// The host action produced by a host container's loading lambda.
 pub type HostFn = Box<dyn FnOnce() + Send>;
@@ -53,15 +54,16 @@ pub type HostFn = Box<dyn FnOnce() + Send>;
 /// A compute lambda in either dispatch granularity.
 ///
 /// `PerCell` is the paper-faithful form every user kernel starts with;
-/// `Chunked` is the monomorphized fast path registered by shaped
-/// containers ([`Container::compute_shaped`]). The executor iterates
-/// both through the grid's chunked path — for `PerCell` it unrolls the
-/// chunk itself, so the two forms visit cells in the identical order.
+/// `Spans` is the row-level form registered by shaped containers
+/// ([`Container::compute_shaped`]). The executor iterates both through
+/// the grid's one primitive, [`IterationSpace::for_each_span`] — for
+/// `PerCell` it walks `span.cells()` itself, so the two forms visit cells
+/// in the identical order.
 pub enum KernelFn {
     /// One virtual call per cell.
     PerCell(ComputeFn),
-    /// One virtual call per chunk of cells.
-    Chunked(ChunkFn),
+    /// One virtual call per span.
+    Spans(SpanFn),
 }
 
 impl KernelFn {
@@ -70,21 +72,17 @@ impl KernelFn {
         KernelFn::PerCell(Box::new(f))
     }
 
-    /// Wrap a chunk-level closure.
-    pub fn chunked(f: impl Fn(&[Cell]) + Send + 'static) -> Self {
-        KernelFn::Chunked(Box::new(f))
+    /// Wrap a span-level closure.
+    pub fn spans(f: impl FnMut(&Span) + Send + 'static) -> Self {
+        KernelFn::Spans(Box::new(f))
     }
 
-    /// Apply the kernel to one chunk of cells, in slice order.
+    /// Apply the kernel to one span, in cell order.
     #[inline]
-    pub fn run_chunk(&self, cells: &[Cell]) {
+    pub fn run_span(&mut self, span: &Span) {
         match self {
-            KernelFn::PerCell(f) => {
-                for &c in cells {
-                    f(c);
-                }
-            }
-            KernelFn::Chunked(f) => f(cells),
+            KernelFn::PerCell(f) => span.cells().for_each(f),
+            KernelFn::Spans(f) => f(span),
         }
     }
 }
@@ -246,8 +244,8 @@ impl Container {
     }
 
     /// Build a compute container whose loading lambda declares a typed
-    /// [`KernelShape`] and may return a chunk-level kernel
-    /// ([`KernelFn::Chunked`]).
+    /// [`KernelShape`] and may return a span-level kernel
+    /// ([`KernelFn::Spans`]).
     ///
     /// The shape is a structural claim: the kernel must compute exactly
     /// what the equivalent per-cell `Generic` kernel would, bit for bit
@@ -427,21 +425,21 @@ impl Container {
         // still builds its own device views. The members' views of one
         // partition belong to a single launch, so their leases coalesce
         // under a FusedScope instead of conflicting (see `access`).
-        // Member kernels are chained per *chunk*, not per cell. This is
+        // Member kernels are chained per *span*, not per cell. This is
         // bit-identical to per-cell chaining because fusion legality
         // forbids a member stencil-reading data an earlier member wrote:
-        // every member is cell-local over the chunk (maps, or reduces
+        // every member is cell-local over the span (maps, or reduces
         // accumulating in ascending cell order), so running member k over
         // cells [a..b] before member k+1 touches them computes the same
         // values as interleaving per cell.
         let gen = move |ldr: &mut Loader| -> KernelFn {
             let _scope = crate::access::FusedScope::enter();
-            let kernels: Vec<KernelFn> = gens.iter().map(|g| g(ldr)).collect();
-            KernelFn::Chunked(Box::new(move |cells: &[Cell]| {
-                for k in &kernels {
-                    k.run_chunk(cells);
+            let mut kernels: Vec<KernelFn> = gens.iter().map(|g| g(ldr)).collect();
+            KernelFn::spans(move |span: &Span| {
+                for k in &mut kernels {
+                    k.run_span(span);
                 }
-            }))
+            })
         };
         Container {
             inner: Arc::new(ContainerInner {
@@ -748,21 +746,14 @@ impl Container {
         }
         let gen = self.inner.gen.as_ref().expect("compute container");
         let mut loader = Loader::for_execution(dev, space.num_partitions(), view);
-        // Chunked iteration: one virtual call per block of cells instead of
-        // one per cell, amortizing the `dyn FnMut` dispatch overhead. A
-        // chunk-level kernel receives the whole slice; a per-cell kernel is
-        // unrolled here, so both visit cells in the identical order.
+        // One virtual call per span. A span-level kernel is handed to the
+        // grid as it is; a per-cell kernel is unrolled here from the span's
+        // counters, so both visit cells in the identical order.
         match gen(&mut loader) {
             KernelFn::PerCell(kernel) => {
-                space.for_each_cell_chunked(dev, view, &mut |cells| {
-                    for &c in cells {
-                        kernel(c);
-                    }
-                });
+                space.for_each_span(dev, view.into(), &mut |span| span.cells().for_each(&kernel))
             }
-            KernelFn::Chunked(kernel) => {
-                space.for_each_cell_chunked(dev, view, &mut |cells| kernel(cells));
-            }
+            KernelFn::Spans(mut kernel) => space.for_each_span(dev, view.into(), &mut *kernel),
         }
     }
 
@@ -780,7 +771,7 @@ impl Container {
         // step. Like `fused`, the members' leases on one partition belong
         // to a single launch and coalesce under a FusedScope.
         let _scope = crate::access::FusedScope::enter();
-        let kernels: Vec<KernelFn> = self
+        let mut kernels: Vec<KernelFn> = self
             .inner
             .members
             .iter()
@@ -797,9 +788,8 @@ impl Container {
             .collect();
         for j in 0..k {
             let depth = (k - 1 - j) * spec.radius;
-            for kern in &kernels {
-                space
-                    .for_each_cell_chunked_expanded(dev, depth, &mut |cells| kern.run_chunk(cells));
+            for kern in &mut kernels {
+                space.for_each_span(dev, Sweep::Expanded(depth), &mut |span| kern.run_span(span));
             }
         }
     }
@@ -853,15 +843,17 @@ mod tests {
                 DataView::Boundary => 2,
             }
         }
-        fn for_each_cell(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(Cell)) {
+        fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span)) {
             let base = dev.0 as i32 * self.len as i32;
-            let idxs: Vec<u32> = match view {
-                DataView::Standard => (0..self.len).collect(),
-                DataView::Internal => (1..self.len - 1).collect(),
-                DataView::Boundary => vec![0, self.len - 1],
-            };
-            for i in idxs {
-                f(Cell::new(i, base + i as i32, 0, 0));
+            let mut run =
+                |a: u32, b: u32| f(&Span::new(Cell::new(a, base + a as i32, 0, 0), b - a));
+            match sweep.owned_view() {
+                DataView::Standard => run(0, self.len),
+                DataView::Internal => run(1, self.len - 1),
+                DataView::Boundary => {
+                    run(0, 1);
+                    run(self.len - 1, self.len);
+                }
             }
         }
     }

@@ -3,8 +3,10 @@
 //! The layout lives at the Set layer (rather than in `neon-domain`)
 //! because it is a *policy*, not a grid property: the compile pipeline's
 //! `layout-select` pass recommends a layout per data object from its
-//! recorded access pattern, and every monomorphized kernel fast path
-//! indexes partition storage through [`MemLayout::index`] directly.
+//! recorded access pattern. Field views address partition storage through
+//! [`MemLayout::index`]: per element on the per-cell path, once per span
+//! on the row path (under SoA a component's row is contiguous, under AoS
+//! a span's whole block is).
 
 /// How a cardinality-`n` field organizes its components in memory.
 ///

@@ -18,7 +18,7 @@
 //! * [`access`] — runtime read/write tracking per partition, the safety net
 //!   that replaces C++'s "trust the user" with a checked own-compute rule.
 //! * [`cell`] — the index space vocabulary shared with the Domain layer:
-//!   [`Cell`], [`DataView`] and the [`IterationSpace`] trait.
+//!   [`Cell`], [`Span`], [`DataView`] and the [`IterationSpace`] trait.
 //! * [`manual`] — the Set level's parametric run-time model: hand-driven
 //!   multi-GPU streams and events for launching containers without the
 //!   Skeleton's automation (paper §IV-B4).
@@ -39,9 +39,9 @@ pub mod signature;
 pub mod uid;
 
 pub use access::{AccessConflict, AccessTracker, TrackerGuard};
-pub use cell::{Cell, ChunkBuffer, DataView, IterationSpace, CELL_CHUNK};
+pub use cell::{Cell, DataView, IterationSpace, Span, Sweep};
 pub use checkpoint::{Checkpoint, StateBlob, StateHandle};
-pub use container::{ChunkFn, ComputeFn, HostFn, KernelFn};
+pub use container::{ComputeFn, HostFn, KernelFn, SpanFn};
 pub use container::{Container, ContainerKind, HaloDescriptor, HaloExchange};
 pub use dataset::DataSet;
 pub use elem::Elem;

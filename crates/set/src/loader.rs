@@ -221,55 +221,74 @@ impl<'a> Loader<'a> {
         self.view
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn record(
-        &mut self,
-        uid: DataUid,
-        name: String,
+    /// Append the record `make` builds — during a dry run only. At launch
+    /// time nothing is built, so loading a view costs no name `String`,
+    /// no hook `Arc`s: a launch's loader calls stay off the heap.
+    fn record(&mut self, make: impl FnOnce() -> AccessRecord) {
+        if let LoaderState::Recording { records } = &mut self.state {
+            records.push(make());
+        }
+    }
+
+    /// The record of a cell-local or neighbourhood access to `d`. Every
+    /// access of a field carries its exchange as `field_exchange`; only a
+    /// stencil read needs it run (`halo`), only a write is checkpointed.
+    fn field_record<L: Loadable>(d: &L, mode: AccessMode, pattern: ComputePattern) -> AccessRecord {
+        let stencil = pattern == ComputePattern::Stencil;
+        let field_exchange = d.halo_exchange();
+        AccessRecord {
+            uid: d.data_uid(),
+            name: d.data_name(),
+            mode,
+            pattern,
+            read_bytes_per_cell: match (mode.reads(), stencil) {
+                (false, _) => 0,
+                (true, false) => d.bytes_per_cell(),
+                (true, true) => d.stencil_bytes_per_cell(),
+            },
+            write_bytes_per_cell: if mode.writes() { d.bytes_per_cell() } else { 0 },
+            halo: if stencil {
+                field_exchange.clone()
+            } else {
+                None
+            },
+            field_exchange,
+            reduce_hooks: None,
+            state: if mode.writes() {
+                d.state_handle()
+            } else {
+                None
+            },
+        }
+    }
+
+    /// The record of a scalar access that moves no per-cell bytes.
+    fn scalar_record<T: Elem>(
+        s: &ScalarSet<T>,
         mode: AccessMode,
         pattern: ComputePattern,
-        read_bytes_per_cell: u64,
-        write_bytes_per_cell: u64,
-        halo: Option<Arc<dyn HaloExchange>>,
-        field_exchange: Option<Arc<dyn HaloExchange>>,
-        reduce_hooks: Option<ReduceHooks>,
-        state: Option<Arc<dyn StateHandle>>,
-    ) {
-        if let LoaderState::Recording { records } = &mut self.state {
-            records.push(AccessRecord {
-                uid,
-                name,
-                mode,
-                pattern,
-                read_bytes_per_cell,
-                write_bytes_per_cell,
-                halo,
-                field_exchange,
-                reduce_hooks,
-                state,
-            });
+    ) -> AccessRecord {
+        AccessRecord {
+            uid: s.uid(),
+            name: s.name().to_string(),
+            mode,
+            pattern,
+            read_bytes_per_cell: 0,
+            write_bytes_per_cell: 0,
+            halo: None,
+            field_exchange: None,
+            reduce_hooks: None,
+            state: if mode.writes() {
+                Some(Arc::new(s.clone()) as Arc<dyn StateHandle>)
+            } else {
+                None
+            },
         }
     }
 
     /// Load a cell-local read view (map pattern).
     pub fn read<L: Loadable>(&mut self, d: &L) -> L::ReadView {
-        let fx = if self.is_recording() {
-            d.halo_exchange()
-        } else {
-            None
-        };
-        self.record(
-            d.data_uid(),
-            d.data_name(),
-            AccessMode::Read,
-            ComputePattern::Map,
-            d.bytes_per_cell(),
-            0,
-            None,
-            fx,
-            None,
-            None,
-        );
+        self.record(|| Self::field_record(d, AccessMode::Read, ComputePattern::Map));
         d.make_read_view(self.device(), self.is_recording())
     }
 
@@ -278,50 +297,13 @@ impl<'a> Loader<'a> {
     /// Declaring a stencil read is what makes the Skeleton insert a halo
     /// update (and flags the container node as *incoherent*, paper §V-A).
     pub fn read_stencil<L: Loadable>(&mut self, d: &L) -> L::StencilView {
-        let fx = if self.is_recording() {
-            d.halo_exchange()
-        } else {
-            None
-        };
-        self.record(
-            d.data_uid(),
-            d.data_name(),
-            AccessMode::Read,
-            ComputePattern::Stencil,
-            d.stencil_bytes_per_cell(),
-            0,
-            fx.clone(),
-            fx,
-            None,
-            None,
-        );
+        self.record(|| Self::field_record(d, AccessMode::Read, ComputePattern::Stencil));
         d.make_stencil_view(self.device(), self.is_recording())
     }
 
     /// Load a cell-local write view.
     pub fn write<L: Loadable>(&mut self, d: &L) -> L::WriteView {
-        let state = if self.is_recording() {
-            d.state_handle()
-        } else {
-            None
-        };
-        let fx = if self.is_recording() {
-            d.halo_exchange()
-        } else {
-            None
-        };
-        self.record(
-            d.data_uid(),
-            d.data_name(),
-            AccessMode::Write,
-            ComputePattern::Map,
-            0,
-            d.bytes_per_cell(),
-            None,
-            fx,
-            None,
-            state,
-        );
+        self.record(|| Self::field_record(d, AccessMode::Write, ComputePattern::Map));
         d.make_write_view(self.device(), self.is_recording())
     }
 
@@ -329,102 +311,41 @@ impl<'a> Loader<'a> {
     ///
     /// Costs two accesses' worth of bytes (a load and a store per cell).
     pub fn read_write<L: Loadable>(&mut self, d: &L) -> L::WriteView {
-        let state = if self.is_recording() {
-            d.state_handle()
-        } else {
-            None
-        };
-        let fx = if self.is_recording() {
-            d.halo_exchange()
-        } else {
-            None
-        };
-        self.record(
-            d.data_uid(),
-            d.data_name(),
-            AccessMode::ReadWrite,
-            ComputePattern::Map,
-            d.bytes_per_cell(),
-            d.bytes_per_cell(),
-            None,
-            fx,
-            None,
-            state,
-        );
+        self.record(|| Self::field_record(d, AccessMode::ReadWrite, ComputePattern::Map));
         d.make_write_view(self.device(), self.is_recording())
     }
 
     /// Load a reduction accumulator view for this device.
     pub fn reduce<T: Elem>(&mut self, s: &ScalarSet<T>) -> ScalarView<T> {
-        let s_init = s.clone();
-        let s_fin = s.clone();
-        self.record(
-            s.uid(),
-            s.name().to_string(),
-            AccessMode::Write,
-            ComputePattern::Reduce,
-            0,
-            0,
-            None,
-            None,
-            Some(ReduceHooks {
-                init: Arc::new(move || s_init.init_partials()),
-                finalize: Arc::new(move || s_fin.finalize()),
-            }),
-            Some(Arc::new(s.clone()) as Arc<dyn StateHandle>),
-        );
+        self.record(|| {
+            let (s_init, s_fin) = (s.clone(), s.clone());
+            AccessRecord {
+                reduce_hooks: Some(ReduceHooks {
+                    init: Arc::new(move || s_init.init_partials()),
+                    finalize: Arc::new(move || s_fin.finalize()),
+                }),
+                ..Self::scalar_record(s, AccessMode::Write, ComputePattern::Reduce)
+            }
+        });
         s.view(self.device())
     }
 
     /// Read the current host value of a scalar (e.g. CG's `alpha` inside a
     /// map container). Recorded as a read dependency on the scalar.
     pub fn scalar<T: Elem>(&mut self, s: &ScalarSet<T>) -> T {
-        self.record(
-            s.uid(),
-            s.name().to_string(),
-            AccessMode::Read,
-            ComputePattern::Map,
-            0,
-            0,
-            None,
-            None,
-            None,
-            None,
-        );
+        self.record(|| Self::scalar_record(s, AccessMode::Read, ComputePattern::Map));
         s.host_value()
     }
 
     /// A deferred host-side reader of a scalar (host containers).
     pub fn scalar_reader<T: Elem>(&mut self, s: &ScalarSet<T>) -> ScalarReader<T> {
-        self.record(
-            s.uid(),
-            s.name().to_string(),
-            AccessMode::Read,
-            ComputePattern::Map,
-            0,
-            0,
-            None,
-            None,
-            None,
-            None,
-        );
+        self.record(|| Self::scalar_record(s, AccessMode::Read, ComputePattern::Map));
         ScalarReader { set: s.clone() }
     }
 
     /// A deferred host-side writer of a scalar (host containers).
     pub fn scalar_writer<T: Elem>(&mut self, s: &ScalarSet<T>) -> ScalarWriter<T> {
-        self.record(
-            s.uid(),
-            s.name().to_string(),
-            AccessMode::Write,
-            ComputePattern::Map,
-            0,
-            0,
-            None,
-            None,
-            None,
-            Some(Arc::new(s.clone()) as Arc<dyn StateHandle>),
-        );
+        self.record(|| Self::scalar_record(s, AccessMode::Write, ComputePattern::Map));
         ScalarWriter { set: s.clone() }
     }
 }

@@ -191,7 +191,7 @@ impl ManualRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::{Cell, IterationSpace};
+    use crate::cell::{Cell, IterationSpace, Span, Sweep};
     use crate::memset::{MemSet, StorageMode};
     use std::sync::Arc;
 
@@ -211,15 +211,17 @@ mod tests {
                 DataView::Boundary => 2,
             }
         }
-        fn for_each_cell(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(Cell)) {
+        fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span)) {
             let base = dev.0 as i32 * self.len as i32;
-            let idx: Vec<u32> = match view {
-                DataView::Standard => (0..self.len).collect(),
-                DataView::Internal => (1..self.len - 1).collect(),
-                DataView::Boundary => vec![0, self.len - 1],
-            };
-            for i in idx {
-                f(Cell::new(i, base + i as i32, 0, 0));
+            let mut run =
+                |a: u32, b: u32| f(&Span::new(Cell::new(a, base + a as i32, 0, 0), b - a));
+            match sweep.owned_view() {
+                DataView::Standard => run(0, self.len),
+                DataView::Internal => run(1, self.len - 1),
+                DataView::Boundary => {
+                    run(0, 1);
+                    run(self.len - 1, self.len);
+                }
             }
         }
     }

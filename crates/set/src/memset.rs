@@ -376,10 +376,11 @@ impl<T: Elem> RawRead<T> {
 
     /// The whole partition as a slice (empty for null views).
     ///
-    /// This is the monomorphized fast path: shaped kernels hoist one
-    /// `as_slice` per chunk and index it with plain `[]`, paying the
-    /// bounds check once per element with no per-call assert formatting,
-    /// and giving the optimizer a contiguous slice to vectorize over.
+    /// What the Domain layer's row accessors are cut from: a field view
+    /// sub-slices this once per span (`FieldRead::row` in `neon-domain`),
+    /// so a span kernel pays the storage bounds check once per row, as the
+    /// slice-index check, and loops over a contiguous `&[T]` the
+    /// optimizer can vectorize.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
         if self.ptr.is_null() {
@@ -445,10 +446,11 @@ impl<T: Elem> RawWrite<T> {
 
     /// The whole partition as a mutable slice (empty for null views).
     ///
-    /// Counterpart of [`RawRead::as_slice`] for shaped kernels. Takes
-    /// `&mut self` even though `set` takes `&self`: a slice borrow must
-    /// be unique for its lifetime, and the exclusive tracker lease only
-    /// guarantees exclusivity *between* views, not within one.
+    /// Counterpart of [`RawRead::as_slice`]; write rows are cut from it.
+    /// Takes `&mut self` even though `set` takes `&self`: a slice borrow
+    /// must be unique for its lifetime, and the exclusive tracker lease
+    /// only guarantees exclusivity *between* views, not within one. That
+    /// is why span kernels are `FnMut` and hold their write views mutably.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         if self.ptr.is_null() {

@@ -6,11 +6,11 @@
 //! the arithmetic of BLAS-grade kernels. A [`KernelShape`] names the
 //! *algorithmic shape* of the kernel so that:
 //!
-//! * the Domain layer can register a **chunk-level** compute lambda
-//!   (see `Container::compute_shaped`) whose inner loop is fully
-//!   monomorphized over the grid's concrete view types — the virtual
-//!   dispatch happens once per `CELL_CHUNK`, and the per-cell body
-//!   inlines down to `MemLayout::index` arithmetic;
+//! * the Domain layer can register a **span-level** compute lambda
+//!   (see `Container::compute_shaped`) — the virtual dispatch happens
+//!   once per row run ([`crate::Span`]), and the body loops over the
+//!   views' row slices, monomorphized over the grid's concrete view
+//!   types;
 //! * the compile pipeline can distinguish shaped programs from generic
 //!   ones in the plan cache (the shape is folded into the sequence
 //!   signature) and reason about access locality per shape;
@@ -37,7 +37,7 @@ pub enum KernelShape {
     Waxpby,
     /// `dst[i] ← a·dst[i]`.
     Scale,
-    /// Dot-product partials accumulated chunk-wise in cell order.
+    /// Dot-product partials accumulated span by span in cell order.
     DotChunk,
     /// 7-point (face-neighbour) stencil application.
     MapStencil7,

@@ -14,7 +14,7 @@ cargo test --workspace --quiet
 echo "==> golden IR dump (compiler pipeline output pinned, incl. layout-select)"
 cargo test -p neon-core --test golden_ir_dump --quiet
 
-echo "==> layout/shape properties (AoS=SoA and shaped=generic bit-identity)"
+echo "==> layout/shape properties (AoS=SoA and span kernels=per-cell reference, bit for bit)"
 cargo test -p neon-core --test layout_shape_properties --quiet
 
 echo "==> functional executor smoke (parallel must match serial bit-for-bit)"
@@ -37,6 +37,12 @@ cargo run --release -p neon-bench --bin repro_hierarchical -- --smoke
 
 echo "==> degraded-link smoke (transient overhead <= 10%, link repairs bit-transparent, split reroutes flat, straggler rebalance wins)"
 cargo run --release -p neon-bench --bin repro_degraded -- --smoke
+
+echo "==> benchmark package unit tests (it builds against the crates' public API only)"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark smoke (all five workloads, both passes, every output checked)"
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- run --smoke >/dev/null
 
 echo "==> cargo doc --workspace --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
