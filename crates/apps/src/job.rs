@@ -15,17 +15,19 @@
 //!   at iteration boundaries, so a quantum aborted by a device loss can be
 //!   rolled back to its start;
 //! * **migration** ([`SolverJob::migrate_to`]) onto a different (typically
-//!   smaller or re-carved) backend, moving state through logical
-//!   coordinates exactly like [`crate::ResilientPoisson`] does;
+//!   smaller, re-carved or re-wired) backend, moving state through logical
+//!   coordinates. This is the second half of the one permanent-fault
+//!   recovery path, after [`neon_core::heal_backend`]: the server migrates
+//!   its jobs with it, and [`crate::ResilientPoisson`] is a [`PoissonJob`]
+//!   healed the same way;
 //! * **counter deltas** ([`SolverJob::counters`]) that survive migration, so
 //!   per-tenant accounting can slice shared [`neon_sys::QueueSim`] counters
 //!   without a global reset.
 //!
 //! Setup work (CG initialization) is charged to the first
 //! [`SolverJob::advance`] report, so serving throughput numbers include it;
-//! re-plan/migration cost after a device loss is *not* modelled on the
-//! virtual clock (consistent with [`crate::ResilientPoisson`], where
-//! recompilation is host-side work).
+//! re-plan/migration cost after a permanent fault is *not* modelled on the
+//! virtual clock: recompilation is host-side work.
 
 use neon_core::{ExecReport, SkeletonOptions};
 use neon_domain::{DenseGrid, Dim3, Stencil, StorageMode};
@@ -144,10 +146,10 @@ fn poisson_rhs(seed: u64, x: i32, y: i32, z: i32) -> f64 {
 
 /// Poisson CG as a resumable job.
 pub struct PoissonJob {
-    backend: Backend,
+    pub(crate) backend: Backend,
     dim: Dim3,
     options: SkeletonOptions,
-    solver: PoissonSolver<DenseGrid>,
+    pub(crate) solver: PoissonSolver<DenseGrid>,
     total: u64,
     completed: u64,
     /// Residual bits after each committed iteration (truncated on restore).
@@ -167,23 +169,33 @@ impl PoissonJob {
         rhs_seed: u64,
         options: SkeletonOptions,
     ) -> Result<Self> {
-        let dim3 = Dim3::cube(dim as usize);
-        let mut solver = Self::build_solver(backend, dim3, &options)?;
-        solver
+        let mut job = Self::uninit(backend, Dim3::cube(dim as usize), iters, options)?;
+        job.solver
             .cg
             .state
             .b
             .fill(|x, y, z, _| poisson_rhs(rhs_seed, x, y, z));
-        let setup = solver.cg.init();
+        job.pending_setup = job.solver.cg.init();
+        Ok(job)
+    }
+
+    /// The job with its solver built on `backend` but no right-hand side
+    /// and no CG initialization yet.
+    pub(crate) fn uninit(
+        backend: &Backend,
+        dim: Dim3,
+        iters: u64,
+        options: SkeletonOptions,
+    ) -> Result<Self> {
         Ok(PoissonJob {
             backend: backend.clone(),
-            dim: dim3,
+            dim,
             options,
-            solver,
+            solver: Self::build_solver(backend, dim, &options)?,
             total: iters,
             completed: 0,
             residual_bits: Vec::new(),
-            pending_setup: setup,
+            pending_setup: ExecReport::default(),
             base_counters: CounterSnapshot::default(),
         })
     }

@@ -1,54 +1,24 @@
-//! Self-healing Poisson solve: transparent retry, rollback **and**
-//! graceful device eviction.
+//! Self-healing Poisson solve: a [`PoissonJob`] driven through the one
+//! recovery path.
 //!
-//! [`crate::CgSolver::iterate_resilient`] heals everything a fixed device set can
-//! heal (transient kernel/transfer faults, via retry and checkpoint
-//! rollback). What it cannot heal is a *permanent device loss* — the
-//! hardware configuration itself changed. [`ResilientPoisson`] closes that
-//! gap at the application level:
+//! Transient kernel/transfer faults heal inside
+//! [`neon_core::Skeleton::run_iters_resilient`] (retry, then checkpoint
+//! rollback). A permanent fault — a lost device, a severed or degraded
+//! link — surfaces after that rollback as an [`ExecError`], and
+//! [`ResilientPoisson::heal`] takes the path the server's jobs take too:
+//! [`neon_core::heal_backend`], then [`crate::SolverJob::migrate_to`].
+//! Iteration resumes from the checkpoint without re-running `cg-init`.
 //!
-//! 1. the skeleton layer restores the last checkpoint and surfaces
-//!    [`ExecError::DeviceLost`];
-//! 2. the dead device is evicted from the [`Backend`]
-//!    ([`Backend::without_device`]) and every cached plan compiled for the
-//!    old hardware fingerprint is dropped
-//!    ([`neon_core::invalidate_backend`]);
-//! 3. the grid and solver are rebuilt on the survivors (a fresh compile
-//!    through the normal pass pipeline — recompilation *is* the recovery
-//!    path, there is no special-case scheduler);
-//! 4. the checkpointed fields and reduction scalars are migrated onto the
-//!    new partitioning through their logical (x, y, z) coordinates;
-//! 5. iteration resumes from the checkpoint — `cg-init` is *not* re-run,
-//!    so the numerics continue exactly where the checkpoint left them.
-//!
-//! Because a checkpoint is an end-of-iteration state and CG's iteration is
-//! a pure function of that state, the post-eviction residual history is
-//! bit-identical to a run that *started* on the surviving devices from the
-//! same checkpoint (the "voluntary eviction oracle" the fault benchmark
-//! checks against). It is generally *not* bit-identical to the fault-free
-//! run: fewer partitions change the grouping of the dot-product
-//! reductions, which is an FP-associativity effect, not a correctness bug.
-//!
-//! ## The link tier
-//!
-//! The interconnect is its own fault domain. A permanent link loss
-//! ([`ExecError::LinkLost`]) or degrade ([`ExecError::LinkDegraded`])
-//! takes the *same* abort → invalidate → recompile → resume path, with one
-//! crucial simplification: every device survives, so the partitioning is
-//! unchanged and no state crosses a device boundary during recovery — the
-//! checkpoint restore the skeleton already performed *is* the state
-//! recovery. Recompiling against [`Backend::without_link`] /
-//! [`Backend::with_degraded_link`] re-times every transfer and re-routes
-//! collectives (an NVLink island that relied on the severed wire may
-//! split, flipping hierarchical routes flat), but none of that touches
-//! functional values: the post-repair residual history stays bit-identical
-//! to the fault-free run, which the tests pin.
+//! After an eviction the residual history is bit-identical to a run that
+//! healed the same fault voluntarily at the same checkpoint; fewer
+//! partitions regroup the dot products, so it is not the fault-free
+//! history. A link fault keeps the partitioning, and with it every bit.
 
-use neon_core::{ExecError, ExecReport, SkeletonOptions};
-use neon_domain::{DenseGrid, Dim3, Stencil, StorageMode};
-use neon_sys::{Backend, DeviceId, FaultPlan, FaultStats, Result};
+use neon_core::{ExecError, ExecReport, PermanentFault, SkeletonOptions};
+use neon_domain::Dim3;
+use neon_sys::{Backend, FaultPlan, Result};
 
-use crate::poisson::PoissonSolver;
+use crate::job::{PoissonJob, SolverJob as _};
 
 /// Outcome of a [`ResilientPoisson::iterate`] call that ran to completion
 /// (possibly after rollbacks and device evictions).
@@ -65,17 +35,14 @@ pub struct RecoveryReport {
     /// Permanent device losses healed by eviction + recompilation.
     pub evictions: u64,
     /// Permanent link losses/degrades healed by recompiling on the
-    /// degraded topology (no state migration — every device survives).
+    /// re-wired topology (every device survives).
     pub link_repairs: u64,
 }
 
 /// A Poisson CG solver that survives transient faults *and* permanent
-/// device losses, rebuilding itself on the surviving devices.
+/// device or link faults, rebuilding itself on the healed backend.
 pub struct ResilientPoisson {
-    backend: Backend,
-    dim: Dim3,
-    options: SkeletonOptions,
-    solver: PoissonSolver<DenseGrid>,
+    job: PoissonJob,
     /// Next logical iteration to run.
     iteration: u64,
     evictions: u64,
@@ -85,52 +52,30 @@ pub struct ResilientPoisson {
 impl ResilientPoisson {
     /// Build the solver on `backend` for a dense `dim` grid.
     pub fn new(backend: &Backend, dim: Dim3, options: SkeletonOptions) -> Result<Self> {
-        let solver = Self::build_solver(backend, dim, &options)?;
         Ok(ResilientPoisson {
-            backend: backend.clone(),
-            dim,
-            options,
-            solver,
+            job: PoissonJob::uninit(backend, dim, 0, options)?,
             iteration: 0,
             evictions: 0,
             link_repairs: 0,
         })
     }
 
-    fn build_solver(
-        backend: &Backend,
-        dim: Dim3,
-        options: &SkeletonOptions,
-    ) -> Result<PoissonSolver<DenseGrid>> {
-        let stencil = Stencil::seven_point();
-        let grid = DenseGrid::new(backend, dim, &[&stencil], StorageMode::Real)?;
-        PoissonSolver::with_options(&grid, *options)
-    }
-
     /// Fill the right-hand side and run CG initialization.
     pub fn set_rhs(&mut self, f: impl Fn(i32, i32, i32) -> f64) {
-        self.solver.set_rhs(f);
+        self.job.solver.set_rhs(f);
         self.iteration = 0;
     }
 
-    /// Install a fault plan on the CG iteration skeleton. The plan is
-    /// dropped once a permanent fault (device loss or link event) forces a
-    /// rebuild: eviction renumbers the device indices the specs address,
-    /// and a permanent event would otherwise re-fire against the already
-    /// repaired hardware.
+    /// Install a fault plan on the CG iteration skeleton. A heal drops it:
+    /// eviction renumbers the devices its specs address, and a permanent
+    /// event would re-fire against the healed hardware.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.solver.install_fault_plan(plan);
-    }
-
-    /// Fault statistics of the current iteration skeleton (reset when an
-    /// eviction rebuilds the solver).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.solver.fault_stats()
+        self.job.solver.install_fault_plan(plan);
     }
 
     /// The backend currently in use (shrinks after evictions).
     pub fn backend(&self) -> &Backend {
-        &self.backend
+        &self.job.backend
     }
 
     /// Devices lost and healed so far.
@@ -143,201 +88,63 @@ impl ResilientPoisson {
         self.link_repairs
     }
 
-    /// Next logical iteration to run.
-    pub fn iteration(&self) -> u64 {
-        self.iteration
-    }
-
     /// Current residual norm.
     pub fn residual(&self) -> f64 {
-        self.solver.residual()
-    }
-
-    /// Access the underlying solver (current epoch — replaced on
-    /// eviction).
-    pub fn solver(&self) -> &PoissonSolver<DenseGrid> {
-        &self.solver
+        self.job.solver.residual()
     }
 
     /// Run `n` CG iterations, healing transient faults by rollback and
-    /// device losses by eviction. Returns an error only for failures no
-    /// recovery level can absorb (structural errors, or losing the last
-    /// device).
+    /// permanent ones by [`ResilientPoisson::heal`]. Returns an error only
+    /// for failures no recovery level can absorb (structural errors, or a
+    /// fault the backend cannot heal, such as losing the last device).
     pub fn iterate(&mut self, n: usize) -> std::result::Result<RecoveryReport, ExecError> {
         let end = self.iteration + n as u64;
+        let healed_before = (self.evictions, self.link_repairs);
         let mut out = RecoveryReport::default();
         while self.iteration < end {
             let left = (end - self.iteration) as usize;
-            match self.solver.solve_iters_resilient(self.iteration, left) {
+            match self.job.solver.solve_iters_resilient(self.iteration, left) {
                 Ok(run) => {
                     out.report.accumulate(run.report);
                     out.rollbacks += run.rollbacks;
                     out.replayed += run.replayed;
                     self.iteration = end;
                 }
-                Err(fail) => match fail.error {
-                    ExecError::DeviceLost { device, .. } => {
-                        // State is already rolled back to `fail.checkpoint`;
-                        // re-run everything from there on the survivors.
-                        let resume = fail.checkpoint.iteration();
-                        self.recover_from_device_loss(device)?;
-                        out.evictions += 1;
-                        out.replayed += self.iteration.saturating_sub(resume);
-                        self.iteration = resume;
+                Err(fail) => {
+                    let Some(fault) = fail.error.permanent_fault() else {
+                        return Err(fail.error);
+                    };
+                    // State is already rolled back to `fail.checkpoint`;
+                    // re-run everything from there on the healed backend.
+                    if self.heal(fault).is_err() {
+                        return Err(fail.error);
                     }
-                    ExecError::LinkLost { src, dst, .. } => {
-                        let resume = fail.checkpoint.iteration();
-                        self.recover_from_link_fault(src, dst, None)?;
-                        out.link_repairs += 1;
-                        out.replayed += self.iteration.saturating_sub(resume);
-                        self.iteration = resume;
-                    }
-                    ExecError::LinkDegraded {
-                        src, dst, factor, ..
-                    } => {
-                        let resume = fail.checkpoint.iteration();
-                        self.recover_from_link_fault(src, dst, Some(factor))?;
-                        out.link_repairs += 1;
-                        out.replayed += self.iteration.saturating_sub(resume);
-                        self.iteration = resume;
-                    }
-                    error => return Err(error),
-                },
+                    let resume = fail.checkpoint.iteration();
+                    out.replayed += self.iteration.saturating_sub(resume);
+                    self.iteration = resume;
+                }
             }
         }
+        out.evictions = self.evictions - healed_before.0;
+        out.link_repairs = self.link_repairs - healed_before.1;
         Ok(out)
     }
 
-    /// Voluntarily evict `dead`: flush its compiled plans, rebuild grid +
-    /// solver on the survivors and migrate the current state. This is the
-    /// same path a permanent device loss takes (minus the rollback, which
-    /// [`Skeleton::run_iters_resilient`] has already performed by the time
-    /// the loss surfaces), exposed for planned maintenance and as the
-    /// benchmark's "voluntary eviction" oracle.
-    ///
-    /// [`Skeleton::run_iters_resilient`]: neon_core::Skeleton::run_iters_resilient
-    pub fn evict_device(&mut self, dead: DeviceId) -> std::result::Result<(), ExecError> {
-        self.recover_from_device_loss(dead)
-    }
-
-    /// Voluntarily sever the peer link between `src` and `dst` (planned
-    /// cable pull): flush plans compiled for the healthy wire and rebuild
-    /// on the degraded topology. Same path a permanent
-    /// [`ExecError::LinkLost`] takes; exposed as the bench's
-    /// "degraded-start" oracle.
-    pub fn sever_link(
-        &mut self,
-        src: DeviceId,
-        dst: DeviceId,
-    ) -> std::result::Result<(), ExecError> {
-        self.recover_from_link_fault(src, dst, None)
-    }
-
-    /// Voluntarily degrade the peer link between `src` and `dst` to
-    /// `factor` of its bandwidth; see [`ResilientPoisson::sever_link`].
-    pub fn degrade_link(
-        &mut self,
-        src: DeviceId,
-        dst: DeviceId,
-        factor: f64,
-    ) -> std::result::Result<(), ExecError> {
-        self.recover_from_link_fault(src, dst, Some(factor))
-    }
-
-    /// Evict `dead`, flush its compiled plans, rebuild grid + solver on
-    /// the survivors and migrate the (already rolled-back) state.
-    fn recover_from_device_loss(&mut self, dead: DeviceId) -> std::result::Result<(), ExecError> {
-        let iteration = self.iteration;
-        let old_fingerprint = self.backend.fingerprint();
-        let survivors = self
-            .backend
-            .without_device(dead)
-            .map_err(|_| ExecError::DeviceLost {
-                device: dead,
-                iteration,
-            })?;
-        neon_core::invalidate_backend(old_fingerprint);
-        let fresh = Self::build_solver(&survivors, self.dim, &self.options).map_err(|_| {
-            ExecError::DeviceLost {
-                device: dead,
-                iteration,
-            }
-        })?;
-        self.migrate_state(&fresh);
-        self.backend = survivors;
-        self.solver = fresh;
-        self.evictions += 1;
+    /// Heal a permanent `fault`: [`neon_core::heal_backend`], then
+    /// [`crate::SolverJob::migrate_to`] the state onto the healed backend.
+    /// [`ResilientPoisson::iterate`] calls this after the skeleton's
+    /// rollback; a direct call is a planned eviction or cable pull (the
+    /// fault benchmarks' voluntary oracle).
+    pub fn heal(&mut self, fault: PermanentFault) -> std::result::Result<(), ExecError> {
+        let healed = neon_core::heal_backend(self.backend(), fault)?;
+        self.job
+            .migrate_to(&healed)
+            .map_err(|_| ExecError::from_permanent(fault, self.iteration))?;
+        match fault {
+            PermanentFault::DeviceLoss(_) => self.evictions += 1,
+            _ => self.link_repairs += 1,
+        }
         Ok(())
-    }
-
-    /// Heal a permanent link fault: flush plans keyed on the healthy
-    /// fingerprint and recompile on the degraded topology. Every device
-    /// survives, so the partitioning is unchanged and the state copy below
-    /// is a same-shape transcription — nothing crosses a device boundary.
-    fn recover_from_link_fault(
-        &mut self,
-        src: DeviceId,
-        dst: DeviceId,
-        factor: Option<f64>,
-    ) -> std::result::Result<(), ExecError> {
-        let iteration = self.iteration;
-        let fail = |f: Option<f64>| match f {
-            None => ExecError::LinkLost {
-                src,
-                dst,
-                iteration,
-            },
-            Some(factor) => ExecError::LinkDegraded {
-                src,
-                dst,
-                factor,
-                iteration,
-            },
-        };
-        let old_fingerprint = self.backend.fingerprint();
-        let degraded = match factor {
-            None => self.backend.without_link(src, dst),
-            Some(f) => self.backend.with_degraded_link(src, dst, f),
-        }
-        .map_err(|_| fail(factor))?;
-        neon_core::invalidate_backend(old_fingerprint);
-        let fresh =
-            Self::build_solver(&degraded, self.dim, &self.options).map_err(|_| fail(factor))?;
-        self.migrate_state(&fresh);
-        self.backend = degraded;
-        self.solver = fresh;
-        self.link_repairs += 1;
-        Ok(())
-    }
-
-    /// Transcribe the current (already rolled-back) CG state into a fresh
-    /// solver through logical coordinates: partition boundaries may have
-    /// moved (eviction) or stayed put (link repair), the
-    /// (x, y, z) -> value map did not.
-    fn migrate_state(&self, fresh: &PoissonSolver<DenseGrid>) {
-        let old = &self.solver.cg.state;
-        let new = &fresh.cg.state;
-        for (src, dst) in [
-            (&old.x, &new.x),
-            (&old.b, &new.b),
-            (&old.r, &new.r),
-            (&old.p, &new.p),
-            (&old.ap, &new.ap),
-        ] {
-            src.for_each(|x, y, z, comp, v| {
-                dst.set(x, y, z, comp, v);
-            });
-            dst.update_halos();
-        }
-        for (src, dst) in [
-            (&old.rs_old, &new.rs_old),
-            (&old.rs_new, &new.rs_new),
-            (&old.p_ap, &new.p_ap),
-            (&old.alpha, &new.alpha),
-            (&old.beta, &new.beta),
-        ] {
-            dst.set_host(src.host_value());
-        }
     }
 }
 
@@ -345,6 +152,7 @@ impl ResilientPoisson {
 mod tests {
     use super::*;
     use neon_core::{OccLevel, ResilienceOptions};
+    use neon_sys::DeviceId;
 
     fn options() -> SkeletonOptions {
         SkeletonOptions {
@@ -404,7 +212,7 @@ mod tests {
         let mut oracle_hist = Vec::new();
         for i in 0..iters as u64 {
             if i == lost_at {
-                oracle.evict_device(dead).unwrap();
+                oracle.heal(PermanentFault::DeviceLoss(dead)).unwrap();
             }
             oracle.iterate(1).unwrap();
             oracle_hist.push(oracle.residual());
@@ -489,7 +297,7 @@ mod tests {
         });
         assert_eq!(repairs, 1, "exactly one link repair expected");
         // Oracle: the wire was never there to begin with.
-        let (oracle, _) = history(&|s| s.sever_link(a, b).unwrap());
+        let (oracle, _) = history(&|s| s.heal(PermanentFault::LinkLoss(a, b)).unwrap());
 
         assert_eq!(faulted, clean, "link loss must be functionally invisible");
         assert_eq!(faulted, oracle, "degraded-start oracle diverged");

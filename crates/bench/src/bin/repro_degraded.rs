@@ -36,7 +36,8 @@ use neon_apps::{RecoveryReport, ResilientPoisson};
 use neon_bench::render_table;
 use neon_comm::{choose, Algorithm, CollectiveKind};
 use neon_core::{
-    FaultPlan, OccLevel, ResilienceOptions, Skeleton, SkeletonOptions, StragglerPolicy,
+    heal_backend, FaultPlan, OccLevel, PermanentFault, ResilienceOptions, Skeleton,
+    SkeletonOptions, StragglerPolicy,
 };
 use neon_domain::{
     ops, Container, DenseGrid, Dim3, Field, FieldStencil as _, FieldWrite as _, GridLike,
@@ -97,7 +98,9 @@ fn run_scenario(
     let mut solver = ResilientPoisson::new(backend, Dim3::cube(dim), options()).expect("solver");
     solver.set_rhs(rhs_for(dim));
     if let Some((a, b)) = sever_at_start {
-        solver.sever_link(a, b).expect("voluntary sever");
+        solver
+            .heal(PermanentFault::LinkLoss(a, b))
+            .expect("voluntary sever");
     }
     if let Some(p) = plan {
         solver.install_fault_plan(p);
@@ -265,7 +268,8 @@ fn main() {
         .expect("mixed 3-device slice");
     let (ra, rb) = (DeviceId(0), DeviceId(1));
     let route_healthy = route_for(dim, mixed.topology());
-    let route_degraded = route_for(dim, &mixed.topology().without_link(ra, rb));
+    let severed = heal_backend(&mixed, PermanentFault::LinkLoss(ra, rb)).expect("sever mixed wire");
+    let route_degraded = route_for(dim, severed.topology());
     let mixed_clean = run_scenario("mixed-clean", &mixed, dim, iters, None, None);
     let reroute_plan = FaultPlan::none().with_link_loss(fault_at, ra, rb);
     let reroute = run_scenario(

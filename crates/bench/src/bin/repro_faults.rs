@@ -32,7 +32,9 @@ use std::time::Instant;
 
 use neon_apps::{PoissonSolver, RecoveryReport, ResilientPoisson};
 use neon_bench::render_table;
-use neon_core::{ExecError, FaultPlan, OccLevel, ResilienceOptions, SkeletonOptions};
+use neon_core::{
+    ExecError, FaultPlan, OccLevel, PermanentFault, ResilienceOptions, SkeletonOptions,
+};
 use neon_domain::{DenseGrid, Dim3, Stencil, StorageMode};
 use neon_sys::{Backend, DeviceId};
 
@@ -113,7 +115,9 @@ fn run_scenario(
         for i in 0..iters as u64 {
             if let Some((at, dead)) = evict_at {
                 if i == at {
-                    solver.evict_device(dead).expect("voluntary eviction");
+                    solver
+                        .heal(PermanentFault::DeviceLoss(dead))
+                        .expect("voluntary eviction");
                 }
             }
             let r = solver.iterate(1).expect("iteration should heal");

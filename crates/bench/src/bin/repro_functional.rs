@@ -1,14 +1,12 @@
 //! Wall-clock benchmark of the functional executor modes (not the
-//! virtual clock): 4-device Poisson CG at 64³, run three ways —
+//! virtual clock): 4-device Poisson CG at 64³, run two ways —
 //!
 //! * `serial` — the reference walk, tasks strictly in order on one
 //!   thread;
-//! * `spawn` — the historical per-launch `thread::scope` (a spawn/join
-//!   round trip per kernel launch, no cross-task overlap);
 //! * `parallel` — the event-driven replay on the persistent per-device
 //!   worker pool walking the compiled device plan.
 //!
-//! All three must produce **bit-identical** residual histories — the
+//! Both must produce **bit-identical** residual histories — the
 //! event table only admits orderings the data dependencies allow, and
 //! every cross-device fold runs in canonical rank order. The speedup is
 //! whatever the host actually delivers: on a multi-core host the
@@ -150,22 +148,18 @@ fn main() {
     } else {
         1
     };
-    let (mut serial, mut spawn, mut parallel) = (None, None, None);
+    let (mut serial, mut parallel) = (None, None);
     for _ in 0..repeats {
         merge_best(
             &mut serial,
             run_mode(FunctionalMode::Serial, "serial", dim, iters),
         );
         merge_best(
-            &mut spawn,
-            run_mode(FunctionalMode::SpawnPerLaunch, "spawn", dim, iters),
-        );
-        merge_best(
             &mut parallel,
             run_mode(FunctionalMode::Parallel, "parallel", dim, iters),
         );
     }
-    let runs = [serial.unwrap(), spawn.unwrap(), parallel.unwrap()];
+    let runs = [serial.unwrap(), parallel.unwrap()];
 
     let serial = &runs[0];
     let mut rows = Vec::new();
@@ -210,7 +204,7 @@ fn main() {
         // match the serial walk. On fewer cores the replay cannot beat
         // serial (the workers time-slice one another), so the gate would
         // only measure the CI container — skip it there, loudly.
-        let parallel = &runs[2];
+        let parallel = &runs[1];
         if host_cores >= 4 {
             let speedup = serial.wall_ms / parallel.wall_ms;
             if speedup < 1.0 {

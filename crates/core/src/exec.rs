@@ -115,10 +115,6 @@ pub enum FunctionalMode {
     /// Walk tasks strictly in schedule order on the calling thread: the
     /// bit-exactness reference.
     Serial,
-    /// One `std::thread::scope` per kernel launch (the historical
-    /// behavior): per-device parallelism inside a launch, a full
-    /// spawn/join round trip per launch, no cross-task overlap.
-    SpawnPerLaunch,
     /// Event-driven replay on a persistent per-device worker pool walking
     /// the compiled [`DevicePlan`] — cross-task overlap exactly where the
     /// event table allows it, no thread spawns in steady state.
@@ -157,9 +153,9 @@ pub enum ExecError {
     /// A link was severed permanently: the topology the plan was compiled
     /// on no longer exists, so its halo schedules and collective routes are
     /// stale. Every subsequent execution fails the same way until the
-    /// caller recompiles on the degraded topology
-    /// ([`neon_sys::Backend::without_link`]). All devices survive, so no
-    /// state migration is needed — resume from the last checkpoint.
+    /// caller recompiles on the backend [`crate::heal_backend`] returns.
+    /// All devices survive, so the partitioning is unchanged — resume from
+    /// the last checkpoint.
     LinkLost {
         /// One endpoint of the dead wire.
         src: DeviceId,
@@ -170,7 +166,7 @@ pub enum ExecError {
     },
     /// A link was permanently degraded to a fraction of its bandwidth.
     /// Like [`ExecError::LinkLost`], the compiled plan's timing model is
-    /// stale; rebuild on [`neon_sys::Backend::with_degraded_link`].
+    /// stale; rebuild on the backend [`crate::heal_backend`] returns.
     LinkDegraded {
         /// One endpoint of the degraded wire.
         src: DeviceId,
@@ -180,6 +176,15 @@ pub enum ExecError {
         factor: f64,
         /// Logical iteration at whose start the degrade was detected.
         iteration: u64,
+    },
+    /// [`crate::heal_backend`] refused a permanent fault: it names a device
+    /// or link the backend does not have, or evicting the device would
+    /// leave no device at all.
+    Unhealable {
+        /// The fault that could not be healed.
+        fault: PermanentFault,
+        /// Why the backend refused it.
+        reason: String,
     },
     /// A compute node carries no iteration space.
     MissingIterationSpace {
@@ -241,6 +246,7 @@ impl std::fmt::Display for ExecError {
                 dst.0,
                 factor * 100.0
             ),
+            ExecError::Unhealable { fault, reason } => write!(f, "cannot heal {fault}: {reason}"),
             ExecError::MissingIterationSpace { node } => {
                 write!(f, "compute node '{node}' has no iteration space")
             }
@@ -259,6 +265,41 @@ impl std::fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+impl ExecError {
+    /// The error a permanent `fault` detected at the start of `iteration`
+    /// surfaces as; the inverse of [`ExecError::permanent_fault`].
+    pub fn from_permanent(fault: PermanentFault, iteration: u64) -> Self {
+        match fault {
+            PermanentFault::DeviceLoss(device) => ExecError::DeviceLost { device, iteration },
+            PermanentFault::LinkLoss(src, dst) => ExecError::LinkLost {
+                src,
+                dst,
+                iteration,
+            },
+            PermanentFault::LinkDegrade(src, dst, factor) => ExecError::LinkDegraded {
+                src,
+                dst,
+                factor,
+                iteration,
+            },
+        }
+    }
+
+    /// The permanent fault this error reports — heal it with
+    /// [`crate::heal_backend`] — or `None` for transient and structural
+    /// errors.
+    pub fn permanent_fault(&self) -> Option<PermanentFault> {
+        match *self {
+            ExecError::DeviceLost { device, .. } => Some(PermanentFault::DeviceLoss(device)),
+            ExecError::LinkLost { src, dst, .. } => Some(PermanentFault::LinkLoss(src, dst)),
+            ExecError::LinkDegraded {
+                src, dst, factor, ..
+            } => Some(PermanentFault::LinkDegrade(src, dst, factor)),
+            _ => None,
+        }
+    }
+}
 
 /// Timing summary of one or more executions.
 #[derive(Debug, Clone, Copy, Default)]
@@ -786,22 +827,7 @@ impl Executor {
         let stats_before = self.injector.as_ref().map(|i| i.stats());
         if let Some(inj) = &self.injector {
             if let Err(fault) = inj.begin_iteration(iteration) {
-                return Err(match fault {
-                    PermanentFault::DeviceLoss(device) => {
-                        ExecError::DeviceLost { device, iteration }
-                    }
-                    PermanentFault::LinkLoss(src, dst) => ExecError::LinkLost {
-                        src,
-                        dst,
-                        iteration,
-                    },
-                    PermanentFault::LinkDegrade(src, dst, factor) => ExecError::LinkDegraded {
-                        src,
-                        dst,
-                        factor,
-                        iteration,
-                    },
-                });
+                return Err(ExecError::from_permanent(fault, iteration));
             }
         }
         self.escape_node = None;
@@ -813,7 +839,7 @@ impl Executor {
         let escape = self.injector.as_ref().and_then(|i| i.escape_site());
         if self.functional {
             match escape {
-                Some(site) => self.replay_functional_until(&plan, site)?,
+                Some(site) => self.replay_functional_serial(&plan, Some(site))?,
                 None => self.replay_functional(&plan)?,
             }
         }
@@ -1327,24 +1353,51 @@ impl Executor {
     /// The functional half of one execution.
     fn replay_functional(&mut self, plan: &CompiledPlan) -> Result<(), ExecError> {
         match self.functional_mode {
-            FunctionalMode::Serial => self.replay_functional_serial(plan),
-            FunctionalMode::SpawnPerLaunch => self.replay_functional_spawn(plan),
-            FunctionalMode::Parallel => {
-                if self.parallel_halo_ok {
-                    self.replay_functional_parallel(plan)
-                } else {
-                    // A whole-exchange halo cannot run concurrently with
-                    // kernels (whole-partition leases); stay serial.
-                    self.replay_functional_serial(plan)
-                }
+            FunctionalMode::Parallel if self.parallel_halo_ok => {
+                self.replay_functional_parallel(plan)
+            }
+            // A whole-exchange halo cannot run concurrently with kernels
+            // (whole-partition leases); stay serial.
+            FunctionalMode::Serial | FunctionalMode::Parallel => {
+                self.replay_functional_serial(plan, None)
             }
         }
     }
 
     /// Reference replay: strictly in task order, devices in rank order,
     /// everything on the calling thread.
-    fn replay_functional_serial(&self, plan: &CompiledPlan) -> Result<(), ExecError> {
+    ///
+    /// With `stop` set, this is the *prefix* of an iteration whose fault at
+    /// that site escaped retry: every operation before the faulted one runs
+    /// (mutating data — this is what makes the rollback genuinely
+    /// necessary), the faulted operation and everything after it never
+    /// execute. The abort runs serially regardless of the configured mode —
+    /// the partial state is about to be wiped by a checkpoint restore, and
+    /// a serial walk keeps the abort point deterministic.
+    ///
+    /// Occurrence counting mirrors the timing replay exactly: kernels
+    /// count per device only when the partition is non-empty, halo
+    /// transfers count once per (node, destination) in descriptor order.
+    /// Link faults carry no functional counter: the engine observed them
+    /// mid-collective, so the abort lands on the collective *node* the
+    /// timing replay recorded (`escape_node`) — the fold never committed,
+    /// skipping the whole node is exact.
+    fn replay_functional_serial(
+        &self,
+        plan: &CompiledPlan,
+        stop: Option<FaultSite>,
+    ) -> Result<(), ExecError> {
         let ndev = self.backend.num_devices();
+        // Per-device `[kernel, transfer]` occurrence counters (stop only).
+        let mut seen = vec![[0u32; 2]; if stop.is_some() { ndev } else { 0 }];
+        // Whether the next occurrence of `kind` on `dev` is the stop site.
+        let mut reached = |kind: FaultSiteKind, dev: DeviceId| {
+            let Some(site) = stop else { return false };
+            let slot = &mut seen[dev.0][usize::from(kind == FaultSiteKind::Transfer)];
+            let nth = *slot;
+            *slot += 1;
+            site.kind == kind && site.device == dev && site.nth == nth
+        };
         for task in &plan.schedule().tasks {
             match &plan.graph().node(task.node).kind {
                 NodeKind::Compute {
@@ -1353,60 +1406,76 @@ impl Executor {
                     reduce_init,
                     reduce_finalize,
                 } => {
+                    let space = stop
+                        .map(|_| {
+                            container
+                                .space()
+                                .ok_or_else(|| ExecError::MissingIterationSpace {
+                                    node: plan.graph().node(task.node).name.clone(),
+                                })
+                        })
+                        .transpose()?;
                     if *reduce_init {
                         container.reduce_init();
                     }
                     for d in 0..ndev {
-                        container.run_device(DeviceId(d), *view);
+                        let dev = DeviceId(d);
+                        if let Some(space) = space {
+                            if space.cell_count(dev, *view) == 0 {
+                                continue; // the timing replay skipped it too
+                            }
+                            if reached(FaultSiteKind::Kernel, dev) {
+                                // Launch-failure semantics: the faulted
+                                // kernel never ran, devices before it in
+                                // rank order already did.
+                                return Ok(());
+                            }
+                        }
+                        container.run_device(dev, *view);
                     }
                     if *reduce_finalize {
                         container.reduce_finalize();
                     }
                 }
-                NodeKind::Halo { exchange } => exchange.execute(),
+                NodeKind::Halo { exchange } => {
+                    if stop.is_some() {
+                        let mut counted = vec![false; ndev];
+                        for desc in plan.halo_descriptors(task.node) {
+                            if !std::mem::replace(&mut counted[desc.dst.0], true)
+                                && reached(FaultSiteKind::Transfer, desc.dst)
+                            {
+                                // The corrupted payload was dropped before
+                                // commit: no destination of this exchange
+                                // is updated.
+                                return Ok(());
+                            }
+                        }
+                    }
+                    exchange.execute();
+                }
                 NodeKind::Host { container } => container.run_host(),
                 NodeKind::Collective { container, .. } => {
+                    if stop.is_some_and(|s| s.kind == FaultSiteKind::Link)
+                        && self.escape_node == Some(task.node)
+                    {
+                        // The collective aborted mid-flight: no rank holds
+                        // the folded value, so the finalize (and everything
+                        // after) never runs.
+                        return Ok(());
+                    }
                     // Canonical rank-order fold: bit-identical to the
                     // host-staged merge regardless of algorithm.
                     container.reduce_finalize();
                 }
             }
         }
-        Ok(())
-    }
-
-    /// Historical replay: task order, but each launch spawns a fresh
-    /// thread scope over the devices.
-    fn replay_functional_spawn(&self, plan: &CompiledPlan) -> Result<(), ExecError> {
-        let ndev = self.backend.num_devices();
-        for task in &plan.schedule().tasks {
-            match &plan.graph().node(task.node).kind {
-                NodeKind::Compute {
-                    container,
-                    view,
-                    reduce_init,
-                    reduce_finalize,
-                } => {
-                    if *reduce_init {
-                        container.reduce_init();
-                    }
-                    let view = *view;
-                    // Borrow the container into the per-device threads
-                    // (`Container: Sync`) — no per-launch clones.
-                    std::thread::scope(|s| {
-                        for d in 0..ndev {
-                            s.spawn(move || container.run_device(DeviceId(d), view));
-                        }
-                    });
-                    if *reduce_finalize {
-                        container.reduce_finalize();
-                    }
-                }
-                NodeKind::Halo { exchange } => exchange.execute(),
-                NodeKind::Host { container } => container.run_host(),
-                NodeKind::Collective { container, .. } => container.reduce_finalize(),
-            }
-        }
+        // A stop site that was not reached means the counters drifted from
+        // the timing replay, which is a bug; the caller still rolls back,
+        // so data stays consistent, but surface it loudly in debug builds.
+        debug_assert!(
+            stop.is_none(),
+            "escape site {stop:?} not found in functional replay"
+        );
         Ok(())
     }
 
@@ -1455,108 +1524,6 @@ impl Executor {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// Functional replay of the *prefix* of an iteration whose fault at
-    /// `site` escaped retry: every operation before the faulted one runs
-    /// (mutating data — this is what makes the rollback genuinely
-    /// necessary), the faulted operation and everything after it never
-    /// execute. Runs strictly serially regardless of the configured mode —
-    /// the partial state is about to be wiped by a checkpoint restore, and
-    /// a serial walk keeps the abort point deterministic.
-    ///
-    /// Occurrence counting mirrors the timing replay exactly: kernels
-    /// count per device only when the partition is non-empty, halo
-    /// transfers count once per (node, destination) in descriptor order.
-    /// Link faults carry no functional counter: the engine observed them
-    /// mid-collective, so the abort lands on the collective *node* the
-    /// timing replay recorded (`escape_node`) — the fold never committed,
-    /// skipping the whole node is exact.
-    fn replay_functional_until(
-        &self,
-        plan: &CompiledPlan,
-        site: FaultSite,
-    ) -> Result<(), ExecError> {
-        let ndev = self.backend.num_devices();
-        // Per-device `[kernel, transfer]` occurrence counters.
-        let mut seen = vec![[0u32; 2]; ndev];
-        for task in &plan.schedule().tasks {
-            match &plan.graph().node(task.node).kind {
-                NodeKind::Compute {
-                    container,
-                    view,
-                    reduce_init,
-                    reduce_finalize,
-                } => {
-                    let space =
-                        container
-                            .space()
-                            .ok_or_else(|| ExecError::MissingIterationSpace {
-                                node: plan.graph().node(task.node).name.clone(),
-                            })?;
-                    if *reduce_init {
-                        container.reduce_init();
-                    }
-                    for d in 0..ndev {
-                        let dev = DeviceId(d);
-                        if space.cell_count(dev, *view) == 0 {
-                            continue; // the timing replay skipped it too
-                        }
-                        let nth = seen[d][0];
-                        seen[d][0] += 1;
-                        if site.kind == FaultSiteKind::Kernel
-                            && site.device == dev
-                            && site.nth == nth
-                        {
-                            // Launch-failure semantics: the faulted kernel
-                            // never ran, devices before it in rank order
-                            // already did.
-                            return Ok(());
-                        }
-                        container.run_device(dev, *view);
-                    }
-                    if *reduce_finalize {
-                        container.reduce_finalize();
-                    }
-                }
-                NodeKind::Halo { exchange } => {
-                    let mut counted = vec![false; ndev];
-                    for desc in plan.halo_descriptors(task.node) {
-                        if counted[desc.dst.0] {
-                            continue;
-                        }
-                        counted[desc.dst.0] = true;
-                        let nth = seen[desc.dst.0][1];
-                        seen[desc.dst.0][1] += 1;
-                        if site.kind == FaultSiteKind::Transfer
-                            && site.device == desc.dst
-                            && site.nth == nth
-                        {
-                            // The corrupted payload was dropped before
-                            // commit: no destination of this exchange is
-                            // updated.
-                            return Ok(());
-                        }
-                    }
-                    exchange.execute();
-                }
-                NodeKind::Host { container } => container.run_host(),
-                NodeKind::Collective { container, .. } => {
-                    if site.kind == FaultSiteKind::Link && self.escape_node == Some(task.node) {
-                        // The collective aborted mid-flight: no rank holds
-                        // the folded value, so the finalize (and everything
-                        // after) never runs.
-                        return Ok(());
-                    }
-                    container.reduce_finalize();
-                }
-            }
-        }
-        // The site was not reached — counters drifted from the timing
-        // replay, which is a bug; the caller still rolls back, so data
-        // stays consistent, but surface it loudly in debug builds.
-        debug_assert!(false, "escape site {site:?} not found in functional replay");
-        Ok(())
     }
 
     /// Execute the plan `n` times, aggregating the report.

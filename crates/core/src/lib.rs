@@ -77,7 +77,7 @@ pub use neon_sys::{
 pub use occ::{apply_occ, OccLevel};
 pub use pass::{CompileError, CompileLog, Ir, Pass, PassCtx, PassManager, PassTiming};
 pub use plan::{
-    clear_plan_cache, invalidate_backend, plan_cache_capacity, plan_cache_stats,
+    clear_plan_cache, heal_backend, invalidate_backend, plan_cache_capacity, plan_cache_stats,
     set_plan_cache_capacity, CacheStats, CompiledPlan, PlanKey, DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use schedule::{build_schedule, build_schedule_opts, Schedule, Task};

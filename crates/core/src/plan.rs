@@ -27,11 +27,11 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use neon_set::{sequence_signature, uid_roles, Container, DataUid, HaloDescriptor, HaloExchange};
-use neon_sys::{stable_hash_of, Backend, StableHasher, Trace};
+use neon_sys::{stable_hash_of, Backend, PermanentFault, StableHasher, Trace};
 
 use crate::collective::CollectiveMode;
 use crate::devplan::{build_device_plan, build_device_plan_policy, DevicePlan};
-use crate::exec::{CommMode, HaloPolicy};
+use crate::exec::{CommMode, ExecError, HaloPolicy};
 use crate::fuse::FusionLevel;
 use crate::graph::{Edge, Graph, Node, NodeId, NodeKind};
 use crate::pass::{CompileError, Ir, PassCtx, PassManager, PassTiming};
@@ -358,15 +358,42 @@ pub fn clear_plan_cache() {
 }
 
 /// Drop every cached plan compiled for the backend with `fingerprint`,
-/// returning how many were evicted. Called when a device is lost: plans
-/// compiled for the dead topology must not be rebound — the surviving
-/// backend has a different fingerprint and will compile fresh.
+/// returning how many were evicted. [`heal_backend`] calls this when a
+/// permanent fault retires a backend: plans compiled for the dead topology
+/// must not be rebound.
 pub fn invalidate_backend(fingerprint: u64) -> usize {
     let mut c = cache().lock().unwrap();
     let before = c.map.len();
     c.map.retain(|k, _| k.backend != fingerprint);
     c.order.retain(|k| k.backend != fingerprint);
     before - c.map.len()
+}
+
+/// Heal `backend` of a permanent `fault`: evict the dead device, or sever
+/// or degrade the faulted link, then drop every cached plan compiled for
+/// the old fingerprint (the healed backend has a different one and
+/// compiles fresh). This is the only place a fault maps onto hardware;
+/// a recovery driver rebuilds its solver on the result and migrates the
+/// rolled-back state there ([`ExecError::permanent_fault`] names the fault
+/// a failed run reports).
+///
+/// A fault naming a device or link the backend does not have, or a loss
+/// of its only device, is refused as [`ExecError::Unhealable`] and purges
+/// nothing.
+pub fn heal_backend(backend: &Backend, fault: PermanentFault) -> Result<Backend, ExecError> {
+    let healed = match fault {
+        PermanentFault::DeviceLoss(dead) => backend.without_device(dead),
+        PermanentFault::LinkLoss(src, dst) => backend.without_link(src, dst),
+        PermanentFault::LinkDegrade(src, dst, factor) => {
+            backend.with_degraded_link(src, dst, factor)
+        }
+    }
+    .map_err(|e| ExecError::Unhealable {
+        fault,
+        reason: e.to_string(),
+    })?;
+    invalidate_backend(backend.fingerprint());
+    Ok(healed)
 }
 
 /// Compile `containers`, consulting the plan cache when `options.cache`.

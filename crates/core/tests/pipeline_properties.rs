@@ -190,7 +190,7 @@ proptest! {
         }
     }
 
-    /// The event-driven parallel replay (and the per-launch spawn mode)
+    /// The event-driven parallel replay
     /// must be bit-identical to the serial reference walk for arbitrary
     /// sequences — across OCC levels, 1/2/4/8 devices, and both halo
     /// policies. The halo policy only shapes the virtual-clock replay, so
@@ -215,16 +215,14 @@ proptest! {
             HaloPolicy::ExplicitTransfers
         };
         let reference = run_case_opts(&ops_list, n_dev, occ, FunctionalMode::Serial, halo);
-        for mode in [FunctionalMode::SpawnPerLaunch, FunctionalMode::Parallel] {
-            let got = run_case_opts(&ops_list, n_dev, occ, mode, halo);
-            prop_assert_eq!(
-                &got.0, &reference.0,
-                "{:?} changes field bits for {:?} at {:?} on {} devices",
-                mode, ops_list, occ, n_dev
-            );
-            prop_assert_eq!(got.1, reference.1, "{:?} changes dot a", mode);
-            prop_assert_eq!(got.2, reference.2, "{:?} changes dot b", mode);
-        }
+        let got = run_case_opts(&ops_list, n_dev, occ, FunctionalMode::Parallel, halo);
+        prop_assert_eq!(
+            &got.0, &reference.0,
+            "parallel changes field bits for {:?} at {:?} on {} devices",
+            ops_list, occ, n_dev
+        );
+        prop_assert_eq!(got.1, reference.1, "parallel changes dot a");
+        prop_assert_eq!(got.2, reference.2, "parallel changes dot b");
     }
 }
 

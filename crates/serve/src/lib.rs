@@ -31,8 +31,10 @@
 //!    at quantum boundaries; device-time and queue-wait come from the
 //!    event loop itself.
 //!
-//! Faults compose with serving: a scheduled [`DeviceLoss`] kills a fleet
-//! device mid-run. In-flight quanta on that device roll back to their
+//! Faults compose with serving, and both kinds below take one handler:
+//! abort the quanta the fault touches, heal the fleet, re-plan and migrate
+//! the touched jobs. A scheduled [`DeviceLoss`] kills a fleet device
+//! mid-run. In-flight quanta on that device roll back to their
 //! quantum-start checkpoint, and every pinned job re-plans onto surviving
 //! devices (a spare if one exists, a smaller subset otherwise) and
 //! migrates its state through logical coordinates — then keeps going.

@@ -14,15 +14,19 @@
 //! job's results are bit-identical to a solo run of the same spec on a
 //! same-size backend.
 //!
-//! A scheduled [`DeviceLoss`] marks a fleet device dead at its virtual
-//! time: in-flight quanta whose subset contains the device are aborted and
-//! rolled back to the checkpoint captured at their quantum start, and every
-//! live job pinned to the device is re-planned — survivors keep their
-//! subset slots, a spare alive device replaces the dead one when the fleet
-//! still has enough devices, otherwise the subset shrinks — and migrated
-//! through logical coordinates. Plans compiled for equal-size subsets stay
-//! valid (the fingerprint hashes device *models*, not identities), so
-//! re-planning is usually a plan-cache hit.
+//! A scheduled [`crate::DeviceLoss`] or [`crate::LinkFault`] becomes a
+//! [`PermanentFault`] that fires at its virtual time through one handler:
+//! in-flight quanta whose subset the fault touches are aborted and rolled
+//! back to the checkpoint captured at their quantum start, the fleet is
+//! healed, and every waiting job pinned to a touched subset is re-planned
+//! and migrated ([`SolverJob::migrate_to`]) through logical coordinates.
+//! Only the new subset differs. After a loss, survivors keep their subset
+//! slots and a spare alive device replaces the dead one when the fleet
+//! still has enough devices, otherwise the subset shrinks; plans compiled
+//! for equal-size subsets stay valid (the fingerprint hashes device
+//! *models*, not identities), so re-planning is usually a plan-cache hit.
+//! After a link fault the subset stays, carved from the fleet
+//! [`neon_core::heal_backend`] re-wired, so it recompiles and may re-route.
 
 use std::time::Instant;
 
@@ -30,11 +34,11 @@ use neon_apps::{JobSpec, SolverJob};
 use neon_comm::{choose, Algorithm, CollectiveKind};
 use neon_core::{OccLevel, SkeletonOptions};
 use neon_set::Checkpoint;
-use neon_sys::{Backend, CounterSnapshot, DeviceId, Result, SimTime};
+use neon_sys::{Backend, CounterSnapshot, DeviceId, PermanentFault, Result, SimTime};
 
 use crate::types::{
-    DeviceLoss, EvictionEvent, JobOutcome, JobRequest, LinkFault, RouteChange, SchedPolicy,
-    ServeConfig, ServeReport, TenantAccount, TenantSpec,
+    EvictionEvent, JobOutcome, JobRequest, RouteChange, SchedPolicy, ServeConfig, ServeReport,
+    TenantAccount, TenantSpec,
 };
 
 /// Comparison slack for event times (sums of f64 microseconds).
@@ -94,6 +98,19 @@ fn collective_route(spec: &JobSpec, backend: &Backend) -> Algorithm {
     choose(CollectiveKind::AllReduce, field_bytes, backend.topology())
 }
 
+/// Whether `fault` touches a quantum or job on fleet `devices`: a loss when
+/// the subset holds the dead device, a link fault when it spans both
+/// endpoints (a subset holding at most one endpoint never had the wire, so
+/// its plans stay valid untouched).
+fn touches(fault: PermanentFault, devices: &[usize]) -> bool {
+    match fault {
+        PermanentFault::DeviceLoss(d) => devices.contains(&d.0),
+        PermanentFault::LinkLoss(s, d) | PermanentFault::LinkDegrade(s, d, _) => {
+            devices.contains(&s.0) && devices.contains(&d.0)
+        }
+    }
+}
+
 /// One in-flight quantum.
 struct Active {
     widx: usize,
@@ -102,8 +119,8 @@ struct Active {
     end: f64,
     iters_delta: u64,
     counters_before: CounterSnapshot,
-    /// Captured at quantum start iff a device loss is armed for one of the
-    /// quantum's devices; the abort path restores it.
+    /// Captured at quantum start iff a pending fault touches the quantum's
+    /// devices; the abort path restores it.
     cp: Option<Checkpoint>,
 }
 
@@ -277,8 +294,12 @@ impl Server {
         let mut shed = 0u64;
         let mut device_losses = 0u64;
         let mut link_faults = 0u64;
-        let mut loss_pending = self.cfg.device_loss;
-        let mut link_pending = self.cfg.link_fault;
+        // Scheduled faults as `(virtual time, fault)`; at equal times the
+        // device loss fires first.
+        let mut pending: Vec<(f64, PermanentFault)> = (self.cfg.device_loss.map(|l| l.event()))
+            .into_iter()
+            .chain(self.cfg.link_fault.map(|f| f.event()))
+            .collect();
         let mut sched_wall = std::time::Duration::ZERO;
         let mut makespan: f64 = 0.0;
 
@@ -318,47 +339,27 @@ impl Server {
                 waiting.push(widx, tenant, jobs[widx].seq);
             }
 
-            // 2. Fire a due device loss (after completions at strictly
-            //    earlier times were handled in previous rounds; quanta
-            //    ending exactly at the loss time commit below first only
-            //    if they were already due — a tie goes to the loss, which
-            //    is the conservative choice: the quantum aborts).
-            if let Some(loss) = loss_pending {
-                if loss.at_us <= clock + EPS {
-                    loss_pending = None;
-                    self.process_loss(
-                        loss,
-                        clock.min(loss.at_us.max(0.0)),
-                        &fleet,
-                        &mut jobs,
-                        &mut accounts,
-                        &mut active,
-                        &mut waiting,
-                        &mut free_at,
-                        &mut dead,
-                    );
-                    device_losses += 1;
+            // 2. Fire due faults (after completions at strictly earlier
+            //    times were handled in previous rounds; a quantum ending
+            //    exactly at the fault time loses the tie and aborts, which
+            //    is the conservative choice).
+            while let Some(i) = pending.iter().position(|&(at, _)| at <= clock + EPS) {
+                let (at, fault) = pending.remove(i);
+                match fault {
+                    PermanentFault::DeviceLoss(_) => device_losses += 1,
+                    _ => link_faults += 1,
                 }
-            }
-
-            // 2b. Fire a due link fault: swap in the degraded fleet, abort
-            //     in-flight quanta that straddled the wire, re-plan pinned
-            //     jobs (same tie-to-the-loss semantics as a device loss).
-            if let Some(fault) = link_pending {
-                if fault.at_us <= clock + EPS {
-                    link_pending = None;
-                    self.process_link_fault(
-                        fault,
-                        clock.min(fault.at_us.max(0.0)),
-                        &mut fleet,
-                        &mut jobs,
-                        &mut accounts,
-                        &mut active,
-                        &mut waiting,
-                        &mut free_at,
-                    );
-                    link_faults += 1;
-                }
+                self.process_fault(
+                    fault,
+                    clock.min(at.max(0.0)),
+                    &mut fleet,
+                    &mut jobs,
+                    &mut accounts,
+                    &mut active,
+                    &mut waiting,
+                    &mut free_at,
+                    &mut dead,
+                );
             }
 
             // 3. Commit quanta that ended by now.
@@ -402,8 +403,7 @@ impl Server {
                 &mut free_at,
                 &dead,
                 &vtime,
-                loss_pending,
-                link_pending,
+                &pending,
                 &mut sched_wall,
             ) {}
 
@@ -417,11 +417,8 @@ impl Server {
             if next_arrival < order.len() {
                 t = t.min(requests[order[next_arrival]].arrival_us);
             }
-            if let Some(loss) = loss_pending {
-                t = t.min(loss.at_us);
-            }
-            if let Some(fault) = link_pending {
-                t = t.min(fault.at_us);
+            for &(at, _) in &pending {
+                t = t.min(at);
             }
             for a in &active {
                 t = t.min(a.end);
@@ -489,8 +486,7 @@ impl Server {
         free_at: &mut [f64],
         dead: &[bool],
         vtime: &[f64],
-        loss_pending: Option<DeviceLoss>,
-        link_pending: Option<LinkFault>,
+        pending: &[(f64, PermanentFault)],
         sched_wall: &mut std::time::Duration,
     ) -> bool {
         let sched_start = Instant::now();
@@ -587,20 +583,10 @@ impl Server {
         };
         let js = &mut jobs[widx];
         let job = js.job.as_mut().expect("built above");
-        // Checkpoint iff an armed fault could abort this quantum: a device
-        // loss targeting one of its devices, or a link fault both of whose
-        // endpoints the quantum straddles — the abort path rolls back to
-        // the quantum start.
-        let loss_armed = matches!(loss_pending, Some(l) if devices.contains(&l.device));
-        let link_armed = matches!(
-            link_pending,
-            Some(f) if devices.contains(&f.src) && devices.contains(&f.dst)
-        );
-        let cp = if loss_armed || link_armed {
-            Some(job.capture())
-        } else {
-            None
-        };
+        // Checkpoint iff a pending fault could abort this quantum — the
+        // abort path rolls back to the quantum start.
+        let armed = pending.iter().any(|&(_, f)| touches(f, &devices));
+        let cp = armed.then(|| job.capture());
         // A capture stages the job's write set to the host, and the
         // devices stall on the staging link while it runs: the cost lands
         // on the quantum's virtual makespan (and hence the tenant's WFQ
@@ -639,105 +625,16 @@ impl Server {
         true
     }
 
-    /// Mark a fleet device dead, abort in-flight quanta that used it, and
-    /// re-plan + migrate every live job pinned to it.
+    /// Heal the fleet of `fault` at virtual time `at`: abort the in-flight
+    /// quanta it touches, then re-plan and migrate the waiting jobs pinned
+    /// to a subset it touches. A loss marks the device dead (fleet indices
+    /// stay stable, so pins keep their meaning); a link fault swaps in the
+    /// fleet [`neon_core::heal_backend`] re-wired. A fault naming hardware
+    /// the fleet lacks, or an already dead device, is dropped.
     #[allow(clippy::too_many_arguments)]
-    fn process_loss(
+    fn process_fault(
         &self,
-        loss: DeviceLoss,
-        at: f64,
-        fleet: &Backend,
-        jobs: &mut [JobState],
-        accounts: &mut [TenantAccount],
-        active: &mut Vec<Active>,
-        waiting: &mut WaitQueue,
-        free_at: &mut [f64],
-        dead: &mut [bool],
-    ) {
-        let d0 = loss.device;
-        if d0 >= dead.len() || dead[d0] {
-            return;
-        }
-        dead[d0] = true;
-
-        // Abort in-flight quanta whose subset contains the dead device:
-        // roll back to the quantum-start checkpoint, free the surviving
-        // devices at the loss time, charge the wasted device-time.
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].devices.contains(&d0) {
-                let a = active.swap_remove(i);
-                let js = &mut jobs[a.widx];
-                let cp = a.cp.expect("loss was armed, checkpoint captured");
-                js.job.as_mut().expect("active job is built").restore(&cp);
-                accounts[js.req.tenant].wasted_device_us +=
-                    (at - a.start).max(0.0) * a.devices.len() as f64;
-                for &d in &a.devices {
-                    if d != d0 {
-                        free_at[d] = at;
-                    }
-                }
-                let (tenant, seq) = (js.req.tenant, js.seq);
-                js.phase = Phase::Waiting;
-                js.ready_since = at;
-                waiting.push(a.widx, tenant, seq);
-            } else {
-                i += 1;
-            }
-        }
-
-        // Re-plan every live job pinned to the dead device: keep the
-        // surviving slots, top up with the least-loaded alive spares (same
-        // size if the fleet still has enough devices, else shrink), and
-        // migrate state through logical coordinates. Equal-size subsets
-        // share a backend fingerprint, so the rebuild is normally a
-        // plan-cache hit, not a fresh compile.
-        let alive_count = dead.iter().filter(|&&x| !x).count();
-        for js in jobs.iter_mut() {
-            if js.phase != Phase::Waiting {
-                continue;
-            }
-            let Some(pinned) = &js.pinned else { continue };
-            if !pinned.contains(&d0) {
-                continue;
-            }
-            let from_ndev = pinned.len();
-            let survivors: Vec<usize> = pinned.iter().copied().filter(|&d| d != d0).collect();
-            let size = from_ndev.min(alive_count).max(1);
-            let mut spares: Vec<usize> = (0..dead.len())
-                .filter(|&d| !dead[d] && !survivors.contains(&d))
-                .collect();
-            spares.sort_by(|&a, &b| free_at[a].partial_cmp(&free_at[b]).unwrap().then(a.cmp(&b)));
-            let mut new_pinned = survivors;
-            new_pinned.extend(spares.into_iter().take(size - new_pinned.len().min(size)));
-            new_pinned.sort_unstable();
-            new_pinned.truncate(size);
-
-            let subset: Vec<DeviceId> = new_pinned.iter().map(|&d| DeviceId(d)).collect();
-            let backend = fleet
-                .with_devices(&subset)
-                .expect("replacement subset is valid");
-            let job = js.job.as_mut().expect("pinned implies built");
-            job.migrate_to(&backend).expect("migration onto survivors");
-            js.route = Some(collective_route(&js.req.spec, &backend));
-            js.evictions.push(EvictionEvent {
-                at_iteration: job.completed(),
-                from_ndev,
-                to_ndev: new_pinned.len(),
-            });
-            js.pinned = Some(new_pinned);
-        }
-    }
-
-    /// Degrade the fleet interconnect, abort in-flight quanta that
-    /// straddled the faulted wire, and re-plan every live job whose pinned
-    /// subset spans both endpoints. Jobs touching at most one endpoint
-    /// carve a subset topology that never contained the wire, so their
-    /// plans — and plan-cache entries — stay valid untouched.
-    #[allow(clippy::too_many_arguments)]
-    fn process_link_fault(
-        &self,
-        fault: LinkFault,
+        fault: PermanentFault,
         at: f64,
         fleet: &mut Backend,
         jobs: &mut [JobState],
@@ -745,78 +642,83 @@ impl Server {
         active: &mut Vec<Active>,
         waiting: &mut WaitQueue,
         free_at: &mut [f64],
+        dead: &mut [bool],
     ) {
-        let (s, d) = (fault.src, fault.dst);
-        if s >= fleet.num_devices() || d >= fleet.num_devices() || s == d {
-            return;
+        match fault {
+            PermanentFault::DeviceLoss(d) if d.0 < dead.len() && !dead[d.0] => dead[d.0] = true,
+            PermanentFault::DeviceLoss(_) => return,
+            _ => match neon_core::heal_backend(fleet, fault) {
+                Ok(healed) => *fleet = healed,
+                Err(_) => return,
+            },
         }
-        let old_fingerprint = fleet.fingerprint();
-        let degraded = match fault.factor {
-            None => fleet.without_link(DeviceId(s), DeviceId(d)),
-            Some(f) => fleet.with_degraded_link(DeviceId(s), DeviceId(d), f),
-        }
-        .expect("link fault endpoints validated above");
-        // Whole-fleet plans keyed on the healthy interconnect are stale;
-        // subset plans key on the *subset* fingerprint and are invalidated
-        // per job below only when the subset actually contained the wire.
-        neon_core::invalidate_backend(old_fingerprint);
-        *fleet = degraded;
 
-        // Abort in-flight quanta that straddled the wire: roll back to the
-        // quantum-start checkpoint, free their devices at the fault time,
-        // charge the wasted device-time.
-        let mut i = 0;
-        while i < active.len() {
-            if active[i].devices.contains(&s) && active[i].devices.contains(&d) {
-                let a = active.swap_remove(i);
-                let js = &mut jobs[a.widx];
-                let cp = a.cp.expect("link fault was armed, checkpoint captured");
-                js.job.as_mut().expect("active job is built").restore(&cp);
-                accounts[js.req.tenant].wasted_device_us +=
-                    (at - a.start).max(0.0) * a.devices.len() as f64;
-                for &dev in &a.devices {
-                    free_at[dev] = at;
-                }
-                let (tenant, seq) = (js.req.tenant, js.seq);
-                js.phase = Phase::Waiting;
-                js.ready_since = at;
-                waiting.push(a.widx, tenant, seq);
-            } else {
-                i += 1;
+        // Abort: roll back to the quantum-start checkpoint, free the
+        // devices at the fault time, charge the wasted device-time.
+        while let Some(i) = active.iter().position(|a| touches(fault, &a.devices)) {
+            let a = active.swap_remove(i);
+            let js = &mut jobs[a.widx];
+            let cp = a.cp.expect("fault was armed, checkpoint captured");
+            js.job.as_mut().expect("active job is built").restore(&cp);
+            accounts[js.req.tenant].wasted_device_us +=
+                (at - a.start).max(0.0) * a.devices.len() as f64;
+            for &d in &a.devices {
+                free_at[d] = at;
             }
+            js.phase = Phase::Waiting;
+            js.ready_since = at;
+            waiting.push(a.widx, js.req.tenant, js.seq);
         }
 
-        // Re-plan every live job pinned across both endpoints: same
-        // devices (nothing died), fresh subset backend carved from the
-        // degraded fleet. The subset fingerprint changed, so the rebuild
-        // recompiles, re-times every transfer, and re-routes collectives;
-        // a route that relied on the wire flips and is recorded.
+        // Re-plan. A loss keeps the surviving slots and tops up with the
+        // least-loaded alive spares (same size if the fleet still has
+        // enough devices, else shrink); a link fault keeps the subset.
+        let alive_count = dead.iter().filter(|&&x| !x).count();
         for js in jobs.iter_mut() {
-            if js.phase != Phase::Waiting {
+            if js.phase != Phase::Waiting || !js.pinned.as_ref().is_some_and(|p| touches(fault, p))
+            {
                 continue;
             }
-            let Some(pinned) = &js.pinned else { continue };
-            if !pinned.contains(&s) || !pinned.contains(&d) {
-                continue;
-            }
-            let subset: Vec<DeviceId> = pinned.iter().map(|&dev| DeviceId(dev)).collect();
-            let backend = fleet
-                .with_devices(&subset)
-                .expect("pinned subset is valid on the degraded fleet");
-            let job = js.job.as_mut().expect("pinned implies built");
-            job.migrate_to(&backend)
-                .expect("same-size migration onto the degraded subset");
-            let new_route = collective_route(&js.req.spec, &backend);
-            if let Some(old_route) = js.route {
-                if old_route != new_route {
-                    js.route_changes.push(RouteChange {
-                        at_iteration: job.completed(),
-                        from: old_route,
-                        to: new_route,
-                    });
+            let pinned = js.pinned.take().expect("checked above");
+            let new_pinned = match fault {
+                PermanentFault::DeviceLoss(d0) => {
+                    let mut keep: Vec<usize> =
+                        pinned.iter().copied().filter(|&d| d != d0.0).collect();
+                    let size = pinned.len().min(alive_count).max(1);
+                    let mut spares: Vec<usize> = (0..dead.len())
+                        .filter(|&d| !dead[d] && !keep.contains(&d))
+                        .collect();
+                    spares.sort_by(|&a, &b| free_at[a].total_cmp(&free_at[b]).then(a.cmp(&b)));
+                    keep.extend(spares.into_iter().take(size - keep.len().min(size)));
+                    keep.sort_unstable();
+                    keep.truncate(size);
+                    keep
                 }
+                _ => pinned.clone(),
+            };
+            let subset: Vec<DeviceId> = new_pinned.iter().map(|&d| DeviceId(d)).collect();
+            let backend = fleet.with_devices(&subset).expect("valid subset");
+            let job = js.job.as_mut().expect("pinned implies built");
+            job.migrate_to(&backend).expect("migration onto the subset");
+            let at_iteration = job.completed();
+            let route = collective_route(&js.req.spec, &backend);
+            // A loss always re-carves the subset (an eviction); a link fault
+            // keeps it, and records the route flip the re-wiring forced.
+            if new_pinned != pinned {
+                js.evictions.push(EvictionEvent {
+                    at_iteration,
+                    from_ndev: pinned.len(),
+                    to_ndev: new_pinned.len(),
+                });
+            } else if let Some(from) = js.route.filter(|&old| old != route) {
+                js.route_changes.push(RouteChange {
+                    at_iteration,
+                    from,
+                    to: route,
+                });
             }
-            js.route = Some(new_route);
+            js.route = Some(route);
+            js.pinned = Some(new_pinned);
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use neon_apps::JobSpec;
 use neon_comm::Algorithm;
-use neon_sys::{CounterSnapshot, SimTime};
+use neon_sys::{CounterSnapshot, DeviceId, PermanentFault, SimTime};
 
 /// One tenant of the server: a name and a fair-share weight. A tenant with
 /// weight 2 is entitled to twice the device-time of a tenant with weight 1
@@ -64,6 +64,16 @@ pub struct DeviceLoss {
     pub device: usize,
 }
 
+impl DeviceLoss {
+    /// The scheduled loss as a `(virtual time, fault)` event.
+    pub(crate) fn event(self) -> (f64, PermanentFault) {
+        (
+            self.at_us,
+            PermanentFault::DeviceLoss(DeviceId(self.device)),
+        )
+    }
+}
+
 /// A scheduled permanent link fault (server-level fault injection): at
 /// virtual time `at_us` the fleet's peer link between `src` and `dst` is
 /// severed (`factor == None`, both directions fall back to PCIe-class
@@ -82,6 +92,18 @@ pub struct LinkFault {
     pub dst: usize,
     /// `None` = severed; `Some(f)` = bandwidth drops to `f` of nominal.
     pub factor: Option<f64>,
+}
+
+impl LinkFault {
+    /// The scheduled fault as a `(virtual time, fault)` event.
+    pub(crate) fn event(self) -> (f64, PermanentFault) {
+        let (s, d) = (DeviceId(self.src), DeviceId(self.dst));
+        let fault = match self.factor {
+            None => PermanentFault::LinkLoss(s, d),
+            Some(f) => PermanentFault::LinkDegrade(s, d, f),
+        };
+        (self.at_us, fault)
+    }
 }
 
 /// Server configuration.

@@ -578,3 +578,72 @@ fn island_survivor_subset_routes_hierarchical_after_loss() {
     .expect("solo replay");
     assert_eq!(o.result_bits, Some(solo));
 }
+
+/// A device loss and a link fault in one run, at different times, both
+/// take the one fault path: each fires once, the loss re-plans the jobs
+/// pinned to the dead device, and every job still replays solo — link
+/// speed never enters the numerics, so the eviction history alone
+/// reproduces the bits.
+#[test]
+fn compound_loss_and_link_fault_both_fire_and_replay_solo() {
+    let fleet = Backend::dgx_a100(4);
+    let requests: Vec<JobRequest> = (0..4)
+        .map(|i| JobRequest {
+            tenant: (i % 2) as usize,
+            spec: poisson(10, 24, 200 + i),
+            ndev: 2,
+            arrival_us: i as f64,
+        })
+        .collect();
+    let mut server = Server::new(
+        &fleet,
+        vec![TenantSpec::new("a", 1.0), TenantSpec::new("b", 1.0)],
+        ServeConfig {
+            quantum_iters: 3,
+            device_loss: Some(DeviceLoss {
+                at_us: 40.0,
+                device: 1,
+            }),
+            link_fault: Some(LinkFault {
+                at_us: 120.0,
+                src: 2,
+                dst: 3,
+                factor: None,
+            }),
+            ..ServeConfig::default()
+        },
+    );
+    let report = server.run(requests);
+    assert_eq!(report.device_losses, 1);
+    assert_eq!(report.link_faults, 1);
+    let evicted: usize = report.outcomes.iter().map(|o| o.evictions.len()).sum();
+    assert!(
+        evicted > 0,
+        "the loss must have forced at least one re-plan"
+    );
+    // The job pinned across the severed 2<->3 wire re-planned on the
+    // re-wired fleet and changed its collective route.
+    let rerouted: usize = report.outcomes.iter().map(|o| o.route_changes.len()).sum();
+    assert!(rerouted > 0, "the link fault must have re-planned a job");
+    for o in &report.outcomes {
+        assert!(
+            o.completed,
+            "every job must survive both faults: {:?}",
+            o.spec
+        );
+        let solo = solo_run_bits(
+            &fleet,
+            o.spec,
+            o.first_ndev.expect("ran"),
+            options(),
+            &o.evictions,
+        )
+        .expect("solo replay");
+        assert_eq!(
+            o.result_bits,
+            Some(solo),
+            "compound-fault run of {:?}",
+            o.spec
+        );
+    }
+}

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local mirror of the CI pipeline: build, test, format check, clippy.
-# Run from the repository root before pushing.
+# The CI pipeline: build, tests, smoke gates, the benchmark package,
+# rustdoc, format check and clippy. CI runs exactly this script; run it
+# locally before pushing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
