@@ -9,4 +9,7 @@ pub mod hex8;
 pub mod solver;
 
 pub use hex8::{element_stiffness, interior_node_blocks, Material};
-pub use solver::{elasticity_apply, ElasticitySolver, FEM_FLOPS_PER_CELL, NEON_FEM_EFFICIENCY};
+pub use solver::{
+    elasticity_apply, elasticity_apply_per_cell, ElasticitySolver, FEM_FLOPS_PER_CELL,
+    NEON_FEM_EFFICIENCY,
+};

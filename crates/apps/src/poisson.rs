@@ -28,11 +28,11 @@ pub const NEON_STENCIL_EFFICIENCY: f64 = 0.96;
 /// Build the 7-point negative-Laplacian container `Ap ← A·p`.
 ///
 /// Declared [`KernelShape::MapStencil7`] with a span kernel. On an
-/// interior span of a grid whose neighbours sit at fixed linear distances
-/// (the dense grid) the six neighbour rows, the centre row and the output
-/// row are plain slices and the loop vectorises; edge spans and the
-/// sparse grids go cell by cell through `ngh`. Both add slots 0…5 in
-/// order before `6·p − s`, so they agree bit for bit.
+/// interior span of the dense or the element-sparse grid the six
+/// neighbour rows, the centre row and the output row are plain slices and
+/// the loop vectorises; other spans, and the block-sparse grid, go cell by
+/// cell through `ngh`. Both add slots 0…5 in order before `6·p − s`, so
+/// they agree bit for bit.
 pub fn laplacian_apply<G: GridLike>(grid: &G, state: &CgState<G>) -> Container {
     let (p, ap) = (state.p.clone(), state.ap.clone());
     Container::compute_shaped_opts(

@@ -15,15 +15,18 @@
 //! *only* allocation, which the second half of the test pins: loading a
 //! stencil view and a write view of real fields and sweeping a partition
 //! with a span kernel over them touches the heap zero times (the stencil
-//! view's slot-delta table is the grid's, shared, not built per view).
+//! view's slot-delta table is the grid's, shared, not built per view),
+//! and a whole launch of the FEM operator allocates only that box.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use neon_apps::cg::CgState;
+use neon_apps::fem::{elasticity_apply, Material};
 use neon_core::{OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     Container, DataView, DenseGrid, Dim3, Field, FieldStencil, FieldWrite, GridLike, KernelFn,
-    KernelShape, Loader, MemLayout, Span, Stencil, StorageMode,
+    KernelShape, Loader, MemLayout, Span, SparseGrid, Stencil, StorageMode,
 };
 use neon_sys::{Backend, DeviceId};
 
@@ -148,6 +151,49 @@ fn steady_state_execute_does_not_allocate() {
             assert_eq!(v, cx as f64 - 1.0);
         }
     });
+
+    // The FEM operator, the repo's heaviest span kernel: a launch's one
+    // allocation is its kernel box. Its sweep — neighbour blocks (AoS),
+    // neighbour rows (SoA), the per-node body on edge spans — allocates
+    // nothing, on the dense and on the sparse grid.
+    let st27 = Stencil::twenty_seven_point();
+    let dim = Dim3::new(8, 6, 8);
+    let dense = DenseGrid::new(&b, dim, &[&st27], StorageMode::Real).unwrap();
+    let sparse = SparseGrid::new(
+        &b,
+        dim,
+        &[&st27],
+        |x, y, _| x != 3 || y > 3,
+        StorageMode::Real,
+    )
+    .unwrap();
+    let mut applies = Vec::new();
+    for layout in [MemLayout::AoS, MemLayout::SoA] {
+        let dense_state = CgState::new(&dense, 3, layout).unwrap();
+        let sparse_state = CgState::new(&sparse, 3, layout).unwrap();
+        applies.push(elasticity_apply(&dense, &dense_state, Material::default()));
+        applies.push(elasticity_apply(
+            &sparse,
+            &sparse_state,
+            Material::default(),
+        ));
+    }
+    let launch_all = || {
+        for apply in &applies {
+            for d in 0..2 {
+                apply.run_device(DeviceId(d), DataView::Standard);
+            }
+        }
+    };
+    launch_all(); // warm up
+    let before = ALLOCS.load(Ordering::Relaxed);
+    launch_all();
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        2 * applies.len() as u64,
+        "an FEM launch allocates its kernel box and nothing else"
+    );
 }
 
 /// `y[cell] ← x[slot-0 neighbour of cell]`, by rows where the span has

@@ -206,6 +206,16 @@ impl BlockSparseGrid {
         for (p, &(bz0, bz1)) in slabs.iter().enumerate() {
             let has_lo = p > 0;
             let has_hi = p + 1 < n;
+            // Each neighbour takes one block layer as boundary; a single
+            // layer cannot be both boundaries without being counted twice.
+            if usize::from(has_lo) + usize::from(has_hi) > bz1 - bz0 {
+                return Err(NeonSysError::InvalidConfig {
+                    what: format!(
+                        "block-sparse partition of block layers [{bz0}, {bz1}) too thin \
+                         for a boundary layer on both sides"
+                    ),
+                });
+            }
             let internal = collect(
                 bz0 as i64 + i64::from(has_lo),
                 bz1 as i64 - i64::from(has_hi),
@@ -725,6 +735,24 @@ mod tests {
         BlockSparseGrid::new(&b, dim, 4, &[&st], ball(dim, 6.5), StorageMode::Real).unwrap()
     }
 
+    /// Two block layers per device on up to four devices: the ball's
+    /// equator disc, extruded along z.
+    fn tall_grid(ndev: usize) -> BlockSparseGrid {
+        let b = Backend::dgx_a100(ndev);
+        let st = Stencil::seven_point();
+        let disc = ball(Dim3::cube(16), 6.5);
+        let mask = move |x, y, _| disc(x, y, 8);
+        BlockSparseGrid::new(
+            &b,
+            Dim3::new(16, 16, 32),
+            4,
+            &[&st],
+            mask,
+            StorageMode::Real,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn blocks_cover_masked_cells() {
         let g = grid(2);
@@ -752,7 +780,7 @@ mod tests {
 
     #[test]
     fn views_partition_standard() {
-        let g = grid(4);
+        let g = tall_grid(4);
         for d in 0..4 {
             let d = DeviceId(d);
             assert_eq!(
@@ -808,7 +836,7 @@ mod tests {
 
     #[test]
     fn halo_counts_match_paper_structure() {
-        let g = grid(4);
+        let g = tall_grid(4);
         let scalar = g.halo_segments(1, MemLayout::SoA).len();
         assert!(scalar <= 2 * 3);
         assert_eq!(g.halo_segments(2, MemLayout::SoA).len(), scalar * 2);
@@ -821,7 +849,7 @@ mod tests {
     #[test]
     fn halo_transfers_per_pair_match_layout_claim() {
         use std::collections::HashMap;
-        let g = grid(4);
+        let g = tall_grid(4);
         for (layout, card) in [
             (MemLayout::SoA, 1),
             (MemLayout::SoA, 3),
@@ -831,7 +859,10 @@ mod tests {
             for s in g.halo_segments(card, layout) {
                 *per_pair.entry((s.src.0, s.dst.0)).or_default() += 1;
             }
-            assert!(!per_pair.is_empty(), "grid(4) spans several partitions");
+            assert!(
+                !per_pair.is_empty(),
+                "tall_grid(4) spans several partitions"
+            );
             // Each ordered pair carries one directed half of the exchange,
             // so an unordered pair totals `halo_transfers_per_pair`.
             for (&(src, dst), &n) in &per_pair {
@@ -947,5 +978,44 @@ mod tests {
             StorageMode::Real
         )
         .is_err());
+    }
+
+    #[test]
+    fn one_layer_partition_between_two_neighbours_rejected() {
+        let st = Stencil::seven_point();
+        // Three block layers over three devices: the middle partition's
+        // one layer would be both its low and its high boundary.
+        let b = Backend::dgx_a100(3);
+        let err = BlockSparseGrid::new(
+            &b,
+            Dim3::cube(12),
+            4,
+            &[&st],
+            |_, _, _| true,
+            StorageMode::Real,
+        );
+        assert!(
+            matches!(err, Err(NeonSysError::InvalidConfig { ref what }) if what.contains("too thin")),
+            "{err:?}"
+        );
+        // One layer with one neighbour is fine, and counts each block once.
+        let b = Backend::dgx_a100(2);
+        let g = BlockSparseGrid::new(
+            &b,
+            Dim3::cube(8),
+            4,
+            &[&st],
+            |_, _, _| true,
+            StorageMode::Real,
+        )
+        .unwrap();
+        let iterated: u64 = (0..2)
+            .map(|d| {
+                let mut n = 0;
+                g.for_each_cell(DeviceId(d), DataView::Standard, &mut |_| n += 1);
+                n
+            })
+            .sum();
+        assert_eq!(iterated, 8 * 8 * 8);
     }
 }

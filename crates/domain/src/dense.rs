@@ -471,6 +471,14 @@ impl<T: Elem> DenseStencil<T> {
                 .dim
                 .contains(cell.x + o.dx, cell.y + o.dy, cell.z + o.dz)
     }
+
+    /// Stored index of the `slot` neighbour of the first cell of an
+    /// interior span; the rest follow it at the same linear distance.
+    #[inline]
+    fn ngh_run(&self, span: &Span, slot: usize) -> Option<usize> {
+        span.interior()
+            .then(|| Self::ngh_lin(span.first.idx(), self.slots[slot]))
+    }
 }
 
 crate::view::read_through_cells!(DenseStencil);
@@ -497,11 +505,13 @@ impl<T: Elem> FieldStencil<T> for DenseStencil<T> {
 
     #[inline]
     fn ngh_row(&self, span: &Span, slot: usize, comp: usize) -> Option<&[T]> {
-        if !span.interior() {
-            return None;
-        }
-        let first = Self::ngh_lin(span.first.idx(), self.slots[slot]);
-        self.cells.row_at(first, span.len(), comp)
+        self.cells
+            .row_at(self.ngh_run(span, slot)?, span.len(), comp)
+    }
+
+    #[inline]
+    fn ngh_block(&self, span: &Span, slot: usize) -> Option<&[T]> {
+        self.cells.block_at(self.ngh_run(span, slot)?, span.len())
     }
 }
 

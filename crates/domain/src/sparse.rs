@@ -20,9 +20,15 @@
 //! traffic are the sparse grid's overhead versus the dense grid — the
 //! trade-off Fig. 9 of the paper explores.
 //!
-//! Iteration emits the maximal x-runs of the class-ordered cell list as
-//! [`Span`]s (cells consecutive in `x` are consecutive in storage); the
-//! run boundaries are found once, at construction.
+//! Iteration emits the x-runs of the class-ordered cell list as [`Span`]s
+//! (cells consecutive in `x` are consecutive in storage), cut where the
+//! per-cell *interior* bit changes: a cell is interior when every entry of
+//! its connectivity row names a stored cell. Run boundaries and bits are
+//! found once, at construction. A row lies in one class (classes are
+//! z-ranges) and every class is stored in (z, y, x) order, so the
+//! neighbours of an interior run at one slot are consecutive stored
+//! cells: the stencil view hands them out as one neighbour row, like the
+//! dense grid's.
 //!
 //! Partitioning balances **active** cells per device: z-slabs are chosen
 //! by per-layer active counts ([`crate::grid::weighted_slab_partition`]).
@@ -56,10 +62,13 @@ struct SparsePart {
     /// Connectivity: `owned × slots` local indices. Empty in virtual mode.
     /// Shared with the stencil views, which index it directly.
     conn: Arc<[u32]>,
-    /// Start index of every maximal x-run of owned cells, in cell order,
-    /// closed by `n_owned`. No run straddles the internal/boundary split.
-    /// Empty in virtual mode.
+    /// Start index of every x-run of owned cells, in cell order, closed by
+    /// `n_owned`. A run is maximal among cells of one class with the same
+    /// interior bit. Empty in virtual mode.
     run_starts: Vec<u32>,
+    /// Per run: whether every connectivity entry of every cell in it names
+    /// a stored cell (the span's `interior` bit).
+    run_interior: Vec<bool>,
     /// How many of the runs are internal cells.
     n_int_runs: usize,
     /// Host lookup from coords to local index (owned + halo cells).
@@ -223,6 +232,7 @@ impl SparseGrid {
                 cells: tables.cells,
                 conn: tables.conn,
                 run_starts: tables.run_starts,
+                run_interior: tables.run_interior,
                 n_int_runs: tables.n_int_runs,
                 lookup: tables.lookup,
                 _tickets: tickets,
@@ -277,6 +287,7 @@ struct PartitionTables {
     conn: Arc<[u32]>,
     lookup: HashMap<(i32, i32, i32), u32>,
     run_starts: Vec<u32>,
+    run_interior: Vec<bool>,
     n_int_runs: usize,
 }
 
@@ -361,19 +372,27 @@ fn build_partition_tables(
         }
     }
 
-    // Maximal x-runs of the owned cells, internal cells first. Classes are
-    // collected in x-fastest order, so a run is a stretch where x steps by
-    // one on the same row.
+    // x-runs of the owned cells, internal cells first, cut where the
+    // interior bit (every connectivity entry names a stored cell) changes.
+    // Classes are collected in x-fastest order, so a run is a stretch where
+    // x steps by one on the same row.
     let mut run_starts = Vec::new();
+    let mut run_interior = Vec::new();
     let mut n_int_runs = 0;
     for class in [0..n_int, n_int..n_owned] {
         // Left at its value on entering the boundary class.
         n_int_runs = run_starts.len();
-        for i in class.clone() {
+        let mut prev = None;
+        for i in class {
             let (x, y, z) = cells[i];
-            if i == class.start || cells[i - 1] != (x - 1, y, z) {
+            let interior = conn[i * nslots..(i + 1) * nslots]
+                .iter()
+                .all(|&n| n != SPARSE_NONE);
+            if prev != Some(((x - 1, y, z), interior)) {
                 run_starts.push(i as u32);
+                run_interior.push(interior);
             }
+            prev = Some(((x, y, z), interior));
         }
     }
     run_starts.push(n_owned as u32);
@@ -383,6 +402,7 @@ fn build_partition_tables(
         conn: conn_table,
         lookup,
         run_starts,
+        run_interior,
         n_int_runs,
     }
 }
@@ -411,16 +431,22 @@ impl IterationSpace for SparseGrid {
             "sparse grid has virtual storage; functional iteration unavailable"
         );
         let p = self.part(dev);
-        let starts = match sweep.owned_view() {
-            DataView::Standard => &p.run_starts[..],
-            DataView::Internal => &p.run_starts[..=p.n_int_runs],
-            DataView::Boundary => &p.run_starts[p.n_int_runs..],
+        let k = p.n_int_runs;
+        let (starts, interior) = match sweep.owned_view() {
+            DataView::Standard => (&p.run_starts[..], &p.run_interior[..]),
+            DataView::Internal => (&p.run_starts[..=k], &p.run_interior[..k]),
+            DataView::Boundary => (&p.run_starts[k..], &p.run_interior[k..]),
         };
-        // Whether a neighbour is active is the connectivity table's answer
-        // either way, so an `interior` promise would buy nothing here.
-        for run in starts.windows(2) {
+        // The interior bit changes no per-cell answer (the connectivity
+        // table gives those either way); it is what lets the stencil view
+        // hand out neighbour rows.
+        for (run, &interior) in starts.windows(2).zip(interior) {
             let (x, y, z) = p.cells[run[0] as usize];
-            f(&Span::new(Cell::new(run[0], x, y, z), run[1] - run[0]));
+            let first = Cell {
+                interior,
+                ..Cell::new(run[0], x, y, z)
+            };
+            f(&Span::new(first, run[1] - run[0]));
         }
     }
 
@@ -465,6 +491,36 @@ impl<T: Elem> FieldStencil<T> for SparseStencil<T> {
 
     fn num_slots(&self) -> usize {
         self.nslots
+    }
+
+    #[inline]
+    fn ngh_row(&self, span: &Span, slot: usize, comp: usize) -> Option<&[T]> {
+        self.cells
+            .row_at(self.ngh_run(span, slot)?, span.len(), comp)
+    }
+
+    #[inline]
+    fn ngh_block(&self, span: &Span, slot: usize) -> Option<&[T]> {
+        self.cells.block_at(self.ngh_run(span, slot)?, span.len())
+    }
+}
+
+impl<T: Elem> SparseStencil<T> {
+    /// Stored index of the `slot` neighbour of the first cell of an
+    /// interior span, when the span's `slot` neighbours are consecutive in
+    /// storage. They are by construction — a row lies in one class and
+    /// every class is stored in (z, y, x) order — but the table's last
+    /// entry is checked too, so the row stays right if that ever changes.
+    #[inline]
+    fn ngh_run(&self, span: &Span, slot: usize) -> Option<usize> {
+        if !span.interior() {
+            return None;
+        }
+        let entry = |cell: usize| self.conn[cell * self.nslots + slot];
+        let first = entry(span.first.idx());
+        let last = entry(span.first.idx() + span.len() - 1);
+        (first != SPARSE_NONE && first.checked_add(span.len - 1) == Some(last))
+            .then_some(first as usize)
     }
 }
 

@@ -10,9 +10,10 @@
 //!
 //! Every trait has two granularities. The per-cell accessors (`at`,
 //! `ngh`, `set`) are the paper's interface. The **row accessors** (`row`,
-//! `block`, `ngh_row` and their `_mut` forms) hand a span kernel one
-//! contiguous slice per [`Span`] when the field's layout makes the run
-//! contiguous, so the kernel's inner loop is a plain `zip` over slices;
+//! `block`, `ngh_row`, `ngh_block` and the `_mut` forms) hand a span
+//! kernel one contiguous slice per [`Span`] when the field's layout makes
+//! the run contiguous, so the kernel's inner loop is a plain `zip` over
+//! slices;
 //! they return `None` otherwise and the kernel falls back to
 //! `span.cells()`. Row accessors index partition storage as a slice, so
 //! the storage bounds check is paid once per row instead of once per
@@ -65,8 +66,10 @@ pub trait FieldStencil<T: Elem>: FieldRead<T> {
     fn num_slots(&self) -> usize;
     /// Component `comp` of the `slot` neighbours of the cells of `span` as
     /// one contiguous slice (`row[i]` is the neighbour of the `i`-th
-    /// cell). Only an [interior](Span::interior) span on a grid whose
-    /// neighbours sit at a fixed linear distance has one; `None` otherwise.
+    /// cell). Only an [interior](Span::interior) span whose `slot`
+    /// neighbours are consecutive in storage has one — always on the dense
+    /// grid (a fixed linear distance), on the sparse grid when its
+    /// connectivity table says so; `None` otherwise.
     fn ngh_row(&self, span: &Span, slot: usize, comp: usize) -> Option<&[T]> {
         let _ = (span, slot, comp);
         None
@@ -78,6 +81,23 @@ pub trait FieldStencil<T: Elem>: FieldRead<T> {
         Self: Sized,
     {
         all_some(std::array::from_fn(|slot| self.ngh_row(span, slot, comp)))
+    }
+    /// All components of the `slot` neighbours of the cells of `span` as
+    /// one contiguous block, cell-major (`block[i·card + k]` is component
+    /// `k` of the neighbour of the `i`-th cell): the
+    /// [`FieldRead::block`] form of [`FieldStencil::ngh_row`], for AoS
+    /// fields, under the same conditions. `None` otherwise.
+    fn ngh_block(&self, span: &Span, slot: usize) -> Option<&[T]> {
+        let _ = (span, slot);
+        None
+    }
+    /// [`FieldStencil::ngh_block`] of slots `0..N`, when every one exists.
+    #[inline]
+    fn ngh_blocks<const N: usize>(&self, span: &Span) -> Option<[&[T]; N]>
+    where
+        Self: Sized,
+    {
+        all_some(std::array::from_fn(|slot| self.ngh_block(span, slot)))
     }
 }
 
@@ -198,6 +218,13 @@ impl<T: Elem> PartRead<T> {
         let range = self.addr.row(lin, len, comp)?;
         Some(&self.raw.as_slice()[range])
     }
+
+    /// All components of the `len` stored cells from `lin`, if contiguous.
+    #[inline]
+    pub(crate) fn block_at(&self, lin: usize, len: usize) -> Option<&[T]> {
+        let range = self.addr.block(lin, len)?;
+        Some(&self.raw.as_slice()[range])
+    }
 }
 
 impl<T: Elem> FieldRead<T> for PartRead<T> {
@@ -214,8 +241,7 @@ impl<T: Elem> FieldRead<T> for PartRead<T> {
     }
     #[inline]
     fn block(&self, span: &Span) -> Option<&[T]> {
-        let range = self.addr.block(span.first.idx(), span.len())?;
-        Some(&self.raw.as_slice()[range])
+        self.block_at(span.first.idx(), span.len())
     }
 }
 

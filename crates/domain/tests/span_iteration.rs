@@ -2,8 +2,11 @@
 //! exactly the cells of the sweep, once, in storage order, in runs that
 //! stay on one row; and a span the grid calls *interior* must really have
 //! every neighbour of every cell in the domain — checked against the
-//! stencil view's own domain test and against the field's values, so a
-//! wrong slot delta or a neighbour that lives in a halo layer shows.
+//! stencil view's own domain test and against the field's values (per
+//! cell, by neighbour row, by AoS neighbour block), so a wrong slot delta
+//! or a neighbour that lives in a halo layer shows. On the sparse grid the
+//! bit is also complete: every cell whose neighbours are all active is in
+//! an interior span.
 
 use std::collections::HashSet;
 
@@ -31,19 +34,35 @@ fn cells_of(spans: &[Span]) -> Vec<Cell> {
     spans.iter().flat_map(|s| s.cells()).collect()
 }
 
+/// A scalar SoA field and a 3-component AoS field over one grid, both
+/// holding [`value`] (plus a quarter per component).
+struct Fields<G: GridLike> {
+    scalar: Field<f64, G>,
+    vector: Field<f64, G>,
+}
+
+fn fields<G: GridLike>(g: &G) -> Fields<G> {
+    let scalar = Field::<f64, _>::new(g, "f", 1, OUTSIDE, MemLayout::SoA).unwrap();
+    scalar.fill(|x, y, z, _| value(x, y, z));
+    let vector = Field::<f64, _>::new(g, "v", 3, OUTSIDE, MemLayout::AoS).unwrap();
+    vector.fill(|x, y, z, k| value(x, y, z) + k as f64 * 0.25);
+    Fields { scalar, vector }
+}
+
 /// Everything that holds for any sweep of any grid: runs stay on a row,
 /// storage order is ascending and duplicate-free, interior means what it
-/// says, and every neighbour read returns the neighbour's value. Returns
-/// how many cells were interior.
+/// says, and every neighbour read — per cell, by row, by AoS block —
+/// returns the neighbour's value. Returns how many cells were interior.
 fn check_sweep<G: GridLike + IterationSpace>(
     g: &G,
-    field: &Field<f64, G>,
+    fields: &Fields<G>,
     dev: DeviceId,
     sweep: Sweep,
 ) -> usize {
     let spans = spans_of(g, dev, sweep);
     let mut ldr = Loader::for_execution(dev, GridLike::num_partitions(g), DataView::Standard);
-    let sv = ldr.read_stencil(field);
+    let sv = ldr.read_stencil(&fields.scalar);
+    let vv = ldr.read_stencil(&fields.vector);
     let offsets = g.union_offsets().to_vec();
     let mut last_lin = None;
     let mut interior_cells = 0;
@@ -105,6 +124,20 @@ fn check_sweep<G: GridLike + IterationSpace>(
                     "an interior span of a contiguous field has neighbour rows"
                 ),
             }
+            match vv.ngh_block(span, slot) {
+                Some(block) => {
+                    assert!(span.interior(), "neighbour block of a non-interior span");
+                    let want: Vec<f64> = cells
+                        .iter()
+                        .flat_map(|c| (0..3).map(|k| vv.ngh(*c, slot, k)))
+                        .collect();
+                    assert_eq!(block, &want[..], "slot {slot}");
+                }
+                None => assert!(
+                    !span.interior(),
+                    "an interior span of an AoS field has neighbour blocks"
+                ),
+            }
         }
     }
     interior_cells
@@ -113,7 +146,7 @@ fn check_sweep<G: GridLike + IterationSpace>(
 /// The owned views: Standard is exactly the cells `locate` assigns to the
 /// device, Internal and Boundary split it, Internal reads no remote cell.
 /// Returns the interior cell count of the standard view.
-fn check_views<G: GridLike + IterationSpace>(g: &G, field: &Field<f64, G>) -> usize {
+fn check_views<G: GridLike + IterationSpace>(g: &G, fields: &Fields<G>) -> usize {
     let dim = g.dim();
     let mut interior = 0;
     for d in 0..GridLike::num_partitions(g) {
@@ -133,7 +166,7 @@ fn check_views<G: GridLike + IterationSpace>(g: &G, field: &Field<f64, G>) -> us
         let key = |c: &Cell| (c.lin, c.x, c.y, c.z);
         let mut per_view = Vec::new();
         for view in VIEWS {
-            let n = check_sweep(g, field, dev, view.into());
+            let n = check_sweep(g, fields, dev, view.into());
             if view == DataView::Standard {
                 interior += n;
             }
@@ -165,12 +198,6 @@ fn check_views<G: GridLike + IterationSpace>(g: &G, field: &Field<f64, G>) -> us
     interior
 }
 
-fn scalar_field<G: GridLike>(g: &G) -> Field<f64, G> {
-    let f = Field::<f64, _>::new(g, "f", 1, OUTSIDE, MemLayout::SoA).unwrap();
-    f.fill(|x, y, z, _| value(x, y, z));
-    f
-}
-
 fn dense(n_dev: usize, dim: Dim3, st: &Stencil) -> DenseGrid {
     DenseGrid::new(&Backend::dgx_a100(n_dev), dim, &[st], StorageMode::Real).unwrap()
 }
@@ -185,7 +212,7 @@ fn dense_spans_cover_views_and_interior_is_sound() {
             (Dim3::new(5, 5, 16), &d3q19),
         ] {
             let g = dense(n_dev, dim, st);
-            let interior = check_views(&g, &scalar_field(&g));
+            let interior = check_views(&g, &fields(&g));
             // Interior is exactly the box `reach` away from every face.
             let r = st.radius();
             let expect: usize = [dim.x, dim.y, dim.z].iter().map(|n| n - 2 * r).product();
@@ -210,11 +237,11 @@ fn dense_rows_too_short_for_the_stencil_have_no_interior() {
         // nx = 2·rx: left and right edges meet.
         for (dim, st) in [(Dim3::new(2, 4, 8), &st7), (Dim3::new(4, 5, 8), &star2)] {
             let g = dense(n_dev, dim, st);
-            assert_eq!(check_views(&g, &scalar_field(&g)), 0, "{dim}");
+            assert_eq!(check_views(&g, &fields(&g)), 0, "{dim}");
         }
         // nx = 1 with no x-reach: the whole row is the interior run.
         let g = dense(n_dev, Dim3::new(1, 4, 8), &yz);
-        assert_eq!(check_views(&g, &scalar_field(&g)), 2 * 6);
+        assert_eq!(check_views(&g, &fields(&g)), 2 * 6);
         for span in spans_of(&g, DeviceId(0), DataView::Standard.into()) {
             assert_eq!(span.len(), 1);
         }
@@ -228,13 +255,13 @@ fn dense_expanded_sweeps_add_the_ghost_rings() {
         let b = Backend::dgx_a100(n_dev);
         let dim = Dim3::new(5, 4, nz);
         let g = DenseGrid::with_halo_capacity(&b, dim, &[&st], StorageMode::Real, 3).unwrap();
-        let field = scalar_field(&g);
-        check_views(&g, &field);
+        let fields = fields(&g);
+        check_views(&g, &fields);
         assert_eq!(IterationSpace::ghost_capacity(&g), 2);
         for d in 0..n_dev {
             let dev = DeviceId(d);
             for depth in 0..=2 {
-                check_sweep(&g, &field, dev, Sweep::Expanded(depth));
+                check_sweep(&g, &fields, dev, Sweep::Expanded(depth));
                 let cells = cells_of(&spans_of(&g, dev, Sweep::Expanded(depth)));
                 assert_eq!(cells.len() as u64, g.cell_count_expanded(dev, depth));
                 let mut expect = Vec::new();
@@ -259,25 +286,43 @@ fn dense_expanded_sweep_past_capacity_panics() {
 
 #[test]
 fn sparse_spans_are_the_x_runs_of_the_cell_list() {
-    let (st7, star2) = (Stencil::seven_point(), Stencil::star(2));
+    let (st7, star2, st27) = (
+        Stencil::seven_point(),
+        Stencil::star(2),
+        Stencil::twenty_seven_point(),
+    );
     let dim = Dim3::new(8, 6, 16);
     // A plate with a hole: rows break into several runs.
     let mask = |x: i32, y: i32, _z: i32| x != 3 && (y != 2 || x < 6);
     for n_dev in 1..=4 {
-        for st in [&st7, &star2] {
+        for st in [&st7, &star2, &st27] {
             let b = Backend::dgx_a100(n_dev);
             let g = SparseGrid::new(&b, dim, &[st], mask, StorageMode::Real).unwrap();
-            check_views(&g, &scalar_field(&g));
-            // Runs are maximal: no span continues the one before it.
+            check_views(&g, &fields(&g));
             for d in 0..n_dev {
                 let spans = spans_of(&g, DeviceId(d), DataView::Standard.into());
+                // Runs are maximal among runs with the same interior bit:
+                // a span continues the one before it only across the
+                // internal/boundary cut or where the bit flips.
                 for pair in spans.windows(2) {
                     let (a, b) = (pair[0], pair[1]);
                     let continues = (a.first.y, a.first.z) == (b.first.y, b.first.z)
                         && a.first.x + a.len as i32 == b.first.x
                         && a.first.lin + a.len == b.first.lin;
                     let class_cut = g.cell_count(DeviceId(d), DataView::Internal) as u32;
-                    assert!(!continues || b.first.lin == class_cut, "{a:?} then {b:?}");
+                    assert!(
+                        !continues || b.first.lin == class_cut || a.interior() != b.interior(),
+                        "{a:?} then {b:?}"
+                    );
+                }
+                // Complete: a cell is in an interior span if and only if
+                // all its registered neighbours are active.
+                for c in cells_of(&spans) {
+                    let all_active = g
+                        .union_offsets()
+                        .iter()
+                        .all(|o| g.locate(c.x + o.dx, c.y + o.dy, c.z + o.dz).is_some());
+                    assert_eq!(c.interior, all_active, "{c:?} under {}", st.name());
                 }
                 for span in &spans {
                     assert!((span.first.x..span.first.x + span.len as i32).all(|x| x != 3));
@@ -309,7 +354,7 @@ fn block_spans_are_block_rows_clipped_to_the_domain() {
                 StorageMode::Real,
             )
             .unwrap();
-            check_views(&g, &scalar_field(&g));
+            check_views(&g, &fields(&g));
             for d in 0..n_dev {
                 for span in spans_of(&g, DeviceId(d), DataView::Standard.into()) {
                     assert_eq!(span.first.x % 4, 0, "a block row starts at the block edge");
@@ -356,7 +401,7 @@ fn vector_fields_expose_rows_or_blocks_by_layout() {
 #[should_panic(expected = "out of range")]
 fn a_forged_interior_bit_cannot_leave_the_storage() {
     let g = dense(1, Dim3::new(4, 4, 4), &Stencil::seven_point());
-    let f = scalar_field(&g);
+    let f = fields(&g).scalar;
     let mut ldr = Loader::for_execution(DeviceId(0), 1, DataView::Standard);
     let sv = ldr.read_stencil(&f);
     // The last stored cell, claimed interior: its +z neighbour would sit a

@@ -57,9 +57,9 @@ impl Cell {
 /// `lin`, sharing `y`, `z` and the `interior` bit of the first cell.
 ///
 /// Spans are what grids hand to kernels. A dense row is a span (split at
-/// the stencil's x-reach so its middle can be `interior`), a maximal
-/// x-run of an element-sparse cell list is a span, an x-row of a block
-/// is a span. Nothing is stored per cell: a span kernel works on whole
+/// the stencil's x-reach so its middle can be `interior`), an x-run of an
+/// element-sparse cell list (cut where the `interior` bit changes) is a
+/// span, an x-row of a block is a span. Nothing is stored per cell: a span kernel works on whole
 /// rows through the views' row accessors, and a per-cell kernel gets its
 /// [`Cell`]s from [`Span::cells`], computed from the loop counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +79,8 @@ impl Span {
 
     /// Whether the grid promises that, for *every* cell of the run, every
     /// registered stencil slot is an active in-domain cell. Stencil views
-    /// then skip the domain test and address the neighbour by a
-    /// precomputed linear delta; the storage bounds check stays.
+    /// then hand out whole neighbour rows, and the dense view skips the
+    /// domain test per cell; the storage bounds check stays.
     #[inline]
     pub fn interior(self) -> bool {
         self.first.interior

@@ -9,14 +9,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+# Every test target once, among them: the golden IR dump (compiler
+# pipeline output pinned, incl. layout-select), the layout/shape
+# properties (AoS = SoA and span kernels = per-cell reference, bit for
+# bit) and the FEM row path (= its per-cell body, bit for bit).
 echo "==> cargo test --workspace --quiet"
 cargo test --workspace --quiet
-
-echo "==> golden IR dump (compiler pipeline output pinned, incl. layout-select)"
-cargo test -p neon-core --test golden_ir_dump --quiet
-
-echo "==> layout/shape properties (AoS=SoA and span kernels=per-cell reference, bit for bit)"
-cargo test -p neon-core --test layout_shape_properties --quiet
 
 echo "==> functional executor smoke (parallel must match serial bit-for-bit)"
 cargo run --release -p neon-bench --bin repro_functional -- --smoke
