@@ -87,10 +87,15 @@ pub fn karman_step<G: GridLike>(
     params: KarmanParams,
 ) -> Container {
     assert_eq!(f_in.card(), 9);
+    assert_eq!(f_out.card(), 9);
     let dim = grid.dim();
     let (fi, fo) = (f_in.clone(), f_out.clone());
     let name = format!("karman({}->{})", f_in.name(), f_out.name());
-    // Span-level Generic kernel — see the D3Q19 twin for the rationale.
+    // A Generic span kernel that runs the per-cell body on every span.
+    // Unlike the D3Q19 twin it has no row path: the cylinder is a per-cell
+    // predicate, not a grid mask: the grid marks the cells around it
+    // interior, so even an interior span still needs a solid test per
+    // neighbour.
     Container::compute_shaped_opts(
         &name,
         grid.as_space(),
@@ -311,5 +316,16 @@ mod tests {
         // dim.z = 1 < 2 devices: the grid itself refuses to partition.
         let g = DenseGrid::new(&b, Dim3::new(32, 16, 1), &[&st], StorageMode::Real);
         assert!(g.is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "left: 3")]
+    fn rejects_a_wrong_card_output_field() {
+        let b = Backend::dgx_a100(1);
+        let st = Stencil::d2q9();
+        let g = DenseGrid::new(&b, Dim3::new(8, 8, 1), &[&st], StorageMode::Real).unwrap();
+        let f_in = Field::<f64, _>::new(&g, "g0", 9, 0.0, MemLayout::SoA).unwrap();
+        let f_out = Field::<f64, _>::new(&g, "g1", 3, 0.0, MemLayout::SoA).unwrap();
+        karman_step(&g, &f_in, &f_out, KarmanParams::for_domain(8, 8));
     }
 }

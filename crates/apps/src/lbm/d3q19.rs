@@ -12,8 +12,8 @@
 
 use neon_core::{ExecReport, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
-    velocity_components, Cell, Container, Field, FieldRead as _, FieldStencil as _,
-    FieldWrite as _, GridLike, KernelFn, KernelShape, D3Q19_OFFSETS,
+    velocity_components, Cell, Container, Dim3, Field, FieldStencil, FieldWrite, GridLike,
+    KernelFn, KernelShape, Span, D3Q19_OFFSETS,
 };
 use neon_sys::Result;
 
@@ -73,6 +73,10 @@ pub fn equilibrium_d3q19(q: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
     D3Q19_WEIGHTS[q] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
 }
 
+/// Cells one SoA tile collides into its stack buffer before the tile is
+/// stored component by component.
+const SOA_TILE: usize = 8;
+
 /// The fused collide-and-stream container `f_out ← C(S(f_in))`.
 ///
 /// Grid-generic: works on dense and element-sparse grids. The grid must
@@ -84,61 +88,177 @@ pub fn stream_collide<G: GridLike>(
     f_out: &Field<f64, G>,
     params: LbmParams,
 ) -> Container {
+    lbm_container(grid, f_in, f_out, params, true)
+}
+
+/// [`stream_collide`] with its per-cell body run cell by cell through
+/// [`KernelFn::PerCell`], never over neighbour rows: the bit-identity
+/// oracle of the row path.
+pub fn stream_collide_per_cell<G: GridLike>(
+    grid: &G,
+    f_in: &Field<f64, G>,
+    f_out: &Field<f64, G>,
+    params: LbmParams,
+) -> Container {
+    lbm_container(grid, f_in, f_out, params, false)
+}
+
+fn lbm_container<G: GridLike>(
+    grid: &G,
+    f_in: &Field<f64, G>,
+    f_out: &Field<f64, G>,
+    params: LbmParams,
+    rows: bool,
+) -> Container {
     assert_eq!(f_in.card(), 19);
     assert_eq!(f_out.card(), 19);
     let dim = grid.dim();
     let (fi, fo) = (f_in.clone(), f_out.clone());
     let name = format!("lbm({}->{})", f_in.name(), f_out.name());
-    // Span kernel: the `dyn` boundary is crossed once per row run and the
-    // per-cell body inlines into the loop over `span.cells()`. No named
-    // shape fits a 19-point pull kernel, so the shape stays Generic.
+    // A Generic span kernel (no named shape fits a 19-point pull). An
+    // interior span (every neighbour of every cell active, so no wall is
+    // crossed) pulls through 19 neighbour blocks (AoS) or rows (SoA); any
+    // other span, or a view without rows, runs the per-cell bounce-back
+    // body over `span.cells()`.
     Container::compute_shaped_opts(
         &name,
         grid.as_space(),
         KernelShape::Generic,
         move |ldr| {
             let fin = ldr.read_stencil(&fi);
-            let fout = ldr.write(&fo);
-            let omega = params.omega;
-            let u_lid = params.u_lid;
-            let per_cell = move |c: Cell| {
-                let mut f = [0.0f64; 19];
-                for q in 0..19 {
-                    let qb = D3Q19_OPPOSITE[q];
-                    // Pull from the upstream neighbour (direction -c_q).
-                    if fin.ngh_active(c, qb) {
-                        f[q] = fin.ngh(c, qb, q);
-                    } else {
-                        // Half-way bounce-back off the wall crossed in
-                        // direction c_qb; the lid plane y = ny-1 moves.
-                        let wall_is_lid = c.y + D3Q19_OFFSETS[qb].dy >= dim.y as i32;
-                        let corr = if wall_is_lid {
-                            6.0 * D3Q19_WEIGHTS[q] * (D3Q19_C[0][q] * u_lid)
-                        } else {
-                            0.0
-                        };
-                        f[q] = fin.at(c, qb) + corr;
+            let mut fout = ldr.write(&fo);
+            if !rows {
+                return KernelFn::per_cell(move |c| pull_collide(&fin, &fout, c, dim, params));
+            }
+            KernelFn::spans(move |span| {
+                if !(span.interior() && pull_collide_interior(&fin, &mut fout, span, params.omega))
+                {
+                    for c in span.cells() {
+                        pull_collide(&fin, &fout, c, dim, params);
                     }
                 }
-                let mut rho = 0.0;
-                let (mut jx, mut jy, mut jz) = (0.0, 0.0, 0.0);
-                for q in 0..19 {
-                    rho += f[q];
-                    jx += D3Q19_C[0][q] * f[q];
-                    jy += D3Q19_C[1][q] * f[q];
-                    jz += D3Q19_C[2][q] * f[q];
-                }
-                let (ux, uy, uz) = (jx / rho, jy / rho, jz / rho);
-                for q in 0..19 {
-                    let feq = equilibrium_d3q19(q, rho, ux, uy, uz);
-                    fout.set(c, q, f[q] + omega * (feq - f[q]));
-                }
-            };
-            KernelFn::spans(move |span| span.cells().for_each(&per_cell))
+            })
         },
         D3Q19_FLOPS_PER_CELL,
         NEON_LBM_EFFICIENCY,
     )
+}
+
+/// BGK collision of the pulled populations `f` into `out`: the moments,
+/// the equilibrium at them, and the relaxation toward it. The one copy of
+/// the arithmetic, shared by the row path and the per-cell body so the two
+/// agree bit for bit. It fills `out` rather than returning an array, so
+/// the AoS row path collides straight into the output block; a returned
+/// array cost a 152-byte copy per cell.
+#[inline(always)]
+fn collide(f: &[f64; 19], omega: f64, out: &mut [f64; 19]) {
+    let mut rho = 0.0;
+    let (mut jx, mut jy, mut jz) = (0.0, 0.0, 0.0);
+    for q in 0..19 {
+        rho += f[q];
+        jx += D3Q19_C[0][q] * f[q];
+        jy += D3Q19_C[1][q] * f[q];
+        jz += D3Q19_C[2][q] * f[q];
+    }
+    let (ux, uy, uz) = (jx / rho, jy / rho, jz / rho);
+    for q in 0..19 {
+        let feq = equilibrium_d3q19(q, rho, ux, uy, uz);
+        out[q] = f[q] + omega * (feq - f[q]);
+    }
+}
+
+/// The per-cell body: pull each population from its upstream neighbour
+/// (direction −c_q), bouncing back off walls, then collide.
+#[inline(always)]
+fn pull_collide(
+    fin: &impl FieldStencil<f64>,
+    fout: &impl FieldWrite<f64>,
+    c: Cell,
+    dim: Dim3,
+    params: LbmParams,
+) {
+    let f = std::array::from_fn(|q| {
+        let qb = D3Q19_OPPOSITE[q];
+        if fin.ngh_active(c, qb) {
+            fin.ngh(c, qb, q)
+        } else {
+            // Half-way bounce-back off the wall crossed in direction
+            // c_qb; the lid plane y = ny-1 moves.
+            let wall_is_lid = c.y + D3Q19_OFFSETS[qb].dy >= dim.y as i32;
+            let corr = if wall_is_lid {
+                6.0 * D3Q19_WEIGHTS[q] * (D3Q19_C[0][q] * params.u_lid)
+            } else {
+                0.0
+            };
+            fin.at(c, qb) + corr
+        }
+    });
+    let mut post = [0.0; 19];
+    collide(&f, params.omega, &mut post);
+    for (q, v) in post.into_iter().enumerate() {
+        fout.set(c, q, v);
+    }
+}
+
+/// The per-cell body over an interior span, pulling through the 19
+/// neighbour blocks (AoS: cell `i` reads `ngh[OPPOSITE[q]][19·i + q]`) or
+/// the 19 neighbour rows `ngh_row(span, OPPOSITE[q], q)` (SoA); `false`,
+/// with nothing written, when the views have neither.
+///
+/// Under SoA the 19 output rows cannot be held at once (`row_mut` borrows
+/// the view mutably), so cells are collided a [`SOA_TILE`] at a time into
+/// a stack buffer and each component's row is then stored in turn.
+fn pull_collide_interior(
+    fin: &impl FieldStencil<f64>,
+    fout: &mut impl FieldWrite<f64>,
+    span: &Span,
+    omega: f64,
+) -> bool {
+    if let Some(ngh) = fin.ngh_blocks::<19>(span) {
+        let Some(out) = fout.block_mut(span) else {
+            return false;
+        };
+        let (out, _) = out.as_chunks_mut::<19>();
+        for (i, o) in out.iter_mut().enumerate() {
+            let mut f = [0.0; 19];
+            for q in 0..19 {
+                f[q] = ngh[D3Q19_OPPOSITE[q]][19 * i + q];
+            }
+            collide(&f, omega, o);
+        }
+        return true;
+    }
+    let mut rows: [&[f64]; 19] = [&[]; 19];
+    for (q, row) in rows.iter_mut().enumerate() {
+        let Some(r) = fin.ngh_row(span, D3Q19_OPPOSITE[q], q) else {
+            return false;
+        };
+        *row = r;
+    }
+    if fout.row_mut(span, 0).is_none() {
+        return false;
+    }
+    let n = span.len();
+    let mut tile = [[0.0f64; SOA_TILE]; 19];
+    for t0 in (0..n).step_by(SOA_TILE) {
+        let m = SOA_TILE.min(n - t0);
+        for j in 0..m {
+            let mut f = [0.0; 19];
+            for q in 0..19 {
+                f[q] = rows[q][t0 + j];
+            }
+            let mut post = [0.0; 19];
+            collide(&f, omega, &mut post);
+            for (t, v) in tile.iter_mut().zip(post) {
+                t[j] = v;
+            }
+        }
+        for (q, t) in tile.iter().enumerate() {
+            let out = fout.row_mut(span, q).expect("every component has a row");
+            out[t0..t0 + m].copy_from_slice(&t[..m]);
+        }
+    }
+    true
 }
 
 /// The lid-driven cavity application: two population fields and two

@@ -16,13 +16,16 @@
 //! stencil view and a write view of real fields and sweeping a partition
 //! with a span kernel over them touches the heap zero times (the stencil
 //! view's slot-delta table is the grid's, shared, not built per view),
-//! and a whole launch of the FEM operator allocates only that box.
+//! and a whole launch of the FEM operator or of the D3Q19 step allocates
+//! only that box.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use neon_apps::cg::CgState;
 use neon_apps::fem::{elasticity_apply, Material};
+use neon_apps::lbm::d3q19::{stream_collide, D3Q19_WEIGHTS};
+use neon_apps::lbm::LbmParams;
 use neon_core::{OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     Container, DataView, DenseGrid, Dim3, Field, FieldStencil, FieldWrite, GridLike, KernelFn,
@@ -194,6 +197,53 @@ fn steady_state_execute_does_not_allocate() {
         2 * applies.len() as u64,
         "an FEM launch allocates its kernel box and nothing else"
     );
+
+    // The D3Q19 step likewise: neighbour blocks (AoS), neighbour rows
+    // collided through the stack tile (SoA), the bounce-back body on
+    // edge spans — nothing but the kernel box, on either grid.
+    let st19 = Stencil::d3q19();
+    let dim = Dim3::new(12, 6, 8);
+    let dense = DenseGrid::new(&b, dim, &[&st19], StorageMode::Real).unwrap();
+    let sparse = SparseGrid::new(
+        &b,
+        dim,
+        &[&st19],
+        |x, y, _| x != 5 || y > 3,
+        StorageMode::Real,
+    )
+    .unwrap();
+    let mut steps = Vec::new();
+    for layout in [MemLayout::AoS, MemLayout::SoA] {
+        steps.push(lbm_step(&dense, layout));
+        steps.push(lbm_step(&sparse, layout));
+    }
+    let launch_all = || {
+        for step in &steps {
+            for d in 0..2 {
+                step.run_device(DeviceId(d), DataView::Standard);
+            }
+        }
+    };
+    launch_all(); // warm up
+    let before = ALLOCS.load(Ordering::Relaxed);
+    launch_all();
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        2 * steps.len() as u64,
+        "an LBM launch allocates its kernel box and nothing else"
+    );
+}
+
+/// One `stream_collide` container between two rest-state population
+/// fields of `layout`.
+fn lbm_step<G: GridLike>(grid: &G, layout: MemLayout) -> Container {
+    let f = [0, 1].map(|i| {
+        let f = Field::<f64, G>::new(grid, &format!("f{i}"), 19, 0.0, layout).unwrap();
+        f.fill(|_, _, _, q| D3Q19_WEIGHTS[q]);
+        f
+    });
+    stream_collide(grid, &f[0], &f[1], LbmParams::default())
 }
 
 /// `y[cell] ← x[slot-0 neighbour of cell]`, by rows where the span has

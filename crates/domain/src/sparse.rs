@@ -346,7 +346,24 @@ fn build_partition_tables(
     let n_owned = cells.len();
     cells.extend(halo_lo);
     cells.extend(halo_hi);
+    connect_partition(dim, offsets, cells, n_int, n_owned)
+}
 
+/// The connectivity table, lookup map and x-runs of one partition's cells
+/// (`n_int` internal, then boundary up to `n_owned`, then halo).
+///
+/// A neighbour is active iff it is stored: the halo holds every active
+/// cell within `radius ≥ |dz|` layers of the owned slab. Taking no mask
+/// keeps this function out of the mask's generic instantiation, so its
+/// hash lookups are compiled once, here, and the grid's build time does
+/// not depend on how a caller's crate is split for code generation.
+fn connect_partition(
+    dim: Dim3,
+    offsets: &[Offset3],
+    cells: Vec<(i32, i32, i32)>,
+    n_int: usize,
+    n_owned: usize,
+) -> PartitionTables {
     let lookup: HashMap<(i32, i32, i32), u32> = cells
         .iter()
         .enumerate()
@@ -359,16 +376,12 @@ fn build_partition_tables(
     for (i, &(x, y, z)) in cells[..n_owned].iter().enumerate() {
         for (s, o) in offsets.iter().enumerate() {
             let (nx, ny, nz) = (x + o.dx, y + o.dy, z + o.dz);
-            if !dim.contains(nx, ny, nz) || !mask(nx, ny, nz) {
+            if !dim.contains(nx, ny, nz) {
                 continue;
             }
-            let idx = lookup.get(&(nx, ny, nz)).copied().unwrap_or_else(|| {
-                panic!(
-                    "active neighbour ({nx},{ny},{nz}) of ({x},{y},{z}) not stored; \
-                     halo radius {radius} violated"
-                )
-            });
-            conn[i * nslots + s] = idx;
+            if let Some(&idx) = lookup.get(&(nx, ny, nz)) {
+                conn[i * nslots + s] = idx;
+            }
         }
     }
 
