@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use neon_core::OccLevel;
 use neon_domain::{
-    Cell, Container, Field, FieldStencil, FieldWrite, GridLike, KernelFn, KernelShape, MemLayout,
-    Span,
+    span_kernel, Cell, Container, Field, FieldRead as _, FieldStencil, FieldWrite, GridLike,
+    KernelFn, KernelShape, Lanes, LanesMut, MemLayout, Span, SpanBody, Stride,
 };
 use neon_sys::Result;
 
@@ -44,8 +44,8 @@ pub fn elasticity_apply<G: GridLike>(
 }
 
 /// [`elasticity_apply`] with its per-node body run cell by cell through
-/// [`KernelFn::PerCell`], never over neighbour rows: the bit-identity
-/// oracle of the row path.
+/// [`KernelFn::PerCell`], never over neighbour lanes: the bit-identity
+/// oracle of the interior body.
 pub fn elasticity_apply_per_cell<G: GridLike>(
     grid: &G,
     state: &CgState<G>,
@@ -58,37 +58,58 @@ fn elasticity_container<G: GridLike>(
     grid: &G,
     state: &CgState<G>,
     material: Material,
-    rows: bool,
+    lanes: bool,
 ) -> Container {
     let op = Arc::new(NodeOperator::new(material));
     let (p, ap) = (state.p.clone(), state.ap.clone());
     // A Generic span kernel. An interior span (every neighbour of every
     // node active, hence no node on the `z = 0` plane, whose `dz = −1`
     // neighbour is outside) runs the 27-block fast path over neighbour
-    // rows, on the dense and the sparse grid alike; any other span, or a
-    // view without rows, runs the per-node body cell by cell.
+    // lanes, on the dense and the sparse grid alike; any other span runs
+    // the per-node body cell by cell.
     Container::compute_shaped_opts(
         "ElasticApply",
         grid.as_space(),
         KernelShape::Generic,
         move |ldr| {
             let pv = ldr.read_stencil(&p);
-            let mut av = ldr.write(&ap);
+            let av = ldr.write(&ap);
             let op = op.clone();
-            if !rows {
+            if !lanes {
                 return KernelFn::per_cell(move |c| op.apply_node(&pv, &av, c));
             }
-            KernelFn::spans(move |span| {
-                if !(span.interior() && op.apply_interior_span(&pv, &mut av, span)) {
-                    for c in span.cells() {
-                        op.apply_node(&pv, &av, c);
-                    }
-                }
-            })
+            let operands = [pv.strides(), av.strides()];
+            span_kernel::<3>(operands, Apply { op, pv, av })
         },
         FEM_FLOPS_PER_CELL,
         NEON_FEM_EFFICIENCY,
     )
+}
+
+/// The operator's span kernel: the per-node body on edge spans, the
+/// 27-block fast path over neighbour lanes on interior spans.
+struct Apply<P, A> {
+    op: Arc<NodeOperator>,
+    pv: P,
+    av: A,
+}
+
+impl<P: FieldStencil<f64>, A: FieldWrite<f64>> SpanBody for Apply<P, A> {
+    fn span<S: Stride>(&mut self, span: &Span) {
+        if !span.interior() {
+            for c in span.cells() {
+                self.op.apply_node(&self.pv, &self.av, c);
+            }
+            return;
+        }
+        let ngh: [Lanes<f64, S>; 27] = std::array::from_fn(|slot| {
+            self.pv
+                .ngh_lanes(span, slot)
+                .expect("an interior span has neighbour lanes")
+        });
+        self.op
+            .apply_interior(&ngh, &mut self.av.lanes_mut::<S>(span));
+    }
 }
 
 /// The tables of the matrix-free operator, built once per container.
@@ -170,76 +191,31 @@ impl NodeOperator {
         }
     }
 
-    /// `Ap` over an interior span from its 27 neighbour blocks (AoS) or
-    /// 27×3 neighbour rows (SoA); `false`, with nothing written, when the
-    /// views have neither.
+    /// `Ap` over an interior span from its 27 neighbour lanes.
     ///
-    /// The slots run outside the node loop, so the SoA node loop
-    /// vectorises. They run in x-triples (dx = −1, 0, 1): a triple's three
-    /// neighbour rows are one stored row shifted by a cell, so one pass
-    /// reads them from cache and loads and stores the output once per
-    /// triple instead of once per slot. Every node still adds slots 0…26
-    /// in order with the per-node fast path's expression, starting from
-    /// `0.0`: the two agree bit for bit.
-    fn apply_interior_span(
-        &self,
-        pv: &impl FieldStencil<f64>,
-        av: &mut impl FieldWrite<f64>,
-        span: &Span,
-    ) -> bool {
-        let n = span.len();
-        if let Some(ngh) = pv.ngh_blocks::<27>(span) {
-            let Some(out) = av.block_mut(span) else {
-                return false;
-            };
-            let out = &mut out[..3 * n];
-            out.fill(0.0);
-            for t in 0..9 {
-                let bs = &self.blocks[3 * t..3 * t + 3];
-                let us: [&[f64]; 3] = std::array::from_fn(|j| &ngh[3 * t + j][..3 * n]);
-                for (i, o) in out.chunks_exact_mut(3).enumerate() {
-                    for k in 0..3 {
-                        let mut acc = o[k];
-                        for (b, u) in bs.iter().zip(us) {
-                            let u = &u[3 * i..3 * i + 3];
-                            acc += b[k][0] * u[0] + b[k][1] * u[1] + b[k][2] * u[2];
-                        }
-                        o[k] = acc;
+    /// The slots run outside the node loop, in x-triples (dx = −1, 0, 1):
+    /// a triple's three neighbour lanes are one stored run shifted by a
+    /// cell, so one pass reads them from cache and loads and stores each
+    /// output cell once per triple instead of once per slot. Every node
+    /// still adds slots 0…26 in order with the per-node fast path's
+    /// expression, starting from `0.0`: the two agree bit for bit.
+    fn apply_interior<S: Stride>(&self, ngh: &[Lanes<f64, S>; 27], out: &mut LanesMut<f64, S>) {
+        out.for_each_cell([], |_, o: &mut [f64; 3], []| *o = [0.0; 3]);
+        for t in 0..9 {
+            // A local copy: stores to `out` cannot alias it, so its 27
+            // coefficients stay in registers across the node loop.
+            let bs: [[[f64; 3]; 3]; 3] = std::array::from_fn(|j| self.blocks[3 * t + j]);
+            let us = [&ngh[3 * t], &ngh[3 * t + 1], &ngh[3 * t + 2]];
+            out.for_each_cell(us, |_, o: &mut [f64; 3], u| {
+                for k in 0..3 {
+                    let mut acc = o[k];
+                    for (b, u) in bs.iter().zip(&u) {
+                        acc += b[k][0] * u[0] + b[k][1] * u[1] + b[k][2] * u[2];
                     }
+                    o[k] = acc;
                 }
-            }
-            return true;
+            });
         }
-        let (Some(u0), Some(u1), Some(u2)) = (
-            pv.ngh_rows::<27>(span, 0),
-            pv.ngh_rows::<27>(span, 1),
-            pv.ngh_rows::<27>(span, 2),
-        ) else {
-            return false;
-        };
-        if av.row_mut(span, 0).is_none() {
-            return false;
-        }
-        for k in 0..3 {
-            let out = av.row_mut(span, k).expect("every component has a row");
-            let out = &mut out[..n];
-            out.fill(0.0);
-            for t in 0..9 {
-                let b: [[f64; 3]; 3] = std::array::from_fn(|j| self.blocks[3 * t + j][k]);
-                let r: [[&[f64]; 3]; 3] = std::array::from_fn(|j| {
-                    let s = 3 * t + j;
-                    [&u0[s][..n], &u1[s][..n], &u2[s][..n]]
-                });
-                for i in 0..n {
-                    let mut acc = out[i];
-                    for (b, r) in b.iter().zip(r) {
-                        acc += b[0] * r[0][i] + b[1] * r[1][i] + b[2] * r[2][i];
-                    }
-                    out[i] = acc;
-                }
-            }
-        }
-        true
     }
 }
 

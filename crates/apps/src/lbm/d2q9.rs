@@ -92,10 +92,10 @@ pub fn karman_step<G: GridLike>(
     let (fi, fo) = (f_in.clone(), f_out.clone());
     let name = format!("karman({}->{})", f_in.name(), f_out.name());
     // A Generic span kernel that runs the per-cell body on every span.
-    // Unlike the D3Q19 twin it has no row path: the cylinder is a per-cell
-    // predicate, not a grid mask: the grid marks the cells around it
-    // interior, so even an interior span still needs a solid test per
-    // neighbour.
+    // Unlike the D3Q19 step it has no interior body over neighbour lanes:
+    // the cylinder is a per-cell predicate, not a grid mask, so the grid
+    // marks the cells around it interior and even an interior span still
+    // needs a solid test per neighbour.
     Container::compute_shaped_opts(
         &name,
         grid.as_space(),

@@ -12,8 +12,8 @@
 
 use neon_core::{ExecReport, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
-    velocity_components, Cell, Container, Dim3, Field, FieldStencil, FieldWrite, GridLike,
-    KernelFn, KernelShape, Span, D3Q19_OFFSETS,
+    span_kernel, velocity_components, Cell, Container, Dim3, Field, FieldRead as _, FieldStencil,
+    FieldWrite, GridLike, KernelFn, KernelShape, Lanes, Span, SpanBody, Stride, D3Q19_OFFSETS,
 };
 use neon_sys::Result;
 
@@ -73,10 +73,6 @@ pub fn equilibrium_d3q19(q: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
     D3Q19_WEIGHTS[q] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
 }
 
-/// Cells one SoA tile collides into its stack buffer before the tile is
-/// stored component by component.
-const SOA_TILE: usize = 8;
-
 /// The fused collide-and-stream container `f_out ← C(S(f_in))`.
 ///
 /// Grid-generic: works on dense and element-sparse grids. The grid must
@@ -92,8 +88,8 @@ pub fn stream_collide<G: GridLike>(
 }
 
 /// [`stream_collide`] with its per-cell body run cell by cell through
-/// [`KernelFn::PerCell`], never over neighbour rows: the bit-identity
-/// oracle of the row path.
+/// [`KernelFn::PerCell`], never over neighbour lanes: the bit-identity
+/// oracle of the interior body.
 pub fn stream_collide_per_cell<G: GridLike>(
     grid: &G,
     f_in: &Field<f64, G>,
@@ -108,7 +104,7 @@ fn lbm_container<G: GridLike>(
     f_in: &Field<f64, G>,
     f_out: &Field<f64, G>,
     params: LbmParams,
-    rows: bool,
+    lanes: bool,
 ) -> Container {
     assert_eq!(f_in.card(), 19);
     assert_eq!(f_out.card(), 19);
@@ -117,27 +113,28 @@ fn lbm_container<G: GridLike>(
     let name = format!("lbm({}->{})", f_in.name(), f_out.name());
     // A Generic span kernel (no named shape fits a 19-point pull). An
     // interior span (every neighbour of every cell active, so no wall is
-    // crossed) pulls through 19 neighbour blocks (AoS) or rows (SoA); any
-    // other span, or a view without rows, runs the per-cell bounce-back
-    // body over `span.cells()`.
+    // crossed) pulls through its 19 neighbour lanes; any other span runs
+    // the per-cell bounce-back body over `span.cells()`.
     Container::compute_shaped_opts(
         &name,
         grid.as_space(),
         KernelShape::Generic,
         move |ldr| {
             let fin = ldr.read_stencil(&fi);
-            let mut fout = ldr.write(&fo);
-            if !rows {
+            let fout = ldr.write(&fo);
+            if !lanes {
                 return KernelFn::per_cell(move |c| pull_collide(&fin, &fout, c, dim, params));
             }
-            KernelFn::spans(move |span| {
-                if !(span.interior() && pull_collide_interior(&fin, &mut fout, span, params.omega))
-                {
-                    for c in span.cells() {
-                        pull_collide(&fin, &fout, c, dim, params);
-                    }
-                }
-            })
+            let operands = [fin.strides(), fout.strides()];
+            span_kernel::<19>(
+                operands,
+                Step {
+                    fin,
+                    fout,
+                    dim,
+                    params,
+                },
+            )
         },
         D3Q19_FLOPS_PER_CELL,
         NEON_LBM_EFFICIENCY,
@@ -146,10 +143,10 @@ fn lbm_container<G: GridLike>(
 
 /// BGK collision of the pulled populations `f` into `out`: the moments,
 /// the equilibrium at them, and the relaxation toward it. The one copy of
-/// the arithmetic, shared by the row path and the per-cell body so the two
+/// the arithmetic, shared by the interior and the per-cell body so the two
 /// agree bit for bit. It fills `out` rather than returning an array, so
-/// the AoS row path collides straight into the output block; a returned
-/// array cost a 152-byte copy per cell.
+/// under AoS the interior body collides straight into the stored cell; a
+/// returned array cost a 152-byte copy per cell.
 #[inline(always)]
 fn collide(f: &[f64; 19], omega: f64, out: &mut [f64; 19]) {
     let mut rho = 0.0;
@@ -200,65 +197,41 @@ fn pull_collide(
     }
 }
 
-/// The per-cell body over an interior span, pulling through the 19
-/// neighbour blocks (AoS: cell `i` reads `ngh[OPPOSITE[q]][19·i + q]`) or
-/// the 19 neighbour rows `ngh_row(span, OPPOSITE[q], q)` (SoA); `false`,
-/// with nothing written, when the views have neither.
-///
-/// Under SoA the 19 output rows cannot be held at once (`row_mut` borrows
-/// the view mutably), so cells are collided a [`SOA_TILE`] at a time into
-/// a stack buffer and each component's row is then stored in turn.
-fn pull_collide_interior(
-    fin: &impl FieldStencil<f64>,
-    fout: &mut impl FieldWrite<f64>,
-    span: &Span,
-    omega: f64,
-) -> bool {
-    if let Some(ngh) = fin.ngh_blocks::<19>(span) {
-        let Some(out) = fout.block_mut(span) else {
-            return false;
-        };
-        let (out, _) = out.as_chunks_mut::<19>();
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut f = [0.0; 19];
-            for q in 0..19 {
-                f[q] = ngh[D3Q19_OPPOSITE[q]][19 * i + q];
+/// One step's span kernel: the per-cell body on edge spans, and on an
+/// interior span the same pull through the 19 neighbour lanes — cell `i`
+/// takes population `q` from component `q` of lane `OPPOSITE[q]` and
+/// collides into its own output cell.
+struct Step<V, W> {
+    fin: V,
+    fout: W,
+    dim: Dim3,
+    params: LbmParams,
+}
+
+impl<V: FieldStencil<f64>, W: FieldWrite<f64>> SpanBody for Step<V, W> {
+    fn span<S: Stride>(&mut self, span: &Span) {
+        if !span.interior() {
+            for c in span.cells() {
+                pull_collide(&self.fin, &self.fout, c, self.dim, self.params);
             }
-            collide(&f, omega, o);
+            return;
         }
-        return true;
+        let ngh: [Lanes<f64, S>; 19] = std::array::from_fn(|slot| {
+            self.fin
+                .ngh_lanes(span, slot)
+                .expect("an interior span has neighbour lanes")
+        });
+        let omega = self.params.omega;
+        self.fout
+            .lanes_mut::<S>(span)
+            .for_each_cell([], |i, out, []| {
+                let mut f = [0.0; 19];
+                for (q, f) in f.iter_mut().enumerate() {
+                    *f = ngh[D3Q19_OPPOSITE[q]].get(i, q);
+                }
+                collide(&f, omega, out);
+            });
     }
-    let mut rows: [&[f64]; 19] = [&[]; 19];
-    for (q, row) in rows.iter_mut().enumerate() {
-        let Some(r) = fin.ngh_row(span, D3Q19_OPPOSITE[q], q) else {
-            return false;
-        };
-        *row = r;
-    }
-    if fout.row_mut(span, 0).is_none() {
-        return false;
-    }
-    let n = span.len();
-    let mut tile = [[0.0f64; SOA_TILE]; 19];
-    for t0 in (0..n).step_by(SOA_TILE) {
-        let m = SOA_TILE.min(n - t0);
-        for j in 0..m {
-            let mut f = [0.0; 19];
-            for q in 0..19 {
-                f[q] = rows[q][t0 + j];
-            }
-            let mut post = [0.0; 19];
-            collide(&f, omega, &mut post);
-            for (t, v) in tile.iter_mut().zip(post) {
-                t[j] = v;
-            }
-        }
-        for (q, t) in tile.iter().enumerate() {
-            let out = fout.row_mut(span, q).expect("every component has a row");
-            out[t0..t0 + m].copy_from_slice(&t[..m]);
-        }
-    }
-    true
 }
 
 /// The lid-driven cavity application: two population fields and two

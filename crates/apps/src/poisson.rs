@@ -13,8 +13,8 @@
 
 use neon_core::OccLevel;
 use neon_domain::{
-    Container, Field, FieldRead as _, FieldStencil as _, FieldWrite as _, GridLike, KernelFn,
-    KernelShape, MemLayout,
+    span_kernel, Container, Field, FieldRead, FieldStencil, FieldWrite, GridLike, KernelShape,
+    Lanes, MemLayout, Span, SpanBody, Stride,
 };
 use neon_sys::Result;
 
@@ -28,11 +28,10 @@ pub const NEON_STENCIL_EFFICIENCY: f64 = 0.96;
 /// Build the 7-point negative-Laplacian container `Ap ← A·p`.
 ///
 /// Declared [`KernelShape::MapStencil7`] with a span kernel. On an
-/// interior span of the dense or the element-sparse grid the six
-/// neighbour rows, the centre row and the output row are plain slices and
-/// the loop vectorises; other spans, and the block-sparse grid, go cell by
-/// cell through `ngh`. Both add slots 0…5 in order before `6·p − s`, so
-/// they agree bit for bit.
+/// interior span of the dense or the element-sparse grid it reads the six
+/// neighbour lanes and the centre lanes, and the loop vectorises; other
+/// spans, and the block-sparse grid, go cell by cell through `ngh`. Both
+/// add slots 0…5 in order before `6·p − s`, so they agree bit for bit.
 pub fn laplacian_apply<G: GridLike>(grid: &G, state: &CgState<G>) -> Container {
     let (p, ap) = (state.p.clone(), state.ap.clone());
     Container::compute_shaped_opts(
@@ -41,37 +40,47 @@ pub fn laplacian_apply<G: GridLike>(grid: &G, state: &CgState<G>) -> Container {
         KernelShape::MapStencil7,
         move |ldr| {
             let pv = ldr.read_stencil(&p);
-            let mut av = ldr.write(&ap);
-            KernelFn::spans(move |span| {
-                if let (Some(out), Some(centre), Some(ngh)) = (
-                    av.row_mut(span, 0),
-                    pv.row(span, 0),
-                    pv.ngh_rows::<6>(span, 0),
-                ) {
-                    let n = out.len();
-                    let centre = &centre[..n];
-                    let ngh = ngh.map(|row| &row[..n]);
-                    for i in 0..n {
-                        let mut s = 0.0;
-                        for row in ngh {
-                            s += row[i];
-                        }
-                        out[i] = 6.0 * centre[i] - s;
-                    }
-                } else {
-                    for c in span.cells() {
-                        let mut s = 0.0;
-                        for slot in 0..6 {
-                            s += pv.ngh(c, slot, 0);
-                        }
-                        av.set(c, 0, 6.0 * pv.at(c, 0) - s);
-                    }
-                }
-            })
+            let av = ldr.write(&ap);
+            span_kernel::<1>([pv.strides(), av.strides()], Laplacian { pv, av })
         },
         0,
         NEON_STENCIL_EFFICIENCY,
     )
+}
+
+/// The span kernel of [`laplacian_apply`].
+struct Laplacian<P, A> {
+    pv: P,
+    av: A,
+}
+
+impl<P: FieldStencil<f64>, A: FieldWrite<f64>> SpanBody for Laplacian<P, A> {
+    fn span<S: Stride>(&mut self, span: &Span) {
+        let (pv, av) = (&self.pv, &mut self.av);
+        if !span.interior() {
+            for c in span.cells() {
+                let mut s = 0.0;
+                for slot in 0..6 {
+                    s += pv.ngh(c, slot, 0);
+                }
+                av.set(c, 0, 6.0 * pv.at(c, 0) - s);
+            }
+            return;
+        }
+        let ngh: [Lanes<f64, S>; 6] = std::array::from_fn(|slot| {
+            pv.ngh_lanes(span, slot)
+                .expect("an interior span has neighbour lanes")
+        });
+        let centre = pv.lanes::<S>(span);
+        let mut out = av.lanes_mut::<S>(span);
+        for i in 0..span.len() {
+            let mut s = 0.0;
+            for lane in &ngh {
+                s += lane.get(i, 0);
+            }
+            out.set(i, 0, 6.0 * centre.get(i, 0) - s);
+        }
+    }
 }
 
 /// A ready-to-run Poisson CG solver on any grid type.

@@ -29,7 +29,7 @@ use neon_apps::lbm::LbmParams;
 use neon_core::{OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     Container, DataView, DenseGrid, Dim3, Field, FieldStencil, FieldWrite, GridLike, KernelFn,
-    KernelShape, Loader, MemLayout, Span, SparseGrid, Stencil, StorageMode,
+    KernelShape, Loader, MemLayout, Span, SparseGrid, Stencil, StorageMode, Strides,
 };
 use neon_sys::{Backend, DeviceId};
 
@@ -156,9 +156,9 @@ fn steady_state_execute_does_not_allocate() {
     });
 
     // The FEM operator, the repo's heaviest span kernel: a launch's one
-    // allocation is its kernel box. Its sweep — neighbour blocks (AoS),
-    // neighbour rows (SoA), the per-node body on edge spans — allocates
-    // nothing, on the dense and on the sparse grid.
+    // allocation is its kernel box. Its sweep — neighbour lanes under
+    // AoS and SoA, the per-node body on edge spans — allocates nothing,
+    // on the dense and on the sparse grid.
     let st27 = Stencil::twenty_seven_point();
     let dim = Dim3::new(8, 6, 8);
     let dense = DenseGrid::new(&b, dim, &[&st27], StorageMode::Real).unwrap();
@@ -198,9 +198,9 @@ fn steady_state_execute_does_not_allocate() {
         "an FEM launch allocates its kernel box and nothing else"
     );
 
-    // The D3Q19 step likewise: neighbour blocks (AoS), neighbour rows
-    // collided through the stack tile (SoA), the bounce-back body on
-    // edge spans — nothing but the kernel box, on either grid.
+    // The D3Q19 step likewise: neighbour lanes collided into whole
+    // output cells under AoS and SoA, the bounce-back body on edge spans —
+    // nothing but the kernel box, on either grid.
     let st19 = Stencil::d3q19();
     let dim = Dim3::new(12, 6, 8);
     let dense = DenseGrid::new(&b, dim, &[&st19], StorageMode::Real).unwrap();
@@ -246,12 +246,17 @@ fn lbm_step<G: GridLike>(grid: &G, layout: MemLayout) -> Container {
     stream_collide(grid, &f[0], &f[1], LbmParams::default())
 }
 
-/// `y[cell] ← x[slot-0 neighbour of cell]`, by rows where the span has
+/// `y[cell] ← x[slot-0 neighbour of cell]`, by lanes where the span has
 /// them and cell by cell where it does not.
 fn shift_kernel(xv: &impl FieldStencil<f64>, yv: &mut impl FieldWrite<f64>, span: &Span) {
-    match (yv.row_mut(span, 0), xv.ngh_row(span, 0, 0)) {
-        (Some(out), Some(ngh)) => out.copy_from_slice(ngh),
-        _ => {
+    match xv.ngh_lanes::<Strides>(span, 0) {
+        Some(ngh) => {
+            let mut out = yv.lanes_mut::<Strides>(span);
+            for i in 0..span.len() {
+                out.set(i, 0, ngh.get(i, 0));
+            }
+        }
+        None => {
             for c in span.cells() {
                 yv.set(c, 0, xv.ngh(c, 0, 0));
             }

@@ -34,7 +34,7 @@ use neon_sys::{AllocationTicket, Backend, DeviceId, NeonSysError, Result};
 use crate::grid::{weighted_slab_partition, Dim3, FieldParts, GridLike};
 use crate::layout::MemLayout;
 use crate::stencil::{union_offsets, Offset3, Stencil};
-use crate::view::{FieldRead, FieldStencil, HaloSegment, PartRead, PartWrite};
+use crate::view::{FieldRead, FieldStencil, HaloSegment, PartRead};
 
 /// Block-connectivity sentinel: the neighbouring block is inactive.
 pub const BLOCK_NONE: u32 = u32::MAX;
@@ -427,12 +427,6 @@ impl IterationSpace for BlockSparseGrid {
     }
 }
 
-/// Cell-local read view of a block-sparse partition.
-pub type BlockRead<T> = PartRead<T>;
-
-/// Write view of a block-sparse partition.
-pub type BlockWrite<T> = PartWrite<T>;
-
 /// Neighbourhood read view: block-level connectivity + intra-block math.
 pub struct BlockStencil<T: Elem> {
     cells: PartRead<T>,
@@ -500,9 +494,7 @@ impl<T: Elem> FieldStencil<T> for BlockStencil<T> {
 }
 
 impl GridLike for BlockSparseGrid {
-    type ReadView<T: Elem> = BlockRead<T>;
     type StencilView<T: Elem> = BlockStencil<T>;
-    type WriteView<T: Elem> = BlockWrite<T>;
 
     fn backend(&self) -> &Backend {
         &self.inner.backend
@@ -675,16 +667,6 @@ impl GridLike for BlockSparseGrid {
         self.for_each_cell(dev, DataView::Standard, f);
     }
 
-    fn make_read_view<T: Elem>(
-        &self,
-        parts: &FieldParts<T>,
-        dev: DeviceId,
-        null: bool,
-    ) -> BlockRead<T> {
-        let null = null || self.inner.mode == StorageMode::Virtual;
-        PartRead::new(parts, dev, self.alloc_len(dev), null)
-    }
-
     fn make_stencil_view<T: Elem>(
         &self,
         parts: &FieldParts<T>,
@@ -692,23 +674,13 @@ impl GridLike for BlockSparseGrid {
         null: bool,
     ) -> BlockStencil<T> {
         BlockStencil {
-            cells: self.make_read_view(parts, dev, null),
+            cells: PartRead::new(self, parts, dev, null),
             outside: parts.outside,
             block_conn: self.part(dev).block_conn.clone(),
             offsets: self.inner.offsets.clone(),
             dim: self.inner.dim,
             block: self.inner.block as i32,
         }
-    }
-
-    fn make_write_view<T: Elem>(
-        &self,
-        parts: &FieldParts<T>,
-        dev: DeviceId,
-        null: bool,
-    ) -> BlockWrite<T> {
-        let null = null || self.inner.mode == StorageMode::Virtual;
-        PartWrite::new(parts, dev, self.alloc_len(dev), null)
     }
 }
 

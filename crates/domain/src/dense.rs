@@ -31,7 +31,7 @@ use neon_sys::{Backend, DeviceId, NeonSysError, Result};
 use crate::grid::{proportional_slab_partition, slab_partition, Dim3, FieldParts, GridLike};
 use crate::layout::MemLayout;
 use crate::stencil::{union_offsets, Offset3, Stencil};
-use crate::view::{FieldRead, FieldStencil, HaloSegment, PartRead, PartWrite};
+use crate::view::{FieldRead, FieldStencil, HaloSegment, Lanes, PartRead, Stride};
 
 #[derive(Debug, Clone, Copy)]
 struct DensePart {
@@ -438,12 +438,6 @@ impl IterationSpace for DenseGrid {
     }
 }
 
-/// Cell-local read view of a dense partition.
-pub type DenseRead<T> = PartRead<T>;
-
-/// Write view of a dense partition.
-pub type DenseWrite<T> = PartWrite<T>;
-
 /// Neighbourhood read view of a dense partition.
 pub struct DenseStencil<T: Elem> {
     cells: PartRead<T>,
@@ -504,21 +498,13 @@ impl<T: Elem> FieldStencil<T> for DenseStencil<T> {
     }
 
     #[inline]
-    fn ngh_row(&self, span: &Span, slot: usize, comp: usize) -> Option<&[T]> {
-        self.cells
-            .row_at(self.ngh_run(span, slot)?, span.len(), comp)
-    }
-
-    #[inline]
-    fn ngh_block(&self, span: &Span, slot: usize) -> Option<&[T]> {
-        self.cells.block_at(self.ngh_run(span, slot)?, span.len())
+    fn ngh_lanes<S: Stride>(&self, span: &Span, slot: usize) -> Option<Lanes<'_, T, S>> {
+        Some(self.cells.lanes_at(self.ngh_run(span, slot)?, span.len()))
     }
 }
 
 impl GridLike for DenseGrid {
-    type ReadView<T: Elem> = DenseRead<T>;
     type StencilView<T: Elem> = DenseStencil<T>;
-    type WriteView<T: Elem> = DenseWrite<T>;
 
     fn backend(&self) -> &Backend {
         &self.inner.backend
@@ -687,16 +673,6 @@ impl GridLike for DenseGrid {
         }
     }
 
-    fn make_read_view<T: Elem>(
-        &self,
-        parts: &FieldParts<T>,
-        dev: DeviceId,
-        null: bool,
-    ) -> DenseRead<T> {
-        let null = null || self.inner.mode == StorageMode::Virtual;
-        PartRead::new(parts, dev, self.alloc_len(dev), null)
-    }
-
     fn make_stencil_view<T: Elem>(
         &self,
         parts: &FieldParts<T>,
@@ -704,21 +680,11 @@ impl GridLike for DenseGrid {
         null: bool,
     ) -> DenseStencil<T> {
         DenseStencil {
-            cells: self.make_read_view(parts, dev, null),
+            cells: PartRead::new(self, parts, dev, null),
             outside: parts.outside,
             slots: self.inner.slots.clone(),
             dim: self.inner.dim,
         }
-    }
-
-    fn make_write_view<T: Elem>(
-        &self,
-        parts: &FieldParts<T>,
-        dev: DeviceId,
-        null: bool,
-    ) -> DenseWrite<T> {
-        let null = null || self.inner.mode == StorageMode::Virtual;
-        PartWrite::new(parts, dev, self.alloc_len(dev), null)
     }
 }
 

@@ -18,7 +18,7 @@ use neon_sys::{DeviceId, Result};
 
 use crate::grid::{FieldParts, GridLike};
 use crate::layout::MemLayout;
-use crate::view::HaloSegment;
+use crate::view::{HaloSegment, PartRead, PartWrite, Stride as _, Strides};
 
 /// A scalar or vector quantity over a grid's active cells.
 pub struct Field<T: Elem, G: GridLike> {
@@ -127,13 +127,13 @@ impl<T: Elem, G: GridLike> Field<T, G> {
         self.parts.mem.total_len() as u64 * T::BYTES
     }
 
+    /// How the field's elements sit in partition `dev`'s storage.
+    fn strides(&self, dev: DeviceId) -> Strides {
+        Strides::new(self.parts.layout, self.parts.card, self.grid.alloc_len(dev))
+    }
+
     fn locate_idx(&self, dev: DeviceId, lin: u32, comp: usize) -> usize {
-        self.parts.layout.index(
-            lin as usize,
-            comp,
-            self.grid.alloc_len(dev),
-            self.parts.card,
-        )
+        self.strides(dev).at(lin as usize, comp)
     }
 
     /// Host read of one component of one cell (None outside the active
@@ -162,12 +162,11 @@ impl<T: Elem, G: GridLike> Field<T, G> {
         let card = self.parts.card;
         for d in 0..self.grid.num_partitions() {
             let dev = DeviceId(d);
-            let stride = self.grid.alloc_len(dev);
+            let strides = self.strides(dev);
             self.parts.mem.with_part_mut(dev, |s| {
                 self.grid.for_each_owned(dev, &mut |c| {
                     for comp in 0..card {
-                        s[self.parts.layout.index(c.idx(), comp, stride, card)] =
-                            f(c.x, c.y, c.z, comp);
+                        s[strides.at(c.idx(), comp)] = f(c.x, c.y, c.z, comp);
                     }
                 });
             });
@@ -180,17 +179,11 @@ impl<T: Elem, G: GridLike> Field<T, G> {
         let card = self.parts.card;
         for d in 0..self.grid.num_partitions() {
             let dev = DeviceId(d);
-            let stride = self.grid.alloc_len(dev);
+            let strides = self.strides(dev);
             self.parts.mem.with_part(dev, |s| {
                 self.grid.for_each_owned(dev, &mut |c| {
                     for comp in 0..card {
-                        f(
-                            c.x,
-                            c.y,
-                            c.z,
-                            comp,
-                            s[self.parts.layout.index(c.idx(), comp, stride, card)],
-                        );
+                        f(c.x, c.y, c.z, comp, s[strides.at(c.idx(), comp)]);
                     }
                 });
             });
@@ -326,9 +319,9 @@ impl<T: Elem> HaloExchange for FieldHalo<T> {
 }
 
 impl<T: Elem, G: GridLike> Loadable for Field<T, G> {
-    type ReadView = G::ReadView<T>;
+    type ReadView = PartRead<T>;
     type StencilView = G::StencilView<T>;
-    type WriteView = G::WriteView<T>;
+    type WriteView = PartWrite<T>;
 
     fn data_uid(&self) -> DataUid {
         self.uid()
@@ -357,7 +350,7 @@ impl<T: Elem, G: GridLike> Loadable for Field<T, G> {
     }
 
     fn make_read_view(&self, dev: DeviceId, null: bool) -> Self::ReadView {
-        self.grid.make_read_view(&self.parts, dev, null)
+        PartRead::new(&self.grid, &self.parts, dev, null)
     }
 
     fn make_stencil_view(&self, dev: DeviceId, null: bool) -> Self::StencilView {
@@ -365,7 +358,7 @@ impl<T: Elem, G: GridLike> Loadable for Field<T, G> {
     }
 
     fn make_write_view(&self, dev: DeviceId, null: bool) -> Self::WriteView {
-        self.grid.make_write_view(&self.parts, dev, null)
+        PartWrite::new(&self.grid, &self.parts, dev, null)
     }
 }
 

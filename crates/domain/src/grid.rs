@@ -19,7 +19,7 @@ use neon_sys::{Backend, DeviceId};
 
 use crate::layout::MemLayout;
 use crate::stencil::Offset3;
-use crate::view::{FieldRead, FieldStencil, FieldWrite, HaloSegment};
+use crate::view::{FieldStencil, HaloSegment};
 
 /// Extent of a 3-D rectilinear domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,12 +81,10 @@ pub struct FieldParts<T: Elem> {
 
 /// The grid interface: domain geometry, partitioning, views and halos.
 pub trait GridLike: Clone + Send + Sync + Sized + 'static {
-    /// Concrete cell-local read view.
-    type ReadView<T: Elem>: FieldRead<T> + Send + 'static;
-    /// Concrete neighbourhood read view.
+    /// Concrete neighbourhood read view. Cell-local read and write views
+    /// are the same on every grid: [`crate::PartRead`] and
+    /// [`crate::PartWrite`].
     type StencilView<T: Elem>: FieldStencil<T> + Send + 'static;
-    /// Concrete write view.
-    type WriteView<T: Elem>: FieldWrite<T> + Send + 'static;
 
     /// The backend this grid is distributed over.
     fn backend(&self) -> &Backend;
@@ -174,29 +172,13 @@ pub trait GridLike: Clone + Send + Sync + Sized + 'static {
     /// Iterate device `dev`'s owned cells (host-side fills/verification).
     fn for_each_owned(&self, dev: DeviceId, f: &mut dyn FnMut(Cell));
 
-    /// Build a read view of `parts` for `dev` (`null` during dry runs).
-    fn make_read_view<T: Elem>(
-        &self,
-        parts: &FieldParts<T>,
-        dev: DeviceId,
-        null: bool,
-    ) -> Self::ReadView<T>;
-
-    /// Build a stencil view of `parts` for `dev`.
+    /// Build a stencil view of `parts` for `dev` (`null` during dry runs).
     fn make_stencil_view<T: Elem>(
         &self,
         parts: &FieldParts<T>,
         dev: DeviceId,
         null: bool,
     ) -> Self::StencilView<T>;
-
-    /// Build a write view of `parts` for `dev`.
-    fn make_write_view<T: Elem>(
-        &self,
-        parts: &FieldParts<T>,
-        dev: DeviceId,
-        null: bool,
-    ) -> Self::WriteView<T>;
 }
 
 /// Split `total` z-layers into `parts` contiguous, balanced slabs.

@@ -33,20 +33,23 @@ pub mod sparse;
 pub mod stencil;
 pub mod view;
 
-pub use block::{BlockRead, BlockSparseGrid, BlockStencil, BlockWrite, BLOCK_NONE};
-pub use dense::{DenseGrid, DenseRead, DenseStencil, DenseWrite, PartitionStrategy};
+pub use block::{BlockSparseGrid, BlockStencil, BLOCK_NONE};
+pub use dense::{DenseGrid, DenseStencil, PartitionStrategy};
 pub use field::{Field, FieldHalo, GridExt};
 pub use grid::{
     proportional_slab_partition, slab_partition, weighted_slab_partition, Dim3, FieldParts,
     GridLike,
 };
 pub use layout::MemLayout;
-pub use sparse::{SparseGrid, SparseRead, SparseStencil, SparseWrite, SPARSE_NONE};
+pub use sparse::{SparseGrid, SparseStencil, SPARSE_NONE};
 pub use stencil::{
     d2q9_offsets, d3q19_offsets, union_offsets, velocity_components, Offset3, Stencil,
     D2Q9_OFFSETS, D3Q19_OFFSETS,
 };
-pub use view::{FieldRead, FieldStencil, FieldWrite, HaloSegment, PartRead, PartWrite};
+pub use view::{
+    span_kernel, Aos, FieldRead, FieldStencil, FieldWrite, HaloSegment, Lanes, LanesMut, PartRead,
+    PartWrite, Soa, SpanBody, Stride, Strides,
+};
 
 // Re-export the Set-layer vocabulary domain users constantly need.
 pub use neon_set::{

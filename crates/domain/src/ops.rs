@@ -8,54 +8,79 @@
 //!
 //! Every operation here declares a typed [`KernelShape`] and registers a
 //! **span-level** kernel: the `dyn` boundary is crossed once per row run,
-//! and the body works on the rows themselves — one contiguous slice per
-//! operand from the views' row accessors, combined in a plain indexed
-//! loop the compiler vectorises. Where a layout makes a row strided (AoS
-//! against SoA operands) the kernel walks `span.cells()` instead. The
-//! [`mod@reference`] module keeps the per-cell `Generic` forms as the
+//! and the body is a [`SpanBody`] over every operand's lanes, one plain
+//! indexed loop the compiler vectorises where the cells of a run are
+//! adjacent. It is the same body under every layout: [`span_kernel`]
+//! hands it the operands' stride, including when their layouts differ.
+//! The [`mod@reference`] module keeps the per-cell `Generic` forms as the
 //! bit-identity oracle; the two families visit cells and update reduction
 //! partials in the identical order, so they must agree bit for bit
 //! (enforced by proptests in `neon-core`).
 
-use neon_set::{Cell, Container, KernelFn, KernelShape, ScalarSet, Span};
+use std::array::from_fn;
+
+use neon_set::{Cell, Container, KernelFn, KernelShape, ScalarSet, ScalarView, Span};
 
 use crate::field::Field;
 use crate::grid::GridLike;
-use crate::view::{all_some, FieldRead, FieldWrite};
+use crate::view::{span_kernel, FieldRead, FieldWrite, PartRead, PartWrite, SpanBody, Stride};
 
 /// `dst[e] ← f(dst[e], [src[e]; N])` for every element `e` (cell ×
-/// component) of `span` — the body of every elementwise operation.
-///
-/// Elements are independent, so the order they are visited in is free:
-/// whole-span blocks when destination and sources all store the span
-/// contiguously, else one row per component, else cell by cell.
-#[inline]
-fn update<const N: usize, W: FieldWrite<f64>, R: FieldRead<f64>>(
-    span: &Span,
-    dst: &mut W,
-    srcs: [&R; N],
-    f: impl Fn(f64, [f64; N]) -> f64,
-) {
+/// component) of a span — the body of every elementwise operation.
+struct Update<F, const N: usize> {
+    dst: PartWrite<f64>,
+    srcs: [PartRead<f64>; N],
+    f: F,
+}
+
+impl<F: Fn(f64, [f64; N]) -> f64, const N: usize> SpanBody for Update<F, N> {
     #[inline]
-    fn rows<const N: usize>(d: &mut [f64], s: [&[f64]; N], f: impl Fn(f64, [f64; N]) -> f64) {
-        let n = d.len();
-        let s = s.map(|s| &s[..n]);
-        for i in 0..n {
-            d[i] = f(d[i], s.map(|s| s[i]));
-        }
-    }
-    if let (Some(d), Some(s)) = (dst.block_mut(span), all_some(srcs.map(|s| s.block(span)))) {
-        return rows(d, s, &f);
-    }
-    for k in 0..dst.card() {
-        match (dst.row_mut(span, k), all_some(srcs.map(|s| s.row(span, k)))) {
-            (Some(d), Some(s)) => rows(d, s, &f),
-            _ => {
-                for c in span.cells() {
-                    dst.set(c, k, f(dst.at(c, k), srcs.map(|s| s.at(c, k))));
-                }
+    fn span<S: Stride>(&mut self, span: &Span) {
+        let mut d = self.dst.lanes_mut::<S>(span);
+        let s = self.srcs.each_ref().map(|s| s.lanes::<S>(span));
+        for i in 0..span.len() {
+            for q in 0..d.card() {
+                d.set(i, q, (self.f)(d.get(i, q), from_fn(|k| s[k].get(i, q))));
             }
         }
+    }
+}
+
+/// The span kernel of [`Update`].
+fn update<const N: usize>(
+    dst: PartWrite<f64>,
+    srcs: [PartRead<f64>; N],
+    f: impl Fn(f64, [f64; N]) -> f64 + Send + 'static,
+) -> KernelFn {
+    let strides = srcs.each_ref().map(|s| s.strides());
+    span_kernel::<1>(
+        strides.into_iter().chain([dst.strides()]),
+        Update { dst, srcs, f },
+    )
+}
+
+/// `out ← Σ_i Σ_k x[i,k]·y[i,k]`, one per-cell product sum folded into the
+/// device partial per cell, in ascending cell order: the per-cell
+/// reference's floating-point association, so the two are bit-identical.
+struct Dot {
+    x: PartRead<f64>,
+    y: PartRead<f64>,
+    acc: ScalarView<f64>,
+}
+
+impl SpanBody for Dot {
+    #[inline]
+    fn span<S: Stride>(&mut self, span: &Span) {
+        let (x, y) = (self.x.lanes::<S>(span), self.y.lanes::<S>(span));
+        let mut partial = self.acc.get();
+        for i in 0..span.len() {
+            let mut s = 0.0;
+            for q in 0..x.card() {
+                s += x.get(i, q) * y.get(i, q);
+            }
+            partial += s;
+        }
+        self.acc.set(partial);
     }
 }
 
@@ -66,12 +91,7 @@ pub fn set_value<G: GridLike>(grid: &G, dst: &Field<f64, G>, v: f64) -> Containe
         &format!("set({})", dst.name()),
         grid.as_space(),
         KernelShape::Fill,
-        move |ldr| {
-            let mut d = ldr.write(&dst);
-            KernelFn::spans(move |span| {
-                update::<0, _, G::ReadView<f64>>(span, &mut d, [], |_, []| v)
-            })
-        },
+        move |ldr| update(ldr.write(&dst), [], move |_, []| v),
     )
 }
 
@@ -85,8 +105,7 @@ pub fn copy<G: GridLike>(grid: &G, src: &Field<f64, G>, dst: &Field<f64, G>) -> 
         KernelShape::Copy,
         move |ldr| {
             let s = ldr.read(&src);
-            let mut d = ldr.write(&dst);
-            KernelFn::spans(move |span| update(span, &mut d, [&s], |_, [s]| s))
+            update(ldr.write(&dst), [s], |_, [s]| s)
         },
     )
 }
@@ -106,8 +125,7 @@ pub fn axpy_const<G: GridLike>(
         KernelShape::Axpy,
         move |ldr| {
             let xv = ldr.read(&x);
-            let mut yv = ldr.read_write(&y);
-            KernelFn::spans(move |span| update(span, &mut yv, [&xv], |y, [x]| a * x + y))
+            update(ldr.read_write(&y), [xv], move |y, [x]| a * x + y)
         },
     )
 }
@@ -130,8 +148,7 @@ pub fn axpy_scalar<G: GridLike>(
         move |ldr| {
             let a = sign * ldr.scalar(&alpha);
             let xv = ldr.read(&x);
-            let mut yv = ldr.read_write(&y);
-            KernelFn::spans(move |span| update(span, &mut yv, [&xv], |y, [x]| a * x + y))
+            update(ldr.read_write(&y), [xv], move |y, [x]| a * x + y)
         },
     )
 }
@@ -143,20 +160,12 @@ pub fn scale_const<G: GridLike>(grid: &G, a: f64, dst: &Field<f64, G>) -> Contai
         &format!("scale({})", dst.name()),
         grid.as_space(),
         KernelShape::Scale,
-        move |ldr| {
-            let mut d = ldr.read_write(&dst);
-            KernelFn::spans(move |span| {
-                update::<0, _, G::ReadView<f64>>(span, &mut d, [], |d, []| a * d)
-            })
-        },
+        move |ldr| update(ldr.read_write(&dst), [], move |d, []| a * d),
     )
 }
 
-/// `out ← Σ_i Σ_k x[i,k]·y[i,k]` (all components contribute).
-///
-/// The span kernel still folds one per-cell product sum into the device
-/// partial *per cell*, in ascending cell order — the same floating-point
-/// association as the per-cell reference, so the two are bit-identical.
+/// `out ← Σ_i Σ_k x[i,k]·y[i,k]` (all components contribute), summed as
+/// the per-cell reference sums it, so the two are bit-identical.
 pub fn dot<G: GridLike>(
     grid: &G,
     x: &Field<f64, G>,
@@ -165,37 +174,15 @@ pub fn dot<G: GridLike>(
 ) -> Container {
     assert_eq!(x.card(), y.card(), "cardinality mismatch");
     let (x, y, out_c) = (x.clone(), y.clone(), out.clone());
-    let card = x.card();
     Container::compute_shaped(
         &format!("dot({},{})", x.name(), y.name()),
         grid.as_space(),
         KernelShape::DotChunk,
         move |ldr| {
-            let xv = ldr.read(&x);
-            let yv = ldr.read(&y);
+            let (xv, yv) = (ldr.read(&x), ldr.read(&y));
+            let operands = [xv.strides(), yv.strides()];
             let acc = ldr.reduce(&out_c);
-            KernelFn::spans(move |span| {
-                let mut partial = acc.get();
-                if let (Some(x), Some(y)) = (xv.block(span), yv.block(span)) {
-                    // Cell-major blocks: one `card`-wide chunk per cell.
-                    for (x, y) in x.chunks_exact(card).zip(y.chunks_exact(card)) {
-                        let mut s = 0.0;
-                        for (x, y) in x.iter().zip(y) {
-                            s += x * y;
-                        }
-                        partial += s;
-                    }
-                } else {
-                    for c in span.cells() {
-                        let mut s = 0.0;
-                        for k in 0..card {
-                            s += xv.at(c, k) * yv.at(c, k);
-                        }
-                        partial += s;
-                    }
-                }
-                acc.set(partial);
-            })
+            span_kernel::<1>(operands, Dot { x: xv, y: yv, acc })
         },
     )
 }
@@ -217,12 +204,8 @@ pub fn waxpby_const<G: GridLike>(
         grid.as_space(),
         KernelShape::Waxpby,
         move |ldr| {
-            let xv = ldr.read(&x);
-            let yv = ldr.read(&y);
-            let mut wv = ldr.write(&w);
-            KernelFn::spans(move |span| {
-                update(span, &mut wv, [&xv, &yv], |_, [x, y]| a * x + b * y)
-            })
+            let (xv, yv) = (ldr.read(&x), ldr.read(&y));
+            update(ldr.write(&w), [xv, yv], move |_, [x, y]| a * x + b * y)
         },
     )
 }
@@ -242,10 +225,7 @@ pub fn scale_scalar<G: GridLike>(grid: &G, s: &ScalarSet<f64>, dst: &Field<f64, 
         KernelShape::Scale,
         move |ldr| {
             let a = ldr.scalar(&s);
-            let mut d = ldr.read_write(&dst);
-            KernelFn::spans(move |span| {
-                update::<0, _, G::ReadView<f64>>(span, &mut d, [], |d, []| a * d)
-            })
+            update(ldr.read_write(&dst), [], move |d, []| a * d)
         },
     )
 }

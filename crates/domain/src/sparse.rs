@@ -42,7 +42,7 @@ use neon_sys::{AllocationTicket, Backend, DeviceId, NeonSysError, Result};
 use crate::grid::{weighted_slab_partition, Dim3, FieldParts, GridLike};
 use crate::layout::MemLayout;
 use crate::stencil::{union_offsets, Offset3, Stencil};
-use crate::view::{FieldRead, FieldStencil, HaloSegment, PartRead, PartWrite};
+use crate::view::{FieldRead, FieldStencil, HaloSegment, Lanes, PartRead, Stride};
 
 /// Connectivity sentinel: neighbour is inactive or outside the domain.
 pub const SPARSE_NONE: u32 = u32::MAX;
@@ -452,7 +452,7 @@ impl IterationSpace for SparseGrid {
         };
         // The interior bit changes no per-cell answer (the connectivity
         // table gives those either way); it is what lets the stencil view
-        // hand out neighbour rows.
+        // hand out neighbour lanes.
         for (run, &interior) in starts.windows(2).zip(interior) {
             let (x, y, z) = p.cells[run[0] as usize];
             let first = Cell {
@@ -467,12 +467,6 @@ impl IterationSpace for SparseGrid {
         self.inner.mode == StorageMode::Real
     }
 }
-
-/// Cell-local read view of a sparse partition.
-pub type SparseRead<T> = PartRead<T>;
-
-/// Write view of a sparse partition.
-pub type SparseWrite<T> = PartWrite<T>;
 
 /// Neighbourhood read view of a sparse partition (connectivity-table
 /// based).
@@ -507,14 +501,8 @@ impl<T: Elem> FieldStencil<T> for SparseStencil<T> {
     }
 
     #[inline]
-    fn ngh_row(&self, span: &Span, slot: usize, comp: usize) -> Option<&[T]> {
-        self.cells
-            .row_at(self.ngh_run(span, slot)?, span.len(), comp)
-    }
-
-    #[inline]
-    fn ngh_block(&self, span: &Span, slot: usize) -> Option<&[T]> {
-        self.cells.block_at(self.ngh_run(span, slot)?, span.len())
+    fn ngh_lanes<S: Stride>(&self, span: &Span, slot: usize) -> Option<Lanes<'_, T, S>> {
+        Some(self.cells.lanes_at(self.ngh_run(span, slot)?, span.len()))
     }
 }
 
@@ -538,9 +526,7 @@ impl<T: Elem> SparseStencil<T> {
 }
 
 impl GridLike for SparseGrid {
-    type ReadView<T: Elem> = SparseRead<T>;
     type StencilView<T: Elem> = SparseStencil<T>;
-    type WriteView<T: Elem> = SparseWrite<T>;
 
     fn backend(&self) -> &Backend {
         &self.inner.backend
@@ -700,16 +686,6 @@ impl GridLike for SparseGrid {
         self.for_each_cell(dev, DataView::Standard, f);
     }
 
-    fn make_read_view<T: Elem>(
-        &self,
-        parts: &FieldParts<T>,
-        dev: DeviceId,
-        null: bool,
-    ) -> SparseRead<T> {
-        let null = null || self.inner.mode == StorageMode::Virtual;
-        PartRead::new(parts, dev, self.alloc_len(dev), null)
-    }
-
     fn make_stencil_view<T: Elem>(
         &self,
         parts: &FieldParts<T>,
@@ -717,21 +693,11 @@ impl GridLike for SparseGrid {
         null: bool,
     ) -> SparseStencil<T> {
         SparseStencil {
-            cells: self.make_read_view(parts, dev, null),
+            cells: PartRead::new(self, parts, dev, null),
             outside: parts.outside,
             conn: self.part(dev).conn.clone(),
             nslots: self.inner.offsets.len(),
         }
-    }
-
-    fn make_write_view<T: Elem>(
-        &self,
-        parts: &FieldParts<T>,
-        dev: DeviceId,
-        null: bool,
-    ) -> SparseWrite<T> {
-        let null = null || self.inner.mode == StorageMode::Virtual;
-        PartWrite::new(parts, dev, self.alloc_len(dev), null)
     }
 }
 

@@ -3,7 +3,7 @@
 //! stay on one row; and a span the grid calls *interior* must really have
 //! every neighbour of every cell in the domain — checked against the
 //! stencil view's own domain test and against the field's values (per
-//! cell, by neighbour row, by AoS neighbour block), so a wrong slot delta
+//! cell, and by neighbour lanes under SoA and AoS), so a wrong slot delta
 //! or a neighbour that lives in a halo layer shows. On the sparse grid the
 //! bit is also complete: every cell whose neighbours are all active is in
 //! an interior span.
@@ -11,8 +11,9 @@
 use std::collections::HashSet;
 
 use neon_domain::{
-    BlockSparseGrid, Cell, DataView, DenseGrid, Dim3, Field, FieldRead as _, FieldStencil as _,
-    GridLike, Loader, MemLayout, Offset3, Span, SparseGrid, Stencil, StorageMode, Sweep,
+    Aos, BlockSparseGrid, Cell, DataView, DenseGrid, Dim3, Field, FieldRead as _,
+    FieldStencil as _, GridLike, Lanes, Loader, MemLayout, Offset3, Soa, Span, SparseGrid, Stencil,
+    StorageMode, Stride, Sweep,
 };
 use neon_set::IterationSpace;
 use neon_sys::{Backend, DeviceId};
@@ -49,9 +50,16 @@ fn fields<G: GridLike>(g: &G) -> Fields<G> {
     Fields { scalar, vector }
 }
 
+/// Every element of the lanes of `span`, cell-major.
+fn elems<S: Stride>(span: &Span, lanes: &Lanes<f64, S>) -> Vec<f64> {
+    (0..span.len())
+        .flat_map(|i| (0..lanes.card()).map(move |q| lanes.get(i, q)))
+        .collect()
+}
+
 /// Everything that holds for any sweep of any grid: runs stay on a row,
 /// storage order is ascending and duplicate-free, interior means what it
-/// says, and every neighbour read — per cell, by row, by AoS block —
+/// says, and every neighbour read — per cell, by SoA and by AoS lanes —
 /// returns the neighbour's value. Returns how many cells were interior.
 fn check_sweep<G: GridLike + IterationSpace>(
     g: &G,
@@ -107,35 +115,33 @@ fn check_sweep<G: GridLike + IterationSpace>(
         if span.interior() {
             interior_cells += span.len();
         }
-        // Row accessors agree with the per-cell ones.
-        if let Some(row) = sv.row(span, 0) {
-            let want: Vec<f64> = cells.iter().map(|c| sv.at(*c, 0)).collect();
-            assert_eq!(row, &want[..]);
-        }
+        // Lanes agree with the per-cell accessors.
+        let want: Vec<f64> = cells.iter().map(|c| sv.at(*c, 0)).collect();
+        assert_eq!(elems(span, &sv.lanes::<Soa<1>>(span)), want);
         for slot in 0..offsets.len() {
-            match sv.ngh_row(span, slot, 0) {
-                Some(row) => {
-                    assert!(span.interior(), "neighbour row of a non-interior span");
+            match sv.ngh_lanes::<Soa<1>>(span, slot) {
+                Some(lanes) => {
+                    assert!(span.interior(), "neighbour lanes of a non-interior span");
                     let want: Vec<f64> = cells.iter().map(|c| sv.ngh(*c, slot, 0)).collect();
-                    assert_eq!(row, &want[..], "slot {slot}");
+                    assert_eq!(elems(span, &lanes), want, "slot {slot}");
                 }
                 None => assert!(
-                    !span.interior() || sv.row(span, 0).is_none(),
-                    "an interior span of a contiguous field has neighbour rows"
+                    !span.interior(),
+                    "an interior span of an SoA field has neighbour lanes"
                 ),
             }
-            match vv.ngh_block(span, slot) {
-                Some(block) => {
-                    assert!(span.interior(), "neighbour block of a non-interior span");
+            match vv.ngh_lanes::<Aos<3>>(span, slot) {
+                Some(lanes) => {
+                    assert!(span.interior(), "neighbour lanes of a non-interior span");
                     let want: Vec<f64> = cells
                         .iter()
                         .flat_map(|c| (0..3).map(|k| vv.ngh(*c, slot, k)))
                         .collect();
-                    assert_eq!(block, &want[..], "slot {slot}");
+                    assert_eq!(elems(span, &lanes), want, "slot {slot}");
                 }
                 None => assert!(
                     !span.interior(),
-                    "an interior span of an AoS field has neighbour blocks"
+                    "an interior span of an AoS field has neighbour lanes"
                 ),
             }
         }
@@ -366,50 +372,61 @@ fn block_spans_are_block_rows_clipped_to_the_domain() {
     }
 }
 
-#[test]
-fn vector_fields_expose_rows_or_blocks_by_layout() {
+/// Lanes of a `C`-component field in `layout` hold every component of
+/// every cell, as the per-cell reads see them, both typed and at run time.
+fn check_vector_lanes<const C: usize>(layout: MemLayout) {
     let g = dense(2, Dim3::new(6, 4, 8), &Stencil::seven_point());
-    for layout in [MemLayout::SoA, MemLayout::AoS] {
-        let f = Field::<f64, _>::new(&g, "v", 3, OUTSIDE, layout).unwrap();
-        f.fill(|x, y, z, k| value(x, y, z) + k as f64 * 0.25);
-        let mut ldr = Loader::for_execution(DeviceId(1), 2, DataView::Standard);
-        let rv = ldr.read(&f);
-        for span in spans_of(&g, DeviceId(1), DataView::Standard.into()) {
-            let cells: Vec<Cell> = span.cells().collect();
-            match layout {
-                MemLayout::SoA => {
-                    assert!(rv.block(&span).is_none());
-                    for k in 0..3 {
-                        let want: Vec<f64> = cells.iter().map(|c| rv.at(*c, k)).collect();
-                        assert_eq!(rv.row(&span, k).unwrap(), &want[..]);
-                    }
-                }
-                MemLayout::AoS => {
-                    assert!(rv.row(&span, 0).is_none());
-                    let want: Vec<f64> = cells
-                        .iter()
-                        .flat_map(|c| (0..3).map(|k| rv.at(*c, k)))
-                        .collect();
-                    assert_eq!(rv.block(&span).unwrap(), &want[..]);
-                }
-            }
-        }
+    let f = Field::<f64, _>::new(&g, "v", C, OUTSIDE, layout).unwrap();
+    f.fill(|x, y, z, k| value(x, y, z) + k as f64 * 0.25);
+    let mut ldr = Loader::for_execution(DeviceId(1), 2, DataView::Standard);
+    let rv = ldr.read(&f);
+    for span in spans_of(&g, DeviceId(1), DataView::Standard.into()) {
+        let want: Vec<f64> = span
+            .cells()
+            .flat_map(|c| (0..C).map(move |k| (c, k)))
+            .map(|(c, k)| rv.at(c, k))
+            .collect();
+        let typed = match layout {
+            MemLayout::SoA => elems(&span, &rv.lanes::<Soa<C>>(&span)),
+            MemLayout::AoS => elems(&span, &rv.lanes::<Aos<C>>(&span)),
+        };
+        assert_eq!(typed, want, "{layout:?}");
+        assert_eq!(elems(&span, &rv.lanes::<neon_domain::Strides>(&span)), want);
     }
 }
 
 #[test]
-#[should_panic(expected = "out of range")]
-fn a_forged_interior_bit_cannot_leave_the_storage() {
+fn vector_fields_expose_rows_or_blocks_by_layout() {
+    for layout in [MemLayout::SoA, MemLayout::AoS] {
+        check_vector_lanes::<3>(layout);
+        check_vector_lanes::<19>(layout);
+    }
+}
+
+/// A stencil read through lanes of the last stored cell, claimed interior:
+/// its +z neighbour would sit a whole plane past the end of the
+/// partition.
+fn forge_interior(layout: MemLayout) {
     let g = dense(1, Dim3::new(4, 4, 4), &Stencil::seven_point());
-    let f = fields(&g).scalar;
+    let f = Field::<f64, _>::new(&g, "v", 3, OUTSIDE, layout).unwrap();
     let mut ldr = Loader::for_execution(DeviceId(0), 1, DataView::Standard);
     let sv = ldr.read_stencil(&f);
-    // The last stored cell, claimed interior: its +z neighbour would sit a
-    // whole plane past the end of the partition.
     let last = Cell {
         interior: true,
         ..Cell::new(4 * 4 * 6 - 1, 3, 3, 4)
     };
     let up = g.slot_of(Offset3::new(0, 0, 1)).unwrap();
-    sv.ngh_row(&Span::new(last, 1), up, 0);
+    sv.ngh_lanes::<neon_domain::Strides>(&Span::new(last, 1), up);
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn a_forged_interior_bit_cannot_leave_the_storage() {
+    let aos = std::panic::catch_unwind(|| forge_interior(MemLayout::AoS)).unwrap_err();
+    let msg = aos
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .unwrap_or_default();
+    assert!(msg.contains("out of range"), "AoS: {msg}");
+    forge_interior(MemLayout::SoA);
 }

@@ -60,7 +60,7 @@ impl Cell {
 /// the stencil's x-reach so its middle can be `interior`), an x-run of an
 /// element-sparse cell list (cut where the `interior` bit changes) is a
 /// span, an x-row of a block is a span. Nothing is stored per cell: a span kernel works on whole
-/// rows through the views' row accessors, and a per-cell kernel gets its
+/// runs through the views' lanes, and a per-cell kernel gets its
 /// [`Cell`]s from [`Span::cells`], computed from the loop counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
@@ -79,7 +79,7 @@ impl Span {
 
     /// Whether the grid promises that, for *every* cell of the run, every
     /// registered stencil slot is an active in-domain cell. Stencil views
-    /// then hand out whole neighbour rows, and the dense view skips the
+    /// then hand out whole neighbour lanes, and the dense view skips the
     /// domain test per cell; the storage bounds check stays.
     #[inline]
     pub fn interior(self) -> bool {

@@ -3,10 +3,10 @@
 //! The layout lives at the Set layer (rather than in `neon-domain`)
 //! because it is a *policy*, not a grid property: the compile pipeline's
 //! `layout-select` pass recommends a layout per data object from its
-//! recorded access pattern. Field views address partition storage through
-//! [`MemLayout::index`]: per element on the per-cell path, once per span
-//! on the row path (under SoA a component's row is contiguous, under AoS
-//! a span's whole block is).
+//! recorded access pattern. The field views in `neon-domain` turn it into
+//! strides once per view — element `(i, q)` of a run sits `i·cell +
+//! q·comp` past the first, `(card, 1)` under AoS and `(1, pitch)` under
+//! SoA — and address partition storage through those.
 
 /// How a cardinality-`n` field organizes its components in memory.
 ///
@@ -24,16 +24,6 @@ pub enum MemLayout {
 }
 
 impl MemLayout {
-    /// Element index of `(cell, comp)` given the per-component stride
-    /// (total cells in the partition's storage) and cardinality.
-    #[inline]
-    pub fn index(self, cell: usize, comp: usize, stride: usize, card: usize) -> usize {
-        match self {
-            MemLayout::SoA => comp * stride + cell,
-            MemLayout::AoS => cell * card + comp,
-        }
-    }
-
     /// Short label used in IR dumps and diagnostics.
     pub fn label(self) -> &'static str {
         match self {
@@ -56,28 +46,6 @@ impl MemLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn soa_strides_by_component() {
-        assert_eq!(MemLayout::SoA.index(5, 0, 100, 3), 5);
-        assert_eq!(MemLayout::SoA.index(5, 2, 100, 3), 205);
-    }
-
-    #[test]
-    fn aos_interleaves() {
-        assert_eq!(MemLayout::AoS.index(5, 0, 100, 3), 15);
-        assert_eq!(MemLayout::AoS.index(5, 2, 100, 3), 17);
-    }
-
-    #[test]
-    fn scalar_fields_agree() {
-        for cell in 0..10 {
-            assert_eq!(
-                MemLayout::SoA.index(cell, 0, 64, 1),
-                MemLayout::AoS.index(cell, 0, 64, 1)
-            );
-        }
-    }
 
     #[test]
     fn halo_transfer_counts() {

@@ -376,11 +376,11 @@ impl<T: Elem> RawRead<T> {
 
     /// The whole partition as a slice (empty for null views).
     ///
-    /// What the Domain layer's row accessors are cut from: a field view
-    /// sub-slices this once per span (`FieldRead::row` in `neon-domain`),
-    /// so a span kernel pays the storage bounds check once per row, as the
-    /// slice-index check, and loops over a contiguous `&[T]` the
-    /// optimizer can vectorize.
+    /// What the Domain layer's lanes are cut from: a field view sub-slices
+    /// this once per span (`FieldRead::lanes` in `neon-domain`), so a span
+    /// kernel pays the storage bounds check once per run, as the
+    /// slice-index check, and loops over a `&[T]` the optimizer can
+    /// vectorize.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
         if self.ptr.is_null() {
@@ -446,7 +446,8 @@ impl<T: Elem> RawWrite<T> {
 
     /// The whole partition as a mutable slice (empty for null views).
     ///
-    /// Counterpart of [`RawRead::as_slice`]; write rows are cut from it.
+    /// Counterpart of [`RawRead::as_slice`]; writable lanes are cut from
+    /// it.
     /// Takes `&mut self` even though `set` takes `&self`: a slice borrow
     /// must be unique for its lifetime, and the exclusive tracker lease
     /// only guarantees exclusivity *between* views, not within one. That

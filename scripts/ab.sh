@@ -1,0 +1,117 @@
+#!/usr/bin/env bash
+# Alternated A/B run of the benchmark: a base revision against the working
+# tree, on this host.
+#
+#   scripts/ab.sh [-b REV] [-n PAIRS] [-s SECONDS] WORKLOAD...
+#
+#   -b REV      base revision (default HEAD); the change is the working tree
+#   -n PAIRS    seeded pairs per workload (default 10)
+#   -s SECONDS  measurement seconds per run (default 6)
+#
+# The base is exported with `git archive` into a scratch directory, and
+# each side's `benchmark/` binary is built in its own target directory.
+# Pair k runs seed k on both sides, the base first on odd k and the change
+# first on even k, because the host has noisy eras of seconds to minutes
+# and only alternated runs compare. For every end-to-end metric in
+# BENCHMARK.json it prints each side's median and quartiles, how many
+# pairs the change won and how many were exact ties (every `virt_*`
+# metric of an unchanged model ties in all of them). Exits 1 if any run reports `correct: false` or
+# `failed > 0`.
+#
+# AB_DIR names the scratch directory (default: a fresh temporary one);
+# reusing it keeps both builds warm between invocations.
+set -euo pipefail
+
+base=HEAD
+pairs=10
+seconds=6
+while getopts "b:n:s:" opt; do
+    case "$opt" in
+        b) base="$OPTARG" ;;
+        n) pairs="$OPTARG" ;;
+        s) seconds="$OPTARG" ;;
+        *) sed -n '5,9p' "$0" >&2; exit 2 ;;
+    esac
+done
+shift $((OPTIND - 1))
+if [ "$#" -eq 0 ]; then
+    sed -n '5,9p' "$0" >&2
+    exit 2
+fi
+workloads=("$@")
+
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+dir="${AB_DIR:-$(mktemp -d)}"
+mkdir -p "$dir/results"
+rm -rf "$dir/base-src"
+mkdir -p "$dir/base-src"
+git -C "$repo" archive "$base" | tar -x -C "$dir/base-src"
+
+build() { # SRC TARGET_DIR
+    CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
+        --manifest-path "$1/benchmark/Cargo.toml"
+}
+echo "building base ($base) and change in $dir" >&2
+build "$dir/base-src" "$dir/target-base"
+build "$repo" "$dir/target-change"
+cp "$dir/target-base/release/neon-benchmark" "$dir/bench-base"
+cp "$dir/target-change/release/neon-benchmark" "$dir/bench-change"
+
+run() { # SIDE WORKLOAD SEED
+    (cd "$dir" && "./bench-$1" run --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 \
+        2>/dev/null | tail -n 1 >"results/$2.$1.$3.json")
+}
+for w in "${workloads[@]}"; do
+    for k in $(seq 1 "$pairs"); do
+        if [ $((k % 2)) -eq 1 ]; then order=(base change); else order=(change base); fi
+        for side in "${order[@]}"; do
+            run "$side" "$w" "$k"
+        done
+        echo "$w pair $k/$pairs done" >&2
+    done
+done
+
+python3 - "$repo/BENCHMARK.json" "$dir/results" "$pairs" "${workloads[@]}" <<'EOF'
+import json, statistics, sys
+
+manifest, results, pairs, workloads = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
+metrics = json.load(open(manifest))["end_to_end"]
+bad = []
+
+def quartiles(xs):
+    q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+    return q[1], q[0], q[2]
+
+for w in workloads:
+    runs = {side: [] for side in ("base", "change")}
+    for side in runs:
+        for k in range(1, pairs + 1):
+            path = f"{results}/{w}.{side}.{k}.json"
+            try:
+                doc = json.load(open(path))
+            except (OSError, ValueError):
+                bad.append(f"{w} {side} seed {k}: no result")
+                continue
+            if not doc.get("correct") or doc.get("failed", 0) > 0:
+                bad.append(f"{w} {side} seed {k}: correct={doc.get('correct')} failed={doc.get('failed')}")
+            runs[side].append(doc)
+    print(f"== {w} ({pairs} pairs)")
+    print(f"{'metric':<22}{'base median [q1, q3]':>34}{'change median [q1, q3]':>34}{'wins':>7}{'ties':>6}")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        vals = {s: [d["metrics"][name]["value"] for d in runs[s] if name in d.get("metrics", {})]
+                for s in runs}
+        if not vals["base"] or len(vals["base"]) != len(vals["change"]):
+            continue
+        pairs_ = list(zip(vals["base"], vals["change"]))
+        wins = sum((c < b) if lower else (c > b) for b, c in pairs_)
+        ties = sum(c == b for b, c in pairs_)
+        cols = []
+        for s in ("base", "change"):
+            med, q1, q3 = quartiles(vals[s])
+            cols.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
+        print(f"{name:<22}{cols[0]:>34}{cols[1]:>34}{wins:>4}/{len(pairs_):<2}{ties:>4}/{len(pairs_)}")
+for b in bad:
+    print("FAILED:", b)
+sys.exit(1 if bad else 0)
+EOF

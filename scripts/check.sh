@@ -12,8 +12,8 @@ cargo build --workspace --release
 # Every test target once, among them: the golden IR dump (compiler
 # pipeline output pinned, incl. layout-select), the layout/shape
 # properties (AoS = SoA and span kernels = per-cell reference, bit for
-# bit), the FEM row path and the LBM row path (each = its per-cell body,
-# bit for bit).
+# bit), the FEM and LBM row-path properties (each interior body = its
+# per-cell body, bit for bit).
 echo "==> cargo test --workspace --quiet"
 cargo test --workspace --quiet
 
