@@ -403,10 +403,12 @@ impl IterationSpace for BlockSparseGrid {
         let p = self.part(dev);
         let dim = self.inner.dim;
         let bb = self.inner.block;
-        let (a, b) = self.class_range(dev, sweep.owned_view());
+        let (a, b) = self.class_range(dev, sweep.region.owned_view());
         // One span per x-row of a block, clipped to the domain box (the
         // padding past it is never iterated). An active block has a cell
-        // inside the box, so every clipped extent is at least 1.
+        // inside the box, so every clipped extent is at least 1. Rows are
+        // never cut and never interior, whether or not the sweep
+        // stencil-reads.
         for bi in a..b {
             let (bx, by, bz) = p.origins[bi as usize];
             let (x0, y0, z0) = (bx as usize * bb, by as usize * bb, bz as usize * bb);

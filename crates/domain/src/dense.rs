@@ -18,14 +18,16 @@
 //! is two plain copies per partition (times the cardinality for SoA
 //! fields).
 //!
-//! Iteration emits each x-row as [`Span`]s split at the stencils' x-reach:
-//! the middle run of a row that is itself `reach` away from the y and z
-//! domain faces is *interior* — every registered neighbour of every cell
-//! in it is in the domain — so stencil views skip the domain test there.
+//! Iteration emits each x-row as one [`Span`]. A stencil-reading sweep
+//! splits it at the stencils' x-reach: the middle run of a row that is
+//! itself `reach` away from the y and z domain faces is *interior* —
+//! every registered neighbour of every cell in it is in the domain — so
+//! stencil views skip the domain test there. A sweep that reads no
+//! neighbour has no use for the promise and keeps its rows whole.
 
 use std::sync::Arc;
 
-use neon_set::{Cell, DataView, Elem, IterationSpace, Span, StorageMode, Sweep};
+use neon_set::{Cell, DataView, Elem, IterationSpace, Region, Span, StorageMode, Sweep};
 use neon_sys::{Backend, DeviceId, NeonSysError, Result};
 
 use crate::grid::{proportional_slab_partition, slab_partition, Dim3, FieldParts, GridLike};
@@ -371,9 +373,9 @@ impl IterationSpace for DenseGrid {
 
     fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span)) {
         let dim = self.inner.dim;
-        let (ranges, nr) = match sweep {
-            Sweep::View(view) => self.view_z_ranges(dev, view),
-            Sweep::Expanded(depth) => {
+        let (ranges, nr) = match sweep.region {
+            Region::View(view) => self.view_z_ranges(dev, view),
+            Region::Expanded(depth) => {
                 assert!(
                     depth <= IterationSpace::ghost_capacity(self),
                     "expanded depth {depth} exceeds ghost capacity {}",
@@ -387,8 +389,9 @@ impl IterationSpace for DenseGrid {
         let [rx, ry, rz] = self.inner.reach;
         let nx = dim.x as u32;
         // x-extent of a row's interior run; empty on rows shorter than
-        // the stencil is wide.
-        let (xa, xb) = if 2 * rx < dim.x {
+        // the stencil is wide, and on every row of a sweep that reads no
+        // neighbour, which gets whole rows.
+        let (xa, xb) = if sweep.stencil_reads && 2 * rx < dim.x {
             (rx as u32, (dim.x - rx) as u32)
         } else {
             (0, 0)
@@ -868,9 +871,8 @@ mod tests {
         assert_eq!(g.cell_count_expanded(DeviceId(1), 2), 16 * 6);
         let expanded = |dev: usize, depth: usize| {
             let mut cells = Vec::new();
-            g.for_each_span(DeviceId(dev), Sweep::Expanded(depth), &mut |span| {
-                cells.extend(span.cells())
-            });
+            let sweep = Sweep::map(Region::Expanded(depth));
+            g.for_each_span(DeviceId(dev), sweep, &mut |span| cells.extend(span.cells()));
             cells
         };
         let cells0 = expanded(0, 2);

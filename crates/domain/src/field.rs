@@ -370,7 +370,7 @@ mod tests {
     use crate::sparse::SparseGrid;
     use crate::stencil::Stencil;
     use crate::view::{FieldStencil as _, FieldWrite as _};
-    use neon_set::{DataView, IterationSpace, Loader, StorageMode, Sweep};
+    use neon_set::{DataView, IterationSpace, Loader, Region, StorageMode, Sweep};
     use neon_sys::Backend;
 
     fn dense(n: usize) -> DenseGrid {
@@ -527,7 +527,8 @@ mod tests {
         for dev in 0..2 {
             let mut ldr = Loader::for_execution(DeviceId(dev), 2, DataView::Standard);
             let rv = ldr.read(&f);
-            g.for_each_span(DeviceId(dev), Sweep::Expanded(2), &mut |span| {
+            let sweep = Sweep::map(Region::Expanded(2));
+            g.for_each_span(DeviceId(dev), sweep, &mut |span| {
                 for c in span.cells() {
                     assert_eq!(
                         crate::view::FieldRead::at(&rv, c, 0),

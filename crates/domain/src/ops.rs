@@ -8,10 +8,15 @@
 //!
 //! Every operation here declares a typed [`KernelShape`] and registers a
 //! **span-level** kernel: the `dyn` boundary is crossed once per row run,
-//! and the body is a [`SpanBody`] over every operand's lanes, one plain
-//! indexed loop the compiler vectorises where the cells of a run are
-//! adjacent. It is the same body under every layout: [`span_kernel`]
-//! hands it the operands' stride, including when their layouts differ.
+//! and the body is a [`SpanBody`] over every operand's lanes. Vector
+//! operands of one layout are looped over as contiguous
+//! [runs](crate::Lanes::runs) — one flat run of `len·card` elements under
+//! AoS, one row per component under SoA — so the loop is as plain at any
+//! cardinality as a scalar one on `Soa<1>` lanes. A dot product does so
+//! only on SoA rows, a block of cells at a time; its AoS cells are already
+//! adjacent. Other operands go element by element, through the stride
+//! [`span_kernel`] picks.
+//!
 //! The [`mod@reference`] module keeps the per-cell `Generic` forms as the
 //! bit-identity oracle; the two families visit cells and update reduction
 //! partials in the identical order, so they must agree bit for bit
@@ -23,7 +28,10 @@ use neon_set::{Cell, Container, KernelFn, KernelShape, ScalarSet, ScalarView, Sp
 
 use crate::field::Field;
 use crate::grid::GridLike;
-use crate::view::{span_kernel, FieldRead, FieldWrite, PartRead, PartWrite, SpanBody, Stride};
+use crate::layout::MemLayout;
+use crate::view::{
+    span_kernel, FieldRead, FieldWrite, PartRead, PartWrite, SpanBody, Stride, Strides,
+};
 
 /// `dst[e] ← f(dst[e], [src[e]; N])` for every element `e` (cell ×
 /// component) of a span — the body of every elementwise operation.
@@ -46,17 +54,48 @@ impl<F: Fn(f64, [f64; N]) -> f64, const N: usize> SpanBody for Update<F, N> {
     }
 }
 
+impl<F: Fn(f64, [f64; N]) -> f64, const N: usize> Update<F, N> {
+    /// The body over contiguous runs, for operands of one layout: their
+    /// runs line up element for element.
+    #[inline]
+    fn runs(&mut self, span: &Span) {
+        let mut d = self.dst.lanes_mut::<Strides>(span);
+        let s = self.srcs.each_ref().map(|s| s.lanes::<Strides>(span));
+        let mut ins: [_; N] = from_fn(|k| s[k].runs());
+        for out in d.runs_mut() {
+            let ins: [&[f64]; N] = from_fn(|k| &ins[k].next().expect("one layout")[..out.len()]);
+            for (e, o) in out.iter_mut().enumerate() {
+                *o = (self.f)(*o, from_fn(|k| ins[k][e]));
+            }
+        }
+    }
+}
+
+/// Whether a kernel over `operands` loops over runs: vector fields of one
+/// layout. A scalar span is one run already, which the typed `Soa<1>`
+/// element loop indexes directly.
+fn one_vector_layout(operands: impl IntoIterator<Item = Strides>) -> bool {
+    let mut operands = operands.into_iter();
+    let first = operands.next().expect("a kernel has operands");
+    first.card() > 1 && operands.all(|s| s == first)
+}
+
 /// The span kernel of [`Update`].
 fn update<const N: usize>(
     dst: PartWrite<f64>,
     srcs: [PartRead<f64>; N],
     f: impl Fn(f64, [f64; N]) -> f64 + Send + 'static,
 ) -> KernelFn {
-    let strides = srcs.each_ref().map(|s| s.strides());
-    span_kernel::<1>(
-        strides.into_iter().chain([dst.strides()]),
-        Update { dst, srcs, f },
-    )
+    let operands = [dst.strides()]
+        .into_iter()
+        .chain(srcs.each_ref().map(|s| s.strides()));
+    let runs = one_vector_layout(operands.clone());
+    let mut body = Update { dst, srcs, f };
+    if runs {
+        KernelFn::spans(move |span| body.runs(span))
+    } else {
+        span_kernel::<1>(operands, body)
+    }
 }
 
 /// `out ← Σ_i Σ_k x[i,k]·y[i,k]`, one per-cell product sum folded into the
@@ -79,6 +118,34 @@ impl SpanBody for Dot {
                 s += x.get(i, q) * y.get(i, q);
             }
             partial += s;
+        }
+        self.acc.set(partial);
+    }
+}
+
+/// Cells whose product sums [`Dot::rows`] builds at once.
+const DOT_BLOCK: usize = 64;
+
+impl Dot {
+    /// The body over SoA rows, for `x` and `y` of one layout: a block of
+    /// cells' sums gains its components in order, then folds in cell
+    /// order.
+    #[inline]
+    fn rows(&mut self, span: &Span) {
+        let (x, y) = (self.x.lanes::<Strides>(span), self.y.lanes::<Strides>(span));
+        let mut partial = self.acc.get();
+        for start in (0..span.len()).step_by(DOT_BLOCK) {
+            let cells = start..span.len().min(start + DOT_BLOCK);
+            let mut sums = [0.0; DOT_BLOCK];
+            for (a, b) in x.runs().zip(y.runs()) {
+                let rows = a[cells.clone()].iter().zip(&b[cells.clone()]);
+                for (s, (a, b)) in sums.iter_mut().zip(rows) {
+                    *s += a * b;
+                }
+            }
+            for s in &sums[..cells.len()] {
+                partial += s;
+            }
         }
         self.acc.set(partial);
     }
@@ -182,7 +249,12 @@ pub fn dot<G: GridLike>(
             let (xv, yv) = (ldr.read(&x), ldr.read(&y));
             let operands = [xv.strides(), yv.strides()];
             let acc = ldr.reduce(&out_c);
-            span_kernel::<1>(operands, Dot { x: xv, y: yv, acc })
+            let mut body = Dot { x: xv, y: yv, acc };
+            if one_vector_layout(operands) && x.layout() == MemLayout::SoA {
+                KernelFn::spans(move |span| body.rows(span))
+            } else {
+                span_kernel::<1>(operands, body)
+            }
         },
     )
 }
@@ -440,7 +512,6 @@ mod tests {
     use super::*;
     use crate::dense::DenseGrid;
     use crate::grid::Dim3;
-    use crate::layout::MemLayout;
     use crate::stencil::Stencil;
     use neon_set::{ContainerKind, DataView, StorageMode};
     use neon_sys::{Backend, DeviceId};
@@ -634,5 +705,38 @@ mod tests {
         run_all(&dot(&g, &x, &y, &d1), 2);
         run_all(&reference::dot(&g2, &x2, &y2, &d2), 2);
         assert_eq!(d1.host_value().to_bits(), d2.host_value().to_bits());
+    }
+
+    /// Vector ops run over contiguous runs when the layouts agree, and
+    /// element by element when they do not: both must stay bit-identical
+    /// to the per-cell twin. Values are inexact and rows are longer than
+    /// [`DOT_BLOCK`], so a changed summation order shows.
+    #[test]
+    fn vector_ops_match_reference_bitwise_in_every_layout() {
+        use MemLayout::{AoS, SoA};
+        let b = Backend::dgx_a100(2);
+        let s = Stencil::seven_point();
+        let g =
+            DenseGrid::new(&b, Dim3::new(DOT_BLOCK + 7, 2, 4), &[&s], StorageMode::Real).unwrap();
+        for (lx, ly) in [(SoA, SoA), (AoS, AoS), (AoS, SoA), (SoA, AoS)] {
+            let run = |shaped: bool| {
+                let x = Field::<f64, _>::new(&g, "x", 3, 0.0, lx).unwrap();
+                let y = Field::<f64, _>::new(&g, "y", 3, 0.0, ly).unwrap();
+                x.fill(|a, b, c, k| ((a * 31 + b * 7 + c + k as i32) as f64).sin());
+                y.fill(|a, b, c, k| ((a * 5 + b * 3 + c * 11 + 2 * k as i32) as f64).cos());
+                let d = ScalarSet::<f64>::new(2, "d", 0.0, |p, q| p + q);
+                if shaped {
+                    run_all(&axpy_const(&g, 0.37, &x, &y), 2);
+                    run_all(&dot(&g, &x, &y, &d), 2);
+                } else {
+                    run_all(&reference::axpy_const(&g, 0.37, &x, &y), 2);
+                    run_all(&reference::dot(&g, &x, &y, &d), 2);
+                }
+                let mut bits = vec![d.host_value().to_bits()];
+                y.for_each(|_, _, _, _, v| bits.push(v.to_bits()));
+                bits
+            };
+            assert_eq!(run(true), run(false), "x {lx:?}, y {ly:?}");
+        }
     }
 }

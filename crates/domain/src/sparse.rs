@@ -21,14 +21,16 @@
 //! trade-off Fig. 9 of the paper explores.
 //!
 //! Iteration emits the x-runs of the class-ordered cell list as [`Span`]s
-//! (cells consecutive in `x` are consecutive in storage), cut where the
-//! per-cell *interior* bit changes: a cell is interior when every entry of
-//! its connectivity row names a stored cell. Run boundaries and bits are
-//! found once, at construction. A row lies in one class (classes are
-//! z-ranges) and every class is stored in (z, y, x) order, so the
-//! neighbours of an interior run at one slot are consecutive stored
-//! cells: the stencil view hands them out as one neighbour row, like the
-//! dense grid's.
+//! (cells consecutive in `x` are consecutive in storage). A
+//! stencil-reading sweep cuts them where the per-cell *interior* bit
+//! changes: a cell is interior when every entry of its connectivity row
+//! names a stored cell. Run boundaries and bits are found once, at
+//! construction. A row lies in one class (classes are z-ranges) and every
+//! class is stored in (z, y, x) order, so the neighbours of an interior
+//! run at one slot are consecutive stored cells: the stencil view hands
+//! them out as one neighbour row, like the dense grid's. Any other sweep
+//! gets each maximal x-run of a class as one span, merged from the cut
+//! runs as they are emitted.
 //!
 //! Partitioning balances **active** cells per device: z-slabs are chosen
 //! by per-layer active counts ([`crate::grid::weighted_slab_partition`]).
@@ -445,21 +447,39 @@ impl IterationSpace for SparseGrid {
         );
         let p = self.part(dev);
         let k = p.n_int_runs;
-        let (starts, interior) = match sweep.owned_view() {
+        let (starts, interior) = match sweep.region.owned_view() {
             DataView::Standard => (&p.run_starts[..], &p.run_interior[..]),
             DataView::Internal => (&p.run_starts[..=k], &p.run_interior[..k]),
             DataView::Boundary => (&p.run_starts[k..], &p.run_interior[k..]),
         };
         // The interior bit changes no per-cell answer (the connectivity
         // table gives those either way); it is what lets the stencil view
-        // hand out neighbour lanes.
+        // hand out neighbour lanes. A sweep that reads no neighbour has no
+        // use for it, so a run there extends over every following run that
+        // continues it in x: the table's runs are adjacent in storage, and
+        // the cut between two on one row is an interior flip.
+        let mut open: Option<Span> = None;
         for (run, &interior) in starts.windows(2).zip(interior) {
             let (x, y, z) = p.cells[run[0] as usize];
+            let len = run[1] - run[0];
+            if let Some(span) = open.as_mut() {
+                let first = span.first;
+                if !sweep.stencil_reads
+                    && (first.y, first.z, first.x + span.len as i32) == (y, z, x)
+                {
+                    span.len += len;
+                    continue;
+                }
+                f(span);
+            }
             let first = Cell {
-                interior,
+                interior: interior && sweep.stencil_reads,
                 ..Cell::new(run[0], x, y, z)
             };
-            f(&Span::new(first, run[1] - run[0]));
+            open = Some(Span::new(first, len));
+        }
+        if let Some(span) = open {
+            f(&span);
         }
     }
 

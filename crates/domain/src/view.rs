@@ -24,9 +24,11 @@
 //! reads single elements with `get`, and works on whole cells through
 //! [`LanesMut::for_each_cell`], whose loop the stride type runs: [`Aos`]
 //! hands over the stored cell as a `&mut [T; C]`, [`Soa`] one row per
-//! component hoisted out of the loop. Lanes are cut from partition storage
-//! as one slice per span, so the storage bounds check is paid once per
-//! run, and never skipped.
+//! component hoisted out of the loop. A body that needs no cell structure,
+//! like an elementwise BLAS operation, takes [`Lanes::runs`] instead: the
+//! lanes as contiguous runs, which line up across operands of one layout.
+//! Lanes are cut from partition storage as one slice per span, so the
+//! storage bounds check is paid once per run, and never skipped.
 
 use std::array::from_fn;
 use std::ops::Range;
@@ -116,6 +118,11 @@ impl Strides {
             MemLayout::SoA => (1, pitch),
         };
         Strides { card, cell, comp }
+    }
+
+    /// Components per cell.
+    pub(crate) fn card(self) -> usize {
+        self.card
     }
 }
 
@@ -266,15 +273,31 @@ fn cut<S: Stride>(strides: Strides, lin: usize, len: usize) -> (S, Range<usize>)
     (stride, start..end)
 }
 
+/// How the lanes of `len` cells with strides `s` split into contiguous
+/// runs: how many, each one's length, and the distance from one run's
+/// start to the next. A cell's components are adjacent under AoS, and a
+/// one-component field has no second component, so both are one flat run
+/// of `len·card` elements, cell-major; an SoA vector is one row of `len`
+/// cells per component, `pitch` apart.
+#[inline(always)]
+fn run_shape(s: Strides, len: usize) -> (usize, usize, usize) {
+    if s.card > 1 && s.cell == 1 {
+        (s.card, len, s.comp)
+    } else {
+        (1, len * s.card, len * s.card)
+    }
+}
+
 /// Every component of a run of cells, read-only: element `(i, q)` is
 /// component `q` of the run's `i`-th cell (see the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct Lanes<'a, T, S> {
     data: &'a [T],
+    len: usize,
     stride: S,
 }
 
-impl<T: Copy, S: Stride> Lanes<'_, T, S> {
+impl<'a, T: Copy, S: Stride> Lanes<'a, T, S> {
     /// Components per cell.
     #[inline(always)]
     pub fn card(&self) -> usize {
@@ -285,6 +308,18 @@ impl<T: Copy, S: Stride> Lanes<'_, T, S> {
     #[inline(always)]
     pub fn get(&self, i: usize, q: usize) -> T {
         self.data[self.stride.at(i, q)]
+    }
+
+    /// The elements as contiguous runs, for bodies that need no cell
+    /// structure: one run of `len·card` elements, cell-major, under AoS
+    /// or for one component; one row of `len` cells per component under
+    /// SoA. Lanes of one layout and cardinality split into runs of the
+    /// same shape, element for element.
+    #[inline(always)]
+    pub fn runs(&self) -> impl ExactSizeIterator<Item = &'a [T]> {
+        let (count, n, pitch) = run_shape(self.stride.strides(), self.len);
+        let data = self.data;
+        (0..count).map(move |r| &data[r * pitch..][..n])
     }
 }
 
@@ -315,6 +350,13 @@ impl<T: Copy, S: Stride> LanesMut<'_, T, S> {
     #[inline(always)]
     pub fn set(&mut self, i: usize, q: usize, v: T) {
         self.data[self.stride.at(i, q)] = v;
+    }
+
+    /// Writable form of [`Lanes::runs`].
+    #[inline(always)]
+    pub(crate) fn runs_mut(&mut self) -> impl Iterator<Item = &mut [T]> {
+        let (_, n, pitch) = run_shape(self.stride.strides(), self.len);
+        self.data.chunks_mut(pitch).map(move |run| &mut run[..n])
     }
 
     /// `f(i, cell, inputs)` for every cell `i` of the run, in order:
@@ -398,6 +440,7 @@ impl<T: Elem> PartRead<T> {
         let (stride, range) = cut(self.strides, lin, len);
         Lanes {
             data: &self.raw.as_slice()[range],
+            len,
             stride,
         }
     }

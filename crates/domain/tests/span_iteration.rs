@@ -6,14 +6,18 @@
 //! cell, and by neighbour lanes under SoA and AoS), so a wrong slot delta
 //! or a neighbour that lives in a halo layer shows. On the sparse grid the
 //! bit is also complete: every cell whose neighbours are all active is in
-//! an interior span.
+//! an interior span. A sweep that reads no neighbour visits the same
+//! cells in the same order in whole runs — one per dense row, one per
+//! maximal x-run of a sparse class — and containers pick that sweep from
+//! their access records.
 
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 use neon_domain::{
-    Aos, BlockSparseGrid, Cell, DataView, DenseGrid, Dim3, Field, FieldRead as _,
-    FieldStencil as _, GridLike, Lanes, Loader, MemLayout, Offset3, Soa, Span, SparseGrid, Stencil,
-    StorageMode, Stride, Sweep,
+    Aos, BlockSparseGrid, Cell, Container, DataView, DenseGrid, Dim3, Field, FieldRead as _,
+    FieldStencil as _, GridLike, KernelFn, KernelShape, Lanes, Loader, MemLayout, Offset3, Region,
+    ScalarSet, Soa, Span, SparseGrid, Stencil, StorageMode, Stride, Sweep,
 };
 use neon_set::IterationSpace;
 use neon_sys::{Backend, DeviceId};
@@ -33,6 +37,36 @@ fn spans_of<G: IterationSpace>(g: &G, dev: DeviceId, sweep: Sweep) -> Vec<Span> 
 
 fn cells_of(spans: &[Span]) -> Vec<Cell> {
     spans.iter().flat_map(|s| s.cells()).collect()
+}
+
+/// Whether span `b` continues span `a` on its row and in storage.
+fn continues(a: &Span, b: &Span) -> bool {
+    (a.first.y, a.first.z) == (b.first.y, b.first.z)
+        && a.first.x + a.len as i32 == b.first.x
+        && a.first.lin + a.len == b.first.lin
+}
+
+/// The map sweep of `region`: the stencil sweep's cells in the same
+/// order, none promised interior, in maximal runs — no span continues the
+/// one before it. Returns its spans.
+fn check_map_sweep<G: IterationSpace>(g: &G, dev: DeviceId, region: Region) -> Vec<Span> {
+    let map = spans_of(g, dev, Sweep::map(region));
+    let plain = |spans: &[Span]| -> Vec<(u32, i32, i32, i32)> {
+        cells_of(spans)
+            .iter()
+            .map(|c| (c.lin, c.x, c.y, c.z))
+            .collect()
+    };
+    let stencil = spans_of(g, dev, Sweep::stencil(region));
+    assert_eq!(plain(&map), plain(&stencil), "{region:?} on {dev:?}");
+    assert!(
+        map.iter().all(|s| !s.interior()),
+        "a map sweep promised interior"
+    );
+    for pair in map.windows(2) {
+        assert!(!continues(&pair[0], &pair[1]), "a map sweep cut {pair:?}");
+    }
+    map
 }
 
 /// A scalar SoA field and a 3-component AoS field over one grid, both
@@ -172,16 +206,17 @@ fn check_views<G: GridLike + IterationSpace>(g: &G, fields: &Fields<G>) -> usize
         let key = |c: &Cell| (c.lin, c.x, c.y, c.z);
         let mut per_view = Vec::new();
         for view in VIEWS {
-            let n = check_sweep(g, fields, dev, view.into());
+            let n = check_sweep(g, fields, dev, Sweep::stencil(view));
             if view == DataView::Standard {
                 interior += n;
             }
-            let cells = cells_of(&spans_of(g, dev, view.into()));
+            assert_eq!(check_sweep(g, fields, dev, Sweep::map(view)), 0);
+            let cells = cells_of(&spans_of(g, dev, Sweep::stencil(view)));
             assert_eq!(cells.len() as u64, g.cell_count(dev, view), "{view:?}");
-            // The derived per-cell method is the same walk.
+            // The derived per-cell method is the map sweep's walk.
             let mut per_cell = Vec::new();
             g.for_each_cell(dev, view, &mut |c| per_cell.push(c));
-            assert_eq!(per_cell, cells);
+            assert_eq!(per_cell, cells_of(&spans_of(g, dev, Sweep::map(view))));
             per_view.push(cells.iter().map(key).collect::<HashSet<_>>());
         }
         assert_eq!(per_view[0], owned, "standard view of device {d}");
@@ -196,10 +231,12 @@ fn check_views<G: GridLike + IterationSpace>(g: &G, fields: &Fields<G>) -> usize
             }
         }
         // Expanded(0) is the standard view.
-        assert_eq!(
-            spans_of(g, dev, Sweep::Expanded(0)),
-            spans_of(g, dev, DataView::Standard.into())
-        );
+        for sweep in [Sweep::map, Sweep::stencil] {
+            assert_eq!(
+                spans_of(g, dev, sweep(Region::Expanded(0))),
+                spans_of(g, dev, sweep(DataView::Standard.into()))
+            );
+        }
     }
     interior
 }
@@ -248,7 +285,7 @@ fn dense_rows_too_short_for_the_stencil_have_no_interior() {
         // nx = 1 with no x-reach: the whole row is the interior run.
         let g = dense(n_dev, Dim3::new(1, 4, 8), &yz);
         assert_eq!(check_views(&g, &fields(&g)), 2 * 6);
-        for span in spans_of(&g, DeviceId(0), DataView::Standard.into()) {
+        for span in spans_of(&g, DeviceId(0), Sweep::stencil(DataView::Standard)) {
             assert_eq!(span.len(), 1);
         }
     }
@@ -267,8 +304,11 @@ fn dense_expanded_sweeps_add_the_ghost_rings() {
         for d in 0..n_dev {
             let dev = DeviceId(d);
             for depth in 0..=2 {
-                check_sweep(&g, &fields, dev, Sweep::Expanded(depth));
-                let cells = cells_of(&spans_of(&g, dev, Sweep::Expanded(depth)));
+                let region = Region::Expanded(depth);
+                check_sweep(&g, &fields, dev, Sweep::stencil(region));
+                check_sweep(&g, &fields, dev, Sweep::map(region));
+                check_map_sweep(&g, dev, region);
+                let cells = cells_of(&spans_of(&g, dev, Sweep::stencil(region)));
                 assert_eq!(cells.len() as u64, g.cell_count_expanded(dev, depth));
                 let mut expect = Vec::new();
                 g.for_each_owned(dev, &mut |c| expect.push((c.lin, c.x, c.y, c.z)));
@@ -287,7 +327,7 @@ fn dense_expanded_sweeps_add_the_ghost_rings() {
 #[should_panic(expected = "exceeds ghost capacity")]
 fn dense_expanded_sweep_past_capacity_panics() {
     let g = dense(2, Dim3::new(4, 4, 8), &Stencil::seven_point());
-    g.for_each_span(DeviceId(0), Sweep::Expanded(1), &mut |_| {});
+    g.for_each_span(DeviceId(0), Sweep::map(Region::Expanded(1)), &mut |_| {});
 }
 
 #[test]
@@ -306,18 +346,17 @@ fn sparse_spans_are_the_x_runs_of_the_cell_list() {
             let g = SparseGrid::new(&b, dim, &[st], mask, StorageMode::Real).unwrap();
             check_views(&g, &fields(&g));
             for d in 0..n_dev {
-                let spans = spans_of(&g, DeviceId(d), DataView::Standard.into());
+                let spans = spans_of(&g, DeviceId(d), Sweep::stencil(DataView::Standard));
                 // Runs are maximal among runs with the same interior bit:
                 // a span continues the one before it only across the
                 // internal/boundary cut or where the bit flips.
                 for pair in spans.windows(2) {
                     let (a, b) = (pair[0], pair[1]);
-                    let continues = (a.first.y, a.first.z) == (b.first.y, b.first.z)
-                        && a.first.x + a.len as i32 == b.first.x
-                        && a.first.lin + a.len == b.first.lin;
                     let class_cut = g.cell_count(DeviceId(d), DataView::Internal) as u32;
                     assert!(
-                        !continues || b.first.lin == class_cut || a.interior() != b.interior(),
+                        !continues(&a, &b)
+                            || b.first.lin == class_cut
+                            || a.interior() != b.interior(),
                         "{a:?} then {b:?}"
                     );
                 }
@@ -362,7 +401,7 @@ fn block_spans_are_block_rows_clipped_to_the_domain() {
             .unwrap();
             check_views(&g, &fields(&g));
             for d in 0..n_dev {
-                for span in spans_of(&g, DeviceId(d), DataView::Standard.into()) {
+                for span in spans_of(&g, DeviceId(d), Sweep::stencil(DataView::Standard)) {
                     assert_eq!(span.first.x % 4, 0, "a block row starts at the block edge");
                     let clipped = (dim.x as i32 - span.first.x).min(4);
                     assert_eq!(span.len as i32, clipped);
@@ -370,6 +409,97 @@ fn block_spans_are_block_rows_clipped_to_the_domain() {
             }
         }
     }
+}
+
+#[test]
+fn map_sweeps_take_whole_dense_rows_and_maximal_sparse_runs() {
+    let (st7, st27) = (Stencil::seven_point(), Stencil::twenty_seven_point());
+    let dim = Dim3::new(8, 6, 12);
+    // The plate with a hole again: the interior bit flips inside rows.
+    let mask = |x: i32, y: i32, _z: i32| x != 3 && (y != 2 || x < 6);
+    for n_dev in 1..=3 {
+        for st in [&st7, &st27] {
+            let g = dense(n_dev, dim, st);
+            let b = Backend::dgx_a100(n_dev);
+            let sg = SparseGrid::new(&b, dim, &[st], mask, StorageMode::Real).unwrap();
+            let (mut cut_dense, mut cut_sparse) = (0, 0);
+            for d in 0..n_dev {
+                let dev = DeviceId(d);
+                for view in VIEWS {
+                    let rows = check_map_sweep(&g, dev, view.into());
+                    assert!(
+                        rows.iter().all(|s| s.first.x == 0 && s.len() == dim.x),
+                        "one span per dense row"
+                    );
+                    assert_eq!(rows.len() * dim.x, g.cell_count(dev, view) as usize);
+                    cut_dense += spans_of(&g, dev, Sweep::stencil(view)).len() - rows.len();
+                    let runs = check_map_sweep(&sg, dev, view.into());
+                    cut_sparse += spans_of(&sg, dev, Sweep::stencil(view)).len() - runs.len();
+                }
+            }
+            assert!(cut_dense > 0 && cut_sparse > 0, "{} cuts no run", st.name());
+        }
+    }
+}
+
+/// A container over `g` whose span kernel records the length of every
+/// span it is handed. It reads `x`, through a stencil view if `stencil`,
+/// and reduces into `sum` if given.
+fn recording(
+    g: &DenseGrid,
+    x: &Field<f64, DenseGrid>,
+    stencil: bool,
+    sum: Option<&ScalarSet<f64>>,
+    lens: &Arc<Mutex<Vec<u32>>>,
+) -> Container {
+    let (x, sum, lens) = (x.clone(), sum.cloned(), lens.clone());
+    Container::compute_shaped("record", g.as_space(), KernelShape::Generic, move |ldr| {
+        if stencil {
+            ldr.read_stencil(&x);
+        } else {
+            ldr.read(&x);
+        }
+        if let Some(sum) = &sum {
+            ldr.reduce(sum);
+        }
+        let lens = lens.clone();
+        KernelFn::spans(move |span| lens.lock().unwrap().push(span.len))
+    })
+}
+
+#[test]
+fn containers_sweep_whole_rows_unless_they_stencil_read() {
+    let dim = Dim3::new(6, 5, 8);
+    let g = dense(2, dim, &Stencil::seven_point());
+    let x = Field::<f64, _>::new(&g, "x", 1, 0.0, MemLayout::SoA).unwrap();
+    let sum = ScalarSet::<f64>::new(2, "sum", 0.0, |a, b| a + b);
+    let lens = Arc::new(Mutex::new(Vec::new()));
+    let launch = |c: &Container| {
+        for d in 0..2 {
+            c.run_device(DeviceId(d), DataView::Standard);
+        }
+        std::mem::take(&mut *lens.lock().unwrap())
+    };
+    let map = || recording(&g, &x, false, None, &lens);
+    let dot = recording(&g, &x, false, Some(&sum), &lens);
+    let stencil = || recording(&g, &x, true, None, &lens);
+    // Fused members run one after the other on each span.
+    let twice = |lens: &[u32]| -> Vec<u32> { lens.iter().flat_map(|&l| [l, l]).collect() };
+
+    let rows = vec![dim.x as u32; dim.y * dim.z];
+    assert_eq!(launch(&map()), rows, "a map");
+    assert_eq!(launch(&dot), rows, "a reduction");
+    let chain = Container::fused("map+dot", vec![map(), dot.clone()]);
+    assert_eq!(launch(&chain), twice(&rows), "a fused map chain");
+
+    let split: Vec<u32> = (0..2)
+        .flat_map(|d| spans_of(&g, DeviceId(d), Sweep::stencil(DataView::Standard)))
+        .map(|s| s.len)
+        .collect();
+    assert!(split.len() > rows.len(), "the stencil sweep is cut");
+    assert_eq!(launch(&stencil()), split, "a stencil");
+    let group = Container::fused("stencil+dot", vec![stencil(), dot]);
+    assert_eq!(launch(&group), twice(&split), "a fused stencil+dot");
 }
 
 /// Lanes of a `C`-component field in `layout` hold every component of
@@ -380,7 +510,7 @@ fn check_vector_lanes<const C: usize>(layout: MemLayout) {
     f.fill(|x, y, z, k| value(x, y, z) + k as f64 * 0.25);
     let mut ldr = Loader::for_execution(DeviceId(1), 2, DataView::Standard);
     let rv = ldr.read(&f);
-    for span in spans_of(&g, DeviceId(1), DataView::Standard.into()) {
+    for span in spans_of(&g, DeviceId(1), Sweep::map(DataView::Standard)) {
         let want: Vec<f64> = span
             .cells()
             .flat_map(|c| (0..C).map(move |k| (c, k)))
@@ -391,7 +521,18 @@ fn check_vector_lanes<const C: usize>(layout: MemLayout) {
             MemLayout::AoS => elems(&span, &rv.lanes::<Aos<C>>(&span)),
         };
         assert_eq!(typed, want, "{layout:?}");
-        assert_eq!(elems(&span, &rv.lanes::<neon_domain::Strides>(&span)), want);
+        let lanes = rv.lanes::<neon_domain::Strides>(&span);
+        assert_eq!(elems(&span, &lanes), want);
+        // Runs: the cell-major elements in one piece under AoS, one row
+        // per component under SoA.
+        let runs: Vec<Vec<f64>> = lanes.runs().map(<[f64]>::to_vec).collect();
+        let rows: Vec<Vec<f64>> = (0..C)
+            .map(|k| span.cells().map(|c| rv.at(c, k)).collect())
+            .collect();
+        match layout {
+            MemLayout::AoS => assert_eq!(runs, vec![want]),
+            MemLayout::SoA => assert_eq!(runs, rows),
+        }
     }
 }
 

@@ -56,12 +56,14 @@ impl Cell {
 /// A run of `len` cells on one grid row: consecutive in `x` *and* in
 /// `lin`, sharing `y`, `z` and the `interior` bit of the first cell.
 ///
-/// Spans are what grids hand to kernels. A dense row is a span (split at
-/// the stencil's x-reach so its middle can be `interior`), an x-run of an
-/// element-sparse cell list (cut where the `interior` bit changes) is a
-/// span, an x-row of a block is a span. Nothing is stored per cell: a span kernel works on whole
-/// runs through the views' lanes, and a per-cell kernel gets its
-/// [`Cell`]s from [`Span::cells`], computed from the loop counter.
+/// Spans are what grids hand to kernels. A dense row is a span, an x-run
+/// of an element-sparse cell list is a span, an x-row of a block is a
+/// span. Only a [stencil-reading sweep](Sweep::stencil_reads) cuts them
+/// further, so that runs can be `interior`: a dense row at the stencil's
+/// x-reach, a sparse run where the `interior` bit changes. Nothing is
+/// stored per cell: a span kernel works on whole runs through the views'
+/// lanes, and a per-cell kernel gets its [`Cell`]s from [`Span::cells`],
+/// computed from the loop counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// First (lowest-`x`) cell of the run.
@@ -133,10 +135,10 @@ impl DataView {
     }
 }
 
-/// What one launch sweeps on a partition: a data view of the owned
+/// Which cells of a partition a sweep covers: a data view of the owned
 /// cells, or the owned cells plus ghost layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sweep {
+pub enum Region {
     /// The owned cells of a [`DataView`].
     View(DataView),
     /// The owned cells plus this many ghost layers per neighbouring side
@@ -145,14 +147,14 @@ pub enum Sweep {
     Expanded(usize),
 }
 
-impl From<DataView> for Sweep {
+impl From<DataView> for Region {
     fn from(view: DataView) -> Self {
-        Sweep::View(view)
+        Region::View(view)
     }
 }
 
-impl Sweep {
-    /// The data view this sweep is on a grid without ghost iteration
+impl Region {
+    /// The data view this region is on a grid without ghost iteration
     /// (`Expanded(0)` is the standard view).
     ///
     /// # Panics
@@ -160,11 +162,58 @@ impl Sweep {
     /// On `Expanded(depth)` with `depth > 0`.
     pub fn owned_view(self) -> DataView {
         match self {
-            Sweep::View(view) => view,
-            Sweep::Expanded(0) => DataView::Standard,
-            Sweep::Expanded(depth) => {
+            Region::View(view) => view,
+            Region::Expanded(0) => DataView::Standard,
+            Region::Expanded(depth) => {
                 panic!("grid has no ghost-iteration support (depth {depth} requested)")
             }
+        }
+    }
+}
+
+/// What one launch sweeps on a partition: a [`Region`], and whether the
+/// launch stencil-reads.
+///
+/// The second half decides how a grid cuts its runs. A grid promises
+/// [`Span::interior`] only on a stencil-reading sweep, and cuts runs
+/// where that promise changes: a dense row at the stencils' x-reach, a
+/// sparse run where the interior bit flips. Any other sweep gets whole
+/// runs — one span per dense row, one per maximal x-run of a sparse
+/// class — with `interior` left `false`. The cells and their order are
+/// the same either way. A container derives the flag from its access
+/// records; nothing sets it by hand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sweep {
+    /// The cells covered.
+    pub region: Region,
+    /// Whether the launch reads a neighbour of any cell it covers.
+    pub stencil_reads: bool,
+}
+
+/// A bare data view is a [stencil sweep](Sweep::stencil): its runs are
+/// cut, so a caller that does not say otherwise sees every `interior`
+/// span a grid can promise.
+impl From<DataView> for Sweep {
+    fn from(view: DataView) -> Self {
+        Sweep::stencil(view)
+    }
+}
+
+impl Sweep {
+    /// The sweep of a launch that reads no neighbour: whole runs.
+    pub fn map(region: impl Into<Region>) -> Self {
+        Sweep {
+            region: region.into(),
+            stencil_reads: false,
+        }
+    }
+
+    /// The sweep of a stencil-reading launch: runs cut where the
+    /// `interior` promise changes.
+    pub fn stencil(region: impl Into<Region>) -> Self {
+        Sweep {
+            region: region.into(),
+            stencil_reads: true,
         }
     }
 }
@@ -183,16 +232,20 @@ pub trait IterationSpace: Send + Sync {
 
     /// Invoke `f` with the [`Span`]s covering `sweep` on device `dev` —
     /// the one iteration primitive a grid implements. Every cell of the
-    /// sweep lies in exactly one span, and the spans' cells in emission
-    /// order are the grid's cell order.
+    /// sweep's region lies in exactly one span, and the spans' cells in
+    /// emission order are the grid's cell order, whether or not the sweep
+    /// stencil-reads.
     ///
     /// Only meaningful for grids with real (non-virtual) storage; grids in
     /// timing-only mode may panic here.
     fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span));
 
     /// Invoke `f` for every cell of `view` on device `dev`, in span order.
+    /// The cells come from a map sweep, so none is marked interior.
     fn for_each_cell(&self, dev: DeviceId, view: DataView, f: &mut dyn FnMut(Cell)) {
-        self.for_each_span(dev, view.into(), &mut |span| span.cells().for_each(&mut *f));
+        self.for_each_span(dev, Sweep::map(view), &mut |span| {
+            span.cells().for_each(&mut *f)
+        });
     }
 
     /// Whether functional iteration is possible (false for virtual-storage
@@ -259,7 +312,7 @@ mod tests {
             let n = self.len_per_dev;
             let mut run =
                 |a: u32, b: u32| f(&Span::new(Cell::new(a, base + a as i32, 0, 0), b - a));
-            match sweep.owned_view() {
+            match sweep.region.owned_view() {
                 DataView::Standard => run(0, n),
                 DataView::Internal => run(1, n - 1),
                 DataView::Boundary => {
@@ -321,9 +374,9 @@ mod tests {
 
     #[test]
     fn expanded_zero_is_the_standard_view() {
-        assert_eq!(Sweep::Expanded(0).owned_view(), DataView::Standard);
+        assert_eq!(Region::Expanded(0).owned_view(), DataView::Standard);
         assert_eq!(
-            Sweep::from(DataView::Boundary).owned_view(),
+            Region::from(DataView::Boundary).owned_view(),
             DataView::Boundary
         );
     }
@@ -331,7 +384,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "no ghost-iteration support")]
     fn expanded_sweep_needs_ghost_support() {
-        Sweep::Expanded(1).owned_view();
+        Region::Expanded(1).owned_view();
+    }
+
+    #[test]
+    fn a_bare_view_is_a_stencil_sweep() {
+        let cut = Sweep::from(DataView::Internal);
+        assert_eq!(cut, Sweep::stencil(DataView::Internal));
+        assert!(cut.stencil_reads);
+        assert!(!Sweep::map(Region::Expanded(2)).stencil_reads);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use neon_sys::DeviceId;
 
-use crate::cell::{Cell, DataView, IterationSpace, Span, Sweep};
+use crate::cell::{Cell, DataView, IterationSpace, Region, Span, Sweep};
 use crate::loader::{AccessRecord, ComputePattern, Loader, ReduceHooks};
 use crate::shape::KernelShape;
 use crate::uid::DataUid;
@@ -431,7 +431,9 @@ impl Container {
         // every member is cell-local over the span (maps, or reduces
         // accumulating in ascending cell order), so running member k over
         // cells [a..b] before member k+1 touches them computes the same
-        // values as interleaving per cell.
+        // values as interleaving per cell. The merged records decide the
+        // spans: whole rows for a chain of maps and reductions, runs cut
+        // at the interior edges once any member stencil-reads.
         let gen = move |ldr: &mut Loader| -> KernelFn {
             let _scope = crate::access::FusedScope::enter();
             let mut kernels: Vec<KernelFn> = gens.iter().map(|g| g(ldr)).collect();
@@ -746,14 +748,26 @@ impl Container {
         }
         let gen = self.inner.gen.as_ref().expect("compute container");
         let mut loader = Loader::for_execution(dev, space.num_partitions(), view);
+        let sweep = self.sweep(view.into());
         // One virtual call per span. A span-level kernel is handed to the
         // grid as it is; a per-cell kernel is unrolled here from the span's
         // counters, so both visit cells in the identical order.
         match gen(&mut loader) {
             KernelFn::PerCell(kernel) => {
-                space.for_each_span(dev, view.into(), &mut |span| span.cells().for_each(&kernel))
+                space.for_each_span(dev, sweep, &mut |span| span.cells().for_each(&kernel))
             }
-            KernelFn::Spans(mut kernel) => space.for_each_span(dev, view.into(), &mut *kernel),
+            KernelFn::Spans(mut kernel) => space.for_each_span(dev, sweep, &mut *kernel),
+        }
+    }
+
+    /// The sweep of one launch of this container over `region`: runs are
+    /// cut for interior spans only if the container stencil-reads. A
+    /// fused container's records are its members', so a fused map chain
+    /// sweeps whole rows and a group with a stencil member is split.
+    fn sweep(&self, region: Region) -> Sweep {
+        Sweep {
+            region,
+            stencil_reads: self.stencil_reads().next().is_some(),
         }
     }
 
@@ -771,7 +785,9 @@ impl Container {
         // step. Like `fused`, the members' leases on one partition belong
         // to a single launch and coalesce under a FusedScope.
         let _scope = crate::access::FusedScope::enter();
-        let mut kernels: Vec<KernelFn> = self
+        // Each member sweeps by its own records: the step's promoted deep
+        // reads feed its halo exchange, not a member map's kernel.
+        let mut kernels: Vec<(&Container, KernelFn)> = self
             .inner
             .members
             .iter()
@@ -783,13 +799,14 @@ impl Container {
                     .expect("temporal members are compute containers");
                 let mut loader =
                     Loader::for_execution(dev, space.num_partitions(), DataView::Standard);
-                gen(&mut loader)
+                (m, gen(&mut loader))
             })
             .collect();
         for j in 0..k {
             let depth = (k - 1 - j) * spec.radius;
-            for kern in &mut kernels {
-                space.for_each_span(dev, Sweep::Expanded(depth), &mut |span| kern.run_span(span));
+            for (m, kern) in &mut kernels {
+                let sweep = m.sweep(Region::Expanded(depth));
+                space.for_each_span(dev, sweep, &mut |span| kern.run_span(span));
             }
         }
     }
@@ -847,7 +864,7 @@ mod tests {
             let base = dev.0 as i32 * self.len as i32;
             let mut run =
                 |a: u32, b: u32| f(&Span::new(Cell::new(a, base + a as i32, 0, 0), b - a));
-            match sweep.owned_view() {
+            match sweep.region.owned_view() {
                 DataView::Standard => run(0, self.len),
                 DataView::Internal => run(1, self.len - 1),
                 DataView::Boundary => {

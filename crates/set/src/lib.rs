@@ -39,7 +39,7 @@ pub mod signature;
 pub mod uid;
 
 pub use access::{AccessConflict, AccessTracker, TrackerGuard};
-pub use cell::{Cell, DataView, IterationSpace, Span, Sweep};
+pub use cell::{Cell, DataView, IterationSpace, Region, Span, Sweep};
 pub use checkpoint::{Checkpoint, StateBlob, StateHandle};
 pub use container::{ComputeFn, HostFn, KernelFn, SpanFn};
 pub use container::{Container, ContainerKind, HaloDescriptor, HaloExchange};

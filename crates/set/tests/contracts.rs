@@ -29,7 +29,7 @@ impl IterationSpace for Line {
     fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span)) {
         let base = dev.0 as i32 * self.len as i32;
         let mut run = |a: u32, b: u32| f(&Span::new(Cell::new(a, base + a as i32, 0, 0), b - a));
-        match sweep.owned_view() {
+        match sweep.region.owned_view() {
             DataView::Standard => run(0, self.len),
             DataView::Internal => run(1, self.len - 1),
             DataView::Boundary => {

@@ -13,10 +13,19 @@
 # Pair k runs seed k on both sides, the base first on odd k and the change
 # first on even k, because the host has noisy eras of seconds to minutes
 # and only alternated runs compare. For every end-to-end metric in
-# BENCHMARK.json it prints each side's median and quartiles, how many
-# pairs the change won and how many were exact ties (every `virt_*`
-# metric of an unchanged model ties in all of them). Exits 1 if any run reports `correct: false` or
-# `failed > 0`.
+# BENCHMARK.json it prints each side's median and quartiles, the base's
+# IQR (q3 - q1), how many pairs the change won and how many were exact
+# ties (every `virt_*` metric of an unchanged model ties in all of them),
+# and a verdict:
+#
+#   gain   the change won at least 9/10 of all pairs (a tie is no win)
+#          and its median beats the base median by more than the base IQR
+#   worse  the change median is past the base median by more than the
+#          metric's BENCHMARK.json bound
+#   —      neither
+#
+# Exits 1 if any run reports `correct: false` or `failed > 0`; the
+# verdicts do not change the exit status.
 #
 # AB_DIR names the scratch directory (default: a fresh temporary one);
 # reusing it keeps both builds warm between invocations.
@@ -96,7 +105,8 @@ for w in workloads:
                 bad.append(f"{w} {side} seed {k}: correct={doc.get('correct')} failed={doc.get('failed')}")
             runs[side].append(doc)
     print(f"== {w} ({pairs} pairs)")
-    print(f"{'metric':<22}{'base median [q1, q3]':>34}{'change median [q1, q3]':>34}{'wins':>7}{'ties':>6}")
+    print(f"{'metric':<22}{'base median [q1, q3]':>36}{'change median [q1, q3]':>36}"
+          f"{'base IQR':>11}{'wins':>7}{'ties':>6}  verdict")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         vals = {s: [d["metrics"][name]["value"] for d in runs[s] if name in d.get("metrics", {})]
@@ -106,11 +116,18 @@ for w in workloads:
         pairs_ = list(zip(vals["base"], vals["change"]))
         wins = sum((c < b) if lower else (c > b) for b, c in pairs_)
         ties = sum(c == b for b, c in pairs_)
-        cols = []
-        for s in ("base", "change"):
-            med, q1, q3 = quartiles(vals[s])
-            cols.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
-        print(f"{name:<22}{cols[0]:>34}{cols[1]:>34}{wins:>4}/{len(pairs_):<2}{ties:>4}/{len(pairs_)}")
+        (bmed, bq1, bq3), (cmed, cq1, cq3) = quartiles(vals["base"]), quartiles(vals["change"])
+        iqr = bq3 - bq1
+        gained = (bmed - cmed) if lower else (cmed - bmed)
+        if 10 * wins >= 9 * len(pairs_) and gained > iqr:
+            verdict = "gain"
+        elif -gained > m["bound"] * abs(bmed):
+            verdict = "worse"
+        else:
+            verdict = "—"
+        cols = [f"{bmed:.6g} [{bq1:.6g}, {bq3:.6g}]", f"{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]"]
+        print(f"{name:<22}{cols[0]:>36}{cols[1]:>36}{iqr:>11.4g}"
+              f"{wins:>4}/{len(pairs_):<2}{ties:>4}/{len(pairs_)}  {verdict}")
 for b in bad:
     print("FAILED:", b)
 sys.exit(1 if bad else 0)
