@@ -252,14 +252,15 @@ impl<G: GridLike> LidDrivenCavity<G> {
     }
 
     /// Build the application with full skeleton options (OCC level,
-    /// functional mode, tracing, …), applied to both ping-pong skeletons.
+    /// functional mode, tracing, layout policy, …), applied to both
+    /// ping-pong skeletons.
     pub fn with_options(grid: &G, params: LbmParams, options: SkeletonOptions) -> Result<Self> {
-        // Layout as policy: let layout-select pick for a 19-component
-        // stencil-read field — AoS when halos are live (2 transfers per
-        // partition pair instead of 2·19), SoA on a single partition.
-        // Numerics are layout-transparent, so either choice is exact.
+        // Layout as policy: under `Auto`, layout-select picks for a
+        // 19-component stencil-read field — AoS when halos are live (2
+        // transfers per partition pair instead of 2·19), SoA on a single
+        // partition. Numerics are layout-transparent, so any choice is exact.
         let layout = neon_core::recommend_layout(
-            neon_core::LayoutPolicy::Auto,
+            options.layout,
             neon_core::AccessSummary {
                 card: 19,
                 stencil: true,
@@ -495,5 +496,33 @@ mod tests {
         for (x, y) in a.iter().zip(&bb) {
             assert!((x - y).abs() < 1e-13, "{x} vs {y}");
         }
+    }
+
+    #[test]
+    fn layout_policy_picks_the_population_layout_bit_identically() {
+        use neon_core::LayoutPolicy;
+        use neon_domain::MemLayout;
+        let b = Backend::dgx_a100(2);
+        let st = Stencil::d3q19();
+        let g = DenseGrid::new(&b, Dim3::new(8, 8, 12), &[&st], StorageMode::Real).unwrap();
+        let run = |layout: LayoutPolicy| {
+            let options = SkeletonOptions {
+                layout,
+                ..SkeletonOptions::with_occ(OccLevel::Standard)
+            };
+            let mut app = LidDrivenCavity::with_options(&g, LbmParams::default(), options).unwrap();
+            app.init();
+            app.step(6);
+            let mut bits = Vec::new();
+            app.current()
+                .for_each(|_, _, _, _, v| bits.push(v.to_bits()));
+            (app.current().layout(), bits)
+        };
+        let (soa, soa_bits) = run(LayoutPolicy::FixedSoA);
+        let (aos, aos_bits) = run(LayoutPolicy::FixedAoS);
+        assert_eq!((soa, aos), (MemLayout::SoA, MemLayout::AoS));
+        assert_eq!(soa_bits, aos_bits, "populations depend on the layout");
+        // Auto keeps picking AoS for live halos.
+        assert_eq!(run(LayoutPolicy::Auto).0, MemLayout::AoS);
     }
 }
