@@ -158,7 +158,8 @@ impl CollectiveEngine {
     /// **chunk granularity** (only the faulted chunk repeats, the rest of
     /// the step streams on), and an escaped verdict marks the injector's
     /// escape site without ever occupying the wire — the executor aborts
-    /// the iteration before the collective commits.
+    /// the iteration before the collective commits. `label` names the
+    /// trace span, so it is only formatted when `q` records a trace.
     #[allow(clippy::too_many_arguments)]
     fn send_chunk(
         &self,
@@ -169,7 +170,7 @@ impl CollectiveEngine {
         res: &[LinkResourceId],
         bytes: u64,
         dst: usize,
-        label: &str,
+        label: std::fmt::Arguments<'_>,
     ) -> (SimTime, SimTime) {
         let (verdict, backoff) = match q.fault_injector() {
             Some(inj) => (
@@ -178,13 +179,14 @@ impl CollectiveEngine {
             ),
             None => (FaultVerdict::Clean, SimTime::ZERO),
         };
+        let label = q.trace().map_or_else(String::new, |_| label.to_string());
         q.enqueue_transfer_with_faults(
             stream,
             ready,
             dur,
             res,
             bytes,
-            label,
+            &label,
             SpanKind::Collective,
             verdict,
             backoff,
@@ -250,21 +252,17 @@ impl CollectiveEngine {
                 }
                 let dst = (src + 1) % n;
                 let dur = self.topo.transfer_time(DeviceId(src), DeviceId(dst), cb);
-                let res = self
-                    .topo
-                    .link_resources(DeviceId(src), DeviceId(dst))
-                    .to_vec();
+                let res = self.topo.link_resources(DeviceId(src), DeviceId(dst));
                 for k in 0..c {
-                    let label = format!("{name}:ring{step}.{k}:{src}->{dst}");
                     let (_, end) = self.send_chunk(
                         q,
                         self.stream(src, lane),
                         prev[src][k],
                         dur,
-                        &res,
+                        res,
                         cb,
                         dst,
-                        &label,
+                        format_args!("{name}:ring{step}.{k}:{src}->{dst}"),
                     );
                     ready[dst][k] = ready[dst][k].max(end);
                 }
@@ -329,20 +327,16 @@ impl CollectiveEngine {
                 let root_ready = ready[0].iter().copied().fold(SimTime::ZERO, SimTime::max);
                 for dst in 1..n {
                     let dur = self.topo.transfer_time(DeviceId(0), DeviceId(dst), shard);
-                    let res = self
-                        .topo
-                        .link_resources(DeviceId(0), DeviceId(dst))
-                        .to_vec();
-                    let label = format!("{name}:scatter:0->{dst}");
+                    let res = self.topo.link_resources(DeviceId(0), DeviceId(dst));
                     let (_, end) = self.send_chunk(
                         q,
                         self.stream(0, lane),
                         root_ready,
                         dur,
-                        &res,
+                        res,
                         shard,
                         dst,
-                        &label,
+                        format_args!("{name}:scatter:0->{dst}"),
                     );
                     for k in 0..c {
                         ready[dst][k] = end;
@@ -369,21 +363,17 @@ impl CollectiveEngine {
         let dur = self
             .topo
             .transfer_time(DeviceId(src), DeviceId(dst), chunk_bytes);
-        let res = self
-            .topo
-            .link_resources(DeviceId(src), DeviceId(dst))
-            .to_vec();
+        let res = self.topo.link_resources(DeviceId(src), DeviceId(dst));
         for k in 0..ready[src].len() {
-            let label = format!("{name}:{dir}.{k}:{src}->{dst}");
             let (_, end) = self.send_chunk(
                 q,
                 self.stream(src, lane),
                 ready[src][k],
                 dur,
-                &res,
+                res,
                 chunk_bytes,
                 dst,
-                &label,
+                format_args!("{name}:{dir}.{k}:{src}->{dst}"),
             );
             // A reduce combines with the receiver's operand; a broadcast
             // replaces it.
@@ -458,20 +448,16 @@ impl CollectiveEngine {
                     let dur = self
                         .topo
                         .transfer_time(DeviceId(root), DeviceId(dst), shard);
-                    let res = self
-                        .topo
-                        .link_resources(DeviceId(root), DeviceId(dst))
-                        .to_vec();
-                    let label = format!("{name}:hier-scatter:{root}->{dst}");
+                    let res = self.topo.link_resources(DeviceId(root), DeviceId(dst));
                     let (_, end) = self.send_chunk(
                         q,
                         self.stream(root, lane),
                         root_ready,
                         dur,
-                        &res,
+                        res,
                         shard,
                         dst,
-                        &label,
+                        format_args!("{name}:hier-scatter:{root}->{dst}"),
                     );
                     for k in 0..c {
                         ready[dst][k] = end;
@@ -560,7 +546,7 @@ impl CollectiveEngine {
     ) -> Vec<SimTime> {
         let n = self.topo.num_devices();
         let shard = bytes.div_ceil(n as u64);
-        let res = self.topo.host_resources().to_vec();
+        let res = self.topo.host_resources();
         let (up_bytes, down_bytes) = match kind {
             CollectiveKind::AllReduce => (bytes, bytes),
             CollectiveKind::ReduceScatter => (bytes, shard),
@@ -570,31 +556,29 @@ impl CollectiveEngine {
         let mut host_done = SimTime::ZERO;
         if kind == CollectiveKind::Broadcast {
             let dur = self.topo.host_transfer_time(bytes);
-            let label = format!("{name}:d2h:0");
             let (_, end) = self.send_chunk(
                 q,
                 self.stream(0, lane),
                 earliest[0],
                 dur,
-                &res,
+                res,
                 bytes,
                 0,
-                &label,
+                format_args!("{name}:d2h:0"),
             );
             host_done = end;
         } else {
             let dur = self.topo.host_transfer_time(up_bytes);
             for d in 0..n {
-                let label = format!("{name}:d2h:{d}");
                 let (_, end) = self.send_chunk(
                     q,
                     self.stream(d, lane),
                     earliest[d],
                     dur,
-                    &res,
+                    res,
                     up_bytes,
                     d,
-                    &label,
+                    format_args!("{name}:d2h:{d}"),
                 );
                 host_done = host_done.max(end);
             }
@@ -606,16 +590,15 @@ impl CollectiveEngine {
                 done[d] = host_done.max(earliest[d]);
                 continue;
             }
-            let label = format!("{name}:h2d:{d}");
             let (_, end) = self.send_chunk(
                 q,
                 self.stream(d, lane),
                 host_done,
                 dur,
-                &res,
+                res,
                 down_bytes,
                 d,
-                &label,
+                format_args!("{name}:h2d:{d}"),
             );
             done[d] = end;
         }

@@ -359,51 +359,86 @@ impl Graph {
         out
     }
 
-    /// Remove data edges implied by transitivity (paper §V-B removes the
-    /// map→dot edge as redundant). Hints are never removed.
-    pub fn transitive_reduce(&mut self) {
+    /// Data-edge reachability: Kahn's algorithm over data + hint edges,
+    /// then one reverse-topological sweep that folds every node's data
+    /// children into its bitset row. `Err` holds the nodes Kahn's
+    /// algorithm could not order (a superset of one cycle), in id order.
+    pub(crate) fn reachability(&self) -> Result<Reachability, Vec<NodeId>> {
         let n = self.nodes.len();
-        // reach[u] = set of nodes reachable from u via data edges.
-        let order = self.bfs_levels(false);
-        let mut reach: Vec<std::collections::HashSet<NodeId>> =
-            vec![std::collections::HashSet::new(); n];
-        for level in order.iter().rev() {
-            for &u in level {
-                let children: Vec<NodeId> = self
-                    .edges
-                    .iter()
-                    .filter(|e| e.from == u && e.kind.is_data())
-                    .map(|e| e.to)
-                    .collect();
-                let mut r = std::collections::HashSet::new();
-                for c in children {
-                    r.insert(c);
-                    r.extend(reach[c].iter().copied());
+        let mut by_source: Vec<&Edge> = self.edges.iter().collect();
+        by_source.sort_unstable_by_key(|e| e.from);
+        let by_source = &by_source;
+        let out = move |u: NodeId| {
+            let first = by_source.partition_point(|e| e.from < u);
+            by_source[first..].iter().take_while(move |e| e.from == u)
+        };
+
+        let mut indeg = vec![0usize; n];
+        for e in &self.edges {
+            indeg[e.to] += 1;
+        }
+        // `order` doubles as Kahn's queue.
+        let mut order: Vec<NodeId> = (0..n).filter(|&u| indeg[u] == 0).collect();
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for e in out(u) {
+                indeg[e.to] -= 1;
+                if indeg[e.to] == 0 {
+                    order.push(e.to);
                 }
-                reach[u] = r;
             }
         }
-        let edges = std::mem::take(&mut self.edges);
-        self.edges = edges
-            .into_iter()
-            .filter(|e| {
-                if !e.kind.is_data() {
-                    return true;
+        if order.len() < n {
+            return Err((0..n).filter(|&u| indeg[u] > 0).collect());
+        }
+
+        let words = n.div_ceil(64);
+        let mut bits = vec![0u64; n * words];
+        for &u in order.iter().rev() {
+            for e in out(u).filter(|e| e.kind.is_data()) {
+                bits[u * words + e.to / 64] |= 1 << (e.to % 64);
+                for k in 0..words {
+                    bits[u * words + k] |= bits[e.to * words + k];
                 }
-                // Redundant if another node lies on a from→…→to path.
-                // Halo nodes are not valid intermediates: OCC later narrows
-                // halo edges to boundary halves, so a path through a halo
-                // node cannot substitute for a direct data dependency.
-                let redundant = self.nodes.iter().enumerate().any(|(m, node)| {
-                    m != e.to
-                        && m != e.from
-                        && !node.is_halo()
-                        && reach[e.from].contains(&m)
-                        && reach[m].contains(&e.to)
-                });
-                !redundant
-            })
-            .collect();
+            }
+        }
+        Ok(Reachability { words, bits })
+    }
+
+    /// Remove data edges implied by transitivity (paper §V-B removes the
+    /// map→dot edge as redundant). Hints are never removed. Panics on
+    /// cycles.
+    pub fn transitive_reduce(&mut self) {
+        let reach = self
+            .reachability()
+            .expect("cycle detected in execution graph");
+        let nodes = &self.nodes;
+        // Redundant if another node lies on a from→…→to path. Halo nodes
+        // are not valid intermediates: OCC later narrows halo edges to
+        // boundary halves, so a path through a halo node cannot substitute
+        // for a direct data dependency.
+        self.edges.retain(|e| {
+            !e.kind.is_data()
+                || !(0..nodes.len()).any(|m| {
+                    !nodes[m].is_halo() && reach.reaches(e.from, m) && reach.reaches(m, e.to)
+                })
+        });
+    }
+}
+
+/// Data-edge reachability of an acyclic [`Graph`] (see
+/// [`Graph::reachability`]): one row of `⌈n/64⌉` words per node, bit `b`
+/// of row `a` set iff a data-edge path leads from `a` to `b`.
+pub(crate) struct Reachability {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl Reachability {
+    /// Whether a data-edge path leads from `a` to `b` (never `a` to `a`).
+    pub(crate) fn reaches(&self, a: NodeId, b: NodeId) -> bool {
+        self.bits[a * self.words + b / 64] >> (b % 64) & 1 == 1
     }
 }
 

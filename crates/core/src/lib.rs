@@ -55,6 +55,8 @@ pub mod schedule;
 pub mod skeleton;
 pub mod temporal;
 pub mod validate;
+#[cfg(test)]
+mod validate_differential;
 
 pub use collective::{lower_collectives, merge_collectives, CollectiveMode};
 pub use devplan::{

@@ -1,15 +1,15 @@
 //! The pass-manager compile pipeline.
 //!
-//! [`crate::skeleton::Skeleton::sequence`] used to hard-wire its five
+//! [`crate::skeleton::Skeleton::sequence`] used to hard-wire its
 //! compile stages as straight-line calls. This module makes the pipeline
 //! explicit: each stage is a named [`Pass`] with a uniform interface over a
 //! mutable [`Ir`], driven by a [`PassManager`] that
 //!
 //! * records per-pass wall-clock timings ([`PassTiming`]) and mirrors them
 //!   as [`neon_sys::SpanKind::Compile`] trace spans,
-//! * runs the [`crate::validate`] invariant checker between passes (when
-//!   `SkeletonOptions::validate` is on), so a broken transform fails at the
-//!   pass that broke it rather than as a wrong answer at execution time,
+//! * runs the [`crate::validate`] invariant checker after every pass, so a
+//!   broken transform fails at the pass that broke it rather than as a
+//!   wrong answer at execution time,
 //! * emits a deterministic text dump of the IR after each pass (when
 //!   `SkeletonOptions::dump_ir` is on, or the `NEON_DUMP_IR` environment
 //!   variable is set, which prints to stderr).
@@ -17,8 +17,8 @@
 //! The standard pipeline is
 //!
 //! ```text
-//! dependency-graph → fuse → multi-gpu → occ → collective-lowering
-//!     → schedule → device-partition
+//! dependency-graph → layout-select → fuse → temporal-fuse → multi-gpu
+//!     → occ → collective-lowering → schedule → device-partition
 //! ```
 //!
 //! and its product is consumed by [`crate::plan::CompiledPlan`].
@@ -437,10 +437,9 @@ impl PassManager {
 
     /// Run every pass over `ir`.
     ///
-    /// After each pass the invariant validator runs (if
-    /// `cx.options.validate`) and an IR dump is captured (if
-    /// `cx.options.dump_ir`) or printed to stderr (if `NEON_DUMP_IR` is set
-    /// in the environment).
+    /// After each pass the invariant validator runs and an IR dump is
+    /// captured (if `cx.options.dump_ir`) or printed to stderr (if
+    /// `NEON_DUMP_IR` is set in the environment).
     pub fn run(&self, ir: &mut Ir, cx: &PassCtx) -> Result<CompileLog, CompileError> {
         let env_dump = std::env::var_os("NEON_DUMP_IR").is_some();
         let mut log = CompileLog::default();
@@ -462,18 +461,16 @@ impl PassManager {
                 end: SimTime::from_us(clock_us + wall_us),
             });
             clock_us += wall_us;
-            if cx.options.validate {
-                validate_ir(
-                    &ir.graph,
-                    ir.schedule.as_ref(),
-                    cx.backend.num_devices(),
-                    ir.halos_inserted,
-                )
-                .map_err(|error| CompileError::Invariant {
-                    pass: pass.name(),
-                    error,
-                })?;
-            }
+            validate_ir(
+                &ir.graph,
+                ir.schedule.as_ref(),
+                cx.backend.num_devices(),
+                ir.halos_inserted,
+            )
+            .map_err(|error| CompileError::Invariant {
+                pass: pass.name(),
+                error,
+            })?;
             if cx.options.dump_ir || env_dump {
                 let dump = ir.dump();
                 if env_dump {

@@ -15,7 +15,7 @@
 //! * the **backend fingerprint** ([`neon_sys::Backend::fingerprint`]) —
 //!   device models plus topology;
 //! * the **options signature** — every [`SkeletonOptions`] field that
-//!   shapes the graph or schedule (`trace` and `validate` don't).
+//!   shapes the graph or schedule (`trace` and `cache` don't).
 //!
 //! On a hit the cached plan is *rebound*: node containers are swapped by
 //! provenance index, halo exchanges and edge data uids are remapped via
@@ -216,8 +216,8 @@ impl PlanKey {
 }
 
 /// Hash every option that shapes the compiled graph or schedule. `trace`,
-/// `validate`, `cache`, `functional_mode` and `resilience` are
-/// diagnostics/runtime policy — same plan either way.
+/// `cache`, `functional_mode` and `resilience` are diagnostics/runtime
+/// policy — same plan either way.
 fn options_signature(o: &SkeletonOptions) -> u64 {
     use std::hash::Hasher as _;
     let mut h = StableHasher::new();
@@ -744,7 +744,6 @@ mod tests {
         let base = SkeletonOptions::default();
         let traced = SkeletonOptions {
             trace: true,
-            validate: false,
             functional_mode: crate::exec::FunctionalMode::Serial,
             resilience: crate::skeleton::ResilienceOptions {
                 enabled: true,

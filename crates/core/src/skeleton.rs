@@ -6,17 +6,21 @@
 //!
 //! 1. `dependency-graph` — extract the data dependency graph from the
 //!    containers' recorded accesses,
-//! 2. `fuse` — merge legal map chains (and a trailing reduction) into
+//! 2. `layout-select` — recommend a memory layout per data object,
+//! 3. `fuse` — merge legal map chains (and a trailing reduction) into
 //!    single fused sweeps,
-//! 3. `multi-gpu` — insert halo updates, prune redundant edges,
-//! 4. `occ` — split kernels at the configured OCC level,
-//! 5. `collective-lowering` — turn finalizing reduces into collective
+//! 4. `temporal-fuse` — under `FusionLevel::Temporal(k)`, collapse one
+//!    legal stencil sweep into a `k`-iteration super-step,
+//! 5. `multi-gpu` — insert halo updates, prune redundant edges,
+//! 6. `occ` — split kernels at the configured OCC level,
+//! 7. `collective-lowering` — turn finalizing reduces into collective
 //!    nodes (merging independent same-level collectives when fusion is
 //!    on),
-//! 6. `schedule` — map nodes to streams, organize events, fix the enqueue
+//! 8. `schedule` — map nodes to streams, organize events, fix the enqueue
 //!    order,
+//! 9. `device-partition` — per-device step lists and event-slot waits,
 //!
-//! validating pipeline invariants between passes, and then executes the
+//! validating pipeline invariants after every pass, and then executes the
 //! resulting [`CompiledPlan`] — repeatedly, for iterative solvers —
 //! entirely without user intervention.
 //!
@@ -162,9 +166,6 @@ pub struct SkeletonOptions {
     /// arrival. Shapes the device plan's event table, so it is part of
     /// the plan-cache key.
     pub comm: CommMode,
-    /// Run the invariant validator between compile passes (cheap on
-    /// app-sized graphs; turn off for huge synthetic sequences).
-    pub validate: bool,
     /// Consult the process-wide plan cache (same sequence shape + backend
     /// + options ⇒ reuse the compiled graph and schedule).
     pub cache: bool,
@@ -194,7 +195,6 @@ impl Default for SkeletonOptions {
             fusion: FusionLevel::default(),
             collectives: CollectiveMode::Auto,
             comm: CommMode::Epoch,
-            validate: true,
             cache: true,
             dump_ir: false,
             resilience: ResilienceOptions::default(),

@@ -23,7 +23,7 @@
 //!    waited-on task signals, every signalling task has a waiter, and waits
 //!    reference earlier tasks only.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
 
 use neon_set::{ComputePattern, DataUid, DataView};
 
@@ -147,98 +147,49 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
-/// Per-node summary of how one data object is used.
-#[derive(Default, Clone, Copy)]
-struct UidUse {
-    reads: bool,
-    writes: bool,
-    stencil: bool,
-}
+/// How a node uses one data object: a union of these flags.
+const READ: u8 = 1;
+const WRITE: u8 = 2;
+/// Any access to the object is a stencil (non-local) access.
+const STENCIL: u8 = 4;
 
-/// Collect each data object a node touches, with the aggregated mode and
-/// whether any access to it is a stencil (non-local) access.
+/// Append one `(node, data object, use flags)` entry per access of node
+/// `id` to `uses`.
 ///
 /// Halo nodes report nothing (their conflicts are covered by the halo
 /// precedence check); collective nodes report only the reduced scalars —
 /// the carried container's field reads belong to the accumulating kernel,
 /// not to the communication step.
-fn node_uses(kind: &NodeKind) -> HashMap<DataUid, UidUse> {
-    let mut uses: HashMap<DataUid, UidUse> = HashMap::new();
+fn push_node_uses(id: NodeId, kind: &NodeKind, uses: &mut Vec<(NodeId, DataUid, u8)>) {
     match kind {
         NodeKind::Halo { .. } => {}
-        NodeKind::Collective { container, .. } => {
-            for a in container.accesses() {
-                if a.pattern == ComputePattern::Reduce {
-                    let u = uses.entry(a.uid).or_default();
-                    u.reads = true;
-                    u.writes = true;
-                }
-            }
-        }
+        NodeKind::Collective { container, .. } => uses.extend(
+            container
+                .accesses()
+                .iter()
+                .filter(|a| a.pattern == ComputePattern::Reduce)
+                .map(|a| (id, a.uid, READ | WRITE)),
+        ),
         NodeKind::Compute { container, .. } | NodeKind::Host { container } => {
-            for a in container.accesses() {
-                let u = uses.entry(a.uid).or_default();
-                u.reads |= a.mode.reads();
-                u.writes |= a.mode.writes();
-                u.stencil |= a.pattern == ComputePattern::Stencil;
-            }
+            uses.extend(container.accesses().iter().map(|a| {
+                let flag = |on: bool, f: u8| if on { f } else { 0 };
+                let use_ = flag(a.mode.reads(), READ)
+                    | flag(a.mode.writes(), WRITE)
+                    | flag(a.pattern == ComputePattern::Stencil, STENCIL);
+                (id, a.uid, use_)
+            }))
         }
-    }
-    uses
-}
-
-/// Kahn's algorithm over data + hint edges; returns a topological order or
-/// the set of nodes stuck on a cycle.
-fn check_acyclic(g: &Graph) -> Result<Vec<NodeId>, ValidationError> {
-    let n = g.len();
-    let mut indeg = vec![0usize; n];
-    for e in g.edges() {
-        indeg[e.to] += 1;
-    }
-    let mut stack: Vec<NodeId> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(u) = stack.pop() {
-        order.push(u);
-        for e in g.edges() {
-            if e.from == u {
-                indeg[e.to] -= 1;
-                if indeg[e.to] == 0 {
-                    stack.push(e.to);
-                }
-            }
-        }
-    }
-    if order.len() == n {
-        Ok(order)
-    } else {
-        let stuck: Vec<String> = (0..n)
-            .filter(|&i| indeg[i] > 0)
-            .map(|i| g.node(i).name.clone())
-            .collect();
-        Err(ValidationError::Cycle { nodes: stuck })
     }
 }
 
-/// `reach[u]` = nodes reachable from `u` via data edges (u excluded).
-fn data_reachability(g: &Graph, topo: &[NodeId]) -> Vec<HashSet<NodeId>> {
-    let mut reach: Vec<HashSet<NodeId>> = vec![HashSet::new(); g.len()];
-    for &u in topo.iter().rev() {
-        let mut r = HashSet::new();
-        for e in g.data_children(u) {
-            r.insert(e.to);
-            r.extend(reach[e.to].iter().copied());
-        }
-        reach[u] = r;
-    }
-    reach
-}
-
-/// Whether two views iterate provably disjoint cell sets.
-fn views_disjoint(a: DataView, b: DataView) -> bool {
-    matches!(
-        (a, b),
-        (DataView::Internal, DataView::Boundary) | (DataView::Boundary, DataView::Internal)
-    )
+/// The name of a data object: its first access record in node order.
+pub(crate) fn data_name(g: &Graph, uid: DataUid) -> String {
+    g.nodes()
+        .iter()
+        .filter_map(|n| n.container())
+        .flat_map(|c| c.accesses())
+        .find(|a| a.uid == uid)
+        .map_or_else(|| format!("{uid:?}"), |a| a.name.clone())
 }
 
 /// Validate a graph's structural invariants (checks 1–3 above).
@@ -247,48 +198,69 @@ fn views_disjoint(a: DataView, b: DataView) -> bool {
 /// dependency graph legitimately has stencil readers with no halo nodes
 /// yet).
 pub fn validate_graph(g: &Graph, ndev: usize, check_halos: bool) -> Result<(), ValidationError> {
-    let topo = check_acyclic(g)?;
-    let reach = data_reachability(g, &topo);
+    // Check 1: acyclic over data + hint edges.
+    let reach = g.reachability().map_err(|stuck| ValidationError::Cycle {
+        nodes: stuck.into_iter().map(|i| g.node(i).name.clone()).collect(),
+    })?;
 
     // Check 2: conflicting accesses are ordered (or provably race-free).
-    let uses: Vec<HashMap<DataUid, UidUse>> =
-        g.nodes().iter().map(|n| node_uses(&n.kind)).collect();
-    let mut uid_names: HashMap<DataUid, String> = HashMap::new();
-    for n in g.nodes() {
-        if let Some(c) = n.container() {
-            for a in c.accesses() {
-                uid_names.entry(a.uid).or_insert_with(|| a.name.clone());
-            }
-        }
+    // One entry per (node, data object), its flags folded over every
+    // access; node `i`'s entries are `uses[offsets[i]..offsets[i + 1]]`.
+    let mut uses = Vec::new();
+    for (i, n) in g.nodes().iter().enumerate() {
+        push_node_uses(i, &n.kind, &mut uses);
     }
+    uses.sort_unstable_by_key(|&(i, uid, _)| (i, uid));
+    uses.dedup_by(|next, kept| {
+        let same = (next.0, next.1) == (kept.0, kept.1);
+        if same {
+            kept.2 |= next.2;
+        }
+        same
+    });
+    let offsets: Vec<usize> = (0..=g.len())
+        .map(|i| uses.partition_point(|u| u.0 < i))
+        .collect();
     for a in 0..g.len() {
         for b in (a + 1)..g.len() {
+            if reach.reaches(a, b) || reach.reaches(b, a) {
+                continue;
+            }
             let (na, nb) = (g.node(a), g.node(b));
             if let (Some(ca), Some(cb)) = (na.container(), nb.container()) {
                 if ca.same_instance(cb) {
                     continue; // split halves / kernel+collective of one launch
                 }
             }
-            for (uid, ua) in &uses[a] {
-                let Some(ub) = uses[b].get(uid) else {
-                    continue;
-                };
-                if !(ua.writes || ub.writes) {
-                    continue; // two readers never conflict
-                }
-                let cell_local = !ua.stencil && !ub.stencil;
-                if cell_local && views_disjoint(na.view(), nb.view()) {
-                    continue; // disjoint iteration sets cannot race
-                }
-                if !reach[a].contains(&b) && !reach[b].contains(&a) {
-                    return Err(ValidationError::UnorderedConflict {
-                        a: na.name.clone(),
-                        b: nb.name.clone(),
-                        data: uid_names
-                            .get(uid)
-                            .cloned()
-                            .unwrap_or_else(|| format!("{uid:?}")),
-                    });
+            // Whether the two views iterate provably disjoint cell sets.
+            let disjoint = matches!(
+                (na.view(), nb.view()),
+                (DataView::Internal, DataView::Boundary) | (DataView::Boundary, DataView::Internal)
+            );
+            let (ua, ub) = (
+                &uses[offsets[a]..offsets[a + 1]],
+                &uses[offsets[b]..offsets[b + 1]],
+            );
+            // Merge the two uid-sorted lists.
+            let (mut i, mut j) = (0, 0);
+            while i < ua.len() && j < ub.len() {
+                let ((_, uid, fa), (_, other, fb)) = (ua[i], ub[j]);
+                match uid.cmp(&other) {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
+                        (i, j) = (i + 1, j + 1);
+                        // Two readers never conflict; cell-local accesses
+                        // over disjoint iteration sets cannot race.
+                        let both = fa | fb;
+                        if both & WRITE != 0 && (both & STENCIL != 0 || !disjoint) {
+                            return Err(ValidationError::UnorderedConflict {
+                                a: na.name.clone(),
+                                b: nb.name.clone(),
+                                data: data_name(g, uid),
+                            });
+                        }
+                    }
                 }
             }
         }
@@ -313,7 +285,7 @@ pub fn validate_graph(g: &Graph, ndev: usize, check_halos: bool) -> Result<(), V
                 let covered = (0..g.len()).any(|h| {
                     matches!(&g.node(h).kind, NodeKind::Halo { exchange }
                         if exchange.data_uid() == acc.uid)
-                        && reach[h].contains(&id)
+                        && reach.reaches(h, id)
                 });
                 if !covered {
                     return Err(ValidationError::MissingHalo {
@@ -344,11 +316,7 @@ pub fn validate_schedule(g: &Graph, s: &Schedule) -> Result<(), ValidationError>
         }
         pos[t.node] = i;
     }
-    if let Some(missing) = (0..g.len()).find(|&n| pos[n] == usize::MAX) {
-        return Err(ValidationError::DuplicateTask {
-            node: g.node(missing).name.clone(),
-        });
-    }
+    // As many tasks as nodes and none twice: every node is scheduled.
 
     // Data edges respected by the enqueue order, and evented when they
     // cross streams or involve halo/collective endpoints.
@@ -376,10 +344,10 @@ pub fn validate_schedule(g: &Graph, s: &Schedule) -> Result<(), ValidationError>
     }
 
     // Event begin/end pairing.
-    let mut waited: HashSet<NodeId> = HashSet::new();
+    let mut waited = vec![false; g.len()];
     for (i, t) in s.tasks.iter().enumerate() {
         for &w in &t.wait {
-            waited.insert(w);
+            waited[w] = true;
             if pos[w] >= i {
                 return Err(ValidationError::WaitNotEarlier {
                     task: g.node(t.node).name.clone(),
@@ -395,7 +363,7 @@ pub fn validate_schedule(g: &Graph, s: &Schedule) -> Result<(), ValidationError>
         }
     }
     for t in &s.tasks {
-        if t.signals && !waited.contains(&t.node) {
+        if t.signals && !waited[t.node] {
             return Err(ValidationError::SignalWithoutWait {
                 task: g.node(t.node).name.clone(),
             });

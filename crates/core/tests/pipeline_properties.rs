@@ -148,7 +148,7 @@ fn run_case_opts(
     )
     .expect("validator must accept the pipeline's own output");
     // Validate the final IR once more from the outside (the pipeline
-    // already validated between passes because options.validate is on).
+    // already validated it after every pass).
     validate_ir(sk.graph(), Some(sk.schedule()), n_dev, true)
         .expect("final graph + schedule must satisfy all invariants");
     sk.run();

@@ -22,7 +22,11 @@
 #          and its median beats the base median by more than the base IQR
 #   worse  the change median is past the base median by more than the
 #          metric's BENCHMARK.json bound
-#   —      neither
+#   unresolved
+#          neither, and the base's own IQR is wider than that bound
+#          (bound x |base median|), so an unchanged median proves nothing;
+#          unless every run of the change beats every run of the base
+#   —      none of these: unchanged within the bound
 #
 # Exits 1 if any run reports `correct: false` or `failed > 0`; the
 # verdicts do not change the exit status.
@@ -119,10 +123,16 @@ for w in workloads:
         (bmed, bq1, bq3), (cmed, cq1, cq3) = quartiles(vals["base"]), quartiles(vals["change"])
         iqr = bq3 - bq1
         gained = (bmed - cmed) if lower else (cmed - bmed)
+        if lower:
+            all_better = max(vals["change"]) < min(vals["base"])
+        else:
+            all_better = min(vals["change"]) > max(vals["base"])
         if 10 * wins >= 9 * len(pairs_) and gained > iqr:
             verdict = "gain"
         elif -gained > m["bound"] * abs(bmed):
             verdict = "worse"
+        elif iqr > m["bound"] * abs(bmed) and not all_better:
+            verdict = "unresolved"
         else:
             verdict = "—"
         cols = [f"{bmed:.6g} [{bq1:.6g}, {bq3:.6g}]", f"{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]"]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The CI pipeline: build, tests, the benchmark package, rustdoc, format
-# check and clippy. CI runs exactly this script; run it
-# locally before pushing.
+# check and clippy (of the workspace and of the benchmark package). CI
+# runs exactly this script; run it locally before pushing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,7 +35,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
+# `benchmark/` is a workspace of its own, which the root-level fmt and
+# clippy do not reach.
+echo "==> cargo fmt --manifest-path benchmark/Cargo.toml -- --check"
+cargo fmt --manifest-path benchmark/Cargo.toml -- --check
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings"
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "All checks passed."
