@@ -16,7 +16,7 @@ use std::sync::Arc;
 use neon_core::OccLevel;
 use neon_domain::{
     span_kernel, Cell, Container, Field, FieldRead as _, FieldStencil, FieldWrite, GridLike,
-    KernelFn, KernelShape, Lanes, LanesMut, MemLayout, Span, SpanBody, Stride,
+    KernelFn, Lanes, LanesMut, MemLayout, Span, SpanBody, Stride,
 };
 use neon_sys::Result;
 
@@ -62,15 +62,14 @@ fn elasticity_container<G: GridLike>(
 ) -> Container {
     let op = Arc::new(NodeOperator::new(material));
     let (p, ap) = (state.p.clone(), state.ap.clone());
-    // A Generic span kernel. An interior span (every neighbour of every
+    // A span kernel. An interior span (every neighbour of every
     // node active, hence no node on the `z = 0` plane, whose `dz = −1`
     // neighbour is outside) runs the 27-block fast path over neighbour
     // lanes, on the dense and the sparse grid alike; any other span runs
     // the per-node body cell by cell.
-    Container::compute_shaped_opts(
+    Container::compute_opts(
         "ElasticApply",
         grid.as_space(),
-        KernelShape::Generic,
         move |ldr| {
             let pv = ldr.read_stencil(&p);
             let av = ldr.write(&ap);

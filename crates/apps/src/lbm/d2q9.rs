@@ -13,7 +13,7 @@
 use neon_core::{ExecReport, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     velocity_components, Cell, Container, Field, FieldRead as _, FieldStencil as _,
-    FieldWrite as _, GridLike, KernelFn, KernelShape, MemLayout, D2Q9_OFFSETS,
+    FieldWrite as _, GridLike, KernelFn, MemLayout, D2Q9_OFFSETS,
 };
 use neon_sys::Result;
 
@@ -91,15 +91,14 @@ pub fn karman_step<G: GridLike>(
     let dim = grid.dim();
     let (fi, fo) = (f_in.clone(), f_out.clone());
     let name = format!("karman({}->{})", f_in.name(), f_out.name());
-    // A Generic span kernel that runs the per-cell body on every span.
+    // A span kernel that runs the per-cell body on every span.
     // Unlike the D3Q19 step it has no interior body over neighbour lanes:
     // the cylinder is a per-cell predicate, not a grid mask, so the grid
     // marks the cells around it interior and even an interior span still
     // needs a solid test per neighbour.
-    Container::compute_shaped_opts(
+    Container::compute_opts(
         &name,
         grid.as_space(),
-        KernelShape::Generic,
         move |ldr| {
             let fin = ldr.read_stencil(&fi);
             let fout = ldr.write(&fo);

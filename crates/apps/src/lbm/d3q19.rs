@@ -13,7 +13,7 @@
 use neon_core::{ExecReport, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     span_kernel, velocity_components, Cell, Container, Dim3, Field, FieldRead as _, FieldStencil,
-    FieldWrite, GridLike, KernelFn, KernelShape, Lanes, Span, SpanBody, Stride, D3Q19_OFFSETS,
+    FieldWrite, GridLike, KernelFn, Lanes, Span, SpanBody, Stride, D3Q19_OFFSETS,
 };
 use neon_sys::Result;
 
@@ -111,14 +111,13 @@ fn lbm_container<G: GridLike>(
     let dim = grid.dim();
     let (fi, fo) = (f_in.clone(), f_out.clone());
     let name = format!("lbm({}->{})", f_in.name(), f_out.name());
-    // A Generic span kernel (no named shape fits a 19-point pull). An
-    // interior span (every neighbour of every cell active, so no wall is
-    // crossed) pulls through its 19 neighbour lanes; any other span runs
-    // the per-cell bounce-back body over `span.cells()`.
-    Container::compute_shaped_opts(
+    // A span kernel. An interior span (every neighbour of every cell
+    // active, so no wall is crossed) pulls through its 19 neighbour lanes;
+    // any other span runs the per-cell bounce-back body over
+    // `span.cells()`.
+    Container::compute_opts(
         &name,
         grid.as_space(),
-        KernelShape::Generic,
         move |ldr| {
             let fin = ldr.read_stencil(&fi);
             let fout = ldr.write(&fo);

@@ -13,8 +13,8 @@
 
 use neon_core::OccLevel;
 use neon_domain::{
-    span_kernel, Container, Field, FieldRead, FieldStencil, FieldWrite, GridLike, KernelShape,
-    Lanes, MemLayout, Span, SpanBody, Stride,
+    span_kernel, Container, Field, FieldRead, FieldStencil, FieldWrite, GridLike, Lanes, MemLayout,
+    Span, SpanBody, Stride,
 };
 use neon_sys::Result;
 
@@ -27,17 +27,16 @@ pub const NEON_STENCIL_EFFICIENCY: f64 = 0.96;
 
 /// Build the 7-point negative-Laplacian container `Ap ← A·p`.
 ///
-/// Declared [`KernelShape::MapStencil7`] with a span kernel. On an
-/// interior span of the dense or the element-sparse grid it reads the six
-/// neighbour lanes and the centre lanes, and the loop vectorises; other
-/// spans, and the block-sparse grid, go cell by cell through `ngh`. Both
-/// add slots 0…5 in order before `6·p − s`, so they agree bit for bit.
+/// A span kernel. On an interior span of the dense or the element-sparse
+/// grid it reads the six neighbour lanes and the centre lanes, and the
+/// loop vectorises; other spans, and the block-sparse grid, go cell by
+/// cell through `ngh`. Both add slots 0…5 in order before `6·p − s`, so
+/// they agree bit for bit.
 pub fn laplacian_apply<G: GridLike>(grid: &G, state: &CgState<G>) -> Container {
     let (p, ap) = (state.p.clone(), state.ap.clone());
-    Container::compute_shaped_opts(
+    Container::compute_opts(
         "LaplacianStencil",
         grid.as_space(),
-        KernelShape::MapStencil7,
         move |ldr| {
             let pv = ldr.read_stencil(&p);
             let av = ldr.write(&ap);

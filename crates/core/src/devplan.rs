@@ -602,9 +602,9 @@ mod tests {
         let mut ir = Ir::new(seq);
         let cx = PassCtx {
             backend: b,
-            options: SkeletonOptions::default(),
+            key: SkeletonOptions::default().compile_key(),
         };
-        PassManager::standard().run(&mut ir, &cx).unwrap();
+        PassManager::standard().run(&mut ir, &cx, false).unwrap();
         let schedule = ir.schedule.take().unwrap();
         let parents: Vec<Vec<NodeId>> = (0..ir.graph.len())
             .map(|n| {

@@ -56,7 +56,7 @@ use crate::pass::{Ir, Pass, PassCtx};
 use neon_set::DataView;
 
 /// How aggressively the skeleton fuses containers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FusionLevel {
     /// No fusion: one launch per container, as authored.
     Off,
@@ -265,7 +265,7 @@ impl Pass for FusePass {
     }
 
     fn run(&self, ir: &mut Ir, cx: &PassCtx) {
-        if cx.options.fusion == FusionLevel::Off {
+        if cx.key.fusion == FusionLevel::Off {
             return;
         }
         ir.graph = fuse_graph(&ir.graph, &ir.containers);

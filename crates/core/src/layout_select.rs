@@ -11,8 +11,8 @@
 //! The pass is *advisory*: fields are allocated before the skeleton
 //! compiles, so the pipeline cannot relocate storage in flight. Apps
 //! consult [`recommend_layout`] (directly or via the skeleton's
-//! [`LayoutPolicy`]) at allocation time; the plan cache folds the policy
-//! into the options signature so plans compiled under different layout
+//! [`LayoutPolicy`]) at allocation time; the policy is a field of the
+//! plan's [`crate::CompileKey`], so plans compiled under different layout
 //! policies never alias.
 //!
 //! The heuristic mirrors the halo-transfer arithmetic asserted by the
@@ -28,7 +28,7 @@ use neon_set::{uid_roles, ComputePattern, Container, MemLayout};
 
 use crate::pass::{Ir, Pass, PassCtx};
 
-/// How the skeleton chooses field layouts (folded into the plan key).
+/// How the skeleton chooses field layouts (a field of the plan key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LayoutPolicy {
     /// Recommend per field from the access pattern (the heuristic above).
@@ -47,15 +47,6 @@ impl LayoutPolicy {
             LayoutPolicy::Auto => "auto",
             LayoutPolicy::FixedSoA => "fixed-soa",
             LayoutPolicy::FixedAoS => "fixed-aos",
-        }
-    }
-
-    /// Stable byte for the options signature.
-    pub fn signature_byte(self) -> u8 {
-        match self {
-            LayoutPolicy::Auto => 0,
-            LayoutPolicy::FixedSoA => 1,
-            LayoutPolicy::FixedAoS => 2,
         }
     }
 }
@@ -142,11 +133,11 @@ impl Pass for LayoutSelectPass {
         "layout-select"
     }
     fn run(&self, ir: &mut Ir, cx: &PassCtx) {
-        ir.layout_policy = cx.options.layout;
+        ir.layout_policy = cx.key.layout;
         ir.layout_recs = summarize_accesses(&ir.containers)
             .into_iter()
             .map(|(role, name, s)| {
-                let (layout, reason) = recommend_layout(cx.options.layout, s);
+                let (layout, reason) = recommend_layout(cx.key.layout, s);
                 LayoutRec {
                     role,
                     name,
@@ -216,18 +207,5 @@ mod tests {
             },
         );
         assert_eq!(l, MemLayout::SoA);
-    }
-
-    #[test]
-    fn policy_bytes_are_distinct() {
-        let all = [
-            LayoutPolicy::Auto,
-            LayoutPolicy::FixedSoA,
-            LayoutPolicy::FixedAoS,
-        ];
-        let mut seen = std::collections::HashSet::new();
-        for p in all {
-            assert!(seen.insert(p.signature_byte()), "duplicate {}", p.label());
-        }
     }
 }

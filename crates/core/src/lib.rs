@@ -80,7 +80,8 @@ pub use occ::{apply_occ, OccLevel};
 pub use pass::{CompileError, CompileLog, Ir, Pass, PassCtx, PassManager, PassTiming};
 pub use plan::{
     clear_plan_cache, heal_backend, invalidate_backend, plan_cache_capacity, plan_cache_stats,
-    set_plan_cache_capacity, CacheStats, CompiledPlan, PlanKey, DEFAULT_PLAN_CACHE_CAPACITY,
+    set_plan_cache_capacity, CacheStats, CompileKey, CompiledPlan, PlanKey,
+    DEFAULT_PLAN_CACHE_CAPACITY,
 };
 pub use schedule::{build_schedule, build_schedule_opts, Schedule, Task};
 pub use skeleton::{ResilienceOptions, ResilientError, ResilientRun, Skeleton, SkeletonOptions};

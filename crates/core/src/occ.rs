@@ -28,7 +28,7 @@ use neon_set::{ComputePattern, Container, ContainerKind, DataUid, DataView};
 use crate::graph::{Edge, EdgeKind, Graph, Node, NodeId, NodeKind};
 
 /// The OCC optimization level of a skeleton.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OccLevel {
     /// No overlap: halo updates serialize with computation.
     None,

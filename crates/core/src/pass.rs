@@ -10,9 +10,9 @@
 //! * runs the [`crate::validate`] invariant checker after every pass, so a
 //!   broken transform fails at the pass that broke it rather than as a
 //!   wrong answer at execution time,
-//! * emits a deterministic text dump of the IR after each pass (when
-//!   `SkeletonOptions::dump_ir` is on, or the `NEON_DUMP_IR` environment
-//!   variable is set, which prints to stderr).
+//! * emits a deterministic text dump of the IR after each pass (when the
+//!   caller asks for dumps, or the `NEON_DUMP_IR` environment variable is
+//!   set, which prints to stderr).
 //!
 //! The standard pipeline is
 //!
@@ -35,8 +35,8 @@ use crate::graph::{build_dependency_graph, EdgeKind, Graph, NodeId, NodeKind};
 use crate::layout_select::{LayoutPolicy, LayoutRec, LayoutSelectPass};
 use crate::multigpu::to_multigpu_graph;
 use crate::occ::apply_occ;
+use crate::plan::CompileKey;
 use crate::schedule::{build_schedule_opts, Schedule};
-use crate::skeleton::SkeletonOptions;
 use crate::temporal::TemporalFusePass;
 use crate::validate::{validate_ir, ValidationError};
 
@@ -230,8 +230,8 @@ impl Ir {
 pub struct PassCtx {
     /// The target backend.
     pub backend: Backend,
-    /// The skeleton's options.
-    pub options: SkeletonOptions,
+    /// The plan-shaping options: all a pass can see of the skeleton's.
+    pub key: CompileKey,
 }
 
 /// A compile-pipeline failure.
@@ -334,7 +334,7 @@ impl Pass for OccPass {
         "occ"
     }
     fn run(&self, ir: &mut Ir, cx: &PassCtx) {
-        ir.graph = apply_occ(&ir.graph, cx.options.occ);
+        ir.graph = apply_occ(&ir.graph, cx.key.occ);
     }
 }
 
@@ -347,7 +347,7 @@ impl Pass for CollectivePass {
     }
     fn run(&self, ir: &mut Ir, cx: &PassCtx) {
         ir.graph = lower_collectives(&ir.graph, cx.backend.num_devices());
-        if cx.options.fusion != FusionLevel::Off {
+        if cx.key.fusion != FusionLevel::Off {
             ir.graph = merge_collectives(&ir.graph);
         }
     }
@@ -363,15 +363,11 @@ impl Pass for SchedulePass {
     }
     fn run(&self, ir: &mut Ir, cx: &PassCtx) {
         let max_streams = if cx.backend.concurrent_kernels() {
-            cx.options.max_streams
+            cx.key.max_streams
         } else {
             1 // the CPU back end runs one kernel at a time (paper §IV-A)
         };
-        ir.schedule = Some(build_schedule_opts(
-            &ir.graph,
-            max_streams,
-            cx.options.hints,
-        ));
+        ir.schedule = Some(build_schedule_opts(&ir.graph, max_streams, cx.key.hints));
     }
 }
 
@@ -395,7 +391,7 @@ impl Pass for DevicePartitionPass {
             schedule,
             &parents,
             cx.backend.num_devices(),
-            cx.options.comm,
+            cx.key.comm,
             ChunkPolicy::for_topology(cx.backend.topology()),
         ));
     }
@@ -438,9 +434,9 @@ impl PassManager {
     /// Run every pass over `ir`.
     ///
     /// After each pass the invariant validator runs and an IR dump is
-    /// captured (if `cx.options.dump_ir`) or printed to stderr (if
-    /// `NEON_DUMP_IR` is set in the environment).
-    pub fn run(&self, ir: &mut Ir, cx: &PassCtx) -> Result<CompileLog, CompileError> {
+    /// captured (if `dump`) or printed to stderr (if `NEON_DUMP_IR` is set
+    /// in the environment).
+    pub fn run(&self, ir: &mut Ir, cx: &PassCtx, dump: bool) -> Result<CompileLog, CompileError> {
         let env_dump = std::env::var_os("NEON_DUMP_IR").is_some();
         let mut log = CompileLog::default();
         let mut clock_us = 0.0f64;
@@ -471,13 +467,13 @@ impl PassManager {
                 pass: pass.name(),
                 error,
             })?;
-            if cx.options.dump_ir || env_dump {
-                let dump = ir.dump();
+            if dump || env_dump {
+                let text = ir.dump();
                 if env_dump {
-                    eprintln!("== NEON_DUMP_IR: after {} ==\n{dump}", pass.name());
+                    eprintln!("== NEON_DUMP_IR: after {} ==\n{text}", pass.name());
                 }
-                if cx.options.dump_ir {
-                    log.dumps.push((pass.name().to_string(), dump));
+                if dump {
+                    log.dumps.push((pass.name().to_string(), text));
                 }
             }
         }
@@ -488,7 +484,7 @@ impl PassManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::occ::OccLevel;
+    use crate::skeleton::SkeletonOptions;
     use neon_domain::{ops, DenseGrid, Dim3, Field, MemLayout, ScalarSet, Stencil, StorageMode};
 
     fn sequence(ndev: usize) -> (Backend, Vec<Container>) {
@@ -507,9 +503,9 @@ mod tests {
         let mut ir = Ir::new(seq);
         let cx = PassCtx {
             backend: b,
-            options: SkeletonOptions::default(),
+            key: SkeletonOptions::default().compile_key(),
         };
-        let log = PassManager::standard().run(&mut ir, &cx).unwrap();
+        let log = PassManager::standard().run(&mut ir, &cx, false).unwrap();
         assert!(ir.schedule.is_some());
         assert!(ir.dependency_graph.is_some());
         assert!(ir.device_plan.is_some());
@@ -541,13 +537,9 @@ mod tests {
         let mut ir = Ir::new(seq);
         let cx = PassCtx {
             backend: b,
-            options: SkeletonOptions {
-                dump_ir: true,
-                occ: OccLevel::Standard,
-                ..Default::default()
-            },
+            key: SkeletonOptions::default().compile_key(),
         };
-        let log = PassManager::standard().run(&mut ir, &cx).unwrap();
+        let log = PassManager::standard().run(&mut ir, &cx, true).unwrap();
         assert_eq!(log.dumps.len(), 9);
         // The raw dependency graph uses role labels, never raw uids.
         assert!(log.dumps[0].1.contains("u0"));
@@ -568,18 +560,14 @@ mod tests {
         // identically (role labels, not raw uids).
         let (b1, seq1) = sequence(2);
         let (_b2, seq2) = sequence(2);
-        let opts = SkeletonOptions {
-            dump_ir: true,
-            ..Default::default()
-        };
         let mut ir1 = Ir::new(seq1);
         let mut ir2 = Ir::new(seq2);
         let cx1 = PassCtx {
             backend: b1.clone(),
-            options: opts,
+            key: SkeletonOptions::default().compile_key(),
         };
-        let log1 = PassManager::standard().run(&mut ir1, &cx1).unwrap();
-        let log2 = PassManager::standard().run(&mut ir2, &cx1).unwrap();
+        let log1 = PassManager::standard().run(&mut ir1, &cx1, true).unwrap();
+        let log2 = PassManager::standard().run(&mut ir2, &cx1, true).unwrap();
         assert_eq!(log1.dumps, log2.dumps);
     }
 }

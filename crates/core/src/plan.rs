@@ -14,8 +14,9 @@
 //!   solver over a different grid size still hits;
 //! * the **backend fingerprint** ([`neon_sys::Backend::fingerprint`]) —
 //!   device models plus topology;
-//! * the **options signature** — every [`SkeletonOptions`] field that
-//!   shapes the graph or schedule (`trace` and `cache` don't).
+//! * the **compile key** ([`CompileKey`]) — the six
+//!   [`SkeletonOptions`] fields the passes read, compared by value. It is
+//!   all the passes see, so the executor's runtime settings share a plan.
 //!
 //! On a hit the cached plan is *rebound*: node containers are swapped by
 //! provenance index, halo exchanges and edge data uids are remapped via
@@ -27,13 +28,14 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use neon_set::{sequence_signature, uid_roles, Container, DataUid, HaloDescriptor, HaloExchange};
-use neon_sys::{stable_hash_of, Backend, PermanentFault, StableHasher, Trace};
+use neon_sys::{Backend, PermanentFault, Trace};
 
-use crate::collective::CollectiveMode;
 use crate::devplan::{build_device_plan, build_device_plan_policy, DevicePlan};
-use crate::exec::{CommMode, ExecError, HaloPolicy};
+use crate::exec::{CommMode, ExecError};
 use crate::fuse::FusionLevel;
 use crate::graph::{Edge, Graph, Node, NodeId, NodeKind};
+use crate::layout_select::LayoutPolicy;
+use crate::occ::OccLevel;
 use crate::pass::{CompileError, Ir, PassCtx, PassManager, PassTiming};
 use crate::schedule::Schedule;
 use crate::skeleton::SkeletonOptions;
@@ -192,6 +194,28 @@ fn infer_ndev(g: &Graph) -> usize {
     n
 }
 
+/// The options that shape a compiled plan, and nothing else: the passes
+/// read only this (through [`PassCtx`]), so every other
+/// [`SkeletonOptions`] field is runtime policy by construction. Built by
+/// [`SkeletonOptions::compile_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CompileKey {
+    /// OCC level (the `occ` pass).
+    pub occ: OccLevel,
+    /// Cap on concurrent compute streams per device (the `schedule` pass).
+    pub max_streams: usize,
+    /// Honour scheduling hints (the `schedule` pass).
+    pub hints: bool,
+    /// Fusion level (the `fuse`, `temporal-fuse` and
+    /// `collective-lowering` passes).
+    pub fusion: FusionLevel,
+    /// Halo completion granularity (the `device-partition` pass's event
+    /// table).
+    pub comm: CommMode,
+    /// Field-layout policy (the `layout-select` pass).
+    pub layout: LayoutPolicy,
+}
+
 /// Cache key of a compiled plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
@@ -199,70 +223,19 @@ pub struct PlanKey {
     pub seq: u64,
     /// Backend fingerprint (device models + topology).
     pub backend: u64,
-    /// Signature of the graph-shaping skeleton options.
-    pub opts: u64,
+    /// The plan-shaping options.
+    pub opts: CompileKey,
 }
 
 impl PlanKey {
-    /// Compute the key for compiling `containers` on `backend` with
-    /// `options`.
-    pub fn new(backend: &Backend, containers: &[Container], options: &SkeletonOptions) -> PlanKey {
+    /// The key for compiling `containers` on `backend` under `opts`.
+    pub fn new(backend: &Backend, containers: &[Container], opts: CompileKey) -> PlanKey {
         PlanKey {
             seq: sequence_signature(containers),
             backend: backend.fingerprint(),
-            opts: options_signature(options),
+            opts,
         }
     }
-}
-
-/// Hash every option that shapes the compiled graph or schedule. `trace`,
-/// `cache`, `functional_mode` and `resilience` are diagnostics/runtime
-/// policy — same plan either way.
-fn options_signature(o: &SkeletonOptions) -> u64 {
-    use std::hash::Hasher as _;
-    let mut h = StableHasher::new();
-    let mut put = |v: u64| h.write_u64(v);
-    put(o.occ as u64);
-    put(o.max_streams as u64);
-    put(o.hints as u64);
-    put(o.kernel_concurrency as u64);
-    match o.halo_policy {
-        HaloPolicy::ExplicitTransfers => put(0),
-        HaloPolicy::UnifiedMemory {
-            page_bytes,
-            fault_us,
-            bandwidth_gb_s,
-        } => {
-            put(1);
-            put(page_bytes);
-            put(fault_us.to_bits());
-            put(bandwidth_gb_s.to_bits());
-        }
-    }
-    match o.collectives {
-        CollectiveMode::Auto => put(2),
-        CollectiveMode::Fixed(a) => {
-            put(3);
-            put(stable_hash_of(&format!("{a:?}")));
-        }
-    }
-    match o.comm {
-        CommMode::Epoch => put(200),
-        // Chunk events change the device plan's event table (per-chunk
-        // arrival slots), so the two modes must never alias in the cache.
-        CommMode::ChunkEvents => put(201),
-    }
-    match o.fusion {
-        FusionLevel::Off => put(100),
-        FusionLevel::Conservative => put(101),
-        FusionLevel::Temporal(k) => {
-            put(102);
-            put(k as u64);
-        }
-    }
-    put(o.dump_ir as u64);
-    put(o.layout.signature_byte() as u64);
-    h.finish()
 }
 
 /// Counters of the process-wide plan cache.
@@ -397,16 +370,22 @@ pub fn heal_backend(backend: &Backend, fault: PermanentFault) -> Result<Backend,
 }
 
 /// Compile `containers`, consulting the plan cache when `options.cache`.
-/// Returns the plan and whether it came from the cache.
+/// Returns the plan and whether it came from the cache. A `dump_ir`
+/// compile is a diagnostics request for this run of the passes: it
+/// neither reads nor fills the cache.
 pub(crate) fn compile(
     backend: &Backend,
     containers: Vec<Container>,
     options: SkeletonOptions,
 ) -> Result<(Arc<CompiledPlan>, bool), CompileError> {
-    if !options.cache {
-        return Ok((compile_fresh(backend, containers, &options)?, false));
+    let opts = options.compile_key();
+    if !options.cache || options.dump_ir {
+        return Ok((
+            compile_fresh(backend, containers, opts, options.dump_ir)?,
+            false,
+        ));
     }
-    let key = PlanKey::new(backend, &containers, &options);
+    let key = PlanKey::new(backend, &containers, opts);
     let cached = cache().lock().unwrap().map.get(&key).cloned();
     if let Some(plan) = cached {
         let rebound = rebind(&plan, containers);
@@ -417,7 +396,7 @@ pub(crate) fn compile(
         c.map.insert(key, Arc::clone(&rebound));
         return Ok((rebound, true));
     }
-    let plan = compile_fresh(backend, containers, &options)?;
+    let plan = compile_fresh(backend, containers, opts, false)?;
     let mut c = cache().lock().unwrap();
     c.misses += 1;
     if !c.map.contains_key(&key) {
@@ -428,18 +407,20 @@ pub(crate) fn compile(
     Ok((plan, false))
 }
 
-/// Run the standard pass pipeline to a fresh plan.
+/// Run the standard pass pipeline to a fresh plan, capturing per-pass IR
+/// dumps when `dump`.
 fn compile_fresh(
     backend: &Backend,
     containers: Vec<Container>,
-    options: &SkeletonOptions,
+    key: CompileKey,
+    dump: bool,
 ) -> Result<Arc<CompiledPlan>, CompileError> {
     let mut ir = Ir::new(containers);
     let cx = PassCtx {
         backend: backend.clone(),
-        options: *options,
+        key,
     };
-    let log = PassManager::standard().run(&mut ir, &cx)?;
+    let log = PassManager::standard().run(&mut ir, &cx, dump)?;
     let schedule = ir
         .schedule
         .take()
@@ -651,7 +632,7 @@ fn rebind(plan: &CompiledPlan, containers: Vec<Container>) -> Arc<CompiledPlan> 
         data_parents: plan.data_parents.clone(),
         halo_descs,
         timings: Vec::new(),
-        dumps: plan.dumps.clone(),
+        dumps: Vec::new(),
         compile_trace: Trace::new(),
         containers,
     })
@@ -660,8 +641,6 @@ fn rebind(plan: &CompiledPlan, containers: Vec<Container>) -> Arc<CompiledPlan> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuse::FusionLevel;
-    use crate::occ::OccLevel;
     use neon_domain::{ops, DenseGrid, Dim3, Field, MemLayout, ScalarSet, Stencil, StorageMode};
 
     fn sequence(ndev: usize, nz: usize) -> (Backend, Vec<Container>) {
@@ -740,137 +719,48 @@ mod tests {
     }
 
     #[test]
-    fn runtime_options_do_not_fragment_the_key() {
-        let base = SkeletonOptions::default();
-        let traced = SkeletonOptions {
-            trace: true,
-            functional_mode: crate::exec::FunctionalMode::Serial,
-            resilience: crate::skeleton::ResilienceOptions {
-                enabled: true,
-                max_attempts: 9,
-                backoff_us: 1.0,
-                checkpoint_interval: 2,
+    fn every_compile_key_field_fragments_the_cache() {
+        // Each field of the key shapes the plan, so flipping any one of
+        // them must compile fresh. The field is named apart from the
+        // other tests' sequences: the cache is process-wide.
+        let flips = [
+            SkeletonOptions {
+                occ: OccLevel::TwoWayExtended,
+                ..Default::default()
             },
-            ..Default::default()
-        };
-        assert_eq!(options_signature(&base), options_signature(&traced));
-    }
-
-    #[test]
-    fn every_graph_shaping_option_fragments_the_signature() {
-        // Audit: each option that changes the compiled graph or schedule
-        // must be part of the cache key, or a cache hit would silently
-        // hand back a plan compiled under different semantics.
-        let base = SkeletonOptions::default();
-        let variants: Vec<(&str, SkeletonOptions)> = vec![
-            (
-                "occ",
-                SkeletonOptions {
-                    occ: OccLevel::TwoWayExtended,
-                    ..base
-                },
-            ),
-            (
-                "max_streams",
-                SkeletonOptions {
-                    max_streams: 2,
-                    ..base
-                },
-            ),
-            (
-                "hints",
-                SkeletonOptions {
-                    hints: false,
-                    ..base
-                },
-            ),
-            (
-                "kernel_concurrency",
-                SkeletonOptions {
-                    kernel_concurrency: true,
-                    ..base
-                },
-            ),
-            (
-                "halo_policy",
-                SkeletonOptions {
-                    halo_policy: HaloPolicy::UnifiedMemory {
-                        page_bytes: 65536,
-                        fault_us: 20.0,
-                        bandwidth_gb_s: 32.0,
-                    },
-                    ..base
-                },
-            ),
-            (
-                "fusion",
-                SkeletonOptions {
-                    fusion: FusionLevel::Off,
-                    ..base
-                },
-            ),
-            (
-                "fusion-temporal-2",
-                SkeletonOptions {
-                    fusion: FusionLevel::Temporal(2),
-                    ..base
-                },
-            ),
-            (
-                "fusion-temporal-3",
-                SkeletonOptions {
-                    fusion: FusionLevel::Temporal(3),
-                    ..base
-                },
-            ),
-            (
-                "collectives",
-                SkeletonOptions {
-                    collectives: CollectiveMode::Fixed(neon_comm::Algorithm::Tree),
-                    ..base
-                },
-            ),
-            (
-                "comm",
-                SkeletonOptions {
-                    comm: CommMode::ChunkEvents,
-                    ..base
-                },
-            ),
-            (
-                "dump_ir",
-                SkeletonOptions {
-                    dump_ir: true,
-                    ..base
-                },
-            ),
-            (
-                "layout",
-                SkeletonOptions {
-                    layout: crate::layout_select::LayoutPolicy::FixedAoS,
-                    ..base
-                },
-            ),
+            SkeletonOptions {
+                max_streams: 2,
+                ..Default::default()
+            },
+            SkeletonOptions {
+                hints: false,
+                ..Default::default()
+            },
+            SkeletonOptions {
+                fusion: FusionLevel::Temporal(2),
+                ..Default::default()
+            },
+            SkeletonOptions {
+                comm: CommMode::ChunkEvents,
+                ..Default::default()
+            },
+            SkeletonOptions {
+                layout: crate::layout_select::LayoutPolicy::FixedAoS,
+                ..Default::default()
+            },
         ];
-        let sig = options_signature(&base);
-        for (name, v) in &variants {
-            assert_ne!(
-                options_signature(v),
-                sig,
-                "flipping `{name}` must miss the plan cache"
-            );
-        }
-        // And pairwise: no two variants may collide either.
-        for i in 0..variants.len() {
-            for j in (i + 1)..variants.len() {
-                assert_ne!(
-                    options_signature(&variants[i].1),
-                    options_signature(&variants[j].1),
-                    "`{}` and `{}` collide",
-                    variants[i].0,
-                    variants[j].0
-                );
-            }
+        let keyed = || {
+            let b = Backend::dgx_a100(2);
+            let g = DenseGrid::new(&b, Dim3::new(4, 4, 8), &[], StorageMode::Real).unwrap();
+            let x = Field::<f64, _>::new(&g, "key-flip", 1, 1.0, MemLayout::SoA).unwrap();
+            (b, vec![ops::scale_const(&g, 2.0, &x)])
+        };
+        let (b, seq) = keyed();
+        compile(&b, seq, SkeletonOptions::default()).unwrap();
+        for opts in flips {
+            let (_, seq) = keyed();
+            let (_, hit) = compile(&b, seq, opts).unwrap();
+            assert!(!hit, "{:?} must miss the plan cache", opts.compile_key());
         }
     }
 

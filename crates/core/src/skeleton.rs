@@ -25,9 +25,9 @@
 //! entirely without user intervention.
 //!
 //! Plans are cached process-wide (see [`crate::plan`]): a solver that
-//! rebuilds a skeleton for the same sequence shape, backend and options
-//! reuses the compiled graph and schedule, paying only a cheap rebinding
-//! of its containers.
+//! rebuilds a skeleton for the same sequence shape, backend and
+//! [`CompileKey`] reuses the compiled graph and schedule, paying only a
+//! cheap rebinding of its containers.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -43,15 +43,15 @@ use crate::health::{HealthReport, StragglerMonitor, StragglerPolicy};
 use crate::layout_select::LayoutPolicy;
 use crate::occ::OccLevel;
 use crate::pass::{CompileError, PassTiming};
-use crate::plan::{self, CompiledPlan};
+use crate::plan::{self, CompileKey, CompiledPlan};
 use crate::schedule::Schedule;
 
 /// Fault-recovery policy of a skeleton (paper-style self-healing: retry
 /// transient faults, checkpoint periodically, roll back when retry is
 /// exhausted).
 ///
-/// Pure runtime policy — it never changes the compiled plan, so it is
-/// excluded from the plan-cache key like `trace` and `functional_mode`.
+/// Pure runtime policy — not part of the [`CompileKey`], so it never
+/// changes the compiled plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResilienceOptions {
     /// Master switch. When off, any injected fault escapes on its first
@@ -123,6 +123,11 @@ impl ResilienceOptions {
 }
 
 /// Configuration of a skeleton.
+///
+/// Six fields shape the compiled plan and form its [`CompileKey`] (see
+/// [`SkeletonOptions::compile_key`]): `occ`, `max_streams`, `hints`,
+/// `fusion`, `comm` and `layout`. The rest configure the executor, the
+/// cache or diagnostics; skeletons differing only there share one plan.
 #[derive(Debug, Clone, Copy)]
 pub struct SkeletonOptions {
     /// The OCC optimization level (a single switch, as the paper argues a
@@ -140,11 +145,8 @@ pub struct SkeletonOptions {
     /// transfers (default — required for OCC) or driver-managed unified
     /// memory (page faults serialize with the consuming kernels).
     pub halo_policy: HaloPolicy,
-    /// How the functional replay parallelizes across devices: serial
-    /// reference, a thread scope per launch, or the event-driven
-    /// persistent worker pool (default). A runtime knob — it never
-    /// changes the compiled plan, so it is excluded from the plan-cache
-    /// key.
+    /// How the functional replay parallelizes across devices: the serial
+    /// reference, or the event-driven persistent worker pool (default).
     pub functional_mode: FunctionalMode,
     /// Record an execution trace (timeline spans).
     pub trace: bool,
@@ -163,22 +165,23 @@ pub struct SkeletonOptions {
     /// epochs (default) or per-chunk events, where halo payloads stream
     /// in chunks and consuming kernels split into an interior span that
     /// overlaps in-flight chunks and a boundary span gated on the last
-    /// arrival. Shapes the device plan's event table, so it is part of
-    /// the plan-cache key.
+    /// arrival. Shapes the device plan's event table.
     pub comm: CommMode,
     /// Consult the process-wide plan cache (same sequence shape + backend
-    /// + options ⇒ reuse the compiled graph and schedule).
+    /// + [`CompileKey`] ⇒ reuse the compiled graph and schedule).
     pub cache: bool,
     /// Capture a text IR dump after every pass (see
-    /// [`Skeleton::dump_ir`]). Independently, setting the `NEON_DUMP_IR`
-    /// environment variable prints dumps to stderr.
+    /// [`Skeleton::dump_ir`]). The dumps pin this run of the passes, so a
+    /// dumping compile neither reads nor fills the plan cache.
+    /// Independently, setting the `NEON_DUMP_IR` environment variable
+    /// prints dumps to stderr.
     pub dump_ir: bool,
-    /// Fault-recovery policy (runtime only — excluded from the plan-cache
-    /// key). Validated by [`Skeleton::try_sequence`].
+    /// Fault-recovery policy (runtime only). Validated by
+    /// [`Skeleton::try_sequence`].
     pub resilience: ResilienceOptions,
     /// How the `layout-select` pass recommends field memory layouts
-    /// (folded into the plan-cache key — recommendations feed allocation,
-    /// so plans under different policies must never alias).
+    /// (recommendations feed allocation, so plans under different
+    /// policies must never alias).
     pub layout: LayoutPolicy,
 }
 
@@ -204,6 +207,19 @@ impl Default for SkeletonOptions {
 }
 
 impl SkeletonOptions {
+    /// The fields that shape the compiled plan: the passes' whole view of
+    /// these options, and the options part of the plan-cache key.
+    pub fn compile_key(&self) -> CompileKey {
+        CompileKey {
+            occ: self.occ,
+            max_streams: self.max_streams,
+            hints: self.hints,
+            fusion: self.fusion,
+            comm: self.comm,
+            layout: self.layout,
+        }
+    }
+
     /// Options with a given OCC level and **fusion off** — the paper's
     /// baseline executor, where the OCC level under study is what shapes
     /// the graph. Fusing a trailing reduction produces a node OCC leaves

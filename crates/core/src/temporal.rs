@@ -46,7 +46,7 @@ impl Pass for TemporalFusePass {
     }
 
     fn run(&self, ir: &mut Ir, cx: &PassCtx) {
-        let k = match cx.options.fusion {
+        let k = match cx.key.fusion {
             FusionLevel::Temporal(k) if k >= 2 => k,
             _ => return,
         };

@@ -47,11 +47,9 @@ fn pipeline_dump() -> String {
     };
     let opts = SkeletonOptions {
         occ: OccLevel::TwoWayExtended,
+        // A dumping compile never comes from the plan cache, so the dump
+        // pins this run of the passes.
         dump_ir: true,
-        // A fresh compile, so the dump reflects this run of the passes
-        // (a rebound plan would carry the cached dump — identical, but
-        // the point here is to pin the pipeline itself).
-        cache: false,
         ..Default::default()
     };
     let sk = Skeleton::sequence(
@@ -103,7 +101,7 @@ fn golden_ir_dump_matches() {
 }
 
 #[test]
-fn dump_is_identical_when_rebound_from_cache() {
+fn dumping_compiles_bypass_the_plan_cache() {
     let run = |cache: bool| {
         let b = Backend::dgx_a100(2);
         let st = Stencil::seven_point();
@@ -124,11 +122,13 @@ fn dump_is_identical_when_rebound_from_cache() {
             cache,
             ..Default::default()
         };
-        Skeleton::sequence(&b, "rebind-dump", vec![sten], opts).dump_ir()
+        let sk = Skeleton::sequence(&b, "rebind-dump", vec![sten], opts);
+        assert!(!sk.compiled_from_cache(), "a dump is never rebound");
+        sk.dump_ir()
     };
     let fresh = run(false);
-    let warm1 = run(true); // miss (or hit from another test): either way...
-    let warm2 = run(true); // ...this one rebinds the cached plan.
+    let warm1 = run(true);
+    let warm2 = run(true);
     assert_eq!(fresh, warm1);
-    assert_eq!(warm1, warm2, "rebound plan must carry the same dump");
+    assert_eq!(warm1, warm2);
 }

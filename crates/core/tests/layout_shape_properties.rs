@@ -4,9 +4,11 @@
 //!   and over SoA fields produces bit-identical results (the layout only
 //!   moves bytes, never changes the arithmetic or its order).
 //! * **Shape transparency** — every [`neon_domain::ops`] span kernel is
-//!   bit-identical to its per-cell Generic twin in
+//!   bit-identical to its per-cell twin in
 //!   [`neon_domain::ops::reference`], whichever of its paths a span takes
-//!   (whole blocks, per-component rows, or cell by cell).
+//!   (whole blocks, per-component rows, or cell by cell). The two share
+//!   one plan-cache key, so the second of a pair usually runs a plan
+//!   compiled for the first, rebound to its own containers.
 //!
 //! Both hold for randomized sequences on the dense, element-sparse and
 //! block-sparse grids, scalar and 3-component fields, 1/2/4/8 devices,
@@ -107,8 +109,8 @@ fn setup<G: GridLike>(backend: Backend, grid: G, card: usize, layouts: Layouts) 
     }
 }
 
-/// Build the sequence from the shaped span ops or their per-cell Generic
-/// reference twins.
+/// Build the sequence from the span ops or their per-cell reference
+/// twins.
 fn build_sequence<G: GridLike>(s: &Setup<G>, ops_list: &[Op], shaped: bool) -> Vec<Container> {
     macro_rules! op {
         ($f:ident ( $($a:expr),* )) => {

@@ -29,7 +29,7 @@ use neon_apps::lbm::LbmParams;
 use neon_core::{OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     Container, DataView, DenseGrid, Dim3, Field, FieldStencil, FieldWrite, GridLike, KernelFn,
-    KernelShape, Loader, MemLayout, Span, SparseGrid, Stencil, StorageMode, Strides,
+    Loader, MemLayout, Span, SparseGrid, Stencil, StorageMode, Strides,
 };
 use neon_sys::{Backend, DeviceId};
 
@@ -84,20 +84,15 @@ fn steady_state_execute_does_not_allocate() {
             Box::new(move |c| yv.set(c, 0, xv.ngh(c, 0, 0)))
         })
     };
-    // A shaped span container with a stencil read: the span data path
+    // A span container with a stencil read: the span data path
     // must be as allocation-free in steady state as the per-cell one.
     let shaped = {
         let (xc, yc) = (x.clone(), y.clone());
-        Container::compute_shaped(
-            "shaped-shift",
-            g.as_space(),
-            KernelShape::Generic,
-            move |ldr| {
-                let xv = ldr.read_stencil(&xc);
-                let mut yv = ldr.write(&yc);
-                KernelFn::spans(move |span| shift_kernel(&xv, &mut yv, span))
-            },
-        )
+        Container::compute("shaped-shift", g.as_space(), move |ldr| {
+            let xv = ldr.read_stencil(&xc);
+            let mut yv = ldr.write(&yc);
+            KernelFn::spans(move |span| shift_kernel(&xv, &mut yv, span))
+        })
     };
     let host = Container::host("tick", 4, |_| Box::new(|| {}));
     let mut sk = Skeleton::sequence(

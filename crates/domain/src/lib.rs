@@ -53,6 +53,5 @@ pub use view::{
 
 // Re-export the Set-layer vocabulary domain users constantly need.
 pub use neon_set::{
-    Cell, Container, DataView, KernelFn, KernelShape, Loader, Region, ScalarSet, Span, StorageMode,
-    Sweep,
+    Cell, Container, DataView, KernelFn, Loader, Region, ScalarSet, Span, StorageMode, Sweep,
 };

@@ -6,8 +6,7 @@
 //! All operations work on any cardinality and any grid implementing
 //! [`GridLike`].
 //!
-//! Every operation here declares a typed [`KernelShape`] and registers a
-//! **span-level** kernel: the `dyn` boundary is crossed once per row run,
+//! Every operation here registers a **span-level** kernel: the `dyn` boundary is crossed once per row run,
 //! and the body is a [`SpanBody`] over every operand's lanes. Vector
 //! operands of one layout are looped over as contiguous
 //! [runs](crate::Lanes::runs) — one flat run of `len·card` elements under
@@ -17,14 +16,14 @@
 //! adjacent. Other operands go element by element, through the stride
 //! [`span_kernel`] picks.
 //!
-//! The [`mod@reference`] module keeps the per-cell `Generic` forms as the
+//! The [`mod@reference`] module keeps the per-cell forms as the
 //! bit-identity oracle; the two families visit cells and update reduction
 //! partials in the identical order, so they must agree bit for bit
 //! (enforced by proptests in `neon-core`).
 
 use std::array::from_fn;
 
-use neon_set::{Cell, Container, KernelFn, KernelShape, ScalarSet, ScalarView, Span};
+use neon_set::{Cell, Container, KernelFn, ScalarSet, ScalarView, Span};
 
 use crate::field::Field;
 use crate::grid::GridLike;
@@ -154,10 +153,9 @@ impl Dot {
 /// `dst[i] ← v` for every component.
 pub fn set_value<G: GridLike>(grid: &G, dst: &Field<f64, G>, v: f64) -> Container {
     let dst = dst.clone();
-    Container::compute_shaped(
+    Container::compute(
         &format!("set({})", dst.name()),
         grid.as_space(),
-        KernelShape::Fill,
         move |ldr| update(ldr.write(&dst), [], move |_, []| v),
     )
 }
@@ -166,10 +164,9 @@ pub fn set_value<G: GridLike>(grid: &G, dst: &Field<f64, G>, v: f64) -> Containe
 pub fn copy<G: GridLike>(grid: &G, src: &Field<f64, G>, dst: &Field<f64, G>) -> Container {
     assert_eq!(src.card(), dst.card(), "cardinality mismatch");
     let (src, dst) = (src.clone(), dst.clone());
-    Container::compute_shaped(
+    Container::compute(
         &format!("copy({}->{})", src.name(), dst.name()),
         grid.as_space(),
-        KernelShape::Copy,
         move |ldr| {
             let s = ldr.read(&src);
             update(ldr.write(&dst), [s], |_, [s]| s)
@@ -186,10 +183,9 @@ pub fn axpy_const<G: GridLike>(
 ) -> Container {
     assert_eq!(x.card(), y.card(), "cardinality mismatch");
     let (x, y) = (x.clone(), y.clone());
-    Container::compute_shaped(
+    Container::compute(
         &format!("axpy({},{})", x.name(), y.name()),
         grid.as_space(),
-        KernelShape::Axpy,
         move |ldr| {
             let xv = ldr.read(&x);
             update(ldr.read_write(&y), [xv], move |y, [x]| a * x + y)
@@ -208,10 +204,9 @@ pub fn axpy_scalar<G: GridLike>(
 ) -> Container {
     assert_eq!(x.card(), y.card(), "cardinality mismatch");
     let (x, y, alpha) = (x.clone(), y.clone(), alpha.clone());
-    Container::compute_shaped(
+    Container::compute(
         &format!("axpy[{}]({},{})", alpha.name(), x.name(), y.name()),
         grid.as_space(),
-        KernelShape::Axpy,
         move |ldr| {
             let a = sign * ldr.scalar(&alpha);
             let xv = ldr.read(&x);
@@ -223,10 +218,9 @@ pub fn axpy_scalar<G: GridLike>(
 /// `dst[i] ← a·dst[i]` with a constant `a`.
 pub fn scale_const<G: GridLike>(grid: &G, a: f64, dst: &Field<f64, G>) -> Container {
     let dst = dst.clone();
-    Container::compute_shaped(
+    Container::compute(
         &format!("scale({})", dst.name()),
         grid.as_space(),
-        KernelShape::Scale,
         move |ldr| update(ldr.read_write(&dst), [], move |d, []| a * d),
     )
 }
@@ -241,10 +235,9 @@ pub fn dot<G: GridLike>(
 ) -> Container {
     assert_eq!(x.card(), y.card(), "cardinality mismatch");
     let (x, y, out_c) = (x.clone(), y.clone(), out.clone());
-    Container::compute_shaped(
+    Container::compute(
         &format!("dot({},{})", x.name(), y.name()),
         grid.as_space(),
-        KernelShape::DotChunk,
         move |ldr| {
             let (xv, yv) = (ldr.read(&x), ldr.read(&y));
             let operands = [xv.strides(), yv.strides()];
@@ -271,10 +264,9 @@ pub fn waxpby_const<G: GridLike>(
     assert_eq!(x.card(), y.card(), "cardinality mismatch");
     assert_eq!(x.card(), w.card(), "cardinality mismatch");
     let (x, y, w) = (x.clone(), y.clone(), w.clone());
-    Container::compute_shaped(
+    Container::compute(
         &format!("waxpby({},{},{})", x.name(), y.name(), w.name()),
         grid.as_space(),
-        KernelShape::Waxpby,
         move |ldr| {
             let (xv, yv) = (ldr.read(&x), ldr.read(&y));
             update(ldr.write(&w), [xv, yv], move |_, [x, y]| a * x + b * y)
@@ -291,10 +283,9 @@ pub fn norm2_sq<G: GridLike>(grid: &G, x: &Field<f64, G>, out: &ScalarSet<f64>) 
 /// `dst[i] ← s·dst[i]` where `s` is a host scalar read at launch time.
 pub fn scale_scalar<G: GridLike>(grid: &G, s: &ScalarSet<f64>, dst: &Field<f64, G>) -> Container {
     let (s, dst) = (s.clone(), dst.clone());
-    Container::compute_shaped(
+    Container::compute(
         &format!("scale[{}]({})", s.name(), dst.name()),
         grid.as_space(),
-        KernelShape::Scale,
         move |ldr| {
             let a = ldr.scalar(&s);
             update(ldr.read_write(&dst), [], move |d, []| a * d)
@@ -302,18 +293,16 @@ pub fn scale_scalar<G: GridLike>(grid: &G, s: &ScalarSet<f64>, dst: &Field<f64, 
     )
 }
 
-/// The original per-cell `Generic` forms of every operation above.
+/// The original per-cell forms of every operation above.
 ///
-/// These are the bit-identity oracle for the shaped fast paths: same
-/// container names, same access records, same per-cell math — only the
-/// kernel shape differs, so a shaped program and its reference twin hash
-/// to *different* sequence signatures (the shape byte is folded in) and
-/// never alias each other in the plan cache, while their results must be
-/// bit-for-bit equal.
+/// These are the bit-identity oracle for the span kernels: same container
+/// names, same access records, same per-cell math — only the kernel's
+/// dispatch form differs, so a program and its reference twin share one
+/// compiled plan, and their results must be bit-for-bit equal.
 pub mod reference {
     use super::*;
 
-    /// Per-cell `Generic` form of [`super::set_value`].
+    /// Per-cell form of [`super::set_value`].
     pub fn set_value<G: GridLike>(grid: &G, dst: &Field<f64, G>, v: f64) -> Container {
         let dst = dst.clone();
         let card = dst.card();
@@ -331,7 +320,7 @@ pub mod reference {
         )
     }
 
-    /// Per-cell `Generic` form of [`super::copy`].
+    /// Per-cell form of [`super::copy`].
     pub fn copy<G: GridLike>(grid: &G, src: &Field<f64, G>, dst: &Field<f64, G>) -> Container {
         assert_eq!(src.card(), dst.card(), "cardinality mismatch");
         let (src, dst) = (src.clone(), dst.clone());
@@ -351,7 +340,7 @@ pub mod reference {
         )
     }
 
-    /// Per-cell `Generic` form of [`super::axpy_const`].
+    /// Per-cell form of [`super::axpy_const`].
     pub fn axpy_const<G: GridLike>(
         grid: &G,
         a: f64,
@@ -376,7 +365,7 @@ pub mod reference {
         )
     }
 
-    /// Per-cell `Generic` form of [`super::axpy_scalar`].
+    /// Per-cell form of [`super::axpy_scalar`].
     pub fn axpy_scalar<G: GridLike>(
         grid: &G,
         alpha: &ScalarSet<f64>,
@@ -403,7 +392,7 @@ pub mod reference {
         )
     }
 
-    /// Per-cell `Generic` form of [`super::scale_const`].
+    /// Per-cell form of [`super::scale_const`].
     pub fn scale_const<G: GridLike>(grid: &G, a: f64, dst: &Field<f64, G>) -> Container {
         let dst = dst.clone();
         let card = dst.card();
@@ -421,7 +410,7 @@ pub mod reference {
         )
     }
 
-    /// Per-cell `Generic` form of [`super::dot`].
+    /// Per-cell form of [`super::dot`].
     pub fn dot<G: GridLike>(
         grid: &G,
         x: &Field<f64, G>,
@@ -449,7 +438,7 @@ pub mod reference {
         )
     }
 
-    /// Per-cell `Generic` form of [`super::waxpby_const`].
+    /// Per-cell form of [`super::waxpby_const`].
     pub fn waxpby_const<G: GridLike>(
         grid: &G,
         a: f64,
@@ -478,12 +467,12 @@ pub mod reference {
         )
     }
 
-    /// Per-cell `Generic` form of [`super::norm2_sq`].
+    /// Per-cell form of [`super::norm2_sq`].
     pub fn norm2_sq<G: GridLike>(grid: &G, x: &Field<f64, G>, out: &ScalarSet<f64>) -> Container {
         dot(grid, x, x, out)
     }
 
-    /// Per-cell `Generic` form of [`super::scale_scalar`].
+    /// Per-cell form of [`super::scale_scalar`].
     pub fn scale_scalar<G: GridLike>(
         grid: &G,
         s: &ScalarSet<f64>,
@@ -546,29 +535,23 @@ mod tests {
     }
 
     #[test]
-    fn ops_declare_shapes() {
+    fn reference_twins_share_the_sequence_signature() {
         let (g, x, y) = setup();
         let out = ScalarSet::<f64>::new(2, "dot", 0.0, |a, b| a + b);
-        assert_eq!(set_value(&g, &x, 0.0).shape(), KernelShape::Fill);
-        assert_eq!(copy(&g, &x, &y).shape(), KernelShape::Copy);
-        assert_eq!(axpy_const(&g, 1.0, &x, &y).shape(), KernelShape::Axpy);
-        assert_eq!(scale_const(&g, 1.0, &x).shape(), KernelShape::Scale);
-        assert_eq!(dot(&g, &x, &y, &out).shape(), KernelShape::DotChunk);
+        let span = [
+            copy(&g, &x, &y),
+            axpy_const(&g, 2.0, &x, &y),
+            dot(&g, &x, &y, &out),
+        ];
+        let cell = [
+            reference::copy(&g, &x, &y),
+            reference::axpy_const(&g, 2.0, &x, &y),
+            reference::dot(&g, &x, &y, &out),
+        ];
         assert_eq!(
-            reference::copy(&g, &x, &y).shape(),
-            KernelShape::Generic,
-            "reference twins stay generic"
-        );
-    }
-
-    #[test]
-    fn shape_byte_distinguishes_reference_twin_signatures() {
-        let (g, x, y) = setup();
-        let shaped = neon_set::sequence_signature(&[copy(&g, &x, &y)]);
-        let generic = neon_set::sequence_signature(&[reference::copy(&g, &x, &y)]);
-        assert_ne!(
-            shaped, generic,
-            "same name and accesses, but the shape byte must split the plan key"
+            neon_set::sequence_signature(&span),
+            neon_set::sequence_signature(&cell),
+            "same names and accesses: the dispatch form must not split the plan key"
         );
     }
 

@@ -16,8 +16,8 @@ use std::sync::{Arc, Mutex};
 
 use neon_domain::{
     Aos, BlockSparseGrid, Cell, Container, DataView, DenseGrid, Dim3, Field, FieldRead as _,
-    FieldStencil as _, GridLike, KernelFn, KernelShape, Lanes, Loader, MemLayout, Offset3, Region,
-    ScalarSet, Soa, Span, SparseGrid, Stencil, StorageMode, Stride, Sweep,
+    FieldStencil as _, GridLike, KernelFn, Lanes, Loader, MemLayout, Offset3, Region, ScalarSet,
+    Soa, Span, SparseGrid, Stencil, StorageMode, Stride, Sweep,
 };
 use neon_set::IterationSpace;
 use neon_sys::{Backend, DeviceId};
@@ -453,7 +453,7 @@ fn recording(
     lens: &Arc<Mutex<Vec<u32>>>,
 ) -> Container {
     let (x, sum, lens) = (x.clone(), sum.cloned(), lens.clone());
-    Container::compute_shaped("record", g.as_space(), KernelShape::Generic, move |ldr| {
+    Container::compute("record", g.as_space(), move |ldr| {
         if stencil {
             ldr.read_stencil(&x);
         } else {

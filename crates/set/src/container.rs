@@ -22,7 +22,6 @@ use neon_sys::DeviceId;
 
 use crate::cell::{Cell, DataView, IterationSpace, Region, Span, Sweep};
 use crate::loader::{AccessRecord, ComputePattern, Loader, ReduceHooks};
-use crate::shape::KernelShape;
 use crate::uid::DataUid;
 
 /// What kind of node a container contributes to the execution graph.
@@ -41,11 +40,11 @@ pub enum ContainerKind {
 /// The per-device kernel produced by a loading lambda (per-cell form).
 pub type ComputeFn = Box<dyn Fn(Cell) + Send>;
 
-/// The per-device kernel produced by a *shaped* loading lambda: invoked
-/// once per [`Span`], so the `dyn` boundary is crossed per row run and the
-/// inner loop — over the views' row slices, or over `span.cells()` — stays
-/// monomorphized in the kernel. `FnMut` because write rows borrow their
-/// view mutably; each kernel is built per launch and driven by one thread.
+/// The per-device kernel in span form: invoked once per [`Span`], so the
+/// `dyn` boundary is crossed per row run and the inner loop — over the
+/// views' row slices, or over `span.cells()` — stays monomorphized in the
+/// kernel. `FnMut` because write rows borrow their view mutably; each
+/// kernel is built per launch and driven by one thread.
 pub type SpanFn = Box<dyn FnMut(&Span) + Send>;
 
 /// The host action produced by a host container's loading lambda.
@@ -54,11 +53,13 @@ pub type HostFn = Box<dyn FnOnce() + Send>;
 /// A compute lambda in either dispatch granularity.
 ///
 /// `PerCell` is the paper-faithful form every user kernel starts with;
-/// `Spans` is the row-level form registered by shaped containers
-/// ([`Container::compute_shaped`]). The executor iterates both through
-/// the grid's one primitive, [`IterationSpace::for_each_span`] — for
-/// `PerCell` it walks `span.cells()` itself, so the two forms visit cells
-/// in the identical order.
+/// `Spans` is the row-level form of the prebuilt operations and the
+/// apps' interior bodies. Which one a loading lambda returns is invisible
+/// to the compiler: the two forms of one program share a plan. The
+/// executor iterates both through the grid's one primitive,
+/// [`IterationSpace::for_each_span`] — for `PerCell` it walks
+/// `span.cells()` itself, so the two forms visit cells in the identical
+/// order and must agree bit for bit.
 pub enum KernelFn {
     /// One virtual call per cell.
     PerCell(ComputeFn),
@@ -84,6 +85,19 @@ impl KernelFn {
             KernelFn::PerCell(f) => span.cells().for_each(f),
             KernelFn::Spans(f) => f(span),
         }
+    }
+}
+
+/// A boxed per-cell closure, as a loading lambda returns it.
+impl<F: Fn(Cell) + Send + 'static> From<Box<F>> for KernelFn {
+    fn from(f: Box<F>) -> Self {
+        KernelFn::PerCell(f)
+    }
+}
+
+impl From<ComputeFn> for KernelFn {
+    fn from(f: ComputeFn) -> Self {
+        KernelFn::PerCell(f)
     }
 }
 
@@ -159,7 +173,6 @@ pub struct TemporalSpec {
 struct ContainerInner {
     name: String,
     kind: ContainerKind,
-    shape: KernelShape,
     space: Option<Arc<dyn IterationSpace>>,
     gen: Option<Arc<GenFn>>,
     host_gen: Option<Arc<HostGenFn>>,
@@ -212,12 +225,14 @@ impl std::fmt::Debug for Container {
 impl Container {
     /// Build a compute container over `space` from a loading lambda.
     ///
-    /// The kind (map / stencil / reduce) is inferred from the recorded
-    /// access patterns, exactly as the paper's Loader-based design intends.
-    pub fn compute(
+    /// The lambda returns either a boxed per-cell closure or a
+    /// [`KernelFn`] (e.g. a span kernel). The kind (map / stencil /
+    /// reduce) is inferred from the recorded access patterns, exactly as
+    /// the paper's Loader-based design intends.
+    pub fn compute<K: Into<KernelFn>>(
         name: &str,
         space: Arc<dyn IterationSpace>,
-        gen: impl Fn(&mut Loader) -> ComputeFn + Send + Sync + 'static,
+        gen: impl Fn(&mut Loader) -> K + Send + Sync + 'static,
     ) -> Self {
         Container::compute_opts(name, space, gen, 0, 1.0)
     }
@@ -226,70 +241,14 @@ impl Container {
     /// `flops_per_cell` for compute-bound kernels and `bw_efficiency`
     /// scaling the achieved bandwidth (Neon's bound-checks cost a few
     /// percent versus a hardwired kernel, paper §VI-B).
-    pub fn compute_opts(
+    pub fn compute_opts<K: Into<KernelFn>>(
         name: &str,
         space: Arc<dyn IterationSpace>,
-        gen: impl Fn(&mut Loader) -> ComputeFn + Send + Sync + 'static,
+        gen: impl Fn(&mut Loader) -> K + Send + Sync + 'static,
         flops_per_cell: u64,
         bw_efficiency: f64,
     ) -> Self {
-        Container::build_compute(
-            name,
-            space,
-            KernelShape::Generic,
-            Arc::new(move |ldr: &mut Loader| KernelFn::PerCell(gen(ldr))),
-            flops_per_cell,
-            bw_efficiency,
-        )
-    }
-
-    /// Build a compute container whose loading lambda declares a typed
-    /// [`KernelShape`] and may return a span-level kernel
-    /// ([`KernelFn::Spans`]).
-    ///
-    /// The shape is a structural claim: the kernel must compute exactly
-    /// what the equivalent per-cell `Generic` kernel would, bit for bit
-    /// (the executor visits cells in the identical order either way).
-    /// Shaped containers get their shape folded into the sequence
-    /// signature, so plans compiled for shaped programs never alias
-    /// plans for generic ones in the plan cache.
-    pub fn compute_shaped(
-        name: &str,
-        space: Arc<dyn IterationSpace>,
-        shape: KernelShape,
-        gen: impl Fn(&mut Loader) -> KernelFn + Send + Sync + 'static,
-    ) -> Self {
-        Container::compute_shaped_opts(name, space, shape, gen, 0, 1.0)
-    }
-
-    /// [`Container::compute_shaped`] with performance-model overrides
-    /// (see [`Container::compute_opts`]).
-    pub fn compute_shaped_opts(
-        name: &str,
-        space: Arc<dyn IterationSpace>,
-        shape: KernelShape,
-        gen: impl Fn(&mut Loader) -> KernelFn + Send + Sync + 'static,
-        flops_per_cell: u64,
-        bw_efficiency: f64,
-    ) -> Self {
-        Container::build_compute(
-            name,
-            space,
-            shape,
-            Arc::new(gen),
-            flops_per_cell,
-            bw_efficiency,
-        )
-    }
-
-    fn build_compute(
-        name: &str,
-        space: Arc<dyn IterationSpace>,
-        shape: KernelShape,
-        gen: Arc<GenFn>,
-        flops_per_cell: u64,
-        bw_efficiency: f64,
-    ) -> Self {
+        let gen: Arc<GenFn> = Arc::new(move |ldr: &mut Loader| gen(ldr).into());
         let mut accesses = Vec::new();
         {
             let mut loader = Loader::for_recording(&mut accesses, space.num_partitions());
@@ -306,7 +265,6 @@ impl Container {
             inner: Arc::new(ContainerInner {
                 name: name.to_string(),
                 kind,
-                shape,
                 space: Some(space),
                 gen: Some(gen),
                 host_gen: None,
@@ -338,7 +296,6 @@ impl Container {
             inner: Arc::new(ContainerInner {
                 name: name.to_string(),
                 kind: ContainerKind::Host,
-                shape: KernelShape::Generic,
                 space: None,
                 gen: None,
                 host_gen: Some(Arc::new(gen)),
@@ -447,7 +404,6 @@ impl Container {
             inner: Arc::new(ContainerInner {
                 name: name.to_string(),
                 kind,
-                shape: KernelShape::Generic,
                 space: Some(space),
                 gen: Some(Arc::new(gen)),
                 host_gen: None,
@@ -481,7 +437,6 @@ impl Container {
             inner: Arc::new(ContainerInner {
                 name: name.to_string(),
                 kind: ContainerKind::Reduce,
-                shape: KernelShape::Generic,
                 space: members.first().and_then(|m| m.inner.space.clone()),
                 gen: None,
                 host_gen: None,
@@ -596,7 +551,6 @@ impl Container {
             inner: Arc::new(ContainerInner {
                 name: name.to_string(),
                 kind,
-                shape: KernelShape::Generic,
                 space: Some(space),
                 gen: None,
                 host_gen: None,
@@ -649,12 +603,6 @@ impl Container {
     /// Inferred kind.
     pub fn kind(&self) -> ContainerKind {
         self.inner.kind
-    }
-
-    /// Declared kernel shape (`Generic` unless built with
-    /// [`Container::compute_shaped`]).
-    pub fn shape(&self) -> KernelShape {
-        self.inner.shape
     }
 
     /// Declared accesses (recorded at construction).

@@ -34,7 +34,6 @@ pub mod loader;
 pub mod manual;
 pub mod memset;
 pub mod scalar;
-pub mod shape;
 pub mod signature;
 pub mod uid;
 
@@ -53,6 +52,5 @@ pub use loader::{
 pub use manual::{EventSetId, ManualRuntime, StreamSetId};
 pub use memset::{MemSet, RawRead, RawWrite, StorageMode};
 pub use scalar::{ScalarSet, ScalarView};
-pub use shape::KernelShape;
 pub use signature::{sequence_signature, uid_roles};
 pub use uid::DataUid;

@@ -13,7 +13,10 @@
 //! deliberately **excluded**: they parameterize the performance model at
 //! execution time (read from the rebound containers), not the shape of the
 //! compiled graph. A CG solver on a 1e6-cell grid therefore shares a plan
-//! with the same solver on a 1e7-cell grid.
+//! with the same solver on a 1e7-cell grid. So is a kernel's dispatch form
+//! ([`crate::KernelFn`]): a rebound plan runs whatever kernels the new
+//! containers build, so a span-kernel program and its per-cell twin share
+//! a plan.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -21,7 +24,7 @@ use std::hash::{Hash, Hasher};
 use neon_sys::hash::StableHasher;
 
 use crate::container::{Container, ContainerKind};
-use crate::loader::{AccessMode, ComputePattern};
+use crate::loader::ComputePattern;
 use crate::uid::DataUid;
 
 /// Map every uid accessed by the sequence to its role: the index of its
@@ -57,9 +60,6 @@ pub fn sequence_signature(containers: &[Container]) -> u64 {
             ContainerKind::Reduce => 2,
             ContainerKind::Host => 3,
         });
-        // Shaped and generic builds of the same program must never share
-        // a cached plan: the shape drives layout-select recommendations.
-        h.write_u8(c.shape().signature_byte());
         h.write_u64(c.accesses().len() as u64);
         for a in c.accesses() {
             h.write_u64(roles[&a.uid] as u64);
@@ -78,12 +78,6 @@ pub fn sequence_signature(containers: &[Container]) -> u64 {
         }
     }
     h.finish()
-}
-
-/// `AccessMode` encoded for signatures — kept here so the encoding has one
-/// home if more modes appear.
-pub fn mode_bits(mode: AccessMode) -> u8 {
-    u8::from(mode.reads()) | (u8::from(mode.writes()) << 1)
 }
 
 #[cfg(test)]

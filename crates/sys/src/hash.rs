@@ -46,16 +46,15 @@ impl Hasher for StableHasher {
     }
 }
 
-/// Hash a `Hash` value with the stable hasher in one call.
-pub fn stable_hash_of(value: &impl std::hash::Hash) -> u64 {
-    let mut h = StableHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn stable_hash_of(value: &impl std::hash::Hash) -> u64 {
+        let mut h = StableHasher::new();
+        value.hash(&mut h);
+        h.finish()
+    }
 
     #[test]
     fn known_vector() {

@@ -47,7 +47,7 @@ pub use fault::{
     FaultInjector, FaultPlan, FaultSite, FaultSiteKind, FaultSpec, FaultStats, FaultVerdict,
     LinkEvent, PermanentFault, RetryPolicy,
 };
-pub use hash::{stable_hash_of, StableHasher};
+pub use hash::StableHasher;
 pub use memory::{AllocationTicket, MemoryLedger};
 pub use pool::{host_cores, WorkerPool};
 pub use queue::{CounterSnapshot, EventId, QueueSim, StreamId};

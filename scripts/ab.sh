@@ -28,8 +28,9 @@
 #          unless every run of the change beats every run of the base
 #   —      none of these: unchanged within the bound
 #
-# Exits 1 if any run reports `correct: false` or `failed > 0`; the
-# verdicts do not change the exit status.
+# Exit status: 1 if any run reports `correct: false` or `failed > 0`;
+# else 3 if any metric of any workload reads `worse`; else 0. 2 is a
+# usage error. `unresolved` is a printed warning only.
 #
 # AB_DIR names the scratch directory (default: a fresh temporary one);
 # reusing it keeps both builds warm between invocations.
@@ -90,6 +91,7 @@ import json, statistics, sys
 manifest, results, pairs, workloads = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
 metrics = json.load(open(manifest))["end_to_end"]
 bad = []
+worse = []
 
 def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
@@ -131,6 +133,7 @@ for w in workloads:
             verdict = "gain"
         elif -gained > m["bound"] * abs(bmed):
             verdict = "worse"
+            worse.append(f"{w} {name}")
         elif iqr > m["bound"] * abs(bmed) and not all_better:
             verdict = "unresolved"
         else:
@@ -140,5 +143,7 @@ for w in workloads:
               f"{wins:>4}/{len(pairs_):<2}{ties:>4}/{len(pairs_)}  {verdict}")
 for b in bad:
     print("FAILED:", b)
-sys.exit(1 if bad else 0)
+for x in worse:
+    print("WORSE:", x)
+sys.exit(1 if bad else 3 if worse else 0)
 EOF
