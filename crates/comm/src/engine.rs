@@ -21,6 +21,8 @@
 //! [`QueueSim::enqueue_transfer`]: neon_sys::QueueSim::enqueue_transfer
 //! [`Topology`]: neon_sys::Topology
 
+use std::sync::Arc;
+
 use neon_sys::clock::SimTime;
 use neon_sys::queue::{QueueSim, StreamId};
 use neon_sys::topology::{LinkResourceId, Topology};
@@ -68,25 +70,32 @@ impl CollectiveTiming {
     }
 }
 
-/// Schedules collectives over a fixed topology.
+/// Schedules collectives over a fixed topology. The topology is shared,
+/// not copied: an engine over a backend's `Arc<Topology>` costs no link
+/// matrix.
 #[derive(Debug, Clone)]
 pub struct CollectiveEngine {
-    topo: Topology,
+    topo: Arc<Topology>,
     config: EngineConfig,
 }
 
 impl CollectiveEngine {
     /// Engine with default configuration (automatic algorithm selection).
-    pub fn new(topo: Topology) -> Self {
-        CollectiveEngine {
-            topo,
-            config: EngineConfig::default(),
-        }
+    pub fn new(topo: impl Into<Arc<Topology>>) -> Self {
+        Self::with_config(topo, EngineConfig::default())
     }
 
     /// Engine with an explicit configuration.
-    pub fn with_config(topo: Topology, config: EngineConfig) -> Self {
-        CollectiveEngine { topo, config }
+    pub fn with_config(topo: impl Into<Arc<Topology>>, config: EngineConfig) -> Self {
+        CollectiveEngine {
+            topo: topo.into(),
+            config,
+        }
+    }
+
+    /// Replace the configuration, keeping the topology.
+    pub fn set_config(&mut self, config: EngineConfig) {
+        self.config = config;
     }
 
     /// The topology this engine schedules against.

@@ -550,7 +550,7 @@ impl Executor {
         // lanes: [0, compute_streams) kernels, +0/+1 transfers, +2 host,
         // +3 collectives.
         let queue = QueueSim::new(backend.num_devices(), compute_streams + 4);
-        let engine = CollectiveEngine::new(backend.topology().clone());
+        let engine = CollectiveEngine::new(Arc::clone(backend.shared_topology()));
         let functional = plan.graph().nodes().iter().all(|n| match &n.kind {
             NodeKind::Compute { container, .. } => container
                 .space()
@@ -622,13 +622,10 @@ impl Executor {
     /// [`CollectiveMode::Auto`]).
     pub fn set_collective_mode(&mut self, mode: CollectiveMode) {
         self.collective_mode = mode;
-        self.engine = CollectiveEngine::with_config(
-            self.backend.topology().clone(),
-            EngineConfig {
-                algorithm: mode.fixed_algorithm(),
-                ..EngineConfig::default()
-            },
-        );
+        self.engine.set_config(EngineConfig {
+            algorithm: mode.fixed_algorithm(),
+            ..EngineConfig::default()
+        });
     }
 
     /// Select how communication completion gates downstream compute

@@ -196,6 +196,13 @@ impl Graph {
         Graph::default()
     }
 
+    /// A graph of `nodes` and `edges` taken as they are: the caller
+    /// guarantees in-range, duplicate-free edges (plan rebinding copies a
+    /// built graph's).
+    pub(crate) fn from_parts(nodes: Vec<Node>, edges: Vec<Edge>) -> Self {
+        Graph { nodes, edges }
+    }
+
     /// Append a node, returning its id.
     pub fn add_node(&mut self, node: Node) -> NodeId {
         self.nodes.push(node);

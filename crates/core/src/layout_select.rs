@@ -102,18 +102,15 @@ pub fn summarize_accesses(containers: &[Container]) -> Vec<(usize, String, Acces
     let mut out: Vec<Option<(String, AccessSummary)>> = vec![None; roles.len()];
     for c in containers {
         for a in c.accesses() {
-            let role = roles[&a.uid];
-            let entry = out[role].get_or_insert_with(|| (a.name.clone(), AccessSummary::default()));
+            let role = roles.role(a.uid).expect("roles cover the sequence");
+            let entry =
+                out[role].get_or_insert_with(|| (a.name.to_string(), AccessSummary::default()));
             let bytes = a.read_bytes_per_cell.max(a.write_bytes_per_cell);
             entry.1.card = entry.1.card.max((bytes / 8).max(1) as usize);
             if a.pattern == ComputePattern::Stencil && a.mode.reads() {
                 entry.1.stencil = true;
             }
-            if a.halo
-                .as_ref()
-                .map(|h| !h.descriptors().is_empty())
-                .unwrap_or(false)
-            {
+            if a.halo.as_ref().map(|h| h.has_transfers()).unwrap_or(false) {
                 entry.1.live_halo = true;
             }
         }

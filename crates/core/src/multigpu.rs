@@ -42,7 +42,7 @@ pub fn to_multigpu_graph(g: &Graph, num_devices: usize) -> Graph {
                 let Some(exchange) = a.halo.clone() else {
                     continue; // unpartitioned data: nothing to update
                 };
-                if num_devices < 2 || exchange.descriptors().is_empty() {
+                if num_devices < 2 || !exchange.has_transfers() {
                     continue;
                 }
                 let uid = a.uid;

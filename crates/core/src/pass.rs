@@ -117,7 +117,7 @@ impl Ir {
             }
         };
         let roles = uid_roles(&self.containers);
-        let label = |u: neon_set::DataUid| match roles.get(&u) {
+        let label = |u: neon_set::DataUid| match roles.role(u) {
             Some(r) => format!("u{r}"),
             None => "u?".to_string(),
         };

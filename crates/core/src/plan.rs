@@ -9,31 +9,50 @@
 //!
 //! * the **sequence signature** ([`neon_set::sequence_signature`]) — a
 //!   structural hash of the container sequence over *normalized* data-uid
-//!   roles, deliberately excluding cell counts and per-cell costs (those
-//!   are read from the bound containers at execution time), so the same
-//!   solver over a different grid size still hits;
+//!   and grid roles, deliberately excluding cell counts and per-cell costs
+//!   (those are read from the bound containers at execution time), so the
+//!   same solver over a different grid size still hits;
 //! * the **backend fingerprint** ([`neon_sys::Backend::fingerprint`]) —
 //!   device models plus topology;
 //! * the **compile key** ([`CompileKey`]) — the six
 //!   [`SkeletonOptions`] fields the passes read, compared by value. It is
 //!   all the passes see, so the executor's runtime settings share a plan.
 //!
-//! On a hit the cached plan is *rebound*: node containers are swapped by
-//! provenance index, halo exchanges and edge data uids are remapped via
-//! the role correspondence, and the schedule — which depends only on graph
-//! structure — is shared untouched. `Arc::ptr_eq` on the schedule is
-//! therefore proof that a sequence compiled once.
+//! On a hit the cached plan is *rebound* to the new instance, which pays
+//! only for what it owns:
+//!
+//! * **rebuilt per hit:** the node containers — each distinct container
+//!   of the cached plan once, so the rebound plan shares instances exactly
+//!   as a fresh compile does (a compute node and its `:allreduce`, the
+//!   OCC `.int`/`.bnd` halves), with fused groups, merged reductions and
+//!   temporal super-steps recomposed over the new members by provenance —
+//!   the halo exchanges (resolved from the rebuilt containers' stencil
+//!   reads, never carried over from the cached instance), the halo
+//!   descriptors, edge data uids (mapped role for role) and node names;
+//! * **shared:** the schedule, the data-parent lists, and the device plan
+//!   while the halo pairs and chunk counts are unchanged;
+//! * **deferred:** the dependency graph, a function of the containers
+//!   alone that only diagnostics read, built on first use.
+//!
+//! The new sequence's roles ([`neon_set::uid_roles`]) are computed once
+//! per request and serve both the key and the rebind; a plan keeps the
+//! roles of the instance it is bound to, so a hit builds nothing for the
+//! old one. `Arc::ptr_eq` on the schedule is proof that a sequence
+//! compiled once.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use neon_set::{sequence_signature, uid_roles, Container, DataUid, HaloDescriptor, HaloExchange};
+use neon_set::{
+    sequence_signature, signature_over_roles, uid_roles, Container, DataUid, HaloDescriptor,
+    HaloExchange, UidRoles,
+};
 use neon_sys::{Backend, PermanentFault, Trace};
 
 use crate::devplan::{build_device_plan, build_device_plan_policy, DevicePlan};
 use crate::exec::{CommMode, ExecError};
 use crate::fuse::FusionLevel;
-use crate::graph::{Edge, Graph, Node, NodeId, NodeKind};
+use crate::graph::{build_dependency_graph, Edge, Graph, Node, NodeId, NodeKind};
 use crate::layout_select::LayoutPolicy;
 use crate::occ::OccLevel;
 use crate::pass::{CompileError, Ir, PassCtx, PassManager, PassTiming};
@@ -43,11 +62,17 @@ use crate::skeleton::SkeletonOptions;
 /// The immutable result of compiling a container sequence.
 pub struct CompiledPlan {
     containers: Vec<Container>,
-    dependency_graph: Graph,
+    /// The uids of `containers` in role order: what a rebind maps this
+    /// instance's data onto the next one's by.
+    roles: UidRoles,
+    /// A function of `containers` alone, so a rebound plan builds it only
+    /// when asked (diagnostics read it; execution does not).
+    dependency_graph: OnceLock<Graph>,
     graph: Graph,
     schedule: Arc<Schedule>,
     device_plan: Arc<DevicePlan>,
-    data_parents: Vec<Vec<NodeId>>,
+    /// Shape-only, so shared by every instance rebound from one compile.
+    data_parents: Arc<[Vec<NodeId>]>,
     /// Per-node halo transfer descriptors (empty for non-halo nodes),
     /// cached so the executor's hot loop never calls the allocating
     /// `HaloExchange::descriptors()`.
@@ -60,7 +85,8 @@ pub struct CompiledPlan {
 impl CompiledPlan {
     /// The raw dependency graph (before the multi-GPU transform).
     pub fn dependency_graph(&self) -> &Graph {
-        &self.dependency_graph
+        self.dependency_graph
+            .get_or_init(|| build_dependency_graph(&self.containers))
     }
 
     /// The final (multi-GPU, OCC-optimized, lowered) execution graph.
@@ -142,7 +168,8 @@ impl CompiledPlan {
         let halo_descs = precompute_halo_descs(&graph);
         Arc::new(CompiledPlan {
             containers: Vec::new(),
-            dependency_graph: Graph::new(),
+            roles: UidRoles::default(),
+            dependency_graph: OnceLock::from(Graph::new()),
             graph,
             schedule: Arc::new(schedule),
             device_plan,
@@ -155,7 +182,7 @@ impl CompiledPlan {
     }
 }
 
-fn precompute_parents(g: &Graph) -> Vec<Vec<NodeId>> {
+fn precompute_parents(g: &Graph) -> Arc<[Vec<NodeId>]> {
     (0..g.len())
         .map(|n| {
             let mut v: Vec<NodeId> = g.data_parents(n).map(|e| e.from).collect();
@@ -264,6 +291,17 @@ struct CacheInner {
 }
 
 impl CacheInner {
+    fn new(capacity: usize) -> Self {
+        CacheInner {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            capacity,
+        }
+    }
+
     /// Evict FIFO until the entry count fits `capacity`, counting evictions.
     fn enforce_capacity(&mut self, headroom: usize) {
         while self.map.len().saturating_add(headroom) > self.capacity {
@@ -277,6 +315,45 @@ impl CacheInner {
             }
         }
     }
+
+    /// Drop every entry (counters are kept).
+    fn clear(&mut self) {
+        self.map.clear();
+        self.order.clear();
+    }
+
+    /// Drop every entry compiled for the backend with `fingerprint`,
+    /// returning how many went.
+    fn invalidate(&mut self, fingerprint: u64) -> usize {
+        let before = self.map.len();
+        self.map.retain(|k, _| k.backend != fingerprint);
+        self.order.retain(|k| k.backend != fingerprint);
+        before - self.map.len()
+    }
+
+    /// Cache a freshly compiled plan, making room FIFO if the key is new.
+    fn insert_compiled(&mut self, key: PlanKey, plan: Arc<CompiledPlan>) {
+        if !self.map.contains_key(&key) {
+            self.enforce_capacity(1);
+            self.order.push_back(key);
+        }
+        self.map.insert(key, plan);
+    }
+
+    /// Keep the most recently bound instance of a hit, so a later
+    /// identical request shares its containers too. A key evicted or
+    /// invalidated since the lookup stays gone: re-inserting it would
+    /// leave an entry outside `order`, never evicted. Returns the
+    /// displaced plan, for the caller to drop outside the lock.
+    fn replace_rebound(
+        &mut self,
+        key: &PlanKey,
+        plan: Arc<CompiledPlan>,
+    ) -> Option<Arc<CompiledPlan>> {
+        self.map
+            .get_mut(key)
+            .map(|slot| std::mem::replace(slot, plan))
+    }
 }
 
 /// Default plan-cache capacity (plans, not bytes).
@@ -284,16 +361,7 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 32;
 
 fn cache() -> &'static Mutex<CacheInner> {
     static CACHE: OnceLock<Mutex<CacheInner>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(CacheInner {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            capacity: DEFAULT_PLAN_CACHE_CAPACITY,
-        })
-    })
+    CACHE.get_or_init(|| Mutex::new(CacheInner::new(DEFAULT_PLAN_CACHE_CAPACITY)))
 }
 
 /// Current plan-cache counters.
@@ -325,9 +393,7 @@ pub fn plan_cache_capacity() -> usize {
 
 /// Drop every cached plan (counters are kept; tests diff them).
 pub fn clear_plan_cache() {
-    let mut c = cache().lock().unwrap();
-    c.map.clear();
-    c.order.clear();
+    cache().lock().unwrap().clear();
 }
 
 /// Drop every cached plan compiled for the backend with `fingerprint`,
@@ -335,11 +401,7 @@ pub fn clear_plan_cache() {
 /// permanent fault retires a backend: plans compiled for the dead topology
 /// must not be rebound.
 pub fn invalidate_backend(fingerprint: u64) -> usize {
-    let mut c = cache().lock().unwrap();
-    let before = c.map.len();
-    c.map.retain(|k, _| k.backend != fingerprint);
-    c.order.retain(|k| k.backend != fingerprint);
-    before - c.map.len()
+    cache().lock().unwrap().invalidate(fingerprint)
 }
 
 /// Heal `backend` of a permanent `fault`: evict the dead device, or sever
@@ -379,31 +441,33 @@ pub(crate) fn compile(
     options: SkeletonOptions,
 ) -> Result<(Arc<CompiledPlan>, bool), CompileError> {
     let opts = options.compile_key();
+    let roles = uid_roles(&containers);
     if !options.cache || options.dump_ir {
         return Ok((
-            compile_fresh(backend, containers, opts, options.dump_ir)?,
+            compile_fresh(backend, containers, roles, opts, options.dump_ir)?,
             false,
         ));
     }
-    let key = PlanKey::new(backend, &containers, opts);
+    let key = PlanKey {
+        seq: signature_over_roles(&containers, &roles),
+        backend: backend.fingerprint(),
+        opts,
+    };
     let cached = cache().lock().unwrap().map.get(&key).cloned();
     if let Some(plan) = cached {
-        let rebound = rebind(&plan, containers);
-        let mut c = cache().lock().unwrap();
-        c.hits += 1;
-        // Keep the most recently bound instance: a later identical request
-        // then shares containers too, not just the schedule.
-        c.map.insert(key, Arc::clone(&rebound));
+        let rebound = rebind(&plan, containers, roles);
+        let displaced = {
+            let mut c = cache().lock().unwrap();
+            c.hits += 1;
+            c.replace_rebound(&key, Arc::clone(&rebound))
+        };
+        drop(displaced);
         return Ok((rebound, true));
     }
-    let plan = compile_fresh(backend, containers, opts, false)?;
+    let plan = compile_fresh(backend, containers, roles, opts, false)?;
     let mut c = cache().lock().unwrap();
     c.misses += 1;
-    if !c.map.contains_key(&key) {
-        c.enforce_capacity(1);
-        c.order.push_back(key);
-    }
-    c.map.insert(key, Arc::clone(&plan));
+    c.insert_compiled(key, Arc::clone(&plan));
     Ok((plan, false))
 }
 
@@ -412,6 +476,7 @@ pub(crate) fn compile(
 fn compile_fresh(
     backend: &Backend,
     containers: Vec<Container>,
+    roles: UidRoles,
     key: CompileKey,
     dump: bool,
 ) -> Result<Arc<CompiledPlan>, CompileError> {
@@ -434,7 +499,8 @@ fn compile_fresh(
     let halo_descs = precompute_halo_descs(&graph);
     Ok(Arc::new(CompiledPlan {
         containers: ir.containers,
-        dependency_graph: ir.dependency_graph.unwrap_or_default(),
+        roles,
+        dependency_graph: ir.dependency_graph.map(OnceLock::from).unwrap_or_default(),
         graph,
         schedule: Arc::new(schedule),
         device_plan: Arc::new(device_plan),
@@ -446,147 +512,130 @@ fn compile_fresh(
     }))
 }
 
-/// Re-bind a cached plan to a new (structurally identical) container
-/// sequence: swap containers by provenance index, remap data uids via the
-/// role correspondence, share the schedule.
-fn rebind(plan: &CompiledPlan, containers: Vec<Container>) -> Arc<CompiledPlan> {
-    let old_roles = uid_roles(&plan.containers);
-    let new_roles = uid_roles(&containers);
-    let role_to_new: HashMap<usize, DataUid> = new_roles.iter().map(|(u, r)| (*r, *u)).collect();
-    let map_uid = |u: DataUid| -> DataUid {
-        old_roles
-            .get(&u)
-            .and_then(|r| role_to_new.get(r))
-            .copied()
-            .unwrap_or(u)
-    };
-    // Halo exchanges of the new sequence, by (new) uid.
-    let mut halos: HashMap<DataUid, Arc<dyn HaloExchange>> = HashMap::new();
-    for c in &containers {
-        for a in c.accesses() {
-            if let Some(h) = &a.halo {
-                halos.entry(a.uid).or_insert_with(|| Arc::clone(h));
-            }
+/// The new instance's counterparts of a cached plan's containers, each
+/// built once: a composite is memoised by the identity of the cached one,
+/// so every node that shared it shares the rebuilt one.
+struct Counterparts<'a> {
+    /// The new instance's sequence.
+    new: &'a [Container],
+    /// `(cached composite, its rebuilt counterpart)`.
+    memo: Vec<(Container, Container)>,
+}
+
+impl Counterparts<'_> {
+    /// The counterpart of `old`, the container of cached node `n`. Every
+    /// pass gives a container node its provenance: a `source` index, or
+    /// `fused_sources` for a composite.
+    fn of(&mut self, n: &Node, old: &Container) -> Container {
+        match n.source {
+            Some(i) => self.new[i].clone(),
+            None => self.composite(old, &mut n.fused_sources.iter().copied()),
         }
     }
-    let rebind_graph = |g: &Graph| -> Graph {
-        let mut out = Graph::new();
-        for n in g.nodes() {
-            // Fused nodes re-fuse the new instance's member containers by
-            // provenance; collectives only ever run finalize hooks, so the
-            // lighter `fused_reductions` merge covers both a merged
-            // all-reduce and the lowered half of a fused map+reduce.
-            let swap = |c: &Container| -> Container {
-                if !n.fused_sources.is_empty() {
-                    // A temporal super-step's provenance list is flattened:
-                    // re-chunk it by the old members' arity (a fused member
-                    // contributed its own member count) and rebuild the
-                    // same fused-then-temporal structure over the new
-                    // instance's containers.
-                    if let Some(spec) = c.temporal_spec() {
-                        let mut next = n.fused_sources.iter().copied();
-                        let members: Vec<Container> = c
-                            .fused_members()
-                            .iter()
-                            .map(|m| {
-                                let arity = m.fused_members().len().max(1);
-                                let chunk: Vec<Container> = (0..arity)
-                                    .map(|_| {
-                                        containers[next.next().expect("provenance arity")].clone()
-                                    })
-                                    .collect();
-                                if arity > 1 {
-                                    Container::fused(m.name(), chunk)
-                                } else {
-                                    chunk.into_iter().next().unwrap()
-                                }
-                            })
-                            .collect();
-                        return Container::temporal(c.name(), members, spec.k);
-                    }
-                    let members: Vec<Container> = n
-                        .fused_sources
-                        .iter()
-                        .map(|&i| containers[i].clone())
-                        .collect();
-                    return if n.is_collective() {
-                        Container::fused_reductions(c.name(), members)
-                    } else {
-                        Container::fused(c.name(), members)
-                    };
-                }
-                match n.source {
-                    Some(i) => containers[i].clone(),
-                    None => c.clone(),
-                }
-            };
-            let node = match &n.kind {
-                NodeKind::Compute {
-                    container,
-                    view,
-                    reduce_init,
-                    reduce_finalize,
-                } => Node {
-                    name: n.name.clone(),
-                    kind: NodeKind::Compute {
-                        container: swap(container),
-                        view: *view,
-                        reduce_init: *reduce_init,
-                        reduce_finalize: *reduce_finalize,
-                    },
-                    source: n.source,
-                    fused_sources: n.fused_sources.clone(),
-                },
-                NodeKind::Host { container } => Node {
-                    name: n.name.clone(),
-                    kind: NodeKind::Host {
-                        container: swap(container),
-                    },
-                    source: n.source,
-                    fused_sources: n.fused_sources.clone(),
-                },
-                NodeKind::Collective { container, bytes } => Node {
-                    name: n.name.clone(),
-                    kind: NodeKind::Collective {
-                        container: swap(container),
-                        bytes: *bytes,
-                    },
-                    source: n.source,
-                    fused_sources: n.fused_sources.clone(),
-                },
-                NodeKind::Halo { exchange } => {
-                    let uid = map_uid(exchange.data_uid());
-                    // Preserve the cached node's exchange depth: a temporal
-                    // plan's deep halo must stay `k·r` layers deep after the
-                    // new instance's (radius-deep) exchange is swapped in.
-                    let ex = halos
-                        .get(&uid)
-                        .map(|h| {
-                            h.at_depth(exchange.depth())
-                                .unwrap_or_else(|| Arc::clone(h))
-                        })
-                        .unwrap_or_else(|| Arc::clone(exchange));
-                    Node {
-                        name: format!("halo({})", ex.data_name()),
-                        kind: NodeKind::Halo { exchange: ex },
-                        source: None,
-                        fused_sources: Vec::new(),
-                    }
-                }
-            };
-            out.add_node(node);
+
+    /// Rebuild `old` over the new instance. A composite's provenance list
+    /// is its leaves in depth-first order (a fused member of a temporal
+    /// super-step or of a merged all-reduce contributed its own members),
+    /// so the walk consumes one index per leaf.
+    fn composite(
+        &mut self,
+        old: &Container,
+        leaves: &mut impl Iterator<Item = usize>,
+    ) -> Container {
+        if !old.is_fused() {
+            return self.new[leaves.next().expect("provenance covers every member")].clone();
         }
-        for e in g.edges() {
-            out.add_edge(Edge {
-                from: e.from,
-                to: e.to,
-                kind: e.kind,
-                data: e.data.map(map_uid),
-            });
+        if let Some((_, new)) = self.memo.iter().find(|(o, _)| o.same_instance(old)) {
+            let new = new.clone();
+            for _ in 0..leaf_count(old) {
+                leaves.next();
+            }
+            return new;
         }
-        out
+        let members = old
+            .fused_members()
+            .iter()
+            .map(|m| self.composite(m, leaves))
+            .collect();
+        let new = old.recomposed(members);
+        self.memo.push((old.clone(), new.clone()));
+        new
+    }
+}
+
+fn leaf_count(c: &Container) -> usize {
+    if c.is_fused() {
+        c.fused_members().iter().map(leaf_count).sum()
+    } else {
+        1
+    }
+}
+
+/// Re-bind a cached plan to a new, structurally identical instance of its
+/// sequence, whose `roles` the key lookup computed: rebuild what the new
+/// instance owns (see the module doc), share the rest.
+fn rebind(plan: &CompiledPlan, containers: Vec<Container>, roles: UidRoles) -> Arc<CompiledPlan> {
+    let map_uid = |u: DataUid| -> DataUid {
+        plan.roles
+            .role(u)
+            .and_then(|r| roles.uid(r))
+            .expect("every uid of a plan plays a role in its sequence")
     };
-    let graph = rebind_graph(&plan.graph);
+    let mut counterparts = Counterparts {
+        new: &containers,
+        memo: Vec::new(),
+    };
+    let cached = &plan.graph;
+    let swapped: Vec<Option<Container>> = cached
+        .nodes()
+        .iter()
+        .map(|n| n.container().map(|c| counterparts.of(n, c)))
+        .collect();
+    // A halo node refreshes what a stencil read of the rebuilt plan needs,
+    // at the cached exchange's depth (a temporal super-step's deep exchange
+    // is the one its own records carry) — exactly the exchange the
+    // multi-GPU pass would pick on a fresh compile.
+    let exchange_for = |old: &Arc<dyn HaloExchange>| -> Arc<dyn HaloExchange> {
+        let uid = map_uid(old.data_uid());
+        swapped
+            .iter()
+            .flatten()
+            .flat_map(|c| c.stencil_reads())
+            .filter(|a| a.uid == uid)
+            .filter_map(|a| a.halo.as_ref())
+            .find(|h| h.depth() == old.depth())
+            .map(Arc::clone)
+            .expect("a halo node's field is stencil-read by the plan at the node's depth")
+    };
+    let nodes = cached
+        .nodes()
+        .iter()
+        .zip(&swapped)
+        .map(|(n, new)| {
+            if let NodeKind::Halo { exchange } = &n.kind {
+                let exchange = exchange_for(exchange);
+                let name = format!("halo({})", exchange.data_name());
+                return Node::new(name, NodeKind::Halo { exchange });
+            }
+            let mut node = n.clone();
+            if let NodeKind::Compute { container, .. }
+            | NodeKind::Host { container }
+            | NodeKind::Collective { container, .. } = &mut node.kind
+            {
+                *container = new.clone().expect("every node but a halo update has one");
+            }
+            node
+        })
+        .collect();
+    let edges = cached
+        .edges()
+        .iter()
+        .map(|e| Edge {
+            data: e.data.map(map_uid),
+            ..*e
+        })
+        .collect();
+    let graph = Graph::from_parts(nodes, edges);
     // Descriptor byte sizes change with grid size, so recompute the cache;
     // the device plan only depends on the src/dst pair structure and can
     // be shared when that is unchanged (the common case).
@@ -625,16 +674,17 @@ fn rebind(plan: &CompiledPlan, containers: Vec<Container>) -> Arc<CompiledPlan> 
         ))
     };
     Arc::new(CompiledPlan {
-        dependency_graph: rebind_graph(&plan.dependency_graph),
+        containers,
+        roles,
+        dependency_graph: OnceLock::new(),
         graph,
         schedule: Arc::clone(&plan.schedule),
         device_plan,
-        data_parents: plan.data_parents.clone(),
+        data_parents: Arc::clone(&plan.data_parents),
         halo_descs,
         timings: Vec::new(),
         dumps: Vec::new(),
         compile_trace: Trace::new(),
-        containers,
     })
 }
 
@@ -814,6 +864,55 @@ mod tests {
         // The chunked plan carries strictly more event slots: the halo
         // node gained a per-chunk arrival region.
         assert!(p.device_plan().num_slots() > base_plan.device_plan().num_slots());
+    }
+
+    #[test]
+    fn a_hit_never_reinserts_an_entry_that_went_meanwhile() {
+        // A hit rebinds with the lock released, then stores its plan. The
+        // key may have gone in between — evicted FIFO by a concurrent
+        // miss, invalidated with its backend, or cleared. Storing must
+        // not bring it back: it would sit outside `order`, never evicted.
+        // The interleavings are replayed on a private cache, in order.
+        let (b, seq) = sequence(2, 8);
+        let opts = SkeletonOptions::default().compile_key();
+        let plan = compile_fresh(&b, seq.clone(), uid_roles(&seq), opts, false).unwrap();
+        let key = PlanKey::new(&b, &seq, opts);
+        let other = PlanKey {
+            seq: key.seq ^ 1,
+            ..key
+        };
+        let consistent = |c: &CacheInner| {
+            c.map.len() <= c.capacity
+                && c.map.len() == c.order.len()
+                && c.order.iter().all(|k| c.map.contains_key(k))
+        };
+        let mut c = CacheInner::new(1);
+
+        // Evicted: a miss on `other` pushes `key` out of a one-plan cache.
+        c.insert_compiled(key, Arc::clone(&plan));
+        c.insert_compiled(other, Arc::clone(&plan));
+        assert_eq!(c.evictions, 1);
+        assert!(c.replace_rebound(&key, Arc::clone(&plan)).is_none());
+        assert!(!c.map.contains_key(&key) && consistent(&c));
+
+        // Invalidated with its backend.
+        assert_eq!(c.invalidate(b.fingerprint()), 1);
+        assert!(c.replace_rebound(&other, Arc::clone(&plan)).is_none());
+        assert!(c.map.is_empty() && consistent(&c));
+
+        // Cleared.
+        c.insert_compiled(key, Arc::clone(&plan));
+        c.clear();
+        assert!(c.replace_rebound(&key, Arc::clone(&plan)).is_none());
+        assert!(c.map.is_empty() && consistent(&c));
+
+        // Still present: the rebound instance replaces the cached one.
+        c.insert_compiled(key, Arc::clone(&plan));
+        let (_, seq2) = sequence(2, 8);
+        let rebound = rebind(&plan, seq2.clone(), uid_roles(&seq2));
+        let displaced = c.replace_rebound(&key, Arc::clone(&rebound));
+        assert!(displaced.is_some_and(|d| Arc::ptr_eq(&d, &plan)));
+        assert!(Arc::ptr_eq(&c.map[&key], &rebound) && consistent(&c));
     }
 
     #[test]

@@ -64,8 +64,9 @@ fn super_step(g: &Graph, k: u8) -> Option<Node> {
         return None;
     }
     // Gather members (and their sequence indices) in node order, unwrapping
-    // nothing: a fused node contributes its fused wrapper as one member so
-    // plan rebinding can re-chunk `fused_sources` by member arity.
+    // nothing: a fused node contributes its fused wrapper as one member, and
+    // its own `fused_sources`, so the provenance list stays the members'
+    // leaves in depth-first order — the order plan rebinding walks.
     let mut members: Vec<Container> = Vec::new();
     let mut sources: Vec<usize> = Vec::new();
     for n in g.nodes() {
@@ -125,7 +126,7 @@ fn super_step(g: &Graph, k: u8) -> Option<Node> {
             // exchange — the field must be able to host one.
             if a.mode.reads() && !written.contains(&a.uid) {
                 if let Some(fx) = &a.field_exchange {
-                    if !fx.descriptors().is_empty() && fx.at_depth(deep).is_none() {
+                    if fx.has_transfers() && fx.at_depth(deep).is_none() {
                         return None;
                     }
                 }

@@ -189,7 +189,7 @@ pub(crate) fn data_name(g: &Graph, uid: DataUid) -> String {
         .filter_map(|n| n.container())
         .flat_map(|c| c.accesses())
         .find(|a| a.uid == uid)
-        .map_or_else(|| format!("{uid:?}"), |a| a.name.clone())
+        .map_or_else(|| format!("{uid:?}"), |a| a.name.to_string())
 }
 
 /// Validate a graph's structural invariants (checks 1–3 above).
@@ -277,7 +277,7 @@ pub fn validate_graph(g: &Graph, ndev: usize, check_halos: bool) -> Result<(), V
                 let live = acc
                     .halo
                     .as_ref()
-                    .map(|h| !h.descriptors().is_empty())
+                    .map(|h| h.has_transfers())
                     .unwrap_or(false);
                 if !live {
                     continue;
@@ -290,7 +290,7 @@ pub fn validate_graph(g: &Graph, ndev: usize, check_halos: bool) -> Result<(), V
                 if !covered {
                     return Err(ValidationError::MissingHalo {
                         node: n.name.clone(),
-                        data: acc.name.clone(),
+                        data: acc.name.to_string(),
                     });
                 }
             }

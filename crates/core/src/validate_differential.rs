@@ -147,7 +147,7 @@ mod oracle {
         for n in g.nodes() {
             if let Some(c) = n.container() {
                 for a in c.accesses() {
-                    uid_names.entry(a.uid).or_insert_with(|| a.name.clone());
+                    uid_names.entry(a.uid).or_insert_with(|| a.name.to_string());
                 }
             }
         }
@@ -195,7 +195,7 @@ mod oracle {
                     let live = acc
                         .halo
                         .as_ref()
-                        .map(|h| !h.descriptors().is_empty())
+                        .map(|h| h.has_transfers())
                         .unwrap_or(false);
                     if !live {
                         continue;
@@ -208,7 +208,7 @@ mod oracle {
                     if !covered {
                         return Err(ValidationError::MissingHalo {
                             node: n.name.clone(),
-                            data: acc.name.clone(),
+                            data: acc.name.to_string(),
                         });
                     }
                 }

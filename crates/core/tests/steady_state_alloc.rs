@@ -18,15 +18,21 @@
 //! view's slot-delta table is the grid's, shared, not built per view),
 //! and a whole launch of the FEM operator or of the D3Q19 step allocates
 //! only that box.
+//!
+//! The third part bounds a plan-cache hit: rebinding the CG iteration onto
+//! a new instance rebuilds each distinct container once and shares every
+//! table that depends only on the program's shape, so its allocation count
+//! stays small and does not grow with the device count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use neon_apps::cg::CgState;
+use neon_apps::cg::{cg_iteration, CgState};
 use neon_apps::fem::{elasticity_apply, Material};
 use neon_apps::lbm::d3q19::{stream_collide, D3Q19_WEIGHTS};
 use neon_apps::lbm::LbmParams;
-use neon_core::{OccLevel, Skeleton, SkeletonOptions};
+use neon_apps::poisson::laplacian_apply;
+use neon_core::{FunctionalMode, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     Container, DataView, DenseGrid, Dim3, Field, FieldStencil, FieldWrite, GridLike, KernelFn,
     Loader, MemLayout, Span, SparseGrid, Stencil, StorageMode, Strides,
@@ -228,6 +234,35 @@ fn steady_state_execute_does_not_allocate() {
         2 * steps.len() as u64,
         "an LBM launch allocates its kernel box and nothing else"
     );
+
+    // A cache hit of the CG iteration: the containers of the new instance
+    // are built outside the window, `Skeleton::sequence` inside it.
+    for (ndev, bound) in [(2, 80), (8, 100)] {
+        let b = Backend::dgx_a100(ndev);
+        let g = DenseGrid::new(&b, Dim3::new(8, 8, 16), &[&st], StorageMode::Real).unwrap();
+        let state = CgState::new(&g, 1, MemLayout::SoA).unwrap();
+        let make = || cg_iteration(&g, &state, laplacian_apply(&g, &state));
+        let options = SkeletonOptions {
+            functional_mode: FunctionalMode::Serial,
+            ..Default::default()
+        };
+        let _cached = Skeleton::sequence(&b, "cg-hit", make(), options);
+        let _warm = Skeleton::sequence(&b, "cg-hit", make(), options);
+        let seq = make();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let hit = Skeleton::sequence(&b, "cg-hit", seq, options);
+        let after = ALLOCS.load(Ordering::Relaxed);
+        assert!(hit.compiled_from_cache());
+        println!(
+            "cache hit of the CG iteration on {ndev} devices: {} allocations",
+            after - before
+        );
+        assert!(
+            after - before <= bound,
+            "a cache hit on {ndev} devices allocates {} times (bound {bound})",
+            after - before
+        );
+    }
 }
 
 /// One `stream_collide` container between two rest-state population

@@ -389,6 +389,138 @@ fn temporal_plan_rebinds_from_cache() {
     assert_eq!(first, second, "rebound super-step must match the original");
 }
 
+/// One instance of a sweep with a right-hand side: `u1 ← Σ ngh(u0) + b`,
+/// `b` read cell-locally, then `u0 ← u1`. Before each run a kernel of its
+/// own scales `b` in place, which leaves `b`'s ghost copies stale: only
+/// the super-step's deep `halo(b)` refreshes them.
+struct RhsSweep {
+    backend: Backend,
+    grid: DenseGrid,
+    u0: Field<f64, DenseGrid>,
+    u1: Field<f64, DenseGrid>,
+    b: Field<f64, DenseGrid>,
+}
+
+impl RhsSweep {
+    fn new() -> Self {
+        let backend = Backend::dgx_a100(2);
+        let st = Stencil::seven_point();
+        let grid = DenseGrid::with_halo_capacity(
+            &backend,
+            Dim3::new(6, 5, 16),
+            &[&st],
+            StorageMode::Real,
+            HALO_CAP,
+        )
+        .unwrap();
+        let u0 = Field::<f64, _>::new(&grid, "u0", 1, 0.0, MemLayout::SoA).unwrap();
+        let u1 = Field::<f64, _>::new(&grid, "u1", 1, 0.0, MemLayout::SoA).unwrap();
+        let b = Field::<f64, _>::new(&grid, "b", 1, 0.0, MemLayout::SoA).unwrap();
+        u0.fill(|x, y, z, _| ((x * 3 + y * 5 + z) % 7) as f64);
+        b.fill(|x, y, z, _| ((x + 2 * y + 3 * z) % 5) as f64);
+        RhsSweep {
+            backend,
+            grid,
+            u0,
+            u1,
+            b,
+        }
+    }
+
+    fn sequence(&self) -> Vec<Container> {
+        let (u0, u1, b) = (self.u0.clone(), self.u1.clone(), self.b.clone());
+        let sweep = Container::compute("rhs-sweep", self.grid.as_space(), move |ldr| {
+            let uv = ldr.read_stencil(&u0);
+            let bv = ldr.read(&b);
+            let out = ldr.write(&u1);
+            Box::new(move |c| {
+                let mut s = bv.at(c, 0);
+                for slot in 0..6 {
+                    s += uv.ngh(c, slot, 0);
+                }
+                out.set(c, 0, s);
+            })
+        });
+        vec![sweep, ops::copy(&self.grid, &self.u1, &self.u0)]
+    }
+
+    /// Two runs of two logical iterations each, `b` scaled before each;
+    /// every bit of `u0`, `u1` and `b` after.
+    fn run(&self, sk: &mut Skeleton) -> Vec<u64> {
+        let mut scale = Skeleton::sequence(
+            &self.backend,
+            "rhs-scale",
+            vec![ops::scale_const(&self.grid, 2.0, &self.b)],
+            SkeletonOptions {
+                cache: false,
+                ..Default::default()
+            },
+        );
+        for _ in 0..2 {
+            scale.run();
+            sk.run_iters(2 / sk.logical_iters_per_execution());
+        }
+        let mut bits = Vec::new();
+        for f in [&self.u0, &self.u1, &self.b] {
+            f.for_each(|_, _, _, _, v| bits.push(v.to_bits()));
+        }
+        bits
+    }
+}
+
+/// Regression: a temporal plan rebound from the cache must refresh the
+/// *new* instance's map-read input. The super-step's deep `halo(b)` is
+/// built from `b`'s field exchange, not from a stencil read of the
+/// sequence, and the rebind used to miss it and keep the cached
+/// instance's exchange — refreshing the first instance's `b` while the
+/// second one's ghosts stayed stale.
+#[test]
+fn rebound_temporal_plan_refreshes_the_new_instances_halo() {
+    let temporal = SkeletonOptions {
+        fusion: FusionLevel::Temporal(2),
+        ..Default::default()
+    };
+    let first = RhsSweep::new();
+    let mut sk = Skeleton::sequence(&first.backend, "rhs", first.sequence(), temporal);
+    first.run(&mut sk);
+
+    let second = RhsSweep::new();
+    let mut rebound = Skeleton::sequence(&second.backend, "rhs", second.sequence(), temporal);
+    assert!(rebound.compiled_from_cache(), "second compile must hit");
+    assert_eq!(rebound.logical_iters_per_execution(), 2);
+    let owned = [second.u0.uid(), second.u1.uid(), second.b.uid()];
+    let mut halos = 0;
+    for n in rebound.plan().graph().nodes() {
+        if let neon_core::NodeKind::Halo { exchange } = &n.kind {
+            halos += 1;
+            assert!(
+                owned.contains(&exchange.data_uid()),
+                "{} refreshes another instance's field",
+                n.name
+            );
+        }
+    }
+    assert_eq!(halos, 2, "deep halos of u0 and b");
+    let rebound_bits = second.run(&mut rebound);
+
+    let fresh = |fusion| {
+        let s = RhsSweep::new();
+        let options = SkeletonOptions {
+            fusion,
+            cache: false,
+            ..Default::default()
+        };
+        let mut sk = Skeleton::sequence(&s.backend, "rhs", s.sequence(), options);
+        s.run(&mut sk)
+    };
+    let fresh_bits = fresh(FusionLevel::Temporal(2));
+    assert_eq!(
+        rebound_bits, fresh_bits,
+        "rebound must run as compiled fresh"
+    );
+    assert_eq!(fresh_bits, fresh(FusionLevel::Conservative));
+}
+
 /// The four-device gate, on a 16×16×32 Jacobi sweep where launches, syncs
 /// and halo latency dominate: at 1, 2 and 4 devices every `k` engages, is
 /// bit-identical to `Conservative` and runs one deep halo round per `k`

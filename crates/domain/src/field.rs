@@ -268,6 +268,10 @@ impl<T: Elem> HaloExchange for FieldHalo<T> {
             .collect()
     }
 
+    fn has_transfers(&self) -> bool {
+        !self.segs.is_empty()
+    }
+
     fn execute(&self) {
         for s in &self.segs {
             self.mem

@@ -126,6 +126,12 @@ pub trait HaloExchange: Send + Sync {
     fn data_name(&self) -> String;
     /// The transfers one halo update performs.
     fn descriptors(&self) -> Vec<HaloDescriptor>;
+    /// Whether one halo update performs any transfer: `descriptors()` is
+    /// non-empty. Implementations answer without allocating; plan-cache
+    /// lookups ask it once per access.
+    fn has_transfers(&self) -> bool {
+        !self.descriptors().is_empty()
+    }
     /// Perform the copies (no-op on virtual storage).
     fn execute(&self);
     /// Whether [`HaloExchange::execute_for_dst`] is implemented, allowing
@@ -171,7 +177,8 @@ pub struct TemporalSpec {
 }
 
 struct ContainerInner {
-    name: String,
+    /// Shared, so a rebuilt composite keeps its name without copying it.
+    name: Arc<str>,
     kind: ContainerKind,
     space: Option<Arc<dyn IterationSpace>>,
     gen: Option<Arc<GenFn>>,
@@ -192,18 +199,29 @@ struct ContainerInner {
 /// `Σ_uid max(read bytes) + Σ_uid max(write bytes)` over the recorded
 /// accesses: reads of the same data object by several accesses count
 /// once (on a real device the second read hits cache), writes likewise.
-/// Computed once at construction — the executor reads it per launch.
+/// Computed once at construction — the executor reads it per launch. A
+/// container declares a handful of accesses, so each uid's maxima are
+/// folded at its first record by scanning the rest; nothing is allocated.
 fn bytes_per_cell_of(accesses: &[AccessRecord]) -> u64 {
-    use std::collections::HashMap;
-    let mut reads: HashMap<crate::uid::DataUid, u64> = HashMap::new();
-    let mut writes: HashMap<crate::uid::DataUid, u64> = HashMap::new();
-    for a in accesses {
-        let r = reads.entry(a.uid).or_default();
-        *r = (*r).max(a.read_bytes_per_cell);
-        let w = writes.entry(a.uid).or_default();
-        *w = (*w).max(a.write_bytes_per_cell);
+    let mut total = 0;
+    for (i, a) in accesses.iter().enumerate() {
+        if accesses[..i].iter().any(|b| b.uid == a.uid) {
+            continue;
+        }
+        let (r, w) = accesses[i..]
+            .iter()
+            .filter(|b| b.uid == a.uid)
+            .fold((0, 0), |(r, w), b| {
+                (r.max(b.read_bytes_per_cell), w.max(b.write_bytes_per_cell))
+            });
+        total += r + w;
     }
-    reads.values().sum::<u64>() + writes.values().sum::<u64>()
+    total
+}
+
+/// Whether any of `accesses` writes `uid`.
+fn writes_uid(accesses: &[AccessRecord], uid: crate::uid::DataUid) -> bool {
+    accesses.iter().any(|a| a.uid == uid && a.mode.writes())
 }
 
 /// A multi-device kernel (or host step) with declared data accesses.
@@ -263,7 +281,7 @@ impl Container {
             .collect();
         Container {
             inner: Arc::new(ContainerInner {
-                name: name.to_string(),
+                name: name.into(),
                 kind,
                 space: Some(space),
                 gen: Some(gen),
@@ -294,7 +312,7 @@ impl Container {
         }
         Container {
             inner: Arc::new(ContainerInner {
-                name: name.to_string(),
+                name: name.into(),
                 kind: ContainerKind::Host,
                 space: None,
                 gen: None,
@@ -327,6 +345,10 @@ impl Container {
     /// container, or if the members do not share one iteration space (as
     /// reported by [`IterationSpace::space_id`]).
     pub fn fused(name: &str, members: Vec<Container>) -> Self {
+        Self::fused_named(name.into(), members)
+    }
+
+    fn fused_named(name: Arc<str>, members: Vec<Container>) -> Self {
         assert!(members.len() >= 2, "fusing fewer than two containers");
         let space = members[0]
             .inner
@@ -335,8 +357,8 @@ impl Container {
             .expect("fused members must be compute containers");
         let sid = space.space_id();
         assert!(sid.is_some(), "fused members need a grid identity");
-        let mut accesses = Vec::new();
-        let mut written = std::collections::HashSet::new();
+        let mut accesses: Vec<AccessRecord> =
+            Vec::with_capacity(members.iter().map(|m| m.inner.accesses.len()).sum());
         let mut flops_per_cell = 0u64;
         let mut bw_efficiency = f64::INFINITY;
         for m in &members {
@@ -353,17 +375,14 @@ impl Container {
                 m.inner.gen.is_some(),
                 "fused members must be compute containers"
             );
+            // Earlier members' records are the ones already merged.
+            let earlier = accesses.len();
             for a in &m.inner.accesses {
                 let mut a = a.clone();
-                if written.contains(&a.uid) {
+                if writes_uid(&accesses[..earlier], a.uid) {
                     a.read_bytes_per_cell = 0;
                 }
                 accesses.push(a);
-            }
-            for a in &m.inner.accesses {
-                if a.mode.writes() {
-                    written.insert(a.uid);
-                }
             }
             flops_per_cell += m.inner.flops_per_cell;
             bw_efficiency = bw_efficiency.min(m.inner.bw_efficiency);
@@ -402,7 +421,7 @@ impl Container {
         };
         Container {
             inner: Arc::new(ContainerInner {
-                name: name.to_string(),
+                name,
                 kind,
                 space: Some(space),
                 gen: Some(Arc::new(gen)),
@@ -425,6 +444,10 @@ impl Container {
     /// live on different grids; only their access records and reduce hooks
     /// are combined.
     pub fn fused_reductions(name: &str, members: Vec<Container>) -> Self {
+        Self::fused_reductions_named(name.into(), members)
+    }
+
+    fn fused_reductions_named(name: Arc<str>, members: Vec<Container>) -> Self {
         let accesses: Vec<AccessRecord> = members
             .iter()
             .flat_map(|m| m.inner.accesses.iter().cloned())
@@ -435,7 +458,7 @@ impl Container {
             .collect();
         Container {
             inner: Arc::new(ContainerInner {
-                name: name.to_string(),
+                name,
                 kind: ContainerKind::Reduce,
                 space: members.first().and_then(|m| m.inner.space.clone()),
                 gen: None,
@@ -475,6 +498,10 @@ impl Container {
     /// lacks a deep-halo-capable exchange (the pass checks all of these
     /// before constructing).
     pub fn temporal(name: &str, members: Vec<Container>, k: u8) -> Self {
+        Self::temporal_named(name.into(), members, k)
+    }
+
+    fn temporal_named(name: Arc<str>, members: Vec<Container>, k: u8) -> Self {
         assert!(k >= 2, "temporal super-step needs k >= 2");
         assert!(!members.is_empty(), "temporal super-step needs members");
         let space = members[0]
@@ -515,7 +542,6 @@ impl Container {
         // reads: the multi-GPU pass then inserts one depth-`k·r` halo
         // node per such field in front of the super-step.
         let mut accesses: Vec<AccessRecord> = Vec::new();
-        let mut written = std::collections::HashSet::new();
         let mut flops_per_cell = 0u64;
         let mut bw_efficiency = f64::INFINITY;
         for m in &members {
@@ -525,11 +551,11 @@ impl Container {
             // state, and therefore needs no deep exchange.
             for a in &m.inner.accesses {
                 let mut a = a.clone();
-                if written.contains(&a.uid) {
+                if writes_uid(&accesses, a.uid) {
                     a.read_bytes_per_cell = 0;
                 } else if a.mode.reads() {
                     if let Some(fx) = &a.field_exchange {
-                        if !fx.descriptors().is_empty() {
+                        if fx.has_transfers() {
                             let deep_ex = fx.at_depth(deep).unwrap_or_else(|| {
                                 panic!("field '{}' cannot host a depth-{} halo", a.name, deep)
                             });
@@ -537,9 +563,6 @@ impl Container {
                             a.halo = Some(deep_ex);
                         }
                     }
-                }
-                if a.mode.writes() {
-                    written.insert(a.uid);
                 }
                 accesses.push(a);
             }
@@ -549,7 +572,7 @@ impl Container {
         let kind = infer_kind(&accesses);
         Container {
             inner: Arc::new(ContainerInner {
-                name: name.to_string(),
+                name,
                 kind,
                 space: Some(space),
                 gen: None,
@@ -565,10 +588,36 @@ impl Container {
         }
     }
 
-    /// Whether this container was composed by [`Container::fused`] or
-    /// [`Container::fused_reductions`].
+    /// Whether this container was composed by [`Container::fused`],
+    /// [`Container::fused_reductions`] or [`Container::temporal`].
     pub fn is_fused(&self) -> bool {
         !self.inner.members.is_empty()
+    }
+
+    /// This composite rebuilt the way it was built — fused kernel, merged
+    /// reductions or temporal super-step, same name — over `members`,
+    /// which stand in for its own members one for one. Plan rebinding
+    /// uses it to give a new program instance a cached plan's
+    /// compositions.
+    ///
+    /// # Panics
+    ///
+    /// If `self` is not a composite, if the member count differs, or on
+    /// any panic of the constructor it repeats.
+    pub fn recomposed(&self, members: Vec<Container>) -> Container {
+        assert!(self.is_fused(), "'{}' is not a composite", self.name());
+        assert_eq!(
+            members.len(),
+            self.inner.members.len(),
+            "'{}' recomposed over a different member count",
+            self.name()
+        );
+        let name = Arc::clone(&self.inner.name);
+        match (self.inner.temporal, &self.inner.gen) {
+            (Some(spec), _) => Container::temporal_named(name, members, spec.k),
+            (None, Some(_)) => Container::fused_named(name, members),
+            (None, None) => Container::fused_reductions_named(name, members),
+        }
     }
 
     /// Member containers of a fused container (empty for ordinary ones).

@@ -52,5 +52,5 @@ pub use loader::{
 pub use manual::{EventSetId, ManualRuntime, StreamSetId};
 pub use memset::{MemSet, RawRead, RawWrite, StorageMode};
 pub use scalar::{ScalarSet, ScalarView};
-pub use signature::{sequence_signature, uid_roles};
+pub use signature::{sequence_signature, signature_over_roles, uid_roles, UidRoles};
 pub use uid::DataUid;

@@ -82,8 +82,9 @@ impl std::fmt::Debug for ReduceHooks {
 pub struct AccessRecord {
     /// Identity of the multi-GPU data object.
     pub uid: DataUid,
-    /// Its name (diagnostics).
-    pub name: String,
+    /// Its name (diagnostics). Shared: composing containers copies
+    /// records, not names.
+    pub name: Arc<str>,
     /// Declared access mode.
     pub mode: AccessMode,
     /// Declared compute pattern.
@@ -238,7 +239,7 @@ impl<'a> Loader<'a> {
         let field_exchange = d.halo_exchange();
         AccessRecord {
             uid: d.data_uid(),
-            name: d.data_name(),
+            name: d.data_name().into(),
             mode,
             pattern,
             read_bytes_per_cell: match (mode.reads(), stencil) {
@@ -270,7 +271,7 @@ impl<'a> Loader<'a> {
     ) -> AccessRecord {
         AccessRecord {
             uid: s.uid(),
-            name: s.name().to_string(),
+            name: s.name().into(),
             mode,
             pattern,
             read_bytes_per_cell: 0,

@@ -4,9 +4,10 @@
 //! solver twice yields different raw uids, and no uid survives a process
 //! restart. To let a plan cache recognise "the same program", the signature
 //! replaces every uid with its **role**: the first-occurrence index of that
-//! uid across the sequence's access records. Two sequences get the same
-//! signature exactly when they have the same shape — same container names,
-//! kinds and access structure (role / mode / pattern / halo presence) — no
+//! uid across the sequence's access records; grids get roles the same
+//! way. Two sequences get the same signature exactly when they have the
+//! same shape — same container names, kinds, grid roles and ghost depths,
+//! and access structure (role / mode / pattern / halo presence) — no
 //! matter which concrete data objects they were built over.
 //!
 //! Per-cell byte counts, FLOP hints and bandwidth efficiencies are
@@ -18,7 +19,6 @@
 //! containers build, so a span-kernel program and its per-cell twin share
 //! a plan.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use neon_sys::hash::StableHasher;
@@ -27,32 +27,71 @@ use crate::container::{Container, ContainerKind};
 use crate::loader::ComputePattern;
 use crate::uid::DataUid;
 
-/// Map every uid accessed by the sequence to its role: the index of its
+/// The data objects a sequence accesses, in role order: role `r` is the
+/// `r`-th distinct uid met in declaration order (container order, then
+/// access order within a container). A sequence touches a handful of
+/// objects, so lookups scan one short vector instead of hashing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct UidRoles(Vec<DataUid>);
+
+impl UidRoles {
+    /// The role of `uid`, if the sequence accesses it.
+    pub fn role(&self, uid: DataUid) -> Option<usize> {
+        self.0.iter().position(|&u| u == uid)
+    }
+
+    /// The uid playing `role`.
+    pub fn uid(&self, role: usize) -> Option<DataUid> {
+        self.0.get(role).copied()
+    }
+
+    /// Number of distinct data objects.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the sequence accesses no data.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+/// Assign every uid accessed by the sequence its role: the index of its
 /// first occurrence in declaration order (container order, then access
 /// order within a container).
-pub fn uid_roles(containers: &[Container]) -> HashMap<DataUid, usize> {
-    let mut roles = HashMap::new();
+pub fn uid_roles(containers: &[Container]) -> UidRoles {
+    let mut roles = Vec::with_capacity(containers.iter().map(|c| c.accesses().len()).sum());
     for c in containers {
         for a in c.accesses() {
-            let next = roles.len();
-            roles.entry(a.uid).or_insert(next);
+            if !roles.contains(&a.uid) {
+                roles.push(a.uid);
+            }
         }
     }
-    roles
+    UidRoles(roles)
 }
 
 /// Stable structural signature of a container sequence.
 ///
-/// Covers, per container: name, inferred kind, and per access the uid
-/// *role* (see [`uid_roles`]), whether the mode reads/writes, the compute
-/// pattern, and whether a halo exchange with at least one transfer is
-/// attached. Everything identifying concrete data instances or grid sizes
-/// stays out.
+/// Covers, per container: name, inferred kind, the grid it iterates as a
+/// role (the first container on the same grid) and how deep a ghost zone
+/// that grid can sweep, and per access the uid *role* (see
+/// [`uid_roles`]), whether the mode reads/writes, the compute pattern,
+/// and whether a halo exchange with at least one transfer is attached, as
+/// the access's stencil exchange and as its field's exchange. Everything
+/// identifying concrete data instances or grid sizes stays out.
 pub fn sequence_signature(containers: &[Container]) -> u64 {
-    let roles = uid_roles(containers);
+    signature_over_roles(containers, &uid_roles(containers))
+}
+
+/// [`sequence_signature`] over roles the caller already computed with
+/// [`uid_roles`] (a plan-cache lookup needs them again to rebind).
+/// Allocates nothing.
+pub fn signature_over_roles(containers: &[Container], roles: &UidRoles) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(containers.len() as u64);
-    for c in containers {
+    let grid = |c: &Container| c.space().and_then(|s| s.space_id());
+    for (i, c) in containers.iter().enumerate() {
         c.name().hash(&mut h);
         h.write_u8(match c.kind() {
             ContainerKind::Map => 0,
@@ -60,21 +99,26 @@ pub fn sequence_signature(containers: &[Container]) -> u64 {
             ContainerKind::Reduce => 2,
             ContainerKind::Host => 3,
         });
+        // Fusion merges only containers on one grid, and temporal blocking
+        // needs the ghost depth: a rebind must be able to rebuild both.
+        let grid_role =
+            grid(c).and_then(|g| containers[..=i].iter().position(|d| grid(d) == Some(g)));
+        h.write_u64(grid_role.map_or(u64::MAX, |r| r as u64));
+        h.write_u64(c.space().map_or(0, |s| s.ghost_capacity()) as u64);
         h.write_u64(c.accesses().len() as u64);
         for a in c.accesses() {
-            h.write_u64(roles[&a.uid] as u64);
+            let role = roles.role(a.uid).expect("roles cover the sequence");
+            h.write_u64(role as u64);
             h.write_u8(u8::from(a.mode.reads()) | (u8::from(a.mode.writes()) << 1));
             h.write_u8(match a.pattern {
                 ComputePattern::Map => 0,
                 ComputePattern::Stencil => 1,
                 ComputePattern::Reduce => 2,
             });
-            let live_halo = a
-                .halo
-                .as_ref()
-                .map(|x| !x.descriptors().is_empty())
-                .unwrap_or(false);
-            h.write_u8(u8::from(live_halo));
+            let live = |x: &Option<std::sync::Arc<dyn crate::HaloExchange>>| {
+                x.as_ref().is_some_and(|x| x.has_transfers())
+            };
+            h.write_u8(u8::from(live(&a.halo)) | (u8::from(live(&a.field_exchange)) << 1));
         }
     }
     h.finish()
@@ -188,7 +232,8 @@ mod tests {
         let seq = axpy_like(&b, 8);
         let roles = uid_roles(&seq);
         let accs = seq[0].accesses();
-        assert_eq!(roles[&accs[0].uid], 0);
-        assert_eq!(roles[&accs[1].uid], 1);
+        assert_eq!(roles.role(accs[0].uid), Some(0));
+        assert_eq!(roles.role(accs[1].uid), Some(1));
+        assert_eq!(roles.uid(1), Some(accs[1].uid));
     }
 }

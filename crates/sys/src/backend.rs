@@ -26,8 +26,10 @@ pub enum BackendKind {
 struct BackendInner {
     kind: BackendKind,
     devices: Vec<DeviceModel>,
-    topology: Topology,
+    topology: Arc<Topology>,
     ledgers: Vec<MemoryLedger>,
+    /// [`Backend::fingerprint`], computed once: a backend is immutable.
+    fingerprint: u64,
 }
 
 /// A set of devices with their interconnect and memory accounting.
@@ -58,12 +60,14 @@ impl Backend {
             .enumerate()
             .map(|(i, d)| MemoryLedger::new(DeviceId(i), d.mem_capacity_bytes))
             .collect();
+        let fingerprint = fingerprint_of(kind, &devices, &topology);
         Ok(Backend {
             inner: Arc::new(BackendInner {
                 kind,
                 devices,
-                topology,
+                topology: Arc::new(topology),
                 ledgers,
+                fingerprint,
             }),
         })
     }
@@ -147,6 +151,12 @@ impl Backend {
 
     /// The interconnect topology.
     pub fn topology(&self) -> &Topology {
+        &self.inner.topology
+    }
+
+    /// The interconnect topology's shared handle, for consumers that keep
+    /// it (a collective engine) without copying the link matrix.
+    pub fn shared_topology(&self) -> &Arc<Topology> {
         &self.inner.topology
     }
 
@@ -271,30 +281,36 @@ impl Backend {
     ///
     /// Two backends with the same fingerprint time every kernel and transfer
     /// identically, so a compiled plan keyed on this value is reusable across
-    /// them. Memory-ledger *state* deliberately stays out of the hash.
+    /// them. Memory-ledger *state* deliberately stays out of the hash. A
+    /// backend is immutable, so the hash is computed once, at construction;
+    /// a plan-cache lookup reads it without touching the link matrix.
     pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = crate::hash::StableHasher::new();
-        h.write_u8(match self.inner.kind {
-            BackendKind::Gpu => 0,
-            BackendKind::Cpu => 1,
-        });
-        h.write_u64(self.inner.devices.len() as u64);
-        for d in &self.inner.devices {
-            d.name.hash(&mut h);
-            h.write_u8(match d.kind {
-                crate::device::DeviceKind::Gpu => 0,
-                crate::device::DeviceKind::Cpu => 1,
-            });
-            h.write_u64(d.mem_bandwidth_gb_s.to_bits());
-            h.write_u64(d.peak_gflop_s.to_bits());
-            h.write_u64(d.kernel_launch_us.to_bits());
-            h.write_u64(d.sync_overhead_us.to_bits());
-            h.write_u64(d.mem_capacity_bytes);
-        }
-        h.write_u64(self.inner.topology.fingerprint());
-        h.finish()
+        self.inner.fingerprint
     }
+}
+
+fn fingerprint_of(kind: BackendKind, devices: &[DeviceModel], topology: &Topology) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = crate::hash::StableHasher::new();
+    h.write_u8(match kind {
+        BackendKind::Gpu => 0,
+        BackendKind::Cpu => 1,
+    });
+    h.write_u64(devices.len() as u64);
+    for d in devices {
+        d.name.hash(&mut h);
+        h.write_u8(match d.kind {
+            crate::device::DeviceKind::Gpu => 0,
+            crate::device::DeviceKind::Cpu => 1,
+        });
+        h.write_u64(d.mem_bandwidth_gb_s.to_bits());
+        h.write_u64(d.peak_gflop_s.to_bits());
+        h.write_u64(d.kernel_launch_us.to_bits());
+        h.write_u64(d.sync_overhead_us.to_bits());
+        h.write_u64(d.mem_capacity_bytes);
+    }
+    h.write_u64(topology.fingerprint());
+    h.finish()
 }
 
 #[cfg(test)]
