@@ -13,6 +13,15 @@
 //! optimization that lets a ring approach link rate instead of paying the
 //! full store-and-forward delay per step.
 //!
+//! A collective is priced in two halves. [`CollectiveEngine::lower`] chooses
+//! the algorithm once and emits a [`CollectiveSchedule`]: a flat list of
+//! pre-priced chunk sends (duration, bytes, link resources, which readiness
+//! slot each send waits for and which it feeds). [`CollectiveSchedule::run`]
+//! replays that list into caller-owned [`CollectiveScratch`] and allocates
+//! nothing, so an executor lowers each collective node once and replays it
+//! every iteration. [`CollectiveEngine::schedule`] is `lower` + `run` for
+//! one-off calls.
+//!
 //! Only *timing* lives here; the data semantics are in [`crate::buffers`].
 //! Reduction compute time is folded into the link latency term, as in the
 //! rest of the simulator's calibration.
@@ -25,7 +34,7 @@ use std::sync::Arc;
 
 use neon_sys::clock::SimTime;
 use neon_sys::queue::{QueueSim, StreamId};
-use neon_sys::topology::{LinkResourceId, Topology};
+use neon_sys::topology::Topology;
 use neon_sys::trace::SpanKind;
 use neon_sys::{DeviceId, FaultSiteKind, FaultVerdict};
 
@@ -59,7 +68,9 @@ pub struct CollectiveTiming {
     pub algorithm: Algorithm,
     /// Per-device completion time (when the result is usable on the device).
     pub done: Vec<SimTime>,
-    /// Total link-occupied time summed over all spans of this collective.
+    /// Total link-occupied time: the sum of the collective's own span
+    /// durations (`end − start` of every send, failed attempts of an
+    /// escaped send included). Idle waits for late inputs do not count.
     pub busy: SimTime,
 }
 
@@ -67,6 +78,232 @@ impl CollectiveTiming {
     /// The collective's overall completion time.
     pub fn makespan(&self) -> SimTime {
         self.done.iter().copied().fold(SimTime::ZERO, SimTime::max)
+    }
+}
+
+/// Where a lowered send takes its ready time from.
+#[derive(Debug, Clone, Copy)]
+enum ReadyFrom {
+    /// A `device × chunk` slot of the live readiness table.
+    Slot(u32),
+    /// The same slot as it stood at the start of the current ring step.
+    Prev(u32),
+    /// The latest chunk of a device (a root scattering its result).
+    Device(u32),
+    /// The host staging point (every upload has landed).
+    Host,
+}
+
+/// How a lowered send's arrival updates the readiness table.
+#[derive(Debug, Clone, Copy)]
+enum ArriveInto {
+    /// A reduce combines with the receiver's operand: keep the later time.
+    Max(u32),
+    /// A broadcast replaces it.
+    Set(u32),
+    /// A scattered shard lands on every chunk of the device.
+    Device(u32),
+    /// An upload to the host staging point.
+    Host,
+}
+
+/// The trace label of a lowered send, formatted only when tracing.
+#[derive(Debug, Clone, Copy)]
+enum Label {
+    Ring { step: u32, k: u32 },
+    Tree { dir: &'static str, k: u32 },
+    Scatter,
+    HierScatter,
+    D2h,
+    H2d,
+}
+
+/// One pre-priced transfer of a lowered collective.
+#[derive(Debug, Clone, Copy)]
+struct Send {
+    /// Device whose collective lane carries the send.
+    src: u32,
+    /// Device the fault injector observes the send on (the receiver; the
+    /// staging device for host copies).
+    dst: u32,
+    dur: SimTime,
+    bytes: u64,
+    /// Staged through the host (its root complex) instead of a peer link.
+    via_host: bool,
+    from: ReadyFrom,
+    into: ArriveInto,
+    label: Label,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Snapshot the readiness table (a ring step reads its inputs as they
+    /// stood before the step's own arrivals).
+    Snapshot,
+    Send(Send),
+}
+
+/// One collective lowered for a fixed topology, kind and payload: the
+/// algorithm is chosen once and every transfer is priced once, so a
+/// replay only does max/add over a flat send list.
+#[derive(Debug, Clone)]
+pub struct CollectiveSchedule {
+    topo: Arc<Topology>,
+    algorithm: Algorithm,
+    /// Chunks per device in the readiness table.
+    chunks: usize,
+    ops: Vec<Op>,
+}
+
+/// Caller-owned scratch for [`CollectiveSchedule::run`]: reused across
+/// runs, so a warm replay allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CollectiveScratch {
+    ready: Vec<SimTime>,
+    prev: Vec<SimTime>,
+    done: Vec<SimTime>,
+}
+
+impl CollectiveScratch {
+    /// Per-device completion times of the most recent run.
+    pub fn done(&self) -> &[SimTime] {
+        &self.done
+    }
+}
+
+impl CollectiveSchedule {
+    /// The algorithm the schedule was lowered with.
+    pub fn algorithm(&self) -> Algorithm {
+        self.algorithm
+    }
+
+    /// Replay the schedule on `q`.
+    ///
+    /// `earliest[d]` is the time device `d`'s contribution is ready; spans
+    /// are enqueued on stream `lane` of each device and labelled after
+    /// `name` (formatted only when `q` records a trace). Per-device
+    /// completion times land in [`CollectiveScratch::done`]; the return
+    /// value is the collective's busy time (see [`CollectiveTiming::busy`]).
+    /// With a single device this is a no-op completing at `earliest[0]`.
+    pub fn run(
+        &self,
+        q: &mut QueueSim,
+        earliest: &[SimTime],
+        lane: usize,
+        name: &str,
+        scratch: &mut CollectiveScratch,
+    ) -> SimTime {
+        let n = self.topo.num_devices();
+        assert_eq!(earliest.len(), n, "one ready time per device");
+        let c = self.chunks;
+        let CollectiveScratch { ready, prev, done } = scratch;
+        done.clear();
+        if n <= 1 {
+            done.extend_from_slice(earliest);
+            return SimTime::ZERO;
+        }
+        ready.clear();
+        ready.extend(earliest.iter().flat_map(|&t| std::iter::repeat_n(t, c)));
+        let mut host = SimTime::ZERO;
+        let mut busy = SimTime::ZERO;
+        for op in &self.ops {
+            let s = match op {
+                Op::Snapshot => {
+                    prev.clear();
+                    prev.extend_from_slice(ready);
+                    continue;
+                }
+                Op::Send(s) => s,
+            };
+            let at = match s.from {
+                ReadyFrom::Slot(i) => ready[i as usize],
+                ReadyFrom::Prev(i) => prev[i as usize],
+                ReadyFrom::Device(d) => {
+                    let d = d as usize;
+                    ready[d * c..(d + 1) * c]
+                        .iter()
+                        .copied()
+                        .fold(SimTime::ZERO, SimTime::max)
+                }
+                ReadyFrom::Host => host,
+            };
+            let (start, end) = self.send_chunk(q, s, at, lane, name);
+            busy += end - start;
+            match s.into {
+                ArriveInto::Max(i) => ready[i as usize] = ready[i as usize].max(end),
+                ArriveInto::Set(i) => ready[i as usize] = end,
+                ArriveInto::Device(d) => {
+                    let d = d as usize;
+                    ready[d * c..(d + 1) * c].fill(end);
+                }
+                ArriveInto::Host => host = host.max(end),
+            }
+        }
+        // The later of each device's last chunk arrival and its own lane
+        // clock (its sends must retire too).
+        done.extend((0..n).map(|d| {
+            ready[d * c..(d + 1) * c]
+                .iter()
+                .copied()
+                .fold(q.now(StreamId::new(DeviceId(d), lane)), SimTime::max)
+        }));
+        busy
+    }
+
+    /// Enqueue one chunk through the fault-aware queue path. When the queue
+    /// carries a fault injector, the chunk is observed as a
+    /// [`FaultSiteKind::Link`] operation on `s.dst`: transient verdicts
+    /// charge the failed attempts plus exponential backoff on the sender's
+    /// lane at **chunk granularity** (only the faulted chunk repeats, the
+    /// rest of the step streams on), and an escaped verdict marks the
+    /// injector's escape site without ever occupying the wire — the
+    /// executor aborts the iteration before the collective commits.
+    fn send_chunk(
+        &self,
+        q: &mut QueueSim,
+        s: &Send,
+        ready: SimTime,
+        lane: usize,
+        name: &str,
+    ) -> (SimTime, SimTime) {
+        let (verdict, backoff) = match q.fault_injector() {
+            Some(inj) => (
+                inj.observe(DeviceId(s.dst as usize), FaultSiteKind::Link),
+                inj.policy().backoff,
+            ),
+            None => (FaultVerdict::Clean, SimTime::ZERO),
+        };
+        let label = q.trace().map_or_else(String::new, |_| s.label(name));
+        let (src, dst) = (DeviceId(s.src as usize), DeviceId(s.dst as usize));
+        let res = match s.via_host {
+            true => self.topo.host_resources(),
+            false => self.topo.link_resources(src, dst),
+        };
+        q.enqueue_transfer_with_faults(
+            StreamId::new(src, lane),
+            ready,
+            s.dur,
+            res,
+            s.bytes,
+            &label,
+            SpanKind::Collective,
+            verdict,
+            backoff,
+        )
+    }
+}
+
+impl Send {
+    fn label(&self, name: &str) -> String {
+        let (src, dst) = (self.src, self.dst);
+        match self.label {
+            Label::Ring { step, k } => format!("{name}:ring{step}.{k}:{src}->{dst}"),
+            Label::Tree { dir, k } => format!("{name}:{dir}.{k}:{src}->{dst}"),
+            Label::Scatter => format!("{name}:scatter:{src}->{dst}"),
+            Label::HierScatter => format!("{name}:hier-scatter:{src}->{dst}"),
+            Label::D2h => format!("{name}:d2h:{dst}"),
+            Label::H2d => format!("{name}:h2d:{dst}"),
+        }
     }
 }
 
@@ -115,7 +352,8 @@ impl CollectiveEngine {
             .unwrap_or_else(|| choose(kind, bytes, &self.topo))
     }
 
-    /// Schedule one collective of `bytes` total payload on `q`.
+    /// Schedule one collective of `bytes` total payload on `q`: a one-off
+    /// [`CollectiveEngine::lower`] followed by [`CollectiveSchedule::run`].
     ///
     /// `earliest[d]` is the time device `d`'s contribution is ready; spans
     /// are enqueued on stream `lane` of each device. Returns per-device
@@ -130,76 +368,56 @@ impl CollectiveEngine {
         lane: usize,
         name: &str,
     ) -> CollectiveTiming {
-        let n = self.topo.num_devices();
-        assert_eq!(earliest.len(), n, "one ready time per device");
-        let algorithm = self.select(kind, bytes);
-        if n <= 1 {
-            return CollectiveTiming {
-                algorithm,
-                done: earliest.to_vec(),
-                busy: SimTime::ZERO,
-            };
-        }
-        let busy_before: SimTime = (0..n).map(|d| q.now(self.stream(d, lane))).sum();
-        let done = match algorithm {
-            Algorithm::HostStaged => self.host_staged(q, kind, bytes, earliest, lane, name),
-            Algorithm::Ring => self.ring(q, kind, bytes, earliest, lane, name),
-            Algorithm::Tree => self.tree(q, kind, bytes, earliest, lane, name),
-            Algorithm::Hierarchical => self.hierarchical(q, kind, bytes, earliest, lane, name),
-        };
-        let busy_after: SimTime = (0..n).map(|d| q.now(self.stream(d, lane))).sum();
+        let lowered = self.lower(kind, bytes);
+        let mut scratch = CollectiveScratch::default();
+        let busy = lowered.run(q, earliest, lane, name, &mut scratch);
         CollectiveTiming {
-            algorithm,
-            done,
-            busy: busy_after - busy_before,
+            algorithm: lowered.algorithm,
+            done: scratch.done,
+            busy,
         }
     }
 
-    fn stream(&self, device: usize, lane: usize) -> StreamId {
-        StreamId::new(DeviceId(device), lane)
-    }
-
-    /// Enqueue one collective chunk transfer toward destination rank `dst`
-    /// through the fault-aware queue path. When the queue carries a fault
-    /// injector, the chunk is observed as a [`FaultSiteKind::Link`]
-    /// operation on the destination device: transient verdicts charge the
-    /// failed attempts plus exponential backoff on the sender's lane at
-    /// **chunk granularity** (only the faulted chunk repeats, the rest of
-    /// the step streams on), and an escaped verdict marks the injector's
-    /// escape site without ever occupying the wire — the executor aborts
-    /// the iteration before the collective commits. `label` names the
-    /// trace span, so it is only formatted when `q` records a trace.
-    #[allow(clippy::too_many_arguments)]
-    fn send_chunk(
-        &self,
-        q: &mut QueueSim,
-        stream: StreamId,
-        ready: SimTime,
-        dur: SimTime,
-        res: &[LinkResourceId],
-        bytes: u64,
-        dst: usize,
-        label: std::fmt::Arguments<'_>,
-    ) -> (SimTime, SimTime) {
-        let (verdict, backoff) = match q.fault_injector() {
-            Some(inj) => (
-                inj.observe(DeviceId(dst), FaultSiteKind::Link),
-                inj.policy().backoff,
-            ),
-            None => (FaultVerdict::Clean, SimTime::ZERO),
+    /// Lower one collective of `bytes` total payload: choose the algorithm
+    /// once and price every chunk send. The schedule replays any number of
+    /// times against this engine's topology.
+    pub fn lower(&self, kind: CollectiveKind, bytes: u64) -> CollectiveSchedule {
+        let algorithm = self.select(kind, bytes);
+        let n = self.topo.num_devices();
+        let step_bytes = match (algorithm, kind) {
+            (Algorithm::Ring, CollectiveKind::Broadcast) => bytes,
+            (Algorithm::Ring, _) => bytes.div_ceil(n as u64),
+            _ => bytes,
         };
-        let label = q.trace().map_or_else(String::new, |_| label.to_string());
-        q.enqueue_transfer_with_faults(
-            stream,
-            ready,
-            dur,
-            res,
-            bytes,
-            &label,
-            SpanKind::Collective,
-            verdict,
-            backoff,
-        )
+        let (c, cb) = match algorithm {
+            Algorithm::HostStaged => (1, bytes),
+            _ => self.chunks(step_bytes),
+        };
+        // Upper bounds on the op count, so lowering never regrows the list.
+        let ops = match algorithm {
+            Algorithm::HostStaged => 2 * n,
+            Algorithm::Ring => 2 * n * (n * c + 1),
+            Algorithm::Tree | Algorithm::Hierarchical => 2 * n * c + n,
+        };
+        let mut l = Lowering {
+            topo: &self.topo,
+            chunks: c,
+            ops: Vec::with_capacity(if n > 1 { ops } else { 0 }),
+        };
+        if n > 1 {
+            match algorithm {
+                Algorithm::HostStaged => l.host_staged(kind, bytes),
+                Algorithm::Ring => l.ring(kind, cb),
+                Algorithm::Tree => l.tree(kind, bytes, cb),
+                Algorithm::Hierarchical => l.hierarchical(kind, bytes, cb),
+            }
+        }
+        CollectiveSchedule {
+            topo: Arc::clone(&self.topo),
+            algorithm,
+            chunks: c,
+            ops: l.ops,
+        }
     }
 
     /// Split `step_bytes` into `(chunks, bytes_per_chunk)`.
@@ -212,47 +430,58 @@ impl CollectiveEngine {
             .clamp(1, self.config.max_chunks as u64);
         (c as usize, step_bytes.div_ceil(c))
     }
+}
 
-    /// Finish times: the later of each device's last chunk arrival and its
-    /// own lane clock (its sends must retire too).
-    fn finish(&self, q: &QueueSim, lane: usize, ready: &[Vec<SimTime>]) -> Vec<SimTime> {
-        ready
-            .iter()
-            .enumerate()
-            .map(|(d, chunks)| {
-                chunks
-                    .iter()
-                    .copied()
-                    .fold(q.now(self.stream(d, lane)), SimTime::max)
-            })
-            .collect()
+/// The lowering of one collective: appends priced sends in replay order.
+struct Lowering<'a> {
+    topo: &'a Topology,
+    chunks: usize,
+    ops: Vec<Op>,
+}
+
+impl Lowering<'_> {
+    /// The `device × chunk` slot of chunk `k` on device `d`.
+    fn slot(&self, d: usize, k: usize) -> u32 {
+        (d * self.chunks + k) as u32
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn send(
+        &mut self,
+        src: usize,
+        dst: usize,
+        dur: SimTime,
+        via_host: bool,
+        bytes: u64,
+        from: ReadyFrom,
+        into: ArriveInto,
+        label: Label,
+    ) {
+        self.ops.push(Op::Send(Send {
+            src: src as u32,
+            dst: dst as u32,
+            dur,
+            bytes,
+            via_host,
+            from,
+            into,
+            label,
+        }));
     }
 
     /// Ring schedule. All-reduce runs `2(n−1)` shard steps (reduce-scatter
     /// phase then all-gather phase); reduce-scatter / all-gather run one
-    /// phase; broadcast pipelines the payload along the ring.
-    fn ring(
-        &self,
-        q: &mut QueueSim,
-        kind: CollectiveKind,
-        bytes: u64,
-        earliest: &[SimTime],
-        lane: usize,
-        name: &str,
-    ) -> Vec<SimTime> {
-        let n = self.topo.num_devices();
-        let step_bytes = match kind {
-            CollectiveKind::Broadcast => bytes,
-            _ => bytes.div_ceil(n as u64),
-        };
+    /// phase; broadcast pipelines the payload along the ring. A chunk of
+    /// step `t+1` may start as soon as that chunk of step `t` has arrived.
+    fn ring(&mut self, kind: CollectiveKind, chunk_bytes: u64) {
+        let topo = self.topo;
+        let n = topo.num_devices();
         let steps = match kind {
             CollectiveKind::AllReduce => 2 * (n - 1),
             _ => n - 1,
         };
-        let (c, cb) = self.chunks(step_bytes);
-        let mut ready: Vec<Vec<SimTime>> = earliest.iter().map(|&t| vec![t; c]).collect();
         for step in 0..steps {
-            let prev = ready.clone();
+            self.ops.push(Op::Snapshot);
             for src in 0..n {
                 // Broadcast flows strictly root→…→last; reductions use the
                 // full ring every step.
@@ -260,55 +489,41 @@ impl CollectiveEngine {
                     continue;
                 }
                 let dst = (src + 1) % n;
-                let dur = self.topo.transfer_time(DeviceId(src), DeviceId(dst), cb);
-                let res = self.topo.link_resources(DeviceId(src), DeviceId(dst));
-                for k in 0..c {
-                    let (_, end) = self.send_chunk(
-                        q,
-                        self.stream(src, lane),
-                        prev[src][k],
-                        dur,
-                        res,
-                        cb,
+                let (s, d) = (DeviceId(src), DeviceId(dst));
+                let dur = topo.transfer_time(s, d, chunk_bytes);
+                for k in 0..self.chunks {
+                    self.send(
+                        src,
                         dst,
-                        format_args!("{name}:ring{step}.{k}:{src}->{dst}"),
+                        dur,
+                        false,
+                        chunk_bytes,
+                        ReadyFrom::Prev(self.slot(src, k)),
+                        ArriveInto::Max(self.slot(dst, k)),
+                        Label::Ring {
+                            step: step as u32,
+                            k: k as u32,
+                        },
                     );
-                    ready[dst][k] = ready[dst][k].max(end);
                 }
             }
         }
-        self.finish(q, lane, &ready)
     }
 
     /// Binomial-tree schedule: reduce to rank 0 in `⌈log₂ n⌉` rounds, then
     /// broadcast back out in the mirror order. Broadcast-only collectives
     /// run just the second half; reduce-scatter runs the first half plus a
     /// shard scatter from the root.
-    fn tree(
-        &self,
-        q: &mut QueueSim,
-        kind: CollectiveKind,
-        bytes: u64,
-        earliest: &[SimTime],
-        lane: usize,
-        name: &str,
-    ) -> Vec<SimTime> {
+    fn tree(&mut self, kind: CollectiveKind, bytes: u64, chunk_bytes: u64) {
         let n = self.topo.num_devices();
-        let (c, cb) = self.chunks(bytes);
-        let mut ready: Vec<Vec<SimTime>> = earliest.iter().map(|&t| vec![t; c]).collect();
-        let needs_reduce = matches!(
-            kind,
-            CollectiveKind::AllReduce | CollectiveKind::ReduceScatter | CollectiveKind::AllGather
-        );
         let mut r = 1;
-        if needs_reduce {
+        if needs_reduce(kind) {
             while r < n {
                 for dst in (0..n).step_by(2 * r) {
                     let src = dst + r;
-                    if src >= n {
-                        continue;
+                    if src < n {
+                        self.tree_send(src, dst, chunk_bytes, "tree-up", true);
                     }
-                    self.tree_send(q, &mut ready, src, dst, cb, lane, name, "tree-up", true);
                 }
                 r *= 2;
             }
@@ -323,70 +538,67 @@ impl CollectiveEngine {
                     r /= 2;
                     for src in (0..n).step_by(2 * r) {
                         let dst = src + r;
-                        if dst >= n {
-                            continue;
+                        if dst < n {
+                            self.tree_send(src, dst, chunk_bytes, "tree-down", false);
                         }
-                        self.tree_send(q, &mut ready, src, dst, cb, lane, name, "tree-down", false);
                     }
                 }
             }
             CollectiveKind::ReduceScatter => {
-                // Root scatters shard-sized results to every other rank.
-                let shard = bytes.div_ceil(n as u64);
-                let root_ready = ready[0].iter().copied().fold(SimTime::ZERO, SimTime::max);
-                for dst in 1..n {
-                    let dur = self.topo.transfer_time(DeviceId(0), DeviceId(dst), shard);
-                    let res = self.topo.link_resources(DeviceId(0), DeviceId(dst));
-                    let (_, end) = self.send_chunk(
-                        q,
-                        self.stream(0, lane),
-                        root_ready,
-                        dur,
-                        res,
-                        shard,
-                        dst,
-                        format_args!("{name}:scatter:0->{dst}"),
-                    );
-                    for k in 0..c {
-                        ready[dst][k] = end;
-                    }
-                }
+                self.scatter(0, bytes.div_ceil(n as u64), Label::Scatter);
             }
         }
-        self.finish(q, lane, &ready)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Every chunk from `src` to `dst`: a reduce (`combine`) keeps the
+    /// later of the arrival and the receiver's operand, a broadcast
+    /// replaces it.
     fn tree_send(
-        &self,
-        q: &mut QueueSim,
-        ready: &mut [Vec<SimTime>],
+        &mut self,
         src: usize,
         dst: usize,
         chunk_bytes: u64,
-        lane: usize,
-        name: &str,
-        dir: &str,
+        dir: &'static str,
         combine: bool,
     ) {
-        let dur = self
-            .topo
-            .transfer_time(DeviceId(src), DeviceId(dst), chunk_bytes);
-        let res = self.topo.link_resources(DeviceId(src), DeviceId(dst));
-        for k in 0..ready[src].len() {
-            let (_, end) = self.send_chunk(
-                q,
-                self.stream(src, lane),
-                ready[src][k],
-                dur,
-                res,
-                chunk_bytes,
+        let topo = self.topo;
+        let (s, d) = (DeviceId(src), DeviceId(dst));
+        let dur = topo.transfer_time(s, d, chunk_bytes);
+        for k in 0..self.chunks {
+            let to = self.slot(dst, k);
+            self.send(
+                src,
                 dst,
-                format_args!("{name}:{dir}.{k}:{src}->{dst}"),
+                dur,
+                false,
+                chunk_bytes,
+                ReadyFrom::Slot(self.slot(src, k)),
+                if combine {
+                    ArriveInto::Max(to)
+                } else {
+                    ArriveInto::Set(to)
+                },
+                Label::Tree { dir, k: k as u32 },
             );
-            // A reduce combines with the receiver's operand; a broadcast
-            // replaces it.
-            ready[dst][k] = if combine { ready[dst][k].max(end) } else { end };
+        }
+    }
+
+    /// The root scatters shard-sized results to every other rank once all
+    /// of its chunks are in.
+    fn scatter(&mut self, root: usize, shard: u64, label: Label) {
+        let topo = self.topo;
+        for dst in (0..topo.num_devices()).filter(|&d| d != root) {
+            let (s, d) = (DeviceId(root), DeviceId(dst));
+            self.send(
+                root,
+                dst,
+                topo.transfer_time(s, d, shard),
+                false,
+                shard,
+                ReadyFrom::Device(root as u32),
+                ArriveInto::Device(dst as u32),
+                label,
+            );
         }
     }
 
@@ -401,80 +613,35 @@ impl CollectiveEngine {
     /// one island is a plain binomial tree, all-singleton islands a
     /// sequential leader exchange; island sizes may be arbitrary (uneven,
     /// non-power-of-two survivor subsets included).
-    fn hierarchical(
-        &self,
-        q: &mut QueueSim,
-        kind: CollectiveKind,
-        bytes: u64,
-        earliest: &[SimTime],
-        lane: usize,
-        name: &str,
-    ) -> Vec<SimTime> {
+    fn hierarchical(&mut self, kind: CollectiveKind, bytes: u64, chunk_bytes: u64) {
         let n = self.topo.num_devices();
         let islands = self.topo.islands();
         // Leaders: each island's smallest member. Island 0 contains device
         // 0, so the global root is rank 0 — same convention as the flat
         // algorithms.
         let leaders: Vec<usize> = islands.iter().map(|i| i[0].0).collect();
-        let (c, cb) = self.chunks(bytes);
-        let mut ready: Vec<Vec<SimTime>> = earliest.iter().map(|&t| vec![t; c]).collect();
-        let needs_reduce = matches!(
-            kind,
-            CollectiveKind::AllReduce | CollectiveKind::ReduceScatter | CollectiveKind::AllGather
-        );
-        if needs_reduce {
+        if needs_reduce(kind) {
             for island in &islands {
-                self.island_sweep(q, &mut ready, island, cb, lane, name, true);
+                self.island_sweep(island, chunk_bytes, true);
             }
             for &l in leaders.iter().skip(1) {
-                self.tree_send(
-                    q, &mut ready, l, leaders[0], cb, lane, name, "inter-up", true,
-                );
+                self.tree_send(l, leaders[0], chunk_bytes, "inter-up", true);
             }
         }
         match kind {
             CollectiveKind::AllReduce | CollectiveKind::Broadcast | CollectiveKind::AllGather => {
                 for &l in leaders.iter().skip(1) {
-                    let dir = "inter-down";
-                    self.tree_send(q, &mut ready, leaders[0], l, cb, lane, name, dir, false);
+                    self.tree_send(leaders[0], l, chunk_bytes, "inter-down", false);
                 }
                 for island in &islands {
-                    self.island_sweep(q, &mut ready, island, cb, lane, name, false);
+                    self.island_sweep(island, chunk_bytes, false);
                 }
             }
             CollectiveKind::ReduceScatter => {
                 // The global root scatters shard-sized results directly.
-                let shard = bytes.div_ceil(n as u64);
-                let root = leaders[0];
-                let root_ready = ready[root]
-                    .iter()
-                    .copied()
-                    .fold(SimTime::ZERO, SimTime::max);
-                for dst in 0..n {
-                    if dst == root {
-                        continue;
-                    }
-                    let dur = self
-                        .topo
-                        .transfer_time(DeviceId(root), DeviceId(dst), shard);
-                    let res = self.topo.link_resources(DeviceId(root), DeviceId(dst));
-                    let (_, end) = self.send_chunk(
-                        q,
-                        self.stream(root, lane),
-                        root_ready,
-                        dur,
-                        res,
-                        shard,
-                        dst,
-                        format_args!("{name}:hier-scatter:{root}->{dst}"),
-                    );
-                    for k in 0..c {
-                        ready[dst][k] = end;
-                    }
-                }
+                self.scatter(leaders[0], bytes.div_ceil(n as u64), Label::HierScatter);
             }
         }
-        self.finish(q, lane, &ready)
     }
 
     /// One binomial sweep inside an island: `combine == true` reduces the
@@ -482,59 +649,30 @@ impl CollectiveEngine {
     /// broadcasts the leader's payload out in mirror order. Positions are
     /// island-relative, so arbitrary (renumbered, uneven) member sets
     /// work.
-    #[allow(clippy::too_many_arguments)]
-    fn island_sweep(
-        &self,
-        q: &mut QueueSim,
-        ready: &mut [Vec<SimTime>],
-        island: &[DeviceId],
-        chunk_bytes: u64,
-        lane: usize,
-        name: &str,
-        combine: bool,
-    ) {
+    fn island_sweep(&mut self, island: &[DeviceId], chunk_bytes: u64, combine: bool) {
         let m = island.len();
-        if m <= 1 {
-            return;
-        }
+        let mut r = 1;
         if combine {
-            let mut r = 1;
             while r < m {
                 for i in (0..m).step_by(2 * r) {
-                    let s = i + r;
-                    if s >= m {
-                        continue;
+                    if i + r < m {
+                        let (src, dst) = (island[i + r].0, island[i].0);
+                        self.tree_send(src, dst, chunk_bytes, "intra-up", true);
                     }
-                    let (src, dst) = (island[s].0, island[i].0);
-                    self.tree_send(
-                        q,
-                        ready,
-                        src,
-                        dst,
-                        chunk_bytes,
-                        lane,
-                        name,
-                        "intra-up",
-                        true,
-                    );
                 }
                 r *= 2;
             }
         } else {
-            let mut r = 1;
             while r < m {
                 r *= 2;
             }
             while r > 1 {
                 r /= 2;
                 for i in (0..m).step_by(2 * r) {
-                    let d = i + r;
-                    if d >= m {
-                        continue;
+                    if i + r < m {
+                        let (src, dst) = (island[i].0, island[i + r].0);
+                        self.tree_send(src, dst, chunk_bytes, "intra-down", false);
                     }
-                    let (src, dst) = (island[i].0, island[d].0);
-                    let dir = "intra-down";
-                    self.tree_send(q, ready, src, dst, chunk_bytes, lane, name, dir, false);
                 }
             }
         }
@@ -543,76 +681,51 @@ impl CollectiveEngine {
     /// Host-staged schedule: every device copies its payload to the host,
     /// then copies the combined result back. All copies share the host root
     /// complex, so concurrent ones serialize (with arbitration penalties) —
-    /// exactly the naive baseline the peer algorithms exist to beat.
-    fn host_staged(
-        &self,
-        q: &mut QueueSim,
-        kind: CollectiveKind,
-        bytes: u64,
-        earliest: &[SimTime],
-        lane: usize,
-        name: &str,
-    ) -> Vec<SimTime> {
-        let n = self.topo.num_devices();
+    /// exactly the naive baseline the peer algorithms exist to beat. A
+    /// device is done when its download (its lane's last span) retires.
+    fn host_staged(&mut self, kind: CollectiveKind, bytes: u64) {
+        let topo = self.topo;
+        let n = topo.num_devices();
         let shard = bytes.div_ceil(n as u64);
-        let res = self.topo.host_resources();
-        let (up_bytes, down_bytes) = match kind {
-            CollectiveKind::AllReduce => (bytes, bytes),
-            CollectiveKind::ReduceScatter => (bytes, shard),
-            CollectiveKind::AllGather => (shard, bytes),
-            CollectiveKind::Broadcast => (0, bytes),
+        // A broadcast uploads only the root's payload.
+        let (uploads, up_bytes, down_bytes) = match kind {
+            CollectiveKind::AllReduce => (n, bytes, bytes),
+            CollectiveKind::ReduceScatter => (n, bytes, shard),
+            CollectiveKind::AllGather => (n, shard, bytes),
+            CollectiveKind::Broadcast => (1, bytes, bytes),
         };
-        let mut host_done = SimTime::ZERO;
-        if kind == CollectiveKind::Broadcast {
-            let dur = self.topo.host_transfer_time(bytes);
-            let (_, end) = self.send_chunk(
-                q,
-                self.stream(0, lane),
-                earliest[0],
-                dur,
-                res,
-                bytes,
-                0,
-                format_args!("{name}:d2h:0"),
-            );
-            host_done = end;
-        } else {
-            let dur = self.topo.host_transfer_time(up_bytes);
-            for d in 0..n {
-                let (_, end) = self.send_chunk(
-                    q,
-                    self.stream(d, lane),
-                    earliest[d],
-                    dur,
-                    res,
-                    up_bytes,
-                    d,
-                    format_args!("{name}:d2h:{d}"),
-                );
-                host_done = host_done.max(end);
-            }
+        let dur = topo.host_transfer_time(up_bytes);
+        for d in 0..uploads {
+            let slot = self.slot(d, 0);
+            let (from, into) = (ReadyFrom::Slot(slot), ArriveInto::Host);
+            self.send(d, d, dur, true, up_bytes, from, into, Label::D2h);
         }
-        let dur = self.topo.host_transfer_time(down_bytes);
-        let mut done = vec![SimTime::ZERO; n];
+        let dur = topo.host_transfer_time(down_bytes);
         for d in 0..n {
             if kind == CollectiveKind::Broadcast && d == 0 {
-                done[d] = host_done.max(earliest[d]);
                 continue;
             }
-            let (_, end) = self.send_chunk(
-                q,
-                self.stream(d, lane),
-                host_done,
-                dur,
-                res,
-                down_bytes,
+            let into = ArriveInto::Set(self.slot(d, 0));
+            self.send(
                 d,
-                format_args!("{name}:h2d:{d}"),
+                d,
+                dur,
+                true,
+                down_bytes,
+                ReadyFrom::Host,
+                into,
+                Label::H2d,
             );
-            done[d] = end;
         }
-        done
     }
+}
+
+/// Whether `kind` combines partials (and so runs a reduce phase).
+fn needs_reduce(kind: CollectiveKind) -> bool {
+    matches!(
+        kind,
+        CollectiveKind::AllReduce | CollectiveKind::ReduceScatter | CollectiveKind::AllGather
+    )
 }
 
 #[cfg(test)]
@@ -976,6 +1089,67 @@ mod tests {
                 "ar",
             );
             assert_eq!(a, b, "{alg}");
+        }
+    }
+
+    #[test]
+    fn busy_sums_own_spans_not_idle_waits() {
+        // An 8-device NVLink tree all-reduce: every send has a dedicated
+        // wire, so busy is exactly the link-busy time it adds, and inputs
+        // that arrive late only shift the spans, never lengthen them.
+        let topo = Topology::nvlink_all_to_all(8, 1555.0);
+        let nres = topo.num_link_resources();
+        let engine = CollectiveEngine::with_config(
+            topo,
+            EngineConfig {
+                algorithm: Some(Algorithm::Tree),
+                ..EngineConfig::default()
+            },
+        );
+        let link_busy = |q: &QueueSim| (0..nres).map(|r| q.link_busy_time(r)).sum::<SimTime>();
+        let mut q = QueueSim::new(8, 1);
+        let early = engine.schedule(&mut q, CollectiveKind::AllReduce, 8, &zeros(8), 0, "ar");
+        let linked = link_busy(&q).as_us();
+        assert!(
+            (early.busy.as_us() - linked).abs() <= 1e-9 * linked,
+            "busy {} != link busy {linked}",
+            early.busy
+        );
+        let mut q = QueueSim::new(8, 1);
+        let late = vec![SimTime::from_us(500.0); 8];
+        let late = engine.schedule(&mut q, CollectiveKind::AllReduce, 8, &late, 0, "ar");
+        assert!(late.makespan() > SimTime::from_us(500.0));
+        // Equal up to the rounding of `end − start` at a later offset.
+        assert!(
+            (late.busy.as_us() - early.busy.as_us()).abs() <= 1e-12 * linked,
+            "a late input must not count as busy: {} vs {}",
+            late.busy,
+            early.busy
+        );
+    }
+
+    #[test]
+    fn lowered_schedule_replays_like_schedule() {
+        // One lowering, replayed twice into the same scratch, prices every
+        // run exactly as a fresh `schedule` call on an identical queue.
+        let engine = CollectiveEngine::new(Topology::nvlink_islands(&[2, 2], 1555.0));
+        let lowered = engine.lower(CollectiveKind::AllReduce, 3 << 20);
+        assert_eq!(lowered.algorithm(), Algorithm::Hierarchical);
+        let (mut a, mut b) = (QueueSim::new(4, 1), QueueSim::new(4, 1));
+        let mut scratch = CollectiveScratch::default();
+        let earliest = [0.0, 3.0, 1.0, 7.0].map(SimTime::from_us);
+        for _ in 0..2 {
+            let t = engine.schedule(
+                &mut a,
+                CollectiveKind::AllReduce,
+                3 << 20,
+                &earliest,
+                0,
+                "ar",
+            );
+            let busy = lowered.run(&mut b, &earliest, 0, "ar", &mut scratch);
+            assert_eq!(t.done, scratch.done());
+            assert_eq!(t.busy, busy);
         }
     }
 

@@ -41,4 +41,6 @@ pub use algorithm::{
     choose, choose_flat, estimate_hierarchical_us, estimate_us, Algorithm, CollectiveKind,
 };
 pub use buffers::{all_gather, all_reduce, broadcast, reduce_scatter};
-pub use engine::{CollectiveEngine, CollectiveTiming, EngineConfig};
+pub use engine::{
+    CollectiveEngine, CollectiveSchedule, CollectiveScratch, CollectiveTiming, EngineConfig,
+};

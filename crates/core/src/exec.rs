@@ -11,7 +11,10 @@
 //!   transfer lanes (one per direction, modelling a GPU's copy engines),
 //!   host steps synchronize all devices. Every overlap the schedule
 //!   enables shows up as reduced makespan — this is how the paper's OCC
-//!   figures are reproduced without hardware.
+//!   figures are reproduced without hardware. The prices are computed
+//!   once per executor (the `timing` module): the first execution lowers
+//!   the plan to a pre-priced program, later ones only fold completion
+//!   times over it, and the setters it is priced under drop it.
 //!
 //! * **Functional replay** — actually runs the compute lambdas over the
 //!   partition data. In the default [`FunctionalMode::Parallel`] mode a
@@ -27,8 +30,8 @@
 //! Tasks, nodes, parent lists, halo descriptors and the event table are
 //! *borrowed from the plan by index* — the hot loop clones nothing per
 //! task and allocates nothing in steady state; the per-node
-//! completion-time table is a flat scratch buffer reused across
-//! iterations.
+//! completion-time table and every other per-iteration table are scratch
+//! buffers reused across iterations.
 //!
 //! Event semantics are per-device: a kernel on device *d* waits for its
 //! data parents on *d*; a halo transfer waits for its sources' and
@@ -41,11 +44,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use neon_comm::{CollectiveEngine, CollectiveKind, EngineConfig};
+use neon_comm::{CollectiveEngine, EngineConfig};
 use neon_sys::{
     Backend, DeviceId, FaultInjector, FaultPlan, FaultSite, FaultSiteKind, FaultStats,
-    FaultVerdict, PermanentFault, QueueSim, RetryPolicy, SimTime, SpanKind, StreamId, Trace,
-    WorkerPool,
+    PermanentFault, QueueSim, RetryPolicy, SimTime, Trace, WorkerPool,
 };
 
 use crate::collective::CollectiveMode;
@@ -53,6 +55,7 @@ use crate::devplan::{DevAction, DevicePlan};
 use crate::graph::{Graph, NodeKind};
 use crate::plan::CompiledPlan;
 use crate::schedule::Schedule;
+use crate::timing::{TimingProgram, TimingScratch, TimingSettings};
 
 /// How halo coherency is realized (paper §IV-C2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -473,7 +476,6 @@ pub struct Executor {
     backend: Backend,
     plan: Arc<CompiledPlan>,
     queue: QueueSim,
-    compute_streams: usize,
     functional: bool,
     functional_mode: FunctionalMode,
     kernel_concurrency: bool,
@@ -481,10 +483,13 @@ pub struct Executor {
     engine: CollectiveEngine,
     collective_mode: CollectiveMode,
     comm_mode: CommMode,
-    /// Precomputed `("<name>:int", "<name>:bnd")` span labels per compute
-    /// node, built on the first switch to [`CommMode::ChunkEvents`] so the
-    /// split replay formats nothing per launch per iteration.
-    split_names: Vec<(String, String)>,
+    /// The plan lowered to pre-priced timing steps: built on the first
+    /// execution (so a plan-cache hit pays nothing for it) and dropped by
+    /// every setter it is priced under. Boxed: an executor that never runs
+    /// (a batch of plan-cache hits) stays small.
+    timing: Option<Box<TimingProgram>>,
+    /// The timing replay's per-iteration tables, reused across executions.
+    timing_scratch: TimingScratch,
     /// The plan's per-device task partition + event table.
     devplan: Arc<DevicePlan>,
     /// Persistent per-device workers, spawned on the first parallel
@@ -499,10 +504,6 @@ pub struct Executor {
     /// whole-exchange `execute()` takes whole-partition leases that would
     /// falsely conflict with overlapping internal kernels).
     parallel_halo_ok: bool,
-    /// Precomputed `"<name>(um)"` span labels, one per node (empty for
-    /// non-halo nodes), so the unified-memory path formats nothing per
-    /// descriptor per iteration.
-    um_names: Vec<String>,
     /// Fault injector shared with the virtual-clock queue (kernel faults
     /// are observed inside `enqueue_from`; transfer faults at halo nodes).
     injector: Option<Arc<FaultInjector>>,
@@ -516,23 +517,8 @@ pub struct Executor {
     /// functional replay aborts at node granularity — the whole collective
     /// is uncommitted.
     escape_node: Option<usize>,
-    /// Per-device kernel busy time of the most recent execution (the
-    /// straggler monitor's sample source).
-    dev_kernel_scratch: Vec<SimTime>,
     /// Per-iteration makespans of the most recent `execute_iters` call.
     iter_makespans: Vec<SimTime>,
-    /// Flat `node × device` completion-time table, reused across
-    /// executions.
-    ends_scratch: Vec<SimTime>,
-    /// Per-device staging buffer for halo/collective readiness times,
-    /// reused across tasks.
-    lane_scratch: Vec<SimTime>,
-    /// Chunk-events side tables, flat `node × device`, reused across
-    /// executions (only sized under [`CommMode::ChunkEvents`]): halo input
-    /// readiness, last-chunk arrival, and arriving halo bytes.
-    halo_ready_scratch: Vec<SimTime>,
-    halo_arrive_scratch: Vec<SimTime>,
-    halo_bytes_scratch: Vec<u64>,
 }
 
 impl Executor {
@@ -562,25 +548,12 @@ impl Executor {
             NodeKind::Halo { exchange } => exchange.supports_per_device(),
             _ => true,
         });
-        let um_names = plan
-            .graph()
-            .nodes()
-            .iter()
-            .map(|n| {
-                if n.is_halo() {
-                    format!("{}(um)", n.name)
-                } else {
-                    String::new()
-                }
-            })
-            .collect();
         let devplan = Arc::clone(plan.device_plan());
         let events = EventSlots::new(devplan.num_slots());
         Executor {
             backend,
             plan,
             queue,
-            compute_streams,
             functional,
             functional_mode: FunctionalMode::default(),
             kernel_concurrency: false,
@@ -588,23 +561,17 @@ impl Executor {
             engine,
             collective_mode: CollectiveMode::default(),
             comm_mode: CommMode::default(),
-            split_names: Vec::new(),
+            timing: None,
+            timing_scratch: TimingScratch::default(),
             devplan,
             pool: None,
             events,
             func_epoch: 0,
             parallel_halo_ok,
-            um_names,
             injector: None,
             logical_iteration: 0,
             escape_node: None,
-            dev_kernel_scratch: Vec::new(),
             iter_makespans: Vec::new(),
-            ends_scratch: Vec::new(),
-            lane_scratch: Vec::new(),
-            halo_ready_scratch: Vec::new(),
-            halo_arrive_scratch: Vec::new(),
-            halo_bytes_scratch: Vec::new(),
         }
     }
 
@@ -616,12 +583,14 @@ impl Executor {
     /// Select the halo coherency model (see [`HaloPolicy`]).
     pub fn set_halo_policy(&mut self, policy: HaloPolicy) {
         self.halo_policy = policy;
+        self.timing = None;
     }
 
     /// Select how collective nodes pick their algorithm (default:
     /// [`CollectiveMode::Auto`]).
     pub fn set_collective_mode(&mut self, mode: CollectiveMode) {
         self.collective_mode = mode;
+        self.timing = None;
         self.engine.set_config(EngineConfig {
             algorithm: mode.fixed_algorithm(),
             ..EngineConfig::default()
@@ -632,20 +601,7 @@ impl Executor {
     /// (default: [`CommMode::Epoch`]).
     pub fn set_comm_mode(&mut self, mode: CommMode) {
         self.comm_mode = mode;
-        if mode == CommMode::ChunkEvents && self.split_names.is_empty() {
-            self.split_names = self
-                .plan
-                .graph()
-                .nodes()
-                .iter()
-                .map(|n| match n.kind {
-                    NodeKind::Compute { .. } => {
-                        (format!("{}:int", n.name), format!("{}:bnd", n.name))
-                    }
-                    _ => (String::new(), String::new()),
-                })
-                .collect();
-        }
+        self.timing = None;
     }
 
     /// The configured communication-signaling mode.
@@ -676,6 +632,7 @@ impl Executor {
     /// super-linear efficiencies the ablation demonstrates.
     pub fn set_kernel_concurrency(&mut self, on: bool) {
         self.kernel_concurrency = on;
+        self.timing = None;
     }
 
     /// Whether kernels actually run on data (vs. timing-only).
@@ -715,7 +672,7 @@ impl Executor {
     /// it comes straight off the virtual clock, so two runs of the same
     /// plan produce bit-identical health histories.
     pub fn per_device_kernel_time(&self) -> &[SimTime] {
-        &self.dev_kernel_scratch
+        self.timing_scratch.dev_kernel()
     }
 
     /// Makespans of the individual iterations of the most recent
@@ -785,18 +742,6 @@ impl Executor {
         self.queue.take_trace()
     }
 
-    fn transfer_lane(&self, src: DeviceId, dst: DeviceId) -> usize {
-        self.compute_streams + usize::from(dst.0 < src.0)
-    }
-
-    fn host_lane(&self) -> usize {
-        self.compute_streams + 2
-    }
-
-    fn collective_lane(&self) -> usize {
-        self.compute_streams + 3
-    }
-
     /// Execute the plan once: the virtual-timing replay, then (when
     /// functional) the functional replay in the configured mode.
     ///
@@ -827,12 +772,32 @@ impl Executor {
                 return Err(ExecError::from_permanent(fault, iteration));
             }
         }
-        self.escape_node = None;
         let mut report = ExecReport {
             executions: 1,
             ..Default::default()
         };
-        self.replay_timing(&plan, t0, &mut report)?;
+        let settings = TimingSettings {
+            kernel_concurrency: self.kernel_concurrency,
+            halo_policy: self.halo_policy,
+            comm_mode: self.comm_mode,
+        };
+        let program = match &mut self.timing {
+            Some(program) => program,
+            slot @ None => slot.insert(Box::new(TimingProgram::build(
+                &plan,
+                &self.backend,
+                &self.engine,
+                settings,
+            )?)),
+        };
+        self.escape_node = program.replay(
+            &plan,
+            &mut self.queue,
+            self.injector.as_ref(),
+            &mut self.timing_scratch,
+            t0,
+            &mut report,
+        );
         let escape = self.injector.as_ref().and_then(|i| i.escape_site());
         if self.functional {
             match escape {
@@ -893,458 +858,6 @@ impl Executor {
         }
         self.logical_iteration = iteration + 1;
         Ok(report)
-    }
-
-    /// The virtual-clock half of one execution.
-    fn replay_timing(
-        &mut self,
-        plan: &CompiledPlan,
-        t0: SimTime,
-        report: &mut ExecReport,
-    ) -> Result<(), ExecError> {
-        let graph = plan.graph();
-        let schedule = plan.schedule();
-        let ndev = self.backend.num_devices();
-        let chunk_policy = self.devplan.chunk_policy();
-        // Kernel faults are observed inside `enqueue_from`; transfer
-        // faults are consulted here, once per (halo node, destination).
-        let injector = self.injector.clone();
-        let backoff = injector
-            .as_ref()
-            .map(|i| i.policy().backoff)
-            .unwrap_or(SimTime::ZERO);
-        // Completion time of each node on each device, flat `node × dev`.
-        let mut ends = std::mem::take(&mut self.ends_scratch);
-        ends.clear();
-        ends.resize(graph.len() * ndev, t0);
-        // Per-device kernel busy samples for the straggler monitor.
-        let mut dev_kernel = std::mem::take(&mut self.dev_kernel_scratch);
-        dev_kernel.clear();
-        dev_kernel.resize(ndev, SimTime::ZERO);
-        // Per-device transfer-observation counter mirroring the injector's
-        // own: the `nth` it yields maps a retry verdict onto the actual
-        // faulted chunk's slot instead of always chunk 0.
-        let mut xfer_seen: Vec<u32> = if injector.is_some() {
-            vec![0; ndev]
-        } else {
-            Vec::new()
-        };
-        // Chunk-events side tables (only maintained in that mode): per
-        // halo node and destination device, when the halo's *inputs* were
-        // ready, when the last chunk *arrived*, and how many bytes came
-        // in. Unified memory has no explicit transfers to chunk, so the
-        // mode only applies to the explicit-transfer policy.
-        let chunked = self.comm_mode == CommMode::ChunkEvents
-            && matches!(self.halo_policy, HaloPolicy::ExplicitTransfers);
-        let mut h_ready = std::mem::take(&mut self.halo_ready_scratch);
-        let mut h_arrive = std::mem::take(&mut self.halo_arrive_scratch);
-        let mut h_bytes = std::mem::take(&mut self.halo_bytes_scratch);
-        if chunked {
-            h_ready.clear();
-            h_ready.resize(graph.len() * ndev, t0);
-            h_arrive.clear();
-            h_arrive.resize(graph.len() * ndev, t0);
-            h_bytes.clear();
-            h_bytes.resize(graph.len() * ndev, 0);
-        }
-
-        for task in &schedule.tasks {
-            let node_id = task.node;
-            let node = graph.node(node_id);
-            let parents = plan.data_parents(node_id);
-
-            match &node.kind {
-                NodeKind::Compute {
-                    container,
-                    view,
-                    reduce_finalize,
-                    ..
-                } => {
-                    let space = container.space().ok_or_else(|| {
-                        // The taken `ends` scratch is dropped on this exit
-                        // path; the next execution just re-allocates it.
-                        ExecError::MissingIterationSpace {
-                            node: node.name.clone(),
-                        }
-                    })?;
-                    let bytes_per_cell = container.bytes_per_cell();
-                    let flops_per_cell = container.flops_per_cell();
-                    let eff = container.bw_efficiency();
-                    let temporal = container.temporal_spec();
-                    for d in 0..ndev {
-                        let dev = DeviceId(d);
-                        let earliest = parents
-                            .iter()
-                            .map(|&p| ends[p * ndev + d])
-                            .fold(t0, SimTime::max);
-                        let cells = space.cell_count(dev, *view);
-                        if cells == 0 {
-                            ends[node_id * ndev + d] = earliest;
-                            continue;
-                        }
-                        // A temporal super-step runs k reps in one launch:
-                        // rep j sweeps the interior expanded by (k-1-j)·r
-                        // ghost layers. The memory system streams the
-                        // expanded footprint once; flops accrue per rep,
-                        // and those spent on cells another device owns are
-                        // the scheme's redundant-recompute overhead.
-                        let (bytes, flops, redundant) = match temporal {
-                            Some(spec) => {
-                                let k = spec.k as usize;
-                                let footprint =
-                                    space.cell_count_expanded(dev, (k - 1) * spec.radius);
-                                let mut flops = 0u64;
-                                let mut redundant = 0u64;
-                                for j in 0..k {
-                                    let swept =
-                                        space.cell_count_expanded(dev, (k - 1 - j) * spec.radius);
-                                    flops += swept * flops_per_cell;
-                                    redundant += (swept - cells) * flops_per_cell;
-                                }
-                                (footprint * bytes_per_cell, flops, redundant)
-                            }
-                            None => (cells * bytes_per_cell, cells * flops_per_cell, 0),
-                        };
-                        let dur = self.backend.device(dev).kernel_time(bytes, flops, eff);
-                        let lane = if self.kernel_concurrency {
-                            task.stream
-                        } else {
-                            0
-                        };
-                        let stream = StreamId::new(dev, lane);
-                        // Chunk events: split the launch around its halo
-                        // inputs. Interior cells read no halo layer, so
-                        // that share starts once the *non-halo* inputs
-                        // (plus the halo's own input readiness, for
-                        // transitive ordering) are done; the boundary
-                        // share waits only for the last chunk *arriving*
-                        // into this device — never for its outgoing
-                        // sends. Both spans ride the same lane, so they
-                        // serialize like a split launch.
-                        let mut split = None;
-                        if chunked {
-                            let mut e0 = t0;
-                            let mut arrive = t0;
-                            let mut hbytes = 0u64;
-                            let mut has_halo = false;
-                            for &p in parents {
-                                if graph.node(p).is_halo() {
-                                    has_halo = true;
-                                    e0 = e0.max(h_ready[p * ndev + d]);
-                                    arrive = arrive.max(h_arrive[p * ndev + d]);
-                                    hbytes += h_bytes[p * ndev + d];
-                                } else {
-                                    e0 = e0.max(ends[p * ndev + d]);
-                                }
-                            }
-                            if has_halo && hbytes > 0 {
-                                split = Some((e0, arrive, hbytes));
-                            }
-                        }
-                        let e = match split {
-                            Some((e0, arrive, hbytes)) => {
-                                let frac = (hbytes as f64 / bytes.max(1) as f64).min(1.0);
-                                let bnd = SimTime::from_us(dur.as_us() * frac);
-                                let interior = dur - bnd;
-                                let (int_name, bnd_name) = &self.split_names[node_id];
-                                let (_, ie) = self.queue.enqueue_from(
-                                    stream,
-                                    e0,
-                                    interior,
-                                    int_name,
-                                    SpanKind::Kernel,
-                                );
-                                let (_, e) = self.queue.enqueue_from(
-                                    stream,
-                                    ie.max(arrive),
-                                    bnd,
-                                    bnd_name,
-                                    SpanKind::Kernel,
-                                );
-                                e
-                            }
-                            None => {
-                                let (_, e) = self.queue.enqueue_from(
-                                    stream,
-                                    earliest,
-                                    dur,
-                                    &node.name,
-                                    SpanKind::Kernel,
-                                );
-                                e
-                            }
-                        };
-                        report.kernel_time += dur;
-                        dev_kernel[d] += dur;
-                        report.launches += 1;
-                        report.bytes_moved += bytes;
-                        report.redundant_flops += redundant;
-                        self.queue.record_launch(bytes);
-                        if redundant > 0 {
-                            self.queue.record_redundant_flops(redundant);
-                        }
-                        ends[node_id * ndev + d] = e;
-                    }
-                    if *reduce_finalize {
-                        // Folding partials into the host value synchronizes
-                        // the devices and pays a host round trip.
-                        let sync = self.backend.device(DeviceId(0)).sync_overhead();
-                        let gmax = (0..ndev)
-                            .map(|d| ends[node_id * ndev + d])
-                            .fold(t0, SimTime::max)
-                            + sync;
-                        report.host_time += sync;
-                        for d in 0..ndev {
-                            ends[node_id * ndev + d] = gmax;
-                        }
-                    }
-                }
-                NodeKind::Halo { .. } => {
-                    report.halo_rounds += 1;
-                    self.queue.record_halo_round();
-                    // lanes = [constraint | into | from], each `ndev` wide.
-                    let mut lanes = std::mem::take(&mut self.lane_scratch);
-                    lanes.clear();
-                    lanes.resize(3 * ndev, t0);
-                    for d in 0..ndev {
-                        let c = parents
-                            .iter()
-                            .map(|&p| ends[p * ndev + d])
-                            .fold(t0, SimTime::max);
-                        lanes[d] = c;
-                        lanes[ndev + d] = c;
-                        lanes[2 * ndev + d] = c;
-                        if chunked {
-                            h_ready[node_id * ndev + d] = c;
-                        }
-                    }
-                    // One transfer-fault verdict per destination device per
-                    // halo node: the first descriptor into a destination
-                    // carries the retry cost, later ones ride clean. Only
-                    // allocated when an injector is installed. The returned
-                    // `nth` is the observation's per-device occurrence
-                    // index, which selects the chunk slot the verdict is
-                    // charged to.
-                    let mut verdicts: Option<Vec<Option<(FaultVerdict, u32)>>> =
-                        injector.as_ref().map(|_| vec![None; ndev]);
-                    let mut consult = |dst: DeviceId| -> (FaultVerdict, u32) {
-                        match (&mut verdicts, &injector) {
-                            (Some(v), Some(inj)) => match v[dst.0] {
-                                Some((_, nth)) => (FaultVerdict::Clean, nth),
-                                None => {
-                                    let nth = xfer_seen[dst.0];
-                                    xfer_seen[dst.0] += 1;
-                                    let verdict = inj.observe(dst, FaultSiteKind::Transfer);
-                                    v[dst.0] = Some((verdict, nth));
-                                    (verdict, nth)
-                                }
-                            },
-                            _ => (FaultVerdict::Clean, 0),
-                        }
-                    };
-                    match self.halo_policy {
-                        HaloPolicy::ExplicitTransfers => {
-                            for desc in plan.halo_descriptors(node_id) {
-                                let (verdict, nth) = consult(desc.dst);
-                                let earliest = lanes[desc.src.0].max(lanes[desc.dst.0]);
-                                let lane = self.transfer_lane(desc.src, desc.dst);
-                                // Occupy the physical link: peer copies on a
-                                // PCIe box all contend for the host root
-                                // complex; NVLink pairs are dedicated.
-                                let res =
-                                    self.backend.topology().link_resources(desc.src, desc.dst);
-                                let stream = StreamId::new(desc.src, lane);
-                                // Chunk events stream the payload in
-                                // engine-sized chunks, pipelined DMA-style:
-                                // the first chunk pays the link round-trip
-                                // latency, follow-on chunks ride the already
-                                // -open channel at pure bandwidth. A retry
-                                // verdict lands on the faulted chunk's own
-                                // slot (`nth` mod the chunk count), other
-                                // chunks ride clean; an escaped chunk aborts
-                                // the rest of the payload.
-                                let (cnum, cb) = if chunked {
-                                    chunk_policy.chunks(desc.bytes)
-                                } else {
-                                    (1, desc.bytes)
-                                };
-                                let fault_chunk = nth as usize % cnum.max(1);
-                                let latency =
-                                    self.backend.topology().transfer_time(desc.src, desc.dst, 0);
-                                let mut remaining = desc.bytes;
-                                for k in 0..cnum {
-                                    let b = cb.min(remaining);
-                                    remaining -= b;
-                                    let mut dur = self
-                                        .backend
-                                        .topology()
-                                        .transfer_time(desc.src, desc.dst, b);
-                                    if k > 0 {
-                                        dur = (dur - latency).max(SimTime::ZERO);
-                                    }
-                                    let v = if k == fault_chunk {
-                                        verdict
-                                    } else {
-                                        FaultVerdict::Clean
-                                    };
-                                    let (s, e) = self.queue.enqueue_transfer_with_faults(
-                                        stream,
-                                        earliest,
-                                        dur,
-                                        res,
-                                        b,
-                                        &node.name,
-                                        SpanKind::Transfer,
-                                        v,
-                                        backoff,
-                                    );
-                                    report.transfer_time += e - s;
-                                    lanes[ndev + desc.dst.0] = lanes[ndev + desc.dst.0].max(e);
-                                    lanes[2 * ndev + desc.src.0] =
-                                        lanes[2 * ndev + desc.src.0].max(e);
-                                    if matches!(v, FaultVerdict::Escaped { .. }) {
-                                        // The chunk never landed cleanly;
-                                        // the rest of the payload is moot.
-                                        break;
-                                    }
-                                }
-                                if chunked {
-                                    h_bytes[node_id * ndev + desc.dst.0] += desc.bytes;
-                                }
-                                if matches!(verdict, FaultVerdict::Escaped { .. }) {
-                                    // The destination never receives a clean
-                                    // payload; the iteration is aborting.
-                                    break;
-                                }
-                            }
-                        }
-                        HaloPolicy::UnifiedMemory {
-                            page_bytes,
-                            fault_us,
-                            bandwidth_gb_s,
-                        } => {
-                            // Pages migrate on first touch in the consuming
-                            // kernel: the cost lands on the DESTINATION
-                            // device's compute lane (lane 0), serializing
-                            // with kernels — OCC cannot hide it.
-                            for desc in plan.halo_descriptors(node_id) {
-                                let (verdict, _) = consult(desc.dst);
-                                let mut earliest = lanes[desc.src.0].max(lanes[desc.dst.0]);
-                                let pages = desc.bytes.div_ceil(page_bytes);
-                                let dur = SimTime::from_us(
-                                    pages as f64 * fault_us
-                                        + desc.bytes as f64 / bandwidth_gb_s * 1e-3,
-                                );
-                                if matches!(verdict, FaultVerdict::Escaped { .. }) {
-                                    break;
-                                }
-                                if let FaultVerdict::Recovered { failed_attempts } = verdict {
-                                    // Failed migrations repeat the sweep and
-                                    // pay the backoff before the clean pass.
-                                    if let Some(inj) = &injector {
-                                        earliest = earliest
-                                            + inj.policy().backoff_total(failed_attempts)
-                                            + SimTime::from_us(
-                                                dur.as_us() * failed_attempts as f64,
-                                            );
-                                    }
-                                }
-                                let stream = StreamId::new(desc.dst, 0);
-                                let (_, e) = self.queue.enqueue_from(
-                                    stream,
-                                    earliest,
-                                    dur,
-                                    &self.um_names[node_id],
-                                    SpanKind::Transfer,
-                                );
-                                report.transfer_time += dur;
-                                lanes[ndev + desc.dst.0] = lanes[ndev + desc.dst.0].max(e);
-                                lanes[2 * ndev + desc.src.0] = lanes[2 * ndev + desc.src.0].max(e);
-                            }
-                        }
-                    }
-                    for d in 0..ndev {
-                        ends[node_id * ndev + d] = lanes[ndev + d].max(lanes[2 * ndev + d]);
-                        if chunked {
-                            // Consumers' boundary spans gate on arrivals
-                            // only; `ends` keeps the conservative epoch
-                            // meaning for every other consumer kind.
-                            h_arrive[node_id * ndev + d] = lanes[ndev + d];
-                        }
-                    }
-                    self.lane_scratch = lanes;
-                }
-                NodeKind::Host { .. } => {
-                    // Host steps synchronize against every parent on every
-                    // device, pay a sync + host overhead, and gate everyone.
-                    let sync = self.backend.device(DeviceId(0)).sync_overhead();
-                    let earliest = parents
-                        .iter()
-                        .flat_map(|&p| (0..ndev).map(move |d| p * ndev + d))
-                        .map(|i| ends[i])
-                        .fold(t0, SimTime::max);
-                    let stream = StreamId::new(DeviceId(0), self.host_lane());
-                    let (_, e) =
-                        self.queue
-                            .enqueue_from(stream, earliest, sync, &node.name, SpanKind::Host);
-                    report.host_time += sync;
-                    for d in 0..ndev {
-                        ends[node_id * ndev + d] = e;
-                    }
-                }
-                NodeKind::Collective { bytes, .. } => {
-                    // Per-device readiness: a device joins the collective as
-                    // soon as ITS parents are done — no global barrier.
-                    let mut earliest = std::mem::take(&mut self.lane_scratch);
-                    earliest.clear();
-                    earliest.extend((0..ndev).map(|d| {
-                        parents
-                            .iter()
-                            .map(|&p| ends[p * ndev + d])
-                            .fold(t0, SimTime::max)
-                    }));
-                    let lane = self.collective_lane();
-                    let timing = self.engine.schedule(
-                        &mut self.queue,
-                        CollectiveKind::AllReduce,
-                        *bytes,
-                        &earliest,
-                        lane,
-                        &node.name,
-                    );
-                    self.lane_scratch = earliest;
-                    report.collective_time += timing.busy;
-                    for d in 0..ndev {
-                        ends[node_id * ndev + d] = timing.done[d];
-                    }
-                    // Link faults are observed inside the engine, chunk by
-                    // chunk; if one escaped here, remember the node so the
-                    // functional replay can abort before its finalize.
-                    if self.escape_node.is_none()
-                        && injector
-                            .as_ref()
-                            .and_then(|i| i.escape_site())
-                            .is_some_and(|s| s.kind == FaultSiteKind::Link)
-                    {
-                        self.escape_node = Some(node_id);
-                    }
-                }
-            }
-            if injector.as_ref().is_some_and(|i| i.escape_site().is_some()) {
-                // The iteration is aborting: the rest of it never runs, so
-                // later operations must not advance the clock or consume
-                // fault specs (the injector also stops matching once the
-                // escape marker is set — this break just saves the work).
-                break;
-            }
-        }
-
-        self.ends_scratch = ends;
-        self.dev_kernel_scratch = dev_kernel;
-        self.halo_ready_scratch = h_ready;
-        self.halo_arrive_scratch = h_arrive;
-        self.halo_bytes_scratch = h_bytes;
-        Ok(())
     }
 
     /// The functional half of one execution.

@@ -23,7 +23,10 @@
 //!   cache keyed by sequence signature × backend fingerprint × options;
 //! * [`exec`] — the executor: virtual-clock timing replay plus functional
 //!   execution of the kernels on real partition data, borrowing plan data
-//!   by index.
+//!   by index;
+//! * `timing` — the timing replay's pre-priced program: launches, halo
+//!   transfers and collective schedules priced once per executor, so an
+//!   iteration only folds completion times.
 //!
 //! ```no_run
 //! # use neon_core::{Skeleton, SkeletonOptions, OccLevel};
@@ -54,6 +57,7 @@ pub mod plan;
 pub mod schedule;
 pub mod skeleton;
 pub mod temporal;
+mod timing;
 pub mod validate;
 #[cfg(test)]
 mod validate_differential;

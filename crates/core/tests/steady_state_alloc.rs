@@ -7,9 +7,12 @@
 //! allocator, and it contains exactly one `#[test]` so no sibling test
 //! thread can allocate during the measured window.
 //!
-//! Scope: the sequence is timing-only (virtual storage, so the functional
-//! replay is skipped) and has no reductions (collective scheduling lives
-//! in neon-comm and builds its transfer lists per call by design). The
+//! Scope: the sequences are timing-only (virtual storage, so the functional
+//! replay is skipped). Reductions are covered: the executor lowers each
+//! collective once into a pre-priced send list that replays into reused
+//! scratch, so a CG iteration allocates nothing under every collective
+//! algorithm (tree, ring, host-staged, hierarchical), under chunk events
+//! and unified memory, and with an (empty) fault plan installed. The
 //! functional replay cannot be allocation-free regardless: every kernel
 //! launch boxes the loading-lambda's closure. That box is the launch's
 //! *only* allocation, which the second half of the test pins: loading a
@@ -32,7 +35,10 @@ use neon_apps::fem::{elasticity_apply, Material};
 use neon_apps::lbm::d3q19::{stream_collide, D3Q19_WEIGHTS};
 use neon_apps::lbm::LbmParams;
 use neon_apps::poisson::laplacian_apply;
-use neon_core::{FunctionalMode, OccLevel, Skeleton, SkeletonOptions};
+use neon_core::{
+    CollectiveAlgorithm, CollectiveMode, CommMode, FaultPlan, FunctionalMode, HaloPolicy, OccLevel,
+    RetryPolicy, Skeleton, SkeletonOptions,
+};
 use neon_domain::{
     Container, DataView, DenseGrid, Dim3, Field, FieldStencil, FieldWrite, GridLike, KernelFn,
     Loader, MemLayout, Span, SparseGrid, Stencil, StorageMode, Strides,
@@ -126,6 +132,77 @@ fn steady_state_execute_does_not_allocate() {
         0,
         "steady-state execute loop must not touch the heap"
     );
+
+    // A CG iteration (two all-reduces per iteration) under every
+    // collective algorithm, comm mode and halo policy, and with a fault
+    // injector installed.
+    let cases: [(&str, Backend, SkeletonOptions, bool); 7] = [
+        ("tree (auto)", Backend::dgx_a100(8), cg_options(), false),
+        (
+            "ring",
+            Backend::dgx_a100(8),
+            SkeletonOptions {
+                collectives: CollectiveMode::Fixed(CollectiveAlgorithm::Ring),
+                ..cg_options()
+            },
+            false,
+        ),
+        (
+            "host-staged (auto)",
+            Backend::gv100_pcie(8),
+            cg_options(),
+            false,
+        ),
+        (
+            "hierarchical",
+            Backend::dgx_islands(&[2, 2]),
+            SkeletonOptions {
+                collectives: CollectiveMode::Fixed(CollectiveAlgorithm::Hierarchical),
+                ..cg_options()
+            },
+            false,
+        ),
+        (
+            "chunk events",
+            Backend::dgx_a100(4),
+            SkeletonOptions {
+                comm: CommMode::ChunkEvents,
+                ..cg_options()
+            },
+            false,
+        ),
+        (
+            "unified memory",
+            Backend::dgx_a100(4),
+            SkeletonOptions {
+                halo_policy: HaloPolicy::unified_default(),
+                ..cg_options()
+            },
+            false,
+        ),
+        ("empty fault plan", Backend::dgx_a100(4), cg_options(), true),
+    ];
+    for (label, b, options, faults) in cases {
+        let g = DenseGrid::new(&b, Dim3::new(16, 16, 32), &[&st], StorageMode::Virtual).unwrap();
+        let state = CgState::new(&g, 1, MemLayout::SoA).unwrap();
+        let seq = cg_iteration(&g, &state, laplacian_apply(&g, &state));
+        let mut sk = Skeleton::sequence(&b, "steady-cg", seq, options);
+        assert!(!sk.is_functional());
+        if faults {
+            sk.executor_mut()
+                .install_fault_plan(FaultPlan::none(), RetryPolicy::default());
+        }
+        sk.run_iters(ITERS); // builds the timing program, warms scratch
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report = sk.run_iters(ITERS);
+        let after = ALLOCS.load(Ordering::Relaxed);
+        assert!(report.collective_time > neon_sys::SimTime::ZERO, "{label}");
+        assert_eq!(
+            after - before,
+            0,
+            "a steady-state CG iteration ({label}) must not touch the heap"
+        );
+    }
 
     // Functional half: everything a launch does except boxing the kernel.
     let b = Backend::dgx_a100(2);
@@ -262,6 +339,15 @@ fn steady_state_execute_does_not_allocate() {
             "a cache hit on {ndev} devices allocates {} times (bound {bound})",
             after - before
         );
+    }
+}
+
+/// The CG iteration's options: the cache off, so every case compiles (and
+/// prices) its own plan.
+fn cg_options() -> SkeletonOptions {
+    SkeletonOptions {
+        cache: false,
+        ..Default::default()
     }
 }
 

@@ -2,17 +2,19 @@
 # Alternated A/B run of the benchmark: a base revision against the working
 # tree, on this host.
 #
-#   scripts/ab.sh [-b REV] [-n PAIRS] [-s SECONDS] WORKLOAD...
+#   scripts/ab.sh [-b REV] [-n PAIRS] [-s SECONDS] [-f SEED] WORKLOAD...
 #
 #   -b REV      base revision (default HEAD); the change is the working tree
 #   -n PAIRS    seeded pairs per workload (default 10)
 #   -s SECONDS  measurement seconds per run (default 6)
+#   -f SEED     seed of the first pair (default 1), for a confirmation set
+#               on seeds a change was not tuned on
 #
 # The base is exported with `git archive` into a scratch directory, and
 # each side's `benchmark/` binary is built in its own target directory.
-# Pair k runs seed k on both sides, the base first on odd k and the change
-# first on even k, because the host has noisy eras of seconds to minutes
-# and only alternated runs compare. For every end-to-end metric in
+# Pair k runs seed SEED+k-1 on both sides, the base first on odd k and
+# the change first on even k, because the host has noisy eras of seconds
+# to minutes and only alternated runs compare. For every end-to-end metric in
 # BENCHMARK.json it prints each side's median and quartiles, the base's
 # IQR (q3 - q1), how many pairs the change won and how many were exact
 # ties (every `virt_*` metric of an unchanged model ties in all of them),
@@ -39,17 +41,19 @@ set -euo pipefail
 base=HEAD
 pairs=10
 seconds=6
-while getopts "b:n:s:" opt; do
+first=1
+while getopts "b:n:s:f:" opt; do
     case "$opt" in
         b) base="$OPTARG" ;;
         n) pairs="$OPTARG" ;;
         s) seconds="$OPTARG" ;;
-        *) sed -n '5,9p' "$0" >&2; exit 2 ;;
+        f) first="$OPTARG" ;;
+        *) sed -n '5,11p' "$0" >&2; exit 2 ;;
     esac
 done
 shift $((OPTIND - 1))
 if [ "$#" -eq 0 ]; then
-    sed -n '5,9p' "$0" >&2
+    sed -n '5,11p' "$0" >&2
     exit 2
 fi
 workloads=("$@")
@@ -71,9 +75,9 @@ build "$repo" "$dir/target-change"
 cp "$dir/target-base/release/neon-benchmark" "$dir/bench-base"
 cp "$dir/target-change/release/neon-benchmark" "$dir/bench-change"
 
-run() { # SIDE WORKLOAD SEED
-    (cd "$dir" && "./bench-$1" run --workload "$2" --seed "$3" --seconds "$seconds" --trace 0 \
-        2>/dev/null | tail -n 1 >"results/$2.$1.$3.json")
+run() { # SIDE WORKLOAD PAIR
+    (cd "$dir" && "./bench-$1" run --workload "$2" --seed $((first + $3 - 1)) \
+        --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1 >"results/$2.$1.$3.json")
 }
 for w in "${workloads[@]}"; do
     for k in $(seq 1 "$pairs"); do
@@ -105,10 +109,10 @@ for w in workloads:
             try:
                 doc = json.load(open(path))
             except (OSError, ValueError):
-                bad.append(f"{w} {side} seed {k}: no result")
+                bad.append(f"{w} {side} pair {k}: no result")
                 continue
             if not doc.get("correct") or doc.get("failed", 0) > 0:
-                bad.append(f"{w} {side} seed {k}: correct={doc.get('correct')} failed={doc.get('failed')}")
+                bad.append(f"{w} {side} pair {k}: correct={doc.get('correct')} failed={doc.get('failed')}")
             runs[side].append(doc)
     print(f"== {w} ({pairs} pairs)")
     print(f"{'metric':<22}{'base median [q1, q3]':>36}{'change median [q1, q3]':>36}"

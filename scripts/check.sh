@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# The CI pipeline: build, tests, the benchmark package, rustdoc, format
-# check and clippy (of the workspace and of the benchmark package). CI
-# runs exactly this script; run it locally before pushing.
+# The CI pipeline: build, tests, the byte-for-byte reproduction of the
+# paper results, the benchmark package, rustdoc, format check and clippy
+# (of the workspace and of the benchmark package). CI runs exactly this
+# script; run it locally before pushing.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -22,6 +23,17 @@ cargo build --workspace --release
 # and chunk events (tests/collective_properties).
 echo "==> cargo test --workspace --quiet"
 cargo test --workspace --quiet
+
+# The virtual-clock contract: `repro all` rewrites results/*.txt and the
+# EXPERIMENTS.md tables, and none of their bytes may move. On a failure the
+# regenerated files stay in the tree, so `git diff` shows what moved.
+echo "==> repro all reproduces results/*.txt and EXPERIMENTS.md byte for byte"
+saved="$(mktemp -d)"
+trap 'rm -rf "$saved"' EXIT
+cp -r results EXPERIMENTS.md "$saved"/
+cargo run --release --quiet -p neon-bench --bin repro -- all >/dev/null
+diff -r "$saved/results" results
+diff "$saved/EXPERIMENTS.md" EXPERIMENTS.md
 
 echo "==> benchmark package unit tests (it builds against the crates' public API only)"
 cargo test --offline --manifest-path benchmark/Cargo.toml
