@@ -502,7 +502,7 @@ pub fn ablation_kernel_concurrency() -> Vec<(bool, SimTime)> {
 pub fn ablation_unified_memory() -> Vec<(&'static str, SimTime, SimTime)> {
     [
         ("explicit transfers", HaloPolicy::ExplicitTransfers),
-        ("unified memory", HaloPolicy::unified_default()),
+        ("unified memory", HaloPolicy::UnifiedMemory),
     ]
     .into_iter()
     .map(|(name, halo_policy)| {

@@ -6,12 +6,11 @@
 //! [`Topology`], so shared physical links (the PCIe host root complex)
 //! serialize concurrent steps while dedicated NVLink pairs overlap freely.
 //!
-//! Large payloads are **pipelined**: each logical step is split into up to
-//! [`EngineConfig::max_chunks`] chunks of roughly
-//! [`EngineConfig::chunk_bytes`], and a chunk of step `t+1` may start as
-//! soon as that chunk of step `t` has arrived — the classic bandwidth
-//! optimization that lets a ring approach link rate instead of paying the
-//! full store-and-forward delay per step.
+//! Large payloads are **pipelined**: each logical step is split into
+//! chunks by [`EngineConfig::chunks`] (a [`ChunkPolicy`]), and a chunk of
+//! step `t+1` may start as soon as that chunk of step `t` has arrived —
+//! the classic bandwidth optimization that lets a ring approach link rate
+//! instead of paying the full store-and-forward delay per step.
 //!
 //! A collective is priced in two halves. [`CollectiveEngine::lower`] chooses
 //! the algorithm once and emits a [`CollectiveSchedule`]: a flat list of
@@ -39,24 +38,22 @@ use neon_sys::trace::SpanKind;
 use neon_sys::{DeviceId, FaultSiteKind, FaultVerdict};
 
 use crate::algorithm::{choose, Algorithm, CollectiveKind};
+use crate::chunk::ChunkPolicy;
 
 /// Tunables of a [`CollectiveEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Force a specific algorithm; `None` selects automatically per call.
     pub algorithm: Option<Algorithm>,
-    /// Pipelining granularity: steps larger than this are split into chunks.
-    pub chunk_bytes: u64,
-    /// Upper bound on chunks per step (bounds simulation cost).
-    pub max_chunks: usize,
+    /// Pipelining granularity: how each step is split into chunks.
+    pub chunks: ChunkPolicy,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             algorithm: None,
-            chunk_bytes: 1 << 20,
-            max_chunks: 8,
+            chunks: ChunkPolicy::DEFAULT,
         }
     }
 }
@@ -391,7 +388,7 @@ impl CollectiveEngine {
         };
         let (c, cb) = match algorithm {
             Algorithm::HostStaged => (1, bytes),
-            _ => self.chunks(step_bytes),
+            _ => self.config.chunks.chunks(step_bytes),
         };
         // Upper bounds on the op count, so lowering never regrows the list.
         let ops = match algorithm {
@@ -418,17 +415,6 @@ impl CollectiveEngine {
             chunks: c,
             ops: l.ops,
         }
-    }
-
-    /// Split `step_bytes` into `(chunks, bytes_per_chunk)`.
-    fn chunks(&self, step_bytes: u64) -> (usize, u64) {
-        if step_bytes == 0 {
-            return (1, 0);
-        }
-        let c = step_bytes
-            .div_ceil(self.config.chunk_bytes)
-            .clamp(1, self.config.max_chunks as u64);
-        (c as usize, step_bytes.div_ceil(c))
     }
 }
 
@@ -826,8 +812,10 @@ mod tests {
             topo,
             EngineConfig {
                 algorithm: Some(Algorithm::Ring),
-                max_chunks: 1,
-                ..EngineConfig::default()
+                chunks: ChunkPolicy {
+                    max_chunks: 1,
+                    ..ChunkPolicy::DEFAULT
+                },
             },
         );
         let mut q = QueueSim::new(4, 1);

@@ -35,12 +35,14 @@
 
 pub mod algorithm;
 pub mod buffers;
+pub mod chunk;
 pub mod engine;
 
 pub use algorithm::{
     choose, choose_flat, estimate_hierarchical_us, estimate_us, Algorithm, CollectiveKind,
 };
 pub use buffers::{all_gather, all_reduce, broadcast, reduce_scatter};
+pub use chunk::ChunkPolicy;
 pub use engine::{
     CollectiveEngine, CollectiveSchedule, CollectiveScratch, CollectiveTiming, EngineConfig,
 };

@@ -37,110 +37,23 @@
 //!   pulls *from* `d` — those pulls read `d`'s boundary cells, so anything
 //!   that may overwrite them must wait for the remote readers too.
 //!
-//! Owner-side steps (reduce init/finalize, host, collective, whole-exchange
-//! halo) wait conservatively on every parent over every device.
+//! Owner-side steps (reduce init/finalize, host, collective) wait
+//! conservatively on every parent over every device.
+//!
+//! The table is a function of the schedule and the data parents alone.
+//! How finely a halo payload is chunked is a pricing decision of the
+//! timing replay ([`CommMode::ChunkEvents`]), not an ordering one: a pull
+//! lands whole before its slot is signalled, so per-chunk slots would
+//! order nothing the whole-pull slot does not.
 //!
 //! Deadlock freedom: each worker walks its steps in schedule order, and a
 //! step only waits on slots of earlier tasks or on the fixed intra-task
 //! chain `init → kernels → finalize` — induction over the task index.
+//!
+//! [`CommMode::ChunkEvents`]: crate::exec::CommMode::ChunkEvents
 
-use neon_set::HaloDescriptor;
-use neon_sys::topology::{LinkModel, Topology};
-
-use crate::exec::CommMode;
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::schedule::Schedule;
-
-/// How halo payloads are split into pipelined chunks.
-///
-/// A chunk should be large enough that the per-chunk round-trip latency
-/// amortizes, and small enough that the first chunk lands early (that
-/// early arrival is what lets a consumer's interior span overlap the rest
-/// of the stream). The classic sizing rule is a small multiple of the
-/// link's *bandwidth–delay product* — the bytes in flight on the wire at
-/// full rate — so [`ChunkPolicy::for_link`] derives `chunk_bytes` from
-/// `latency × bandwidth` instead of hard-coding one size for every
-/// interconnect: a PCIe 3 link (18 µs × 6.5 GB/s ≈ 114 KiB BDP) chunks at
-/// 1 MiB, an NVLink wire (9.5 µs × 173 GB/s ≈ 1.6 MiB BDP) at 16 MiB.
-///
-/// The policy is baked into the [`DevicePlan`] at compile time (the chunk
-/// counts shape the event table), so a cache-hit rebind — which has no
-/// backend in hand — reuses the stored policy and stays consistent with
-/// the timing replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkPolicy {
-    /// Target bytes per chunk (power of two).
-    pub chunk_bytes: u64,
-    /// Cap on chunks per transfer (bounds event-slot growth).
-    pub max_chunks: u64,
-}
-
-impl ChunkPolicy {
-    /// The historical fixed policy (1 MiB chunks, at most 8), which is
-    /// also what [`ChunkPolicy::for_link`] derives for a PCIe-class link.
-    pub const DEFAULT: ChunkPolicy = ChunkPolicy {
-        chunk_bytes: 1 << 20,
-        max_chunks: 8,
-    };
-
-    /// Derive the policy from one link: chunks of 8× the bandwidth–delay
-    /// product, rounded up to a power of two and clamped to
-    /// `[1 MiB, 16 MiB]`.
-    pub fn for_link(link: &LinkModel) -> ChunkPolicy {
-        // µs × GB/s = 1e-6 s × 1e9 B/s = 1e3 bytes.
-        let bdp_bytes = link.latency_us * link.bandwidth_gb_s * 1e3;
-        let target = (8.0 * bdp_bytes).max(1.0) as u64;
-        ChunkPolicy {
-            chunk_bytes: target.next_power_of_two().clamp(1 << 20, 16 << 20),
-            max_chunks: 8,
-        }
-    }
-
-    /// Derive the policy from a topology's *slowest* distinct-pair link
-    /// (smallest bandwidth, then largest latency): halos cross every kind
-    /// of wire the partition touches, and chunking for the slowest one
-    /// keeps the policy a single plan-wide constant. Single-device
-    /// topologies fall back to [`ChunkPolicy::DEFAULT`].
-    pub fn for_topology(topo: &Topology) -> ChunkPolicy {
-        let n = topo.num_devices();
-        let mut slowest: Option<LinkModel> = None;
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                let l = *topo.link(neon_sys::DeviceId(s), neon_sys::DeviceId(d));
-                let worse = slowest.is_none_or(|b| {
-                    l.bandwidth_gb_s < b.bandwidth_gb_s
-                        || (l.bandwidth_gb_s == b.bandwidth_gb_s && l.latency_us > b.latency_us)
-                });
-                if worse {
-                    slowest = Some(l);
-                }
-            }
-        }
-        slowest.map_or(ChunkPolicy::DEFAULT, |l| ChunkPolicy::for_link(&l))
-    }
-
-    /// Split a transfer of `bytes` into `(chunks, bytes_per_chunk)`.
-    pub fn chunks(&self, bytes: u64) -> (usize, u64) {
-        if bytes == 0 {
-            return (1, 0);
-        }
-        let c = bytes
-            .div_ceil(self.chunk_bytes.max(1))
-            .clamp(1, self.max_chunks.max(1));
-        (c as usize, bytes.div_ceil(c))
-    }
-}
-
-/// [`ChunkPolicy::DEFAULT`]'s split — the policy the collective engine's
-/// pipelining defaults mirror (1 MiB chunks, at most 8 per transfer).
-/// Plans compiled against a real backend use the topology-derived policy
-/// stored in their [`DevicePlan`] instead.
-pub fn comm_chunks(bytes: u64) -> (usize, u64) {
-    ChunkPolicy::DEFAULT.chunks(bytes)
-}
 
 /// What a single per-device step executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,9 +64,6 @@ pub enum DevAction {
     Kernel,
     /// Execute the halo copies whose destination is this device.
     HaloPull,
-    /// Execute a whole halo exchange on the owner (fallback for exchanges
-    /// without per-device support).
-    HaloAll,
     /// Run a host container (owner only).
     Host,
     /// Fold collective partials into the host value (owner only).
@@ -190,18 +100,6 @@ pub struct DevicePlan {
     steps: Vec<Vec<DevStep>>,
     /// Flat pool of wait slots, referenced by [`DevStep`] ranges.
     waits: Vec<u32>,
-    /// Whether this plan was built under [`CommMode::ChunkEvents`] (halo
-    /// consumers wait fine-grained per-chunk arrival slots).
-    chunked: bool,
-    /// Per-node base of the chunk-slot region (`u32::MAX` = none).
-    chunk_base: Vec<u32>,
-    /// Per-node chunk-slot count per device (0 = none).
-    chunk_counts: Vec<u32>,
-    /// The chunking policy the plan was built under — the timing replay
-    /// reads it back so its per-chunk transfer spans agree with the event
-    /// table, and a cache-hit rebind (no backend in hand) re-derives chunk
-    /// counts from it.
-    policy: ChunkPolicy,
 }
 
 impl DevicePlan {
@@ -242,32 +140,6 @@ impl DevicePlan {
     #[inline]
     pub fn waits_of(&self, step: &DevStep) -> &[u32] {
         &self.waits[step.wait_start as usize..(step.wait_start + step.wait_len) as usize]
-    }
-
-    /// Whether the plan carries per-chunk halo arrival slots (built under
-    /// [`CommMode::ChunkEvents`]).
-    pub fn chunked(&self) -> bool {
-        self.chunked
-    }
-
-    /// The chunking policy this plan was built under.
-    pub fn chunk_policy(&self) -> ChunkPolicy {
-        self.policy
-    }
-
-    /// Number of per-device chunk slots of `node` (0 unless the node is a
-    /// per-device halo exchange in a chunked plan).
-    #[inline]
-    pub fn chunk_count(&self, node: usize) -> usize {
-        self.chunk_counts.get(node).map_or(0, |&c| c as usize)
-    }
-
-    /// Event slot signaled when chunk `k` of node `node`'s halo payload
-    /// into device `dev` has landed.
-    #[inline]
-    pub fn chunk_slot(&self, node: usize, dev: usize, k: usize) -> usize {
-        debug_assert!(k < self.chunk_count(node));
-        self.chunk_base[node] as usize + dev * self.chunk_counts[node] as usize + k
     }
 
     /// Total number of steps across all devices.
@@ -334,55 +206,16 @@ pub fn build_device_plan(
     parents: &[Vec<NodeId>],
     ndev: usize,
 ) -> DevicePlan {
-    build_device_plan_with(graph, schedule, parents, ndev, CommMode::Epoch)
-}
-
-/// [`build_device_plan`] with an explicit communication-signaling mode.
-///
-/// Under [`CommMode::ChunkEvents`] every per-device halo node gets an
-/// extra region of `chunks × ndev` event slots — one per arriving chunk
-/// per destination — and its consumers wait those fine-grained arrival
-/// slots instead of the whole-pull slot. The pull signals both, so the
-/// ordering (and therefore the functional result) is identical; what
-/// changes is the *granularity* the event table can express, mirroring
-/// the per-chunk transfer spans of the timing replay.
-pub fn build_device_plan_with(
-    graph: &Graph,
-    schedule: &Schedule,
-    parents: &[Vec<NodeId>],
-    ndev: usize,
-    comm: CommMode,
-) -> DevicePlan {
-    build_device_plan_policy(graph, schedule, parents, ndev, comm, ChunkPolicy::DEFAULT)
-}
-
-/// [`build_device_plan_with`] under an explicit [`ChunkPolicy`] (the pass
-/// pipeline derives one from the backend topology's slowest link; see
-/// [`ChunkPolicy::for_topology`]).
-pub fn build_device_plan_policy(
-    graph: &Graph,
-    schedule: &Schedule,
-    parents: &[Vec<NodeId>],
-    ndev: usize,
-    comm: CommMode,
-    policy: ChunkPolicy,
-) -> DevicePlan {
     assert!(ndev >= 1);
     let n = graph.len();
     let slots_per_node = ndev + 2;
-    let chunked = comm == CommMode::ChunkEvents;
 
     // Per halo node: which devices each device's pulls read from, and
     // which devices pull *from* each device.
     let mut halo_srcs: Vec<Vec<Vec<usize>>> = Vec::new(); // [halo][dst] -> srcs
     let mut halo_dsts: Vec<Vec<Vec<usize>>> = Vec::new(); // [halo][src] -> dsts
     let mut signal_of: Vec<ParentSignal> = Vec::with_capacity(n);
-    // Chunk-slot region: assigned after the regular `n × slots_per_node`
-    // block, `chunk_counts[p]` slots per device for chunked halo nodes.
-    let mut chunk_base = vec![u32::MAX; n];
-    let mut chunk_counts = vec![0u32; n];
-    let mut num_slots = n * slots_per_node;
-    for (id, node) in graph.nodes().iter().enumerate() {
+    for node in graph.nodes() {
         signal_of.push(match &node.kind {
             NodeKind::Compute {
                 reduce_finalize, ..
@@ -394,26 +227,15 @@ pub fn build_device_plan_policy(
                 }
             }
             NodeKind::Halo { exchange } => {
-                let descs: Vec<HaloDescriptor> = exchange.descriptors();
                 let mut srcs = vec![Vec::new(); ndev];
                 let mut dsts = vec![Vec::new(); ndev];
-                for d in &descs {
+                for d in exchange.descriptors() {
                     if !srcs[d.dst.0].contains(&d.src.0) {
                         srcs[d.dst.0].push(d.src.0);
                     }
                     if !dsts[d.src.0].contains(&d.dst.0) {
                         dsts[d.src.0].push(d.dst.0);
                     }
-                }
-                if chunked && exchange.supports_per_device() && !descs.is_empty() {
-                    let k = descs
-                        .iter()
-                        .map(|d| policy.chunks(d.bytes).0)
-                        .max()
-                        .unwrap_or(1) as u32;
-                    chunk_base[id] = num_slots as u32;
-                    chunk_counts[id] = k;
-                    num_slots += k as usize * ndev;
                 }
                 halo_srcs.push(srcs);
                 halo_dsts.push(dsts);
@@ -426,13 +248,9 @@ pub fn build_device_plan_policy(
     let mut plan = DevicePlan {
         ndev,
         slots_per_node,
-        num_slots,
+        num_slots: n * slots_per_node,
         steps: vec![Vec::new(); ndev],
         waits: Vec::new(),
-        chunked,
-        chunk_base: chunk_base.clone(),
-        chunk_counts: chunk_counts.clone(),
-        policy,
     };
 
     // Slots a consumer on device `d` waits for, for parent `p`.
@@ -440,16 +258,7 @@ pub fn build_device_plan_policy(
         ParentSignal::AuxDone => out.push((p * slots_per_node + ndev + 1) as u32),
         ParentSignal::PerDevice => out.push((p * slots_per_node + d) as u32),
         ParentSignal::Halo(h) => {
-            if chunk_counts[p] > 0 {
-                // Chunked plan: wait each arriving chunk into `d` instead
-                // of the whole-pull slot.
-                let base = chunk_base[p] as usize + d * chunk_counts[p] as usize;
-                for k in 0..chunk_counts[p] as usize {
-                    out.push((base + k) as u32);
-                }
-            } else {
-                out.push((p * slots_per_node + d) as u32);
-            }
+            out.push((p * slots_per_node + d) as u32);
             // Remote pulls still reading `d`'s boundary: writers on `d`
             // must not proceed until they finish.
             for &e in &halo_dsts[h][d] {
@@ -530,27 +339,22 @@ pub fn build_device_plan_policy(
                 }
                 let _ = container;
             }
-            NodeKind::Halo { exchange } => {
-                if exchange.supports_per_device() {
-                    let h = match signal_of[node_id] {
-                        ParentSignal::Halo(h) => h,
-                        _ => unreachable!("halo node classified above"),
-                    };
-                    for (d, srcs) in halo_srcs[h].iter().enumerate() {
-                        // The pull into `d` writes `d`'s halo layers and
-                        // reads each source's boundary cells: wait for the
-                        // parents on `d` and on every source device.
-                        for &p in ps {
-                            parent_waits(&mut scratch, p, d);
-                            for &e in srcs {
-                                parent_waits(&mut scratch, p, e);
-                            }
+            NodeKind::Halo { .. } => {
+                let h = match signal_of[node_id] {
+                    ParentSignal::Halo(h) => h,
+                    _ => unreachable!("halo node classified above"),
+                };
+                for (d, srcs) in halo_srcs[h].iter().enumerate() {
+                    // The pull into `d` writes `d`'s halo layers and reads
+                    // each source's boundary cells: wait for the parents on
+                    // `d` and on every source device.
+                    for &p in ps {
+                        parent_waits(&mut scratch, p, d);
+                        for &e in srcs {
+                            parent_waits(&mut scratch, p, e);
                         }
-                        push_step(&mut plan, d, node_id, DevAction::HaloPull, &mut scratch);
                     }
-                } else {
-                    all_dev_waits(&mut scratch, ps);
-                    push_step(&mut plan, 0, node_id, DevAction::HaloAll, &mut scratch);
+                    push_step(&mut plan, d, node_id, DevAction::HaloPull, &mut scratch);
                 }
             }
             NodeKind::Host { .. } => {
@@ -672,9 +476,10 @@ mod tests {
                 }
                 NodeKind::Halo { .. } => {
                     for d in 0..2 {
-                        assert!(dp.steps(d).iter().any(|s| s.node as usize == i
-                            && matches!(s.action, DevAction::HaloPull | DevAction::HaloAll)
-                            || d != 0));
+                        assert!(dp
+                            .steps(d)
+                            .iter()
+                            .any(|s| s.node as usize == i && s.action == DevAction::HaloPull));
                     }
                 }
                 NodeKind::Host { .. } | NodeKind::Collective { .. } => {
@@ -683,104 +488,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn chunked_plan_adds_arrival_slots_and_consumers_wait_them() {
-        let (graph, schedule, parents) = compiled(4);
-        let base = build_device_plan(&graph, &schedule, &parents, 4);
-        let dp = build_device_plan_with(&graph, &schedule, &parents, 4, CommMode::ChunkEvents);
-        assert!(dp.chunked());
-        assert!(!base.chunked());
-        let halos: Vec<usize> = graph
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_halo())
-            .map(|(i, _)| i)
-            .collect();
-        assert!(!halos.is_empty(), "stencil pipeline must carry a halo");
-        let mut extra = 0;
-        for &h in &halos {
-            assert!(dp.chunk_count(h) >= 1);
-            assert_eq!(base.chunk_count(h), 0);
-            extra += dp.chunk_count(h) * 4;
-            // Chunk slots live past the regular region and are unique per
-            // (device, chunk).
-            let mut seen = std::collections::HashSet::new();
-            for d in 0..4 {
-                for k in 0..dp.chunk_count(h) {
-                    let s = dp.chunk_slot(h, d, k);
-                    assert!(s >= graph.len() * (4 + 2));
-                    assert!(s < dp.num_slots());
-                    assert!(seen.insert(s));
-                }
-            }
-        }
-        assert_eq!(dp.num_slots(), base.num_slots() + extra);
-        // At least one consumer step waits a fine-grained chunk slot.
-        let regular = graph.len() * (4 + 2);
-        assert!((0..4).any(|d| dp
-            .steps(d)
-            .iter()
-            .any(|s| dp.waits_of(s).iter().any(|&w| (w as usize) >= regular))));
-        // The step lists themselves are identical — only the event table
-        // got finer.
-        assert_eq!(dp.total_steps(), base.total_steps());
-    }
-
-    #[test]
-    fn chunk_policy_is_stable() {
-        assert_eq!(comm_chunks(0), (1, 0));
-        assert_eq!(comm_chunks(1), (1, 1));
-        assert_eq!(comm_chunks(1 << 20), (1, 1 << 20));
-        let (c, cb) = comm_chunks(3 << 20);
-        assert_eq!(c, 3);
-        assert_eq!(cb, 1 << 20);
-        // Above 8 MiB the chunk count saturates and the chunks grow.
-        let (c, cb) = comm_chunks(64 << 20);
-        assert_eq!(c, 8);
-        assert_eq!(cb, 8 << 20);
-    }
-
-    #[test]
-    fn chunk_policy_follows_the_bandwidth_delay_product() {
-        use neon_sys::topology::LinkModel;
-        // PCIe 3: 18 µs × 6.5 GB/s ≈ 114 KiB BDP; ×8 ≈ 0.9 MiB rounds up
-        // to the 1 MiB floor — exactly the historical fixed policy, so
-        // PCIe-era plans are unchanged.
-        let pcie = ChunkPolicy::for_link(&LinkModel::pcie3());
-        assert_eq!(pcie.chunk_bytes, 1 << 20);
-        assert_eq!(pcie, ChunkPolicy::DEFAULT);
-        // NVLink: 9.5 µs × 173 GB/s ≈ 1.6 MiB BDP; ×8 ≈ 13 MiB rounds up
-        // to 16 MiB — a fat wire wants much coarser chunks before the
-        // per-chunk latency amortizes.
-        let nv = ChunkPolicy::for_link(&LinkModel::nvlink());
-        assert_eq!(nv.chunk_bytes, 16 << 20);
-
-        // Topology derivation picks the slowest wire: an all-PCIe box
-        // chunks at 1 MiB, a pure NVLink island at 16 MiB, and a mixed
-        // multi-island machine (NVLink inside, PCIe across) stays at the
-        // PCIe policy because halos cross the slow wire too.
-        let pcie_box = Backend::gv100_pcie(4);
-        assert_eq!(
-            ChunkPolicy::for_topology(pcie_box.topology()).chunk_bytes,
-            1 << 20
-        );
-        let nv_island = Backend::dgx_a100(4);
-        assert_eq!(
-            ChunkPolicy::for_topology(nv_island.topology()).chunk_bytes,
-            16 << 20
-        );
-        let mixed = Backend::dgx_islands(&[2, 2]);
-        assert_eq!(
-            ChunkPolicy::for_topology(mixed.topology()).chunk_bytes,
-            1 << 20
-        );
-
-        // The NVLink policy actually coarsens the split.
-        assert_eq!(nv.chunks(8 << 20), (1, 8 << 20));
-        assert_eq!(ChunkPolicy::DEFAULT.chunks(8 << 20), (8, 1 << 20));
     }
 
     #[test]

@@ -58,7 +58,7 @@ use crate::schedule::Schedule;
 use crate::timing::{TimingProgram, TimingScratch, TimingSettings};
 
 /// How halo coherency is realized (paper §IV-C2).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HaloPolicy {
     /// Explicit peer-to-peer copies on dedicated transfer lanes — the
     /// model the paper's grids use, and the one OCC can overlap.
@@ -67,26 +67,9 @@ pub enum HaloPolicy {
     /// touch *inside* the consuming kernel, so migration time serializes
     /// with computation on the device's compute lane and no overlap is
     /// possible — the performance penalty the paper cites for rejecting
-    /// this design.
-    UnifiedMemory {
-        /// Migration page size in bytes (2 MiB on modern GPUs).
-        page_bytes: u64,
-        /// Fault-handling latency per page group, in µs.
-        fault_us: f64,
-        /// Sustained migration bandwidth, in GB/s.
-        bandwidth_gb_s: f64,
-    },
-}
-
-impl HaloPolicy {
-    /// The unified-memory model with typical NVLink-system parameters.
-    pub fn unified_default() -> Self {
-        HaloPolicy::UnifiedMemory {
-            page_bytes: 2 << 20,
-            fault_us: 25.0,
-            bandwidth_gb_s: 50.0,
-        }
-    }
+    /// this design. Priced with typical NVLink-system parameters: 2 MiB
+    /// pages, 25 µs per page fault, 50 GB/s migration bandwidth.
+    UnifiedMemory,
 }
 
 /// How communication completion is signaled to downstream compute.
@@ -97,18 +80,17 @@ pub enum CommMode {
     /// the device's own outgoing sends — before any of its cells run.
     #[default]
     Epoch,
-    /// Per-chunk events: halo payloads stream in
-    /// [`crate::devplan::comm_chunks`]-sized chunks, each signaling its
-    /// own event slot on arrival. The timing replay splits a consuming
-    /// kernel into an *interior* span (starts as soon as its non-halo
-    /// inputs are ready — it touches no halo layer) and a *boundary*
-    /// span gated only on the last arriving chunk, so interior work
-    /// overlaps in-flight communication and a device's own outgoing
+    /// Per-chunk events: the timing replay streams halo payloads in
+    /// chunks sized by [`neon_comm::ChunkPolicy::for_topology`] and
+    /// splits a consuming kernel into an *interior* span (starts as soon
+    /// as its non-halo inputs are ready — it touches no halo layer) and a
+    /// *boundary* span gated only on the last arriving chunk, so interior
+    /// work overlaps in-flight communication and a device's own outgoing
     /// sends never gate its compute. Collective steps already stream
     /// per-chunk inside the engine; this mode extends the same
-    /// granularity to halo exchanges. Bit-identical to [`CommMode::Epoch`]
-    /// on the functional side: the event table only gets finer, the
-    /// ordering it enforces is unchanged.
+    /// granularity to halo exchanges. A pricing decision only: the
+    /// compiled plan and its event table are the ones [`CommMode::Epoch`]
+    /// uses, so the functional result is bit-identical.
     ChunkEvents,
 }
 
@@ -499,11 +481,6 @@ pub struct Executor {
     events: EventSlots,
     /// Current replay epoch (bumped once per parallel functional replay).
     func_epoch: u64,
-    /// Whether every halo exchange supports per-device execution — if not,
-    /// the parallel replay falls back to the serial reference (a
-    /// whole-exchange `execute()` takes whole-partition leases that would
-    /// falsely conflict with overlapping internal kernels).
-    parallel_halo_ok: bool,
     /// Fault injector shared with the virtual-clock queue (kernel faults
     /// are observed inside `enqueue_from`; transfer faults at halo nodes).
     injector: Option<Arc<FaultInjector>>,
@@ -537,17 +514,7 @@ impl Executor {
         // +3 collectives.
         let queue = QueueSim::new(backend.num_devices(), compute_streams + 4);
         let engine = CollectiveEngine::new(Arc::clone(backend.shared_topology()));
-        let functional = plan.graph().nodes().iter().all(|n| match &n.kind {
-            NodeKind::Compute { container, .. } => container
-                .space()
-                .map(|s| s.supports_functional())
-                .unwrap_or(true),
-            _ => true,
-        });
-        let parallel_halo_ok = plan.graph().nodes().iter().all(|n| match &n.kind {
-            NodeKind::Halo { exchange } => exchange.supports_per_device(),
-            _ => true,
-        });
+        let functional = has_real_storage(plan.graph());
         let devplan = Arc::clone(plan.device_plan());
         let events = EventSlots::new(devplan.num_slots());
         Executor {
@@ -567,7 +534,6 @@ impl Executor {
             pool: None,
             events,
             func_epoch: 0,
-            parallel_halo_ok,
             injector: None,
             logical_iteration: 0,
             escape_node: None,
@@ -643,13 +609,7 @@ impl Executor {
     /// Force timing-only execution (used by large benchmark sweeps).
     pub fn set_functional(&mut self, on: bool) {
         assert!(
-            !on || self.plan.graph().nodes().iter().all(|n| match &n.kind {
-                NodeKind::Compute { container, .. } => container
-                    .space()
-                    .map(|s| s.supports_functional())
-                    .unwrap_or(true),
-                _ => true,
-            }),
+            !on || has_real_storage(self.plan.graph()),
             "cannot enable functional execution on virtual storage"
         );
         self.functional = on;
@@ -863,14 +823,8 @@ impl Executor {
     /// The functional half of one execution.
     fn replay_functional(&mut self, plan: &CompiledPlan) -> Result<(), ExecError> {
         match self.functional_mode {
-            FunctionalMode::Parallel if self.parallel_halo_ok => {
-                self.replay_functional_parallel(plan)
-            }
-            // A whole-exchange halo cannot run concurrently with kernels
-            // (whole-partition leases); stay serial.
-            FunctionalMode::Serial | FunctionalMode::Parallel => {
-                self.replay_functional_serial(plan, None)
-            }
+            FunctionalMode::Parallel => self.replay_functional_parallel(plan),
+            FunctionalMode::Serial => self.replay_functional_serial(plan, None),
         }
     }
 
@@ -1089,6 +1043,18 @@ impl Executor {
     }
 }
 
+/// Whether every compute node's iteration space has real storage, so the
+/// kernels can run on data (a node without a space fails at execution).
+fn has_real_storage(graph: &Graph) -> bool {
+    graph.nodes().iter().all(|n| match &n.kind {
+        NodeKind::Compute { container, .. } => container
+            .space()
+            .map(|s| s.supports_functional())
+            .unwrap_or(true),
+        _ => true,
+    })
+}
+
 /// One worker's walk over its device's step list: wait on the event table
 /// where the plan says to, execute, signal. A malformed step is reported
 /// as an error (the worker stores it and poisons the replay) rather than
@@ -1100,7 +1066,6 @@ fn walk_device(
     epoch: u64,
     d: usize,
 ) -> Result<(), ExecError> {
-    let ndev = dp.ndev();
     for step in dp.steps(d) {
         for &w in dp.waits_of(step) {
             if !events.wait(w as usize, epoch) {
@@ -1138,25 +1103,6 @@ fn walk_device(
                     _ => return Err(malformed()),
                 }
                 events.signal(dp.slot(node_id, d), epoch);
-                // A chunked plan's consumers wait per-chunk arrival slots;
-                // the pull signals them all once the payload landed — the
-                // same ordering the whole-pull slot enforced, expressed at
-                // chunk granularity.
-                for k in 0..dp.chunk_count(node_id) {
-                    events.signal(dp.chunk_slot(node_id, d, k), epoch);
-                }
-            }
-            DevAction::HaloAll => {
-                match &node.kind {
-                    NodeKind::Halo { exchange } => exchange.execute(),
-                    _ => return Err(malformed()),
-                }
-                for e in 0..ndev {
-                    events.signal(dp.slot(node_id, e), epoch);
-                    for k in 0..dp.chunk_count(node_id) {
-                        events.signal(dp.chunk_slot(node_id, e, k), epoch);
-                    }
-                }
             }
             DevAction::Host => {
                 let c = node.container().ok_or_else(missing)?;

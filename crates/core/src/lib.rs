@@ -63,10 +63,7 @@ pub mod validate;
 mod validate_differential;
 
 pub use collective::{lower_collectives, merge_collectives, CollectiveMode};
-pub use devplan::{
-    build_device_plan, build_device_plan_policy, build_device_plan_with, comm_chunks, ChunkPolicy,
-    DevAction, DevStep, DevicePlan,
-};
+pub use devplan::{build_device_plan, DevAction, DevStep, DevicePlan};
 pub use exec::{CommMode, ExecError, ExecReport, Executor, FunctionalMode, HaloPolicy};
 pub use fuse::{fuse_graph, FusePass, FusionLevel};
 pub use graph::{build_dependency_graph, Edge, EdgeKind, Graph, Node, NodeId, NodeKind};

@@ -29,7 +29,7 @@ use neon_set::{uid_roles, Container};
 use neon_sys::{Backend, DeviceId, SimTime, SpanKind, Trace, TraceSpan};
 
 use crate::collective::{lower_collectives, merge_collectives};
-use crate::devplan::{build_device_plan_policy, ChunkPolicy, DevicePlan};
+use crate::devplan::{build_device_plan, DevicePlan};
 use crate::fuse::{FusePass, FusionLevel};
 use crate::graph::{build_dependency_graph, EdgeKind, Graph, NodeId, NodeKind};
 use crate::layout_select::{LayoutPolicy, LayoutRec, LayoutSelectPass};
@@ -386,13 +386,11 @@ impl Pass for DevicePartitionPass {
             .as_ref()
             .expect("device-partition requires the schedule pass to have run");
         let parents = ir.data_parent_lists();
-        ir.device_plan = Some(build_device_plan_policy(
+        ir.device_plan = Some(build_device_plan(
             &ir.graph,
             schedule,
             &parents,
             cx.backend.num_devices(),
-            cx.key.comm,
-            ChunkPolicy::for_topology(cx.backend.topology()),
         ));
     }
 }

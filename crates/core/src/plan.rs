@@ -14,7 +14,7 @@
 //!   same solver over a different grid size still hits;
 //! * the **backend fingerprint** ([`neon_sys::Backend::fingerprint`]) —
 //!   device models plus topology;
-//! * the **compile key** ([`CompileKey`]) — the six
+//! * the **compile key** ([`CompileKey`]) — the five
 //!   [`SkeletonOptions`] fields the passes read, compared by value. It is
 //!   all the passes see, so the executor's runtime settings share a plan.
 //!
@@ -30,7 +30,7 @@
 //!   reads, never carried over from the cached instance), the halo
 //!   descriptors, edge data uids (mapped role for role) and node names;
 //! * **shared:** the schedule, the data-parent lists, and the device plan
-//!   while the halo pairs and chunk counts are unchanged;
+//!   while the halo src/dst pairs are unchanged;
 //! * **deferred:** the dependency graph, a function of the containers
 //!   alone that only diagnostics read, built on first use.
 //!
@@ -49,8 +49,8 @@ use neon_set::{
 };
 use neon_sys::{Backend, PermanentFault, Trace};
 
-use crate::devplan::{build_device_plan, build_device_plan_policy, DevicePlan};
-use crate::exec::{CommMode, ExecError};
+use crate::devplan::{build_device_plan, DevicePlan};
+use crate::exec::ExecError;
 use crate::fuse::FusionLevel;
 use crate::graph::{build_dependency_graph, Edge, Graph, Node, NodeId, NodeKind};
 use crate::layout_select::LayoutPolicy;
@@ -236,9 +236,6 @@ pub struct CompileKey {
     /// Fusion level (the `fuse`, `temporal-fuse` and
     /// `collective-lowering` passes).
     pub fusion: FusionLevel,
-    /// Halo completion granularity (the `device-partition` pass's event
-    /// table).
-    pub comm: CommMode,
     /// Field-layout policy (the `layout-select` pass).
     pub layout: LayoutPolicy,
 }
@@ -647,30 +644,14 @@ fn rebind(plan: &CompiledPlan, containers: Vec<Container>, roles: UidRoles) -> A
                     .zip(b)
                     .all(|(x, y)| x.src == y.src && x.dst == y.dst)
         });
-    // A chunked device plan additionally bakes in per-descriptor chunk
-    // counts, which follow the payload *bytes* — a rebind onto a larger
-    // grid can change them even when the pair structure is identical.
-    let policy = plan.device_plan.chunk_policy();
-    let same_chunks = !plan.device_plan.chunked()
-        || halo_descs.iter().zip(&plan.halo_descs).all(|(a, b)| {
-            a.iter()
-                .zip(b)
-                .all(|(x, y)| policy.chunks(x.bytes).0 == policy.chunks(y.bytes).0)
-        });
-    let device_plan = if same_pairs && same_chunks {
+    let device_plan = if same_pairs {
         Arc::clone(&plan.device_plan)
     } else {
-        Arc::new(build_device_plan_policy(
+        Arc::new(build_device_plan(
             &graph,
             &plan.schedule,
             &plan.data_parents,
             plan.device_plan.ndev(),
-            if plan.device_plan.chunked() {
-                CommMode::ChunkEvents
-            } else {
-                CommMode::Epoch
-            },
-            policy,
         ))
     };
     Arc::new(CompiledPlan {
@@ -791,10 +772,6 @@ mod tests {
                 ..Default::default()
             },
             SkeletonOptions {
-                comm: CommMode::ChunkEvents,
-                ..Default::default()
-            },
-            SkeletonOptions {
                 layout: crate::layout_select::LayoutPolicy::FixedAoS,
                 ..Default::default()
             },
@@ -812,58 +789,6 @@ mod tests {
             let (_, hit) = compile(&b, seq, opts).unwrap();
             assert!(!hit, "{:?} must miss the plan cache", opts.compile_key());
         }
-    }
-
-    /// A sequence with a stencil consumer, so the compiled graph carries
-    /// a halo node (the chunk-events device plan is only observably
-    /// different when one exists).
-    fn stencil_sequence(ndev: usize) -> (Backend, Vec<Container>) {
-        use neon_domain::{FieldStencil as _, FieldWrite as _, GridLike as _};
-        let b = Backend::dgx_a100(ndev);
-        let s = Stencil::seven_point();
-        let g = DenseGrid::new(&b, Dim3::new(4, 4, 16), &[&s], StorageMode::Real).unwrap();
-        let x = Field::<f64, _>::new(&g, "x", 1, 1.0, MemLayout::SoA).unwrap();
-        let y = Field::<f64, _>::new(&g, "y", 1, 0.0, MemLayout::SoA).unwrap();
-        let lap = {
-            let (xc, yc) = (x.clone(), y.clone());
-            Container::compute("lap", g.as_space(), move |ldr| {
-                let xv = ldr.read_stencil(&xc);
-                let yv = ldr.write(&yc);
-                Box::new(move |c| {
-                    let mut s = 0.0;
-                    for slot in 0..6 {
-                        s += xv.ngh(c, slot, 0);
-                    }
-                    yv.set(c, 0, s);
-                })
-            })
-        };
-        (b, vec![ops::set_value(&g, &x, 2.0), lap])
-    }
-
-    #[test]
-    fn comm_mode_fragments_the_cache() {
-        // Regression: Epoch and ChunkEvents device plans differ (the
-        // latter carries per-chunk arrival slots), so the two modes must
-        // compile fresh instead of aliasing in the cache.
-        let (b, seq1) = stencil_sequence(2);
-        let (base_plan, _) = compile(&b, seq1, SkeletonOptions::default()).unwrap();
-        let (_b, seq2) = stencil_sequence(2);
-        let (p, hit) = compile(
-            &b,
-            seq2,
-            SkeletonOptions {
-                comm: CommMode::ChunkEvents,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(!hit, "different comm mode compiles fresh");
-        assert!(p.device_plan().chunked());
-        assert!(!base_plan.device_plan().chunked());
-        // The chunked plan carries strictly more event slots: the halo
-        // node gained a per-chunk arrival region.
-        assert!(p.device_plan().num_slots() > base_plan.device_plan().num_slots());
     }
 
     #[test]

@@ -124,9 +124,9 @@ impl ResilienceOptions {
 
 /// Configuration of a skeleton.
 ///
-/// Six fields shape the compiled plan and form its [`CompileKey`] (see
+/// Five fields shape the compiled plan and form its [`CompileKey`] (see
 /// [`SkeletonOptions::compile_key`]): `occ`, `max_streams`, `hints`,
-/// `fusion`, `comm` and `layout`. The rest configure the executor, the
+/// `fusion` and `layout`. The rest configure the executor, the
 /// cache or diagnostics; skeletons differing only there share one plan.
 #[derive(Debug, Clone, Copy)]
 pub struct SkeletonOptions {
@@ -165,7 +165,8 @@ pub struct SkeletonOptions {
     /// epochs (default) or per-chunk events, where halo payloads stream
     /// in chunks and consuming kernels split into an interior span that
     /// overlaps in-flight chunks and a boundary span gated on the last
-    /// arrival. Shapes the device plan's event table.
+    /// arrival. A timing-replay setting only: it is not part of the
+    /// [`CompileKey`], so both modes share one plan.
     pub comm: CommMode,
     /// Consult the process-wide plan cache (same sequence shape + backend
     /// + [`CompileKey`] ⇒ reuse the compiled graph and schedule).
@@ -215,7 +216,6 @@ impl SkeletonOptions {
             max_streams: self.max_streams,
             hints: self.hints,
             fusion: self.fusion,
-            comm: self.comm,
             layout: self.layout,
         }
     }

@@ -21,13 +21,21 @@
 //! enqueue the priced spans on the [`QueueSim`] virtual clock, record the
 //! completions. It allocates nothing once its [`TimingScratch`] is warm.
 //!
+//! Halo chunking is decided here and nowhere else: under chunk events a
+//! halo payload is split by the backend's [`ChunkPolicy::for_topology`]
+//! (the type whose rule also splits the collective engine's steps), while
+//! the compiled plan and its event table are the same for every
+//! [`CommMode`].
+//!
 //! Fault observation is exactly that of an unpriced walk: the kernel
 //! verdict inside [`QueueSim::enqueue_from`], one transfer verdict per
 //! (halo node, destination), one link verdict per collective chunk.
 
 use std::sync::Arc;
 
-use neon_comm::{CollectiveEngine, CollectiveKind, CollectiveSchedule, CollectiveScratch};
+use neon_comm::{
+    ChunkPolicy, CollectiveEngine, CollectiveKind, CollectiveSchedule, CollectiveScratch,
+};
 use neon_sys::topology::LinkResourceId;
 use neon_sys::{Backend, DeviceId, FaultInjector, FaultSiteKind, FaultVerdict, QueueSim, SimTime};
 use neon_sys::{SpanKind, StreamId};
@@ -35,6 +43,13 @@ use neon_sys::{SpanKind, StreamId};
 use crate::exec::{CommMode, ExecError, ExecReport, HaloPolicy};
 use crate::graph::NodeKind;
 use crate::plan::CompiledPlan;
+
+/// Unified-memory migration page size, in bytes (2 MiB on modern GPUs).
+const UM_PAGE_BYTES: u64 = 2 << 20;
+/// Unified-memory fault-handling latency per page, in µs.
+const UM_FAULT_US: f64 = 25.0;
+/// Unified-memory sustained migration bandwidth, in GB/s.
+const UM_BANDWIDTH_GB_S: f64 = 50.0;
 
 /// The executor settings a program is priced under; changing any of them
 /// drops the program.
@@ -190,8 +205,8 @@ impl TimingProgram {
         // Unified memory has no explicit transfers to chunk, so chunk
         // events only apply to the explicit-transfer policy.
         let chunked = settings.comm_mode == CommMode::ChunkEvents
-            && matches!(settings.halo_policy, HaloPolicy::ExplicitTransfers);
-        let chunk_policy = plan.device_plan().chunk_policy();
+            && settings.halo_policy == HaloPolicy::ExplicitTransfers;
+        let chunk_policy = ChunkPolicy::for_topology(topo);
         let sync = backend.device(DeviceId(0)).sync_overhead();
         let mut p = TimingProgram {
             ndev,
@@ -223,7 +238,7 @@ impl TimingProgram {
                 });
             }
         }
-        if let HaloPolicy::UnifiedMemory { .. } = settings.halo_policy {
+        if settings.halo_policy == HaloPolicy::UnifiedMemory {
             p.um_names = graph
                 .nodes()
                 .iter()
@@ -363,20 +378,16 @@ impl TimingProgram {
                             end: p.transfers.len(),
                         }
                     }
-                    HaloPolicy::UnifiedMemory {
-                        page_bytes,
-                        fault_us,
-                        bandwidth_gb_s,
-                    } => {
+                    HaloPolicy::UnifiedMemory => {
                         let first = p.migrations.len();
                         for desc in plan.halo_descriptors(node) {
-                            let pages = desc.bytes.div_ceil(page_bytes);
+                            let pages = desc.bytes.div_ceil(UM_PAGE_BYTES);
                             p.migrations.push(Migration {
                                 src: desc.src.0,
                                 dst: desc.dst.0,
                                 dur: SimTime::from_us(
-                                    pages as f64 * fault_us
-                                        + desc.bytes as f64 / bandwidth_gb_s * 1e-3,
+                                    pages as f64 * UM_FAULT_US
+                                        + desc.bytes as f64 / UM_BANDWIDTH_GB_S * 1e-3,
                                 ),
                             });
                         }
@@ -720,8 +731,7 @@ impl TimingProgram {
 /// One transfer-fault verdict per destination device per halo node: the
 /// first descriptor into a destination carries the retry cost, later ones
 /// ride clean. The returned `nth` is the observation's per-device
-/// occurrence index, which selects the chunk slot the verdict is charged
-/// to.
+/// occurrence index, which selects the chunk the verdict is charged to.
 fn consult(
     injector: Option<&Arc<FaultInjector>>,
     verdicts: &mut [Option<(FaultVerdict, u32)>],

@@ -1,4 +1,4 @@
-//! The plan-cache key is [`neon_core::CompileKey`]: the six options the
+//! The plan-cache key is [`neon_core::CompileKey`]: the five options the
 //! passes read. Everything else in [`SkeletonOptions`] configures the
 //! executor, so skeletons that differ only there must share one compiled
 //! plan and still run exactly as if each had compiled its own. And a
@@ -14,8 +14,8 @@ use neon_apps::lbm::d3q19::{stream_collide, D3Q19_WEIGHTS};
 use neon_apps::lbm::LbmParams;
 use neon_apps::poisson::laplacian_apply;
 use neon_core::{
-    CollectiveAlgorithm, CollectiveMode, CompiledPlan, FunctionalMode, FusionLevel, Graph,
-    HaloPolicy, NodeKind, OccLevel, ResilienceOptions, Skeleton, SkeletonOptions,
+    CollectiveAlgorithm, CollectiveMode, CommMode, CompiledPlan, FunctionalMode, FusionLevel,
+    Graph, HaloPolicy, NodeKind, OccLevel, ResilienceOptions, Skeleton, SkeletonOptions,
 };
 use neon_domain::{
     ops, Container, DataView, DenseGrid, Dim3, Field, FieldRead as _, FieldStencil as _,
@@ -85,7 +85,7 @@ fn runtime_options_share_a_plan_and_run_as_if_compiled_fresh() {
             ..base
         },
         SkeletonOptions {
-            halo_policy: HaloPolicy::unified_default(),
+            halo_policy: HaloPolicy::UnifiedMemory,
             ..base
         },
         // Ring, not Tree: `Auto` picks the tree for this 8-byte dot, and
@@ -96,6 +96,11 @@ fn runtime_options_share_a_plan_and_run_as_if_compiled_fresh() {
         },
         SkeletonOptions {
             functional_mode: FunctionalMode::Serial,
+            ..base
+        },
+        // Chunk events price halos per chunk; the plan is the same.
+        SkeletonOptions {
+            comm: CommMode::ChunkEvents,
             ..base
         },
         SkeletonOptions {

@@ -186,7 +186,7 @@ proptest! {
         let n_dev = [1, 2, 4, 8][dev_pick];
         let occ = OccLevel::ALL[occ_pick];
         let halo = if unified_halo {
-            HaloPolicy::unified_default()
+            HaloPolicy::UnifiedMemory
         } else {
             HaloPolicy::ExplicitTransfers
         };

@@ -11,7 +11,7 @@
 //! NEON_UPDATE_GOLDEN=1 cargo test -p neon-core --test golden_ir_dump
 //! ```
 
-use neon_core::{OccLevel, Skeleton, SkeletonOptions};
+use neon_core::{CommMode, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     ops, Container, DenseGrid, Dim3, Field, FieldStencil as _, FieldWrite as _, GridLike as _,
     MemLayout, ScalarSet, Stencil, StorageMode,
@@ -23,7 +23,7 @@ const GOLDEN_PATH: &str = concat!(
     "/tests/golden/ir_dump_2dev_7pt.txt"
 );
 
-fn pipeline_dump() -> String {
+fn pipeline_dump(comm: CommMode) -> String {
     let b = Backend::dgx_a100(2);
     let st = Stencil::seven_point();
     let g = DenseGrid::new(&b, Dim3::new(4, 4, 16), &[&st], StorageMode::Virtual).unwrap();
@@ -50,6 +50,7 @@ fn pipeline_dump() -> String {
         // A dumping compile never comes from the plan cache, so the dump
         // pins this run of the passes.
         dump_ir: true,
+        comm,
         ..Default::default()
     };
     let sk = Skeleton::sequence(
@@ -63,7 +64,7 @@ fn pipeline_dump() -> String {
 
 #[test]
 fn golden_ir_dump_matches() {
-    let dump = pipeline_dump();
+    let dump = pipeline_dump(CommMode::Epoch);
     // Sanity before comparing: one section per pass, in pipeline order.
     for pass in [
         "dependency-graph",
@@ -97,6 +98,13 @@ fn golden_ir_dump_matches() {
         dump, golden,
         "IR dump drifted from tests/golden/ir_dump_2dev_7pt.txt; if the \
          pipeline change is intentional, regenerate with NEON_UPDATE_GOLDEN=1"
+    );
+    // Chunking is priced by the timing replay alone: a chunk-events
+    // compile runs the same passes to the same device plan.
+    assert_eq!(
+        pipeline_dump(CommMode::ChunkEvents),
+        golden,
+        "the comm mode reached the compiled plan"
     );
 }
 

@@ -210,7 +210,7 @@ proptest! {
             OccLevel::TwoWayExtended,
         ][occ_pick];
         let halo = if unified_halo {
-            HaloPolicy::unified_default()
+            HaloPolicy::UnifiedMemory
         } else {
             HaloPolicy::ExplicitTransfers
         };

@@ -410,14 +410,14 @@ fn unified_memory_halo_is_slower_and_defeats_occ() {
             .as_us()
     };
     let explicit = mk(neon_core::HaloPolicy::ExplicitTransfers, OccLevel::None);
-    let unified = mk(neon_core::HaloPolicy::unified_default(), OccLevel::None);
+    let unified = mk(neon_core::HaloPolicy::UnifiedMemory, OccLevel::None);
     assert!(
         unified > explicit * 1.05,
         "unified memory should pay a penalty: {unified} vs {explicit}"
     );
     // OCC helps the explicit model but cannot hide page faults.
     let explicit_occ = mk(neon_core::HaloPolicy::ExplicitTransfers, OccLevel::Standard);
-    let unified_occ = mk(neon_core::HaloPolicy::unified_default(), OccLevel::Standard);
+    let unified_occ = mk(neon_core::HaloPolicy::UnifiedMemory, OccLevel::Standard);
     let explicit_gain = explicit / explicit_occ;
     let unified_gain = unified / unified_occ;
     assert!(
@@ -445,6 +445,6 @@ fn unified_memory_preserves_functional_results() {
         out
     };
     let a = run(HaloPolicy::ExplicitTransfers);
-    let b = run(HaloPolicy::unified_default());
+    let b = run(HaloPolicy::UnifiedMemory);
     assert_eq!(a, b);
 }

@@ -175,7 +175,7 @@ fn steady_state_execute_does_not_allocate() {
             "unified memory",
             Backend::dgx_a100(4),
             SkeletonOptions {
-                halo_policy: HaloPolicy::unified_default(),
+                halo_policy: HaloPolicy::UnifiedMemory,
                 ..cg_options()
             },
             false,

@@ -74,12 +74,9 @@ fn setters_between_runs_match_a_fresh_executor() {
         (
             "set_halo_policy",
             &cg,
-            Box::new(|sk| {
-                sk.executor_mut()
-                    .set_halo_policy(HaloPolicy::unified_default())
-            }),
+            Box::new(|sk| sk.executor_mut().set_halo_policy(HaloPolicy::UnifiedMemory)),
             SkeletonOptions {
-                halo_policy: HaloPolicy::unified_default(),
+                halo_policy: HaloPolicy::UnifiedMemory,
                 ..base_options()
             },
         ),

@@ -279,10 +279,6 @@ impl<T: Elem> HaloExchange for FieldHalo<T> {
         }
     }
 
-    fn supports_per_device(&self) -> bool {
-        true
-    }
-
     fn execute_for_dst(&self, dst: DeviceId) {
         // Lease-free: the parallel executor's event table orders this
         // against every conflicting access, and taking whole-partition

@@ -134,22 +134,11 @@ pub trait HaloExchange: Send + Sync {
     }
     /// Perform the copies (no-op on virtual storage).
     fn execute(&self);
-    /// Whether [`HaloExchange::execute_for_dst`] is implemented, allowing
-    /// the parallel executor to run each destination device's incoming
-    /// copies on that device's worker instead of serializing the whole
-    /// exchange on one thread.
-    fn supports_per_device(&self) -> bool {
-        false
-    }
-    /// Perform only the copies whose destination is `dst`.
-    ///
-    /// Must only be called when [`HaloExchange::supports_per_device`]
-    /// returns true; calling every destination exactly once must be
+    /// Perform only the copies whose destination is `dst`: the parallel
+    /// executor runs each destination device's incoming copies on that
+    /// device's worker. Calling every destination exactly once must be
     /// equivalent to one [`HaloExchange::execute`] call.
-    fn execute_for_dst(&self, dst: DeviceId) {
-        let _ = dst;
-        unimplemented!("HaloExchange::execute_for_dst without supports_per_device");
-    }
+    fn execute_for_dst(&self, dst: DeviceId);
     /// How many ghost layers one round of this exchange refreshes.
     /// Defaults to 1 — the classic exchange-per-iteration depth.
     fn depth(&self) -> usize {
