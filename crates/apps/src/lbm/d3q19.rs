@@ -70,6 +70,12 @@ impl Default for LbmParams {
 pub fn equilibrium_d3q19(q: usize, rho: f64, ux: f64, uy: f64, uz: f64) -> f64 {
     let cu = D3Q19_C[0][q] * ux + D3Q19_C[1][q] * uy + D3Q19_C[2][q] * uz;
     let usq = ux * ux + uy * uy + uz * uz;
+    equilibrium_at(q, rho, cu, usq)
+}
+
+/// The equilibrium of direction `q` from `c_q·u` and `|u|²`.
+#[inline(always)]
+fn equilibrium_at(q: usize, rho: f64, cu: f64, usq: f64) -> f64 {
     D3Q19_WEIGHTS[q] * rho * (1.0 + 3.0 * cu + 4.5 * cu * cu - 1.5 * usq)
 }
 
@@ -146,19 +152,47 @@ fn lbm_container<G: GridLike>(
 /// agree bit for bit. It fills `out` rather than returning an array, so
 /// under AoS the interior body collides straight into the stored cell; a
 /// returned array cost a 152-byte copy per cell.
+///
+/// The momenta and `c·u` add only the non-zero terms of the sums over
+/// `D3Q19_C`, as `±f` and `±u` in slot order. IEEE arithmetic may not fold
+/// `x · 0.0`, so the full sums execute 54 products by zero; leaving them
+/// out is exact for finite populations. A sum that starts at `+0.0` never
+/// becomes `−0.0`, and adding `±0.0` changes no other value. `c·u` may at
+/// most change the sign of a zero, which `1.0 + 3·cu` absorbs.
 #[inline(always)]
 fn collide(f: &[f64; 19], omega: f64, out: &mut [f64; 19]) {
     let mut rho = 0.0;
-    let (mut jx, mut jy, mut jz) = (0.0, 0.0, 0.0);
-    for q in 0..19 {
-        rho += f[q];
-        jx += D3Q19_C[0][q] * f[q];
-        jy += D3Q19_C[1][q] * f[q];
-        jz += D3Q19_C[2][q] * f[q];
+    for fq in f {
+        rho += fq;
     }
+    let jx = 0.0 + f[1] - f[2] + f[7] - f[8] + f[9] - f[10] + f[11] - f[12] + f[13] - f[14];
+    let jy = 0.0 + f[3] - f[4] + f[7] - f[8] - f[9] + f[10] + f[15] - f[16] + f[17] - f[18];
+    let jz = 0.0 + f[5] - f[6] + f[11] - f[12] - f[13] + f[14] + f[15] - f[16] - f[17] + f[18];
     let (ux, uy, uz) = (jx / rho, jy / rho, jz / rho);
+    let cu = [
+        0.0,
+        ux,
+        -ux,
+        uy,
+        -uy,
+        uz,
+        -uz,
+        ux + uy,
+        -ux - uy,
+        ux - uy,
+        -ux + uy,
+        ux + uz,
+        -ux - uz,
+        ux - uz,
+        -ux + uz,
+        uy + uz,
+        -uy - uz,
+        uy - uz,
+        -uy + uz,
+    ];
+    let usq = ux * ux + uy * uy + uz * uz;
     for q in 0..19 {
-        let feq = equilibrium_d3q19(q, rho, ux, uy, uz);
+        let feq = equilibrium_at(q, rho, cu[q], usq);
         out[q] = f[q] + omega * (feq - f[q]);
     }
 }
@@ -411,6 +445,67 @@ mod tests {
     use super::*;
     use neon_domain::{DenseGrid, Dim3, Stencil, StorageMode};
     use neon_sys::Backend;
+
+    /// The collision as the full sums over `D3Q19_C`, products by zero
+    /// included: the oracle of [`collide`].
+    fn collide_full_sums(f: &[f64; 19], omega: f64, out: &mut [f64; 19]) {
+        let mut rho = 0.0;
+        let (mut jx, mut jy, mut jz) = (0.0, 0.0, 0.0);
+        for q in 0..19 {
+            rho += f[q];
+            jx += D3Q19_C[0][q] * f[q];
+            jy += D3Q19_C[1][q] * f[q];
+            jz += D3Q19_C[2][q] * f[q];
+        }
+        let (ux, uy, uz) = (jx / rho, jy / rho, jz / rho);
+        for q in 0..19 {
+            let feq = equilibrium_d3q19(q, rho, ux, uy, uz);
+            out[q] = f[q] + omega * (feq - f[q]);
+        }
+    }
+
+    #[test]
+    fn collide_is_bit_identical_to_the_full_sums() {
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut unit = || (next() >> 11) as f64 / (1u64 << 53) as f64;
+        for cell in 0..1_000_000 {
+            let kind = cell % 4;
+            let f: [f64; 19] = std::array::from_fn(|q| {
+                let w = D3Q19_WEIGHTS[q];
+                match kind {
+                    // The rest state.
+                    0 if cell % 64 == 0 => w,
+                    // Near equilibrium, with exact zeros and negative
+                    // populations mixed in.
+                    0 | 1 => match (unit() * 8.0) as u32 {
+                        0 => 0.0,
+                        1 => -w * unit(),
+                        _ => w * (1.0 + 0.2 * (unit() - 0.5)),
+                    },
+                    // Tiny populations, subnormal ones included.
+                    2 => (unit() - 0.3) * 1e-300 * 10f64.powi(-((unit() * 20.0) as i32)),
+                    // Wide magnitudes of either sign.
+                    _ => (unit() - 0.4) * 10f64.powi((unit() * 20.0) as i32 - 10),
+                }
+            });
+            let omega = [1.0, 1.7, 0.6][cell % 3];
+            let (mut a, mut b) = ([0.0; 19], [0.0; 19]);
+            collide(&f, omega, &mut a);
+            collide_full_sums(&f, omega, &mut b);
+            assert_eq!(
+                a.map(f64::to_bits),
+                b.map(f64::to_bits),
+                "populations {f:?}"
+            );
+        }
+    }
 
     #[test]
     fn weights_sum_to_one() {

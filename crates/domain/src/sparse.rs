@@ -34,8 +34,21 @@
 //!
 //! Partitioning balances **active** cells per device: z-slabs are chosen
 //! by per-layer active counts ([`crate::grid::weighted_slab_partition`]).
+//!
+//! The tables are built without hashing. Each partition first collects its
+//! cells, class by class, from the mask. One pass over that list then fills
+//! a dense **slab index**: one `u32` per box cell of the stored layers
+//! (owned plus halo), holding the cell's local index or [`SPARSE_NONE`].
+//! A cell at least the stencil's reach away from the box faces and from
+//! the slab's ends finds its neighbour at slot `s` at `index[base +
+//! delta[s]]`, with the linear deltas computed once per partition; the cells
+//! near a face or a slab end take a bounds-checked lookup. The x-runs are
+//! cut in the same pass. The index costs 4 B per box cell of the slab,
+//! active or not (about 0.46 MB over both partitions of a 48³ box on two
+//! devices). It stays with the partition, so [`GridLike::locate`], the
+//! host's `Field::get`/`set`, is O(1). It is host memory and is not charged
+//! to the device ledger. A grid with virtual storage builds no index.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use neon_set::{Cell, DataView, Elem, IterationSpace, Span, StorageMode, Sweep};
@@ -74,7 +87,8 @@ struct SparsePart {
     /// How many of the runs are internal cells.
     n_int_runs: usize,
     /// Host lookup from coords to local index (owned + halo cells).
-    lookup: HashMap<(i32, i32, i32), u32>,
+    /// Empty in virtual mode.
+    index: SlabIndex,
     /// Ledger registrations for connectivity + cell-coordinate storage.
     _tickets: Vec<AllocationTicket>,
 }
@@ -181,21 +195,16 @@ impl SparseGrid {
             }
             let bl = if has_lo { radius } else { 0 };
             let bh = if has_hi { radius } else { 0 };
+            // The stored slab: the owned layers and, toward each
+            // neighbour, `radius` halo layers.
+            let (z_lo, z_hi) = (z0 - bl, (z1 + bh).min(dim.z));
             let n_bnd_lo = layer_sum(z0, z0 + bl) as u32;
             let n_bnd_hi = layer_sum(z1 - bh, z1) as u32;
             // Guard against double counting when bl + bh == nz.
             let n_owned = layer_sum(z0, z1) as u32;
             let n_int = n_owned - n_bnd_lo - n_bnd_hi;
-            let n_halo_lo = if has_lo {
-                layer_sum(z0 - radius, z0) as u32
-            } else {
-                0
-            };
-            let n_halo_hi = if has_hi {
-                layer_sum(z1, z1 + radius) as u32
-            } else {
-                0
-            };
+            let n_halo_lo = layer_sum(z_lo, z0) as u32;
+            let n_halo_hi = layer_sum(z1, z_hi) as u32;
             let n_stored = (n_owned + n_halo_lo + n_halo_hi) as u64;
 
             // Account device memory: connectivity (u32 per slot per owned
@@ -209,7 +218,15 @@ impl SparseGrid {
             ];
 
             let tables = if mode == StorageMode::Real {
-                build_partition_tables(dim, &mask, &offsets, radius, z0, z1, bl, bh, has_lo, has_hi)
+                build_partition_tables(
+                    dim,
+                    &mask,
+                    &offsets,
+                    (z0, z1),
+                    (bl, bh),
+                    (z_lo, z_hi),
+                    n_stored as usize,
+                )
             } else {
                 PartitionTables::default()
             };
@@ -236,7 +253,7 @@ impl SparseGrid {
                 run_starts: tables.run_starts,
                 run_interior: tables.run_interior,
                 n_int_runs: tables.n_int_runs,
-                lookup: tables.lookup,
+                index: tables.index,
                 _tickets: tickets,
             });
         }
@@ -281,141 +298,179 @@ impl SparseGrid {
     }
 }
 
-/// Cell list, connectivity table, coordinate lookup and x-runs of one
-/// partition.
+/// Cell list, connectivity table, slab index and x-runs of one partition.
 #[derive(Default)]
 struct PartitionTables {
     cells: Vec<(i32, i32, i32)>,
     conn: Arc<[u32]>,
-    lookup: HashMap<(i32, i32, i32), u32>,
+    index: SlabIndex,
     run_starts: Vec<u32>,
     run_interior: Vec<bool>,
     n_int_runs: usize,
 }
 
-/// Build the cell list, connectivity table, lookup map and x-runs of one
-/// partition.
-#[allow(clippy::too_many_arguments)]
+/// Build the cell list, connectivity table, slab index and x-runs of one
+/// partition: owned layers `z0..z1` with `bl`/`bh` boundary layers at the
+/// ends, stored layers `z_lo..z_hi`, `n_stored` active cells among those.
 fn build_partition_tables(
     dim: Dim3,
     mask: &impl Fn(i32, i32, i32) -> bool,
     offsets: &[Offset3],
-    radius: usize,
-    z0: usize,
-    z1: usize,
-    bl: usize,
-    bh: usize,
-    has_lo: bool,
-    has_hi: bool,
+    (z0, z1): (usize, usize),
+    (bl, bh): (usize, usize),
+    (z_lo, z_hi): (usize, usize),
+    n_stored: usize,
 ) -> PartitionTables {
-    let collect_range = |za: i64, zb: i64| -> Vec<(i32, i32, i32)> {
-        let za = za.max(0) as usize;
-        let zb = (zb.max(0) as usize).min(dim.z);
-        let mut v = Vec::new();
+    let collect_range = |cells: &mut Vec<_>, za: usize, zb: usize| {
         for z in za..zb {
             for y in 0..dim.y as i32 {
                 for x in 0..dim.x as i32 {
                     if mask(x, y, z as i32) {
-                        v.push((x, y, z as i32));
+                        cells.push((x, y, z as i32));
                     }
                 }
             }
         }
-        v
     };
-
-    let internal = collect_range((z0 + bl) as i64, (z1 - bh) as i64);
-    let bnd_lo = collect_range(z0 as i64, (z0 + bl) as i64);
-    let bnd_hi = collect_range((z1 - bh) as i64, z1 as i64);
-    let halo_lo = if has_lo {
-        collect_range(z0 as i64 - radius as i64, z0 as i64)
-    } else {
-        Vec::new()
-    };
-    let halo_hi = if has_hi {
-        collect_range(z1 as i64, z1 as i64 + radius as i64)
-    } else {
-        Vec::new()
-    };
-
-    let mut cells = Vec::with_capacity(
-        internal.len() + bnd_lo.len() + bnd_hi.len() + halo_lo.len() + halo_hi.len(),
-    );
-    let n_int = internal.len();
-    cells.extend(internal);
-    cells.extend(bnd_lo);
-    cells.extend(bnd_hi);
+    let mut cells = Vec::with_capacity(n_stored);
+    collect_range(&mut cells, z0 + bl, z1 - bh);
+    let n_int = cells.len();
+    collect_range(&mut cells, z0, z0 + bl);
+    collect_range(&mut cells, z1 - bh, z1);
     let n_owned = cells.len();
-    cells.extend(halo_lo);
-    cells.extend(halo_hi);
-    connect_partition(dim, offsets, cells, n_int, n_owned)
+    collect_range(&mut cells, z_lo, z0);
+    collect_range(&mut cells, z1, z_hi);
+    connect_partition(dim, offsets, cells, n_int, n_owned, (z_lo, z_hi))
 }
 
-/// The connectivity table, lookup map and x-runs of one partition's cells
-/// (`n_int` internal, then boundary up to `n_owned`, then halo).
+/// Dense map from the coordinates of a partition's stored slab (box layers
+/// `z_lo..z_hi`) to local indices, [`SPARSE_NONE`] where no cell is stored:
+/// one `u32` per box cell of the slab. Empty in virtual mode, where every
+/// lookup misses.
+#[derive(Debug, Default)]
+struct SlabIndex {
+    nx: usize,
+    ny: usize,
+    z_lo: usize,
+    z_hi: usize,
+    slots: Vec<u32>,
+}
+
+impl SlabIndex {
+    /// Index `cells`, which all lie in the slab, by their position.
+    fn new(dim: Dim3, (z_lo, z_hi): (usize, usize), cells: &[(i32, i32, i32)]) -> Self {
+        let mut index = SlabIndex {
+            nx: dim.x,
+            ny: dim.y,
+            z_lo,
+            z_hi,
+            slots: vec![SPARSE_NONE; dim.x * dim.y * (z_hi - z_lo)],
+        };
+        for (i, &(x, y, z)) in cells.iter().enumerate() {
+            let at = index.linear(x as usize, y as usize, z as usize);
+            index.slots[at] = i as u32;
+        }
+        index
+    }
+
+    #[inline]
+    fn linear(&self, x: usize, y: usize, z: usize) -> usize {
+        ((z - self.z_lo) * self.ny + y) * self.nx + x
+    }
+
+    /// The local index of the stored cell at `(x, y, z)`, if any.
+    fn get(&self, x: i32, y: i32, z: i32) -> Option<u32> {
+        let inside = (0..self.nx as i32).contains(&x)
+            && (0..self.ny as i32).contains(&y)
+            && (self.z_lo as i32..self.z_hi as i32).contains(&z);
+        if !inside {
+            return None;
+        }
+        let i = self.slots[self.linear(x as usize, y as usize, z as usize)];
+        (i != SPARSE_NONE).then_some(i)
+    }
+}
+
+/// The connectivity table, slab index and x-runs of one partition's cells
+/// (`n_int` internal, then boundary up to `n_owned`, then halo), all in the
+/// box layers `slab`.
 ///
 /// A neighbour is active iff it is stored: the halo holds every active
-/// cell within `radius ≥ |dz|` layers of the owned slab. Taking no mask
-/// keeps this function out of the mask's generic instantiation, so its
-/// hash lookups are compiled once, here, and the grid's build time does
-/// not depend on how a caller's crate is split for code generation.
+/// cell within `radius ≥ |dz|` layers of the owned slab. A cell at least
+/// the stencil's reach away from every box face and from both ends of the
+/// slab reads each neighbour at a fixed linear offset into the index; the
+/// others take the bounds-checked lookup. Taking no mask keeps this
+/// function out of the mask's generic instantiation, so it is compiled
+/// once, here, and the grid's build time does not depend on how a caller's
+/// crate is split for code generation.
 fn connect_partition(
     dim: Dim3,
     offsets: &[Offset3],
     cells: Vec<(i32, i32, i32)>,
     n_int: usize,
     n_owned: usize,
+    slab: (usize, usize),
 ) -> PartitionTables {
-    let lookup: HashMap<(i32, i32, i32), u32> = cells
+    let index = SlabIndex::new(dim, slab, &cells);
+    let reach = |axis: fn(&Offset3) -> i32| {
+        offsets
+            .iter()
+            .map(|o| axis(o).unsigned_abs() as usize)
+            .max()
+            .unwrap_or(0)
+    };
+    let (rx, ry, rz) = (reach(|o| o.dx), reach(|o| o.dy), reach(|o| o.dz));
+    let (nx, ny) = (dim.x as isize, dim.y as isize);
+    let delta: Vec<isize> = offsets
         .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, i as u32))
+        .map(|o| (o.dz as isize * ny + o.dy as isize) * nx + o.dx as isize)
         .collect();
 
     let nslots = offsets.len();
     let mut conn_table: Arc<[u32]> = std::iter::repeat_n(SPARSE_NONE, n_owned * nslots).collect();
     let conn = Arc::get_mut(&mut conn_table).expect("freshly built table is unshared");
-    for (i, &(x, y, z)) in cells[..n_owned].iter().enumerate() {
-        for (s, o) in offsets.iter().enumerate() {
-            let (nx, ny, nz) = (x + o.dx, y + o.dy, z + o.dz);
-            if !dim.contains(nx, ny, nz) {
-                continue;
-            }
-            if let Some(&idx) = lookup.get(&(nx, ny, nz)) {
-                conn[i * nslots + s] = idx;
-            }
-        }
-    }
-
-    // x-runs of the owned cells, internal cells first, cut where the
+    // The x-runs of the owned cells, internal cells first, cut where the
     // interior bit (every connectivity entry names a stored cell) changes.
     // Classes are collected in x-fastest order, so a run is a stretch where
-    // x steps by one on the same row.
+    // x steps by one on the same row of one class.
     let mut run_starts = Vec::new();
     let mut run_interior = Vec::new();
-    let mut n_int_runs = 0;
-    for class in [0..n_int, n_int..n_owned] {
-        // Left at its value on entering the boundary class.
-        n_int_runs = run_starts.len();
-        let mut prev = None;
-        for i in class {
-            let (x, y, z) = cells[i];
-            let interior = conn[i * nslots..(i + 1) * nslots]
-                .iter()
-                .all(|&n| n != SPARSE_NONE);
-            if prev != Some(((x - 1, y, z), interior)) {
-                run_starts.push(i as u32);
-                run_interior.push(interior);
+    let mut prev = None;
+    for (i, &(x, y, z)) in cells[..n_owned].iter().enumerate() {
+        let row = &mut conn[i * nslots..(i + 1) * nslots];
+        let (xu, yu, zu) = (x as usize, y as usize, z as usize);
+        let away = xu >= rx
+            && xu + rx < dim.x
+            && yu >= ry
+            && yu + ry < dim.y
+            && zu >= slab.0 + rz
+            && zu + rz < slab.1;
+        if away {
+            let base = index.linear(xu, yu, zu);
+            for (entry, &d) in row.iter_mut().zip(&delta) {
+                *entry = index.slots[base.wrapping_add_signed(d)];
             }
-            prev = Some(((x, y, z), interior));
+        } else {
+            for (entry, o) in row.iter_mut().zip(offsets) {
+                *entry = index
+                    .get(x + o.dx, y + o.dy, z + o.dz)
+                    .unwrap_or(SPARSE_NONE);
+            }
         }
+        let interior = row.iter().all(|&n| n != SPARSE_NONE);
+        if i == n_int || prev != Some(((x - 1, y, z), interior)) {
+            run_starts.push(i as u32);
+            run_interior.push(interior);
+        }
+        prev = Some(((x, y, z), interior));
     }
+    let n_int_runs = run_starts.partition_point(|&start| (start as usize) < n_int);
     run_starts.push(n_owned as u32);
 
     PartitionTables {
         cells,
         conn: conn_table,
-        lookup,
+        index,
         run_starts,
         run_interior,
         n_int_runs,
@@ -699,7 +754,7 @@ impl GridLike for SparseGrid {
             .position(|p| z_us >= p.z0 && z_us < p.z1)
             .map(DeviceId)?;
         let p = self.part(dev);
-        p.lookup.get(&(x, y, z)).map(|&lin| (dev, lin))
+        p.index.get(x, y, z).map(|lin| (dev, lin))
     }
 
     fn for_each_owned(&self, dev: DeviceId, f: &mut dyn FnMut(Cell)) {
@@ -951,5 +1006,241 @@ mod tests {
         assert_eq!(total, 8 * 8 * 16);
         let imbalance = c0.abs_diff(c1) as f64 / total as f64;
         assert!(imbalance < 0.2, "imbalance {imbalance}: {c0} vs {c1}");
+    }
+
+    /// The slab index against the hash-map build it replaced.
+    mod oracle {
+        use std::collections::HashMap;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// One partition's tables as the hash-map build made them: the
+        /// class-ordered cells, a `HashMap` from coordinates to local index
+        /// over owned and halo cells, connectivity through that map, and
+        /// the x-runs.
+        struct Oracle {
+            cells: Vec<(i32, i32, i32)>,
+            conn: Vec<u32>,
+            lookup: HashMap<(i32, i32, i32), u32>,
+            run_starts: Vec<u32>,
+            run_interior: Vec<bool>,
+            n_int_runs: usize,
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn oracle_partition(
+            dim: Dim3,
+            mask: &impl Fn(i32, i32, i32) -> bool,
+            offsets: &[Offset3],
+            radius: usize,
+            z0: usize,
+            z1: usize,
+            has_lo: bool,
+            has_hi: bool,
+        ) -> Oracle {
+            let collect_range = |za: i64, zb: i64| -> Vec<(i32, i32, i32)> {
+                let za = za.max(0) as usize;
+                let zb = (zb.max(0) as usize).min(dim.z);
+                let mut v = Vec::new();
+                for z in za..zb {
+                    for y in 0..dim.y as i32 {
+                        for x in 0..dim.x as i32 {
+                            if mask(x, y, z as i32) {
+                                v.push((x, y, z as i32));
+                            }
+                        }
+                    }
+                }
+                v
+            };
+            let bl = if has_lo { radius } else { 0 };
+            let bh = if has_hi { radius } else { 0 };
+            let mut cells = collect_range((z0 + bl) as i64, (z1 - bh) as i64);
+            let n_int = cells.len();
+            cells.extend(collect_range(z0 as i64, (z0 + bl) as i64));
+            cells.extend(collect_range((z1 - bh) as i64, z1 as i64));
+            let n_owned = cells.len();
+            if has_lo {
+                cells.extend(collect_range(z0 as i64 - radius as i64, z0 as i64));
+            }
+            if has_hi {
+                cells.extend(collect_range(z1 as i64, z1 as i64 + radius as i64));
+            }
+
+            let lookup: HashMap<(i32, i32, i32), u32> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| (c, i as u32))
+                .collect();
+            let nslots = offsets.len();
+            let mut conn = vec![SPARSE_NONE; n_owned * nslots];
+            for (i, &(x, y, z)) in cells[..n_owned].iter().enumerate() {
+                for (s, o) in offsets.iter().enumerate() {
+                    let (nx, ny, nz) = (x + o.dx, y + o.dy, z + o.dz);
+                    if !dim.contains(nx, ny, nz) {
+                        continue;
+                    }
+                    if let Some(&idx) = lookup.get(&(nx, ny, nz)) {
+                        conn[i * nslots + s] = idx;
+                    }
+                }
+            }
+
+            let mut run_starts = Vec::new();
+            let mut run_interior = Vec::new();
+            let mut n_int_runs = 0;
+            for class in [0..n_int, n_int..n_owned] {
+                n_int_runs = run_starts.len();
+                let mut prev = None;
+                for i in class {
+                    let (x, y, z) = cells[i];
+                    let interior = conn[i * nslots..(i + 1) * nslots]
+                        .iter()
+                        .all(|&n| n != SPARSE_NONE);
+                    if prev != Some(((x - 1, y, z), interior)) {
+                        run_starts.push(i as u32);
+                        run_interior.push(interior);
+                    }
+                    prev = Some(((x, y, z), interior));
+                }
+            }
+            run_starts.push(n_owned as u32);
+
+            Oracle {
+                cells,
+                conn,
+                lookup,
+                run_starts,
+                run_interior,
+                n_int_runs,
+            }
+        }
+
+        /// An axis-aligned box of removed cells: x, y and z ranges.
+        type Hole = ((i32, i32), (i32, i32), (i32, i32));
+
+        /// A random mask on a box: the full box, the box with holes, empty
+        /// rows and empty layers, or a speckle of isolated cells and
+        /// one-cell runs.
+        #[derive(Debug, Clone)]
+        struct Mask {
+            kind: usize,
+            seed: u64,
+            holes: Vec<Hole>,
+            empty_rows: Vec<(i32, i32)>,
+            empty_layers: Vec<i32>,
+        }
+
+        impl Mask {
+            fn active(&self, x: i32, y: i32, z: i32) -> bool {
+                match self.kind {
+                    0 => true,
+                    1 => {
+                        !self.holes.iter().any(|&((x0, x1), (y0, y1), (z0, z1))| {
+                            (x0..x1).contains(&x) && (y0..y1).contains(&y) && (z0..z1).contains(&z)
+                        }) && !self.empty_rows.contains(&(y, z))
+                            && !self.empty_layers.contains(&z)
+                    }
+                    _ => {
+                        let h = (x as u64)
+                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                            .wrapping_add((y as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f))
+                            .wrapping_add((z as u64).wrapping_mul(0x1656_67b1_9e37_79f9))
+                            ^ self.seed;
+                        (h.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 61) < 5
+                            && !self.empty_layers.contains(&z)
+                    }
+                }
+            }
+        }
+
+        fn masks() -> impl Strategy<Value = Mask> {
+            let hole = (0i32..9, 1i32..4, 0i32..9, 1i32..4, 0i32..20, 1i32..5)
+                .prop_map(|(x, dx, y, dy, z, dz)| ((x, x + dx), (y, y + dy), (z, z + dz)));
+            (
+                0usize..3,
+                any::<u64>(),
+                prop::collection::vec(hole, 0..4),
+                prop::collection::vec((0i32..9, 0i32..20), 0..4),
+                prop::collection::vec(0i32..20, 0..3),
+            )
+                .prop_map(|(kind, seed, holes, empty_rows, empty_layers)| Mask {
+                    kind,
+                    seed,
+                    holes,
+                    empty_rows,
+                    empty_layers,
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(160))]
+
+            #[test]
+            fn slab_index_tables_equal_the_hash_map_build(
+                mask in masks(),
+                size in (1usize..10, 1usize..10, 4usize..20),
+                n_dev in 1usize..=4,
+                stencil in 0usize..4,
+            ) {
+                let dim = Dim3::new(size.0, size.1, size.2);
+                let stencil = match stencil {
+                    0 => Stencil::seven_point(),
+                    1 => Stencil::d3q19(),
+                    2 => Stencil::twenty_seven_point(),
+                    _ => Stencil::star(2),
+                };
+                prop_assume!(dim.z >= n_dev);
+                let active = |x, y, z| mask.active(x, y, z);
+                let backend = Backend::dgx_a100(n_dev);
+                let grid = SparseGrid::new(&backend, dim, &[&stencil], active, StorageMode::Real);
+                // Empty masks and partitions thinner than the halo are
+                // rejected before any table is built.
+                prop_assume!(grid.is_ok());
+                let grid = grid.unwrap();
+                let inner = &grid.inner;
+                let oracles: Vec<Oracle> = inner
+                    .parts
+                    .iter()
+                    .enumerate()
+                    .map(|(p, part)| {
+                        oracle_partition(
+                            dim,
+                            &active,
+                            &inner.offsets,
+                            inner.radius,
+                            part.z0,
+                            part.z1,
+                            p > 0,
+                            p + 1 < n_dev,
+                        )
+                    })
+                    .collect();
+                for (p, (part, want)) in inner.parts.iter().zip(&oracles).enumerate() {
+                    prop_assert_eq!(&part.cells, &want.cells, "cells of partition {}", p);
+                    prop_assert_eq!(&part.conn[..], &want.conn[..], "conn of partition {}", p);
+                    prop_assert_eq!(&part.run_starts, &want.run_starts, "runs of partition {}", p);
+                    prop_assert_eq!(&part.run_interior, &want.run_interior);
+                    prop_assert_eq!(part.n_int_runs, want.n_int_runs);
+                }
+                for z in -1..=dim.z as i32 {
+                    for y in -1..=dim.y as i32 {
+                        for x in -1..=dim.x as i32 {
+                            let want = inner
+                                .parts
+                                .iter()
+                                .position(|p| (p.z0 as i32..p.z1 as i32).contains(&z))
+                                .filter(|_| dim.contains(x, y, z))
+                                .and_then(|p| {
+                                    oracles[p].lookup.get(&(x, y, z)).map(|&i| (DeviceId(p), i))
+                                });
+                            prop_assert_eq!(grid.locate(x, y, z), want, "locate({}, {}, {})", x, y, z);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

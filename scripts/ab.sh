@@ -2,13 +2,15 @@
 # Alternated A/B run of the benchmark: a base revision against the working
 # tree, on this host.
 #
-#   scripts/ab.sh [-b REV] [-n PAIRS] [-s SECONDS] [-f SEED] WORKLOAD...
+#   scripts/ab.sh [-b REV] [-n PAIRS] [-s SECONDS] [-f SEED] [-t] WORKLOAD...
 #
 #   -b REV      base revision (default HEAD); the change is the working tree
 #   -n PAIRS    seeded pairs per workload (default 10)
 #   -s SECONDS  measurement seconds per run (default 6)
 #   -f SEED     seed of the first pair (default 1), for a confirmation set
 #               on seeds a change was not tuned on
+#   -t          after the pairs, one traced pass per side per workload
+#               (seed SEED, base first), to name the layer a change moved
 #
 # The base is exported with `git archive` into a scratch directory, and
 # each side's `benchmark/` binary is built in its own target directory.
@@ -30,6 +32,11 @@
 #          unless every run of the change beats every run of the base
 #   —      none of these: unchanged within the bound
 #
+# With -t it then prints, per workload, every per-layer metric of
+# BENCHMARK.json that is non-zero on either side: base, change and
+# change/base, the largest move first. One traced pass per side is no
+# floor and no verdict: it names a layer, and the pairs above judge.
+#
 # Exit status: 1 if any run reports `correct: false` or `failed > 0`;
 # else 3 if any metric of any workload reads `worse`; else 0. 2 is a
 # usage error. `unresolved` is a printed warning only.
@@ -42,18 +49,20 @@ base=HEAD
 pairs=10
 seconds=6
 first=1
-while getopts "b:n:s:f:" opt; do
+traced=0
+while getopts "b:n:s:f:t" opt; do
     case "$opt" in
         b) base="$OPTARG" ;;
         n) pairs="$OPTARG" ;;
         s) seconds="$OPTARG" ;;
         f) first="$OPTARG" ;;
-        *) sed -n '5,11p' "$0" >&2; exit 2 ;;
+        t) traced=1 ;;
+        *) sed -n '5,13p' "$0" >&2; exit 2 ;;
     esac
 done
 shift $((OPTIND - 1))
 if [ "$#" -eq 0 ]; then
-    sed -n '5,11p' "$0" >&2
+    sed -n '5,13p' "$0" >&2
     exit 2
 fi
 workloads=("$@")
@@ -75,9 +84,11 @@ build "$repo" "$dir/target-change"
 cp "$dir/target-base/release/neon-benchmark" "$dir/bench-base"
 cp "$dir/target-change/release/neon-benchmark" "$dir/bench-change"
 
-run() { # SIDE WORKLOAD PAIR
+run() { # SIDE WORKLOAD PAIR [TRACE]
+    local trace="${4:-0}" out="results/$2.$1.$3.json"
+    if [ "$trace" -eq 1 ]; then out="results/$2.$1.traced.json"; fi
     (cd "$dir" && "./bench-$1" run --workload "$2" --seed $((first + $3 - 1)) \
-        --seconds "$seconds" --trace 0 2>/dev/null | tail -n 1 >"results/$2.$1.$3.json")
+        --seconds "$seconds" --trace "$trace" 2>/dev/null | tail -n 1 >"$out")
 }
 for w in "${workloads[@]}"; do
     for k in $(seq 1 "$pairs"); do
@@ -88,18 +99,50 @@ for w in "${workloads[@]}"; do
         echo "$w pair $k/$pairs done" >&2
     done
 done
+if [ "$traced" -eq 1 ]; then
+    for w in "${workloads[@]}"; do
+        rm -f "$dir/results/$w".*.traced.json
+        run base "$w" 1 1
+        run change "$w" 1 1
+        echo "$w traced passes done" >&2
+    done
+fi
 
-python3 - "$repo/BENCHMARK.json" "$dir/results" "$pairs" "${workloads[@]}" <<'EOF'
-import json, statistics, sys
+python3 - "$repo/BENCHMARK.json" "$dir/results" "$pairs" "$traced" "$first" "${workloads[@]}" <<'EOF'
+import json, math, statistics, sys
 
-manifest, results, pairs, workloads = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4:]
-metrics = json.load(open(manifest))["end_to_end"]
+manifest, results, pairs = json.load(open(sys.argv[1])), sys.argv[2], int(sys.argv[3])
+traced, first, workloads = sys.argv[4] == "1", sys.argv[5], sys.argv[6:]
+metrics, per_layer = manifest["end_to_end"], manifest["per_layer"]
 bad = []
 worse = []
 
 def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
     return q[1], q[0], q[2]
+
+def layers(w):
+    docs = {}
+    for side in ("base", "change"):
+        try:
+            docs[side] = json.load(open(f"{results}/{w}.{side}.traced.json")).get("metrics", {})
+        except (OSError, ValueError):
+            print(f"== {w} traced: no {side} result")
+            return
+    rows = []
+    for m in per_layer:
+        b, c = (docs[s].get(m["name"], {}).get("value", 0.0) for s in ("base", "change"))
+        if b == 0 and c == 0:
+            continue
+        ratio = c / b if b else math.inf
+        move = abs(math.log(ratio)) if 0 < ratio < math.inf else math.inf
+        rows.append((move, m["name"], m["unit"], b, c, ratio))
+    rows.sort(key=lambda r: -r[0])
+    print(f"== {w} traced, seed {first}: one pass per side, not a floor;"
+          " only the pairs above are a verdict")
+    print(f"{'per-layer metric':<44}{'unit':>8}{'base':>14}{'change':>14}{'change/base':>13}")
+    for _, name, unit, b, c, ratio in rows:
+        print(f"{name:<44}{unit:>8}{b:>14.6g}{c:>14.6g}{ratio:>13.3f}")
 
 for w in workloads:
     runs = {side: [] for side in ("base", "change")}
@@ -145,6 +188,9 @@ for w in workloads:
         cols = [f"{bmed:.6g} [{bq1:.6g}, {bq3:.6g}]", f"{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]"]
         print(f"{name:<22}{cols[0]:>36}{cols[1]:>36}{iqr:>11.4g}"
               f"{wins:>4}/{len(pairs_):<2}{ties:>4}/{len(pairs_)}  {verdict}")
+    if traced:
+        layers(w)
+
 for b in bad:
     print("FAILED:", b)
 for x in worse:
