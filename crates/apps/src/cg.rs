@@ -181,9 +181,9 @@ impl<G: GridLike> CgSolver<G> {
     /// (with live halos whenever the grid spans more than one partition),
     /// so the policy's vector-stencil rule applies at cardinality > 1.
     /// Callers that let the skeleton pick layouts pass the result to
-    /// [`CgSolver::new`] / [`CgSolver::with_options`] — and must use the
-    /// same policy in their [`SkeletonOptions`] so the plan-cache key
-    /// matches the allocation decision.
+    /// [`CgSolver::new`] / [`CgSolver::with_options`]. The layout is not
+    /// part of the plan-cache key: instances in either layout share one
+    /// plan, and a rebind recomputes their halo descriptors.
     pub fn layout_for(policy: neon_core::LayoutPolicy, grid: &G, card: usize) -> MemLayout {
         neon_core::recommend_layout(
             policy,
@@ -284,23 +284,6 @@ impl<G: GridLike> CgSolver<G> {
     /// Fault statistics of the iteration skeleton.
     pub fn fault_stats(&self) -> FaultStats {
         self.iter.fault_stats()
-    }
-
-    /// Reset the cumulative hardware counters of both skeletons (between
-    /// benchmark sweep points). Global — prefer
-    /// [`CgSolver::counters_snapshot`] when other jobs share the process.
-    pub fn reset_counters(&mut self) {
-        self.init.reset_counters();
-        self.iter.reset_counters();
-    }
-
-    /// Snapshot the cumulative utilization counters of both skeletons
-    /// (init + iteration), summed. Subtract two snapshots to attribute a
-    /// window of work to its tenant without a global reset.
-    pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
-        let mut total = self.init.counters_snapshot();
-        total.accumulate(&self.iter.counters_snapshot());
-        total
     }
 
     /// Current residual norm.

@@ -228,24 +228,6 @@ impl<G: GridLike> KarmanVortex<G> {
     pub fn params(&self) -> KarmanParams {
         self.params
     }
-
-    /// Reset the cumulative hardware counters of both ping-pong skeletons
-    /// (between benchmark warm-up and measurement, or between sweep
-    /// points). Global — prefer [`KarmanVortex::counters_snapshot`]
-    /// deltas when anything else shares the simulators.
-    pub fn reset_counters(&mut self) {
-        for s in &mut self.skeletons {
-            s.reset_counters();
-        }
-    }
-
-    /// Summed cumulative counters of both ping-pong skeletons. Subtract
-    /// two snapshots to meter a window without resetting shared state.
-    pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
-        let mut total = self.skeletons[0].counters_snapshot();
-        total.accumulate(&self.skeletons[1].counters_snapshot());
-        total
-    }
 }
 
 #[cfg(test)]

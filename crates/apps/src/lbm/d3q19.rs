@@ -288,7 +288,7 @@ impl<G: GridLike> LidDrivenCavity<G> {
     /// functional mode, tracing, layout policy, …), applied to both
     /// ping-pong skeletons.
     pub fn with_options(grid: &G, params: LbmParams, options: SkeletonOptions) -> Result<Self> {
-        // Layout as policy: under `Auto`, layout-select picks for a
+        // Layout as policy: under `Auto`, `recommend_layout` picks for a
         // 19-component stencil-read field — AoS when halos are live (2
         // transfers per partition pair instead of 2·19), SoA on a single
         // partition. Numerics are layout-transparent, so any choice is exact.
@@ -386,25 +386,6 @@ impl<G: GridLike> LidDrivenCavity<G> {
     /// The even-iteration skeleton, for introspection.
     pub fn skeleton(&mut self) -> &mut Skeleton {
         &mut self.skeletons[0]
-    }
-
-    /// Reset the cumulative hardware counters of both ping-pong skeletons
-    /// (between benchmark warm-up and measurement, or between sweep
-    /// points). Global — prefer [`LidDrivenCavity::counters_snapshot`]
-    /// when other jobs share the process.
-    pub fn reset_counters(&mut self) {
-        for s in &mut self.skeletons {
-            s.reset_counters();
-        }
-    }
-
-    /// Snapshot the cumulative utilization counters of both ping-pong
-    /// skeletons, summed; subtract two snapshots to attribute a window of
-    /// steps without a global reset.
-    pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
-        let mut total = self.skeletons[0].counters_snapshot();
-        total.accumulate(&self.skeletons[1].counters_snapshot());
-        total
     }
 
     /// Completed time steps (the ping-pong parity: even steps read `f0`,

@@ -615,7 +615,7 @@ fn all_reduce(topo: &Topology, alg: Algorithm, bytes: u64) -> (SimTime, u64) {
     let engine = CollectiveEngine::with_config(topo.clone(), config);
     let zeros = vec![SimTime::ZERO; n];
     let t = engine.schedule(&mut q, CollectiveKind::AllReduce, bytes, &zeros, 0, "ar");
-    (t.makespan(), q.counters_snapshot().slow_link_bytes)
+    (t.makespan(), q.slow_link_bytes())
 }
 
 /// All-reduce message sizes of the collectives sweep.

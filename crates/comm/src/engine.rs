@@ -917,8 +917,8 @@ mod tests {
             hier.makespan(),
             ring.makespan()
         );
-        let hier_slow = hq.counters_snapshot().slow_link_bytes;
-        let ring_slow = rq.counters_snapshot().slow_link_bytes;
+        let hier_slow = hq.slow_link_bytes();
+        let ring_slow = rq.slow_link_bytes();
         assert!(
             hier_slow < ring_slow,
             "slow-link bytes {hier_slow} !< {ring_slow}"

@@ -54,7 +54,6 @@ use crate::collective::CollectiveMode;
 use crate::devplan::{DevAction, DevicePlan};
 use crate::graph::{Graph, NodeKind};
 use crate::plan::CompiledPlan;
-use crate::schedule::Schedule;
 use crate::timing::{TimingProgram, TimingScratch, TimingSettings};
 
 /// How halo coherency is realized (paper §IV-C2).
@@ -313,6 +312,10 @@ pub struct ExecReport {
     /// whatever its depth — temporal blocking trades `k` depth-`r` rounds
     /// for one depth-`k·r` round).
     pub halo_rounds: u64,
+    /// Link busy time summed over every link resource (transfers and
+    /// collectives on the wires; an NVLink pair and the PCIe root complex
+    /// count alike).
+    pub link_busy: SimTime,
     /// Number of executions aggregated.
     pub executions: u64,
     /// Fault events injected during these executions (transient specs
@@ -328,19 +331,38 @@ impl ExecReport {
     /// Fold another report into this one (used when aggregating across
     /// iterations, rollback segments, or recovery epochs).
     pub fn accumulate(&mut self, other: ExecReport) {
-        self.makespan += other.makespan;
-        self.kernel_time += other.kernel_time;
-        self.transfer_time += other.transfer_time;
-        self.host_time += other.host_time;
-        self.collective_time += other.collective_time;
-        self.launches += other.launches;
-        self.bytes_moved += other.bytes_moved;
-        self.redundant_flops += other.redundant_flops;
-        self.halo_rounds += other.halo_rounds;
-        self.executions += other.executions;
-        self.faults_injected += other.faults_injected;
-        self.faults_recovered += other.faults_recovered;
-        self.retries += other.retries;
+        // Exhaustive on purpose: a field added to the report and not
+        // folded here is a compile error, not a silently lost count.
+        let ExecReport {
+            makespan,
+            kernel_time,
+            transfer_time,
+            host_time,
+            collective_time,
+            launches,
+            bytes_moved,
+            redundant_flops,
+            halo_rounds,
+            link_busy,
+            executions,
+            faults_injected,
+            faults_recovered,
+            retries,
+        } = other;
+        self.makespan += makespan;
+        self.kernel_time += kernel_time;
+        self.transfer_time += transfer_time;
+        self.host_time += host_time;
+        self.collective_time += collective_time;
+        self.launches += launches;
+        self.bytes_moved += bytes_moved;
+        self.redundant_flops += redundant_flops;
+        self.halo_rounds += halo_rounds;
+        self.link_busy += link_busy;
+        self.executions += executions;
+        self.faults_injected += faults_injected;
+        self.faults_recovered += faults_recovered;
+        self.retries += retries;
     }
 
     /// Average makespan per execution.
@@ -499,12 +521,6 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Build an executor over an already-built graph and schedule
-    /// (compatibility path; the skeleton uses [`Executor::from_plan`]).
-    pub fn new(backend: Backend, graph: Graph, schedule: Schedule) -> Self {
-        Self::from_plan(backend, CompiledPlan::from_parts(graph, schedule))
-    }
-
     /// Build an executor over a shared compiled plan. Functional execution
     /// is enabled iff every compute node's iteration space has real
     /// storage.
@@ -578,14 +594,6 @@ impl Executor {
     /// The virtual-clock simulator (link utilization counters live here).
     pub fn queue(&self) -> &QueueSim {
         &self.queue
-    }
-
-    /// Snapshot the simulator's cumulative utilization counters
-    /// ([`neon_sys::CounterSnapshot`]). Two snapshots bracketing a window of
-    /// executions subtract to that window's own traffic — the race-free
-    /// alternative to [`Executor::reset_counters`] under multi-tenancy.
-    pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
-        self.queue.counters_snapshot()
     }
 
     /// Let kernels of different streams run concurrently at full modelled
@@ -685,13 +693,6 @@ impl Executor {
         self.logical_iteration
     }
 
-    /// Zero the queue's cumulative utilization counters (see
-    /// [`neon_sys::QueueSim::reset_counters`]); benchmarks call this
-    /// between sweep configurations.
-    pub fn reset_counters(&mut self) {
-        self.queue.reset_counters();
-    }
-
     /// Enable span recording on the virtual clock.
     pub fn enable_trace(&mut self) {
         self.queue.enable_trace();
@@ -725,6 +726,7 @@ impl Executor {
         // queue (and scratch) are mutated — nothing inside is copied.
         let plan = Arc::clone(&self.plan);
         let t0 = self.queue.makespan();
+        let link_busy_before = self.queue.link_busy_total();
         let iteration = self.logical_iteration;
         let stats_before = self.injector.as_ref().map(|i| i.stats());
         if let Some(inj) = &self.injector {
@@ -770,6 +772,7 @@ impl Executor {
         // measure cleanly (a zero-cost barrier on the virtual clock).
         let end = self.queue.sync_all();
         report.makespan = end - t0;
+        report.link_busy = self.queue.link_busy_total() - link_busy_before;
         if let Some(before) = stats_before {
             let after = self.fault_stats();
             report.faults_injected = after.injected - before.injected;
@@ -787,17 +790,11 @@ impl Executor {
                     )
                 })
                 .collect();
-            let (launches, kernel_bytes) = (
-                self.queue.kernel_launches(),
-                self.queue.kernel_bytes_moved(),
-            );
             if let Some(trace) = self.queue.trace_mut() {
                 for (name, busy, contended) in stats {
                     trace.set_counter(&format!("link:{name}:busy_us"), busy);
                     trace.set_counter(&format!("link:{name}:contended"), contended as f64);
                 }
-                trace.set_counter("kernel:launches", launches as f64);
-                trace.set_counter("kernel:bytes_moved", kernel_bytes as f64);
             }
         }
         if let Some(site) = escape {

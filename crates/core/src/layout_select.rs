@@ -1,19 +1,16 @@
-//! The `layout-select` compile pass: memory layout as a compile *policy*.
+//! Memory layout as a policy.
 //!
 //! The paper's §IV-C2 promises layout transparency — user kernels index
 //! fields through an abstract `(cell, component)` interface, so SoA vs
-//! AoS is free to vary per field. This pass makes the choice part of the
-//! compile pipeline instead of a hard-coded per-field default: from each
-//! data object's recorded access pattern it derives a **recommended**
-//! [`MemLayout`] and the reason, annotated on the IR (and visible in IR
-//! dumps).
+//! AoS is free to vary per field. [`recommend_layout`] turns a
+//! [`LayoutPolicy`] and a field's access pattern into a [`MemLayout`] and
+//! the reason for it.
 //!
-//! The pass is *advisory*: fields are allocated before the skeleton
-//! compiles, so the pipeline cannot relocate storage in flight. Apps
-//! consult [`recommend_layout`] (directly or via the skeleton's
-//! [`LayoutPolicy`]) at allocation time; the policy is a field of the
-//! plan's [`crate::CompileKey`], so plans compiled under different layout
-//! policies never alias.
+//! Fields are allocated before the skeleton compiles, so the choice is
+//! made at allocation time: apps consult [`recommend_layout`] with the
+//! skeleton's [`crate::SkeletonOptions::layout`]. The compiled plan does
+//! not depend on it — a rebind recomputes the halo descriptors from the
+//! instance's own fields — so SoA and AoS instances share one plan.
 //!
 //! The heuristic mirrors the halo-transfer arithmetic asserted by the
 //! grid tests (`MemLayout::halo_transfers_per_pair`):
@@ -24,11 +21,9 @@
 //! * cardinality > 1, map-only — SoA: component sweeps stay contiguous
 //!   and vectorizable, and no halo traffic exists to amortize.
 
-use neon_set::{uid_roles, ComputePattern, Container, MemLayout};
+use neon_set::MemLayout;
 
-use crate::pass::{Ir, Pass, PassCtx};
-
-/// How the skeleton chooses field layouts (a field of the plan key).
+/// How apps choose field layouts at allocation time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LayoutPolicy {
     /// Recommend per field from the access pattern (the heuristic above).
@@ -38,31 +33,6 @@ pub enum LayoutPolicy {
     FixedSoA,
     /// Recommend AoS for every field.
     FixedAoS,
-}
-
-impl LayoutPolicy {
-    /// Short label used in IR dumps and diagnostics.
-    pub fn label(self) -> &'static str {
-        match self {
-            LayoutPolicy::Auto => "auto",
-            LayoutPolicy::FixedSoA => "fixed-soa",
-            LayoutPolicy::FixedAoS => "fixed-aos",
-        }
-    }
-}
-
-/// One per-data-object recommendation produced by the pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LayoutRec {
-    /// The data object's role (first-occurrence index; see
-    /// [`neon_set::uid_roles`]) — stable across runs, unlike raw uids.
-    pub role: usize,
-    /// The data object's name (diagnostics).
-    pub name: String,
-    /// The recommended layout.
-    pub layout: MemLayout,
-    /// Why (short, stable phrase — appears in golden IR dumps).
-    pub reason: &'static str,
 }
 
 /// The access summary [`recommend_layout`] decides from.
@@ -90,59 +60,6 @@ pub fn recommend_layout(policy: LayoutPolicy, s: AccessSummary) -> (MemLayout, &
                 (MemLayout::SoA, "vector map: contiguous component sweeps")
             }
         }
-    }
-}
-
-/// Summarize every data object's accesses across a container sequence,
-/// in role order. Cardinality is estimated from the largest per-cell
-/// byte count any access declares (all shipped fields are `f64`); the
-/// estimate only needs to distinguish scalar from vector.
-pub fn summarize_accesses(containers: &[Container]) -> Vec<(usize, String, AccessSummary)> {
-    let roles = uid_roles(containers);
-    let mut out: Vec<Option<(String, AccessSummary)>> = vec![None; roles.len()];
-    for c in containers {
-        for a in c.accesses() {
-            let role = roles.role(a.uid).expect("roles cover the sequence");
-            let entry =
-                out[role].get_or_insert_with(|| (a.name.to_string(), AccessSummary::default()));
-            let bytes = a.read_bytes_per_cell.max(a.write_bytes_per_cell);
-            entry.1.card = entry.1.card.max((bytes / 8).max(1) as usize);
-            if a.pattern == ComputePattern::Stencil && a.mode.reads() {
-                entry.1.stencil = true;
-            }
-            if a.halo.as_ref().map(|h| h.has_transfers()).unwrap_or(false) {
-                entry.1.live_halo = true;
-            }
-        }
-    }
-    out.into_iter()
-        .enumerate()
-        .filter_map(|(role, e)| e.map(|(name, s)| (role, name, s)))
-        .collect()
-}
-
-/// The `layout-select` pass: annotate the IR with one [`LayoutRec`] per
-/// data object.
-pub struct LayoutSelectPass;
-
-impl Pass for LayoutSelectPass {
-    fn name(&self) -> &'static str {
-        "layout-select"
-    }
-    fn run(&self, ir: &mut Ir, cx: &PassCtx) {
-        ir.layout_policy = cx.key.layout;
-        ir.layout_recs = summarize_accesses(&ir.containers)
-            .into_iter()
-            .map(|(role, name, s)| {
-                let (layout, reason) = recommend_layout(cx.key.layout, s);
-                LayoutRec {
-                    role,
-                    name,
-                    layout,
-                    reason,
-                }
-            })
-            .collect();
     }
 }
 

@@ -68,14 +68,11 @@ pub use exec::{CommMode, ExecError, ExecReport, Executor, FunctionalMode, HaloPo
 pub use fuse::{fuse_graph, FusePass, FusionLevel};
 pub use graph::{build_dependency_graph, Edge, EdgeKind, Graph, Node, NodeId, NodeKind};
 pub use health::{HealthReport, StragglerMonitor, StragglerPolicy};
-pub use layout_select::{
-    recommend_layout, summarize_accesses, AccessSummary, LayoutPolicy, LayoutRec, LayoutSelectPass,
-};
+pub use layout_select::{recommend_layout, AccessSummary, LayoutPolicy};
 pub use multigpu::to_multigpu_graph;
 pub use neon_comm::Algorithm as CollectiveAlgorithm;
 pub use neon_sys::{
-    CounterSnapshot, FaultPlan, FaultSite, FaultSiteKind, FaultStats, LinkEvent, PermanentFault,
-    RetryPolicy,
+    FaultPlan, FaultSite, FaultSiteKind, FaultStats, LinkEvent, PermanentFault, RetryPolicy,
 };
 pub use occ::{apply_occ, OccLevel};
 pub use pass::{CompileError, CompileLog, Ir, Pass, PassCtx, PassManager, PassTiming};

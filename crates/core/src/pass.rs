@@ -17,8 +17,8 @@
 //! The standard pipeline is
 //!
 //! ```text
-//! dependency-graph → layout-select → fuse → temporal-fuse → multi-gpu
-//!     → occ → collective-lowering → schedule → device-partition
+//! dependency-graph → fuse → temporal-fuse → multi-gpu → occ
+//!     → collective-lowering → schedule → device-partition
 //! ```
 //!
 //! and its product is consumed by [`crate::plan::CompiledPlan`].
@@ -32,7 +32,6 @@ use crate::collective::{lower_collectives, merge_collectives};
 use crate::devplan::{build_device_plan, DevicePlan};
 use crate::fuse::{FusePass, FusionLevel};
 use crate::graph::{build_dependency_graph, EdgeKind, Graph, NodeId, NodeKind};
-use crate::layout_select::{LayoutPolicy, LayoutRec, LayoutSelectPass};
 use crate::multigpu::to_multigpu_graph;
 use crate::occ::apply_occ;
 use crate::plan::CompileKey;
@@ -57,11 +56,6 @@ pub struct Ir {
     /// Set once halo-update nodes have been inserted; enables the halo
     /// precedence invariant (meaningless on the raw dependency graph).
     pub halos_inserted: bool,
-    /// The layout policy the `layout-select` pass ran under.
-    pub layout_policy: LayoutPolicy,
-    /// Per-data-object layout recommendations (empty until the
-    /// `layout-select` pass runs), in role order.
-    pub layout_recs: Vec<LayoutRec>,
 }
 
 impl Ir {
@@ -74,8 +68,6 @@ impl Ir {
             schedule: None,
             device_plan: None,
             halos_inserted: false,
-            layout_policy: LayoutPolicy::default(),
-            layout_recs: Vec::new(),
         }
     }
 
@@ -176,24 +168,6 @@ impl Ir {
                 None => "-".to_string(),
             };
             let _ = writeln!(out, "  n{} -> n{} {:?} {data}", e.from, e.to, e.kind);
-        }
-        if !self.layout_recs.is_empty() {
-            let _ = writeln!(
-                out,
-                "layout-select: policy={} ({} objects)",
-                self.layout_policy.label(),
-                self.layout_recs.len()
-            );
-            for r in &self.layout_recs {
-                let _ = writeln!(
-                    out,
-                    "  u{} {}: {} ({})",
-                    r.role,
-                    r.name,
-                    r.layout.label(),
-                    r.reason
-                );
-            }
         }
         if let Some(s) = &self.schedule {
             let _ = writeln!(
@@ -402,12 +376,11 @@ pub struct PassManager {
 }
 
 impl PassManager {
-    /// The standard nine-pass skeleton pipeline.
+    /// The standard eight-pass skeleton pipeline.
     pub fn standard() -> Self {
         PassManager {
             passes: vec![
                 Box::new(DependencyGraphPass),
-                Box::new(LayoutSelectPass),
                 Box::new(FusePass),
                 Box::new(TemporalFusePass),
                 Box::new(MultiGpuPass),
@@ -511,7 +484,6 @@ mod tests {
             log.timings.iter().map(|t| t.name).collect::<Vec<_>>(),
             vec![
                 "dependency-graph",
-                "layout-select",
                 "fuse",
                 "temporal-fuse",
                 "multi-gpu",
@@ -521,7 +493,7 @@ mod tests {
                 "device-partition"
             ]
         );
-        assert_eq!(log.trace.spans().len(), 9);
+        assert_eq!(log.trace.spans().len(), 8);
         assert!(log
             .trace
             .spans()
@@ -538,13 +510,11 @@ mod tests {
             key: SkeletonOptions::default().compile_key(),
         };
         let log = PassManager::standard().run(&mut ir, &cx, true).unwrap();
-        assert_eq!(log.dumps.len(), 9);
+        assert_eq!(log.dumps.len(), 8);
         // The raw dependency graph uses role labels, never raw uids.
         assert!(log.dumps[0].1.contains("u0"));
-        // The layout-select dump carries a recommendation per data object.
-        assert!(log.dumps[1].1.contains("layout-select: policy=auto"));
         // From the fuse pass on, the map+dot pair is one provenanced node.
-        assert!(log.dumps[2..]
+        assert!(log.dumps[1..]
             .iter()
             .all(|(_, d)| d.contains("members=c0+c1")));
         // The final dump includes the schedule and the device plan.

@@ -53,7 +53,6 @@ use crate::devplan::{build_device_plan, DevicePlan};
 use crate::exec::ExecError;
 use crate::fuse::FusionLevel;
 use crate::graph::{build_dependency_graph, Edge, Graph, Node, NodeId, NodeKind};
-use crate::layout_select::LayoutPolicy;
 use crate::occ::OccLevel;
 use crate::pass::{CompileError, Ir, PassCtx, PassManager, PassTiming};
 use crate::schedule::Schedule;
@@ -157,9 +156,9 @@ impl CompiledPlan {
     }
 
     /// Wrap an already-built graph and schedule (no containers, no
-    /// dependency graph, no timings). This is the compatibility path for
-    /// [`crate::exec::Executor::new`]; skeleton-built plans carry the full
-    /// state.
+    /// dependency graph, no timings), for an executor built directly with
+    /// [`crate::exec::Executor::from_plan`]; skeleton-built plans carry the
+    /// full state.
     pub fn from_parts(graph: Graph, schedule: Schedule) -> Arc<CompiledPlan> {
         let data_parents = precompute_parents(&graph);
         // No backend here: infer the device count from the graph itself.
@@ -236,8 +235,6 @@ pub struct CompileKey {
     /// Fusion level (the `fuse`, `temporal-fuse` and
     /// `collective-lowering` passes).
     pub fusion: FusionLevel,
-    /// Field-layout policy (the `layout-select` pass).
-    pub layout: LayoutPolicy,
 }
 
 /// Cache key of a compiled plan.
@@ -769,10 +766,6 @@ mod tests {
             },
             SkeletonOptions {
                 fusion: FusionLevel::Temporal(2),
-                ..Default::default()
-            },
-            SkeletonOptions {
-                layout: crate::layout_select::LayoutPolicy::FixedAoS,
                 ..Default::default()
             },
         ];

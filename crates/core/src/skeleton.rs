@@ -6,19 +6,18 @@
 //!
 //! 1. `dependency-graph` — extract the data dependency graph from the
 //!    containers' recorded accesses,
-//! 2. `layout-select` — recommend a memory layout per data object,
-//! 3. `fuse` — merge legal map chains (and a trailing reduction) into
+//! 2. `fuse` — merge legal map chains (and a trailing reduction) into
 //!    single fused sweeps,
-//! 4. `temporal-fuse` — under `FusionLevel::Temporal(k)`, collapse one
+//! 3. `temporal-fuse` — under `FusionLevel::Temporal(k)`, collapse one
 //!    legal stencil sweep into a `k`-iteration super-step,
-//! 5. `multi-gpu` — insert halo updates, prune redundant edges,
-//! 6. `occ` — split kernels at the configured OCC level,
-//! 7. `collective-lowering` — turn finalizing reduces into collective
+//! 4. `multi-gpu` — insert halo updates, prune redundant edges,
+//! 5. `occ` — split kernels at the configured OCC level,
+//! 6. `collective-lowering` — turn finalizing reduces into collective
 //!    nodes (merging independent same-level collectives when fusion is
 //!    on),
-//! 8. `schedule` — map nodes to streams, organize events, fix the enqueue
+//! 7. `schedule` — map nodes to streams, organize events, fix the enqueue
 //!    order,
-//! 9. `device-partition` — per-device step lists and event-slot waits,
+//! 8. `device-partition` — per-device step lists and event-slot waits,
 //!
 //! validating pipeline invariants after every pass, and then executes the
 //! resulting [`CompiledPlan`] — repeatedly, for iterative solvers —
@@ -124,10 +123,10 @@ impl ResilienceOptions {
 
 /// Configuration of a skeleton.
 ///
-/// Five fields shape the compiled plan and form its [`CompileKey`] (see
-/// [`SkeletonOptions::compile_key`]): `occ`, `max_streams`, `hints`,
-/// `fusion` and `layout`. The rest configure the executor, the
-/// cache or diagnostics; skeletons differing only there share one plan.
+/// Four fields shape the compiled plan and form its [`CompileKey`] (see
+/// [`SkeletonOptions::compile_key`]): `occ`, `max_streams`, `hints` and
+/// `fusion`. The rest configure the executor, the cache, allocation or
+/// diagnostics; skeletons differing only there share one plan.
 #[derive(Debug, Clone, Copy)]
 pub struct SkeletonOptions {
     /// The OCC optimization level (a single switch, as the paper argues a
@@ -180,9 +179,10 @@ pub struct SkeletonOptions {
     /// Fault-recovery policy (runtime only). Validated by
     /// [`Skeleton::try_sequence`].
     pub resilience: ResilienceOptions,
-    /// How the `layout-select` pass recommends field memory layouts
-    /// (recommendations feed allocation, so plans under different
-    /// policies must never alias).
+    /// How apps pick field memory layouts when they allocate (see
+    /// [`crate::recommend_layout`]). Not part of the [`CompileKey`]: a
+    /// rebind recomputes halo descriptors from the instance's own fields,
+    /// so instances of one program in different layouts share one plan.
     pub layout: LayoutPolicy,
 }
 
@@ -216,7 +216,6 @@ impl SkeletonOptions {
             max_streams: self.max_streams,
             hints: self.hints,
             fusion: self.fusion,
-            layout: self.layout,
         }
     }
 
@@ -429,7 +428,7 @@ impl Skeleton {
         self.executor.take_trace()
     }
 
-    /// The underlying executor (virtual clock, fault injector, counters).
+    /// The underlying executor (virtual clock, fault injector, link counters).
     pub fn executor(&self) -> &Executor {
         &self.executor
     }
@@ -437,21 +436,6 @@ impl Skeleton {
     /// Mutable access to the underlying executor.
     pub fn executor_mut(&mut self) -> &mut Executor {
         &mut self.executor
-    }
-
-    /// Zero the virtual clock's cumulative utilization counters (kernel
-    /// launches, bytes, link busy/contention); benchmarks call this
-    /// between sweep configurations. Prefer [`Skeleton::counters_snapshot`]
-    /// when other jobs may share the process — a reset is global.
-    pub fn reset_counters(&mut self) {
-        self.executor.reset_counters();
-    }
-
-    /// Snapshot the cumulative utilization counters (see
-    /// [`Executor::counters_snapshot`]); subtract two snapshots to slice out
-    /// one window's traffic without disturbing concurrent jobs.
-    pub fn counters_snapshot(&self) -> neon_sys::CounterSnapshot {
-        self.executor.counters_snapshot()
     }
 
     /// Install a fault plan; retry behavior follows

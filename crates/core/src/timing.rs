@@ -520,10 +520,6 @@ impl TimingProgram {
                         report.launches += 1;
                         report.bytes_moved += l.bytes;
                         report.redundant_flops += l.redundant;
-                        queue.record_launch(l.bytes);
-                        if l.redundant > 0 {
-                            queue.record_redundant_flops(l.redundant);
-                        }
                         ends[node * ndev + d] = e;
                     }
                     if let Some(sync) = finalize {
@@ -538,7 +534,6 @@ impl TimingProgram {
                 Step::Halo { node, first, end } => {
                     self.begin_halo(plan, node, ends, lanes, h_ready, verdicts, t0);
                     report.halo_rounds += 1;
-                    queue.record_halo_round();
                     let name = &graph.node(node).name;
                     for t in &self.transfers[first..end] {
                         let (verdict, nth) = consult(injector, verdicts, xfer_seen, t.dst);
@@ -590,7 +585,6 @@ impl TimingProgram {
                     // hide it.
                     self.begin_halo(plan, node, ends, lanes, h_ready, verdicts, t0);
                     report.halo_rounds += 1;
-                    queue.record_halo_round();
                     for m in &self.migrations[first..end] {
                         let (verdict, _) = consult(injector, verdicts, xfer_seen, m.dst);
                         let mut earliest = lanes[m.src].max(lanes[m.dst]);
@@ -760,6 +754,7 @@ mod tests {
 
     use crate::exec::{ExecError, Executor};
     use crate::graph::{Graph, Node, NodeKind};
+    use crate::plan::CompiledPlan;
     use crate::schedule::build_schedule;
 
     #[test]
@@ -776,7 +771,8 @@ mod tests {
             },
         ));
         let schedule = build_schedule(&g, 1);
-        let mut exec = Executor::new(Backend::dgx_a100(2), g, schedule);
+        let plan = CompiledPlan::from_parts(g, schedule);
+        let mut exec = Executor::from_plan(Backend::dgx_a100(2), plan);
         for _ in 0..2 {
             match exec.try_execute() {
                 Err(ExecError::MissingIterationSpace { node }) => assert_eq!(node, "spaceless"),

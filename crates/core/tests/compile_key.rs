@@ -1,4 +1,4 @@
-//! The plan-cache key is [`neon_core::CompileKey`]: the five options the
+//! The plan-cache key is [`neon_core::CompileKey`]: the four options the
 //! passes read. Everything else in [`SkeletonOptions`] configures the
 //! executor, so skeletons that differ only there must share one compiled
 //! plan and still run exactly as if each had compiled its own. And a
@@ -15,7 +15,8 @@ use neon_apps::lbm::LbmParams;
 use neon_apps::poisson::laplacian_apply;
 use neon_core::{
     CollectiveAlgorithm, CollectiveMode, CommMode, CompiledPlan, FunctionalMode, FusionLevel,
-    Graph, HaloPolicy, NodeKind, OccLevel, ResilienceOptions, Skeleton, SkeletonOptions,
+    Graph, HaloPolicy, LayoutPolicy, NodeKind, OccLevel, ResilienceOptions, Skeleton,
+    SkeletonOptions,
 };
 use neon_domain::{
     ops, Container, DataView, DenseGrid, Dim3, Field, FieldRead as _, FieldStencil as _,
@@ -101,6 +102,12 @@ fn runtime_options_share_a_plan_and_run_as_if_compiled_fresh() {
         // Chunk events price halos per chunk; the plan is the same.
         SkeletonOptions {
             comm: CommMode::ChunkEvents,
+            ..base
+        },
+        // The layout policy steers field allocation, not the passes: SoA
+        // and AoS instances share one plan.
+        SkeletonOptions {
+            layout: LayoutPolicy::FixedAoS,
             ..base
         },
         SkeletonOptions {

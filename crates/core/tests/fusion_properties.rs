@@ -5,12 +5,12 @@
 //! *more* kernels. Plus deterministic tests of the collective-fusion half:
 //! independent same-level reductions collapse into one all-reduce round.
 
-use neon_core::{FusionLevel, HaloPolicy, OccLevel, Skeleton, SkeletonOptions};
+use neon_core::{ExecReport, FusionLevel, HaloPolicy, OccLevel, Skeleton, SkeletonOptions};
 use neon_domain::{
     ops, Container, DenseGrid, Dim3, Field, FieldRead as _, FieldStencil as _, FieldWrite as _,
     GridLike, MemLayout, ScalarSet, Stencil, StorageMode,
 };
-use neon_sys::{Backend, SpanKind};
+use neon_sys::{Backend, SimTime, SpanKind};
 use proptest::prelude::*;
 
 /// One step of a randomized sequence. The fields are integer-valued so
@@ -272,12 +272,67 @@ fn independent_reductions_share_one_collective_round() {
     );
 }
 
+/// Asserts that `total` is the field-wise sum of `parts`, folded in order
+/// from zero. The pattern names every field, so a field added to the
+/// report must be added here too.
+fn assert_fieldwise_sum(total: &ExecReport, parts: &[ExecReport]) {
+    let ExecReport {
+        makespan,
+        kernel_time,
+        transfer_time,
+        host_time,
+        collective_time,
+        launches,
+        bytes_moved,
+        redundant_flops,
+        halo_rounds,
+        link_busy,
+        executions,
+        faults_injected,
+        faults_recovered,
+        retries,
+    } = *total;
+    let time =
+        |f: fn(&ExecReport) -> SimTime| parts.iter().map(f).fold(SimTime::ZERO, |a, b| a + b);
+    let count = |f: fn(&ExecReport) -> u64| parts.iter().map(f).sum::<u64>();
+    assert_eq!(makespan, time(|r| r.makespan), "makespan");
+    assert_eq!(kernel_time, time(|r| r.kernel_time), "kernel_time");
+    assert_eq!(transfer_time, time(|r| r.transfer_time), "transfer_time");
+    assert_eq!(host_time, time(|r| r.host_time), "host_time");
+    assert_eq!(
+        collective_time,
+        time(|r| r.collective_time),
+        "collective_time"
+    );
+    assert_eq!(link_busy, time(|r| r.link_busy), "link_busy");
+    assert_eq!(launches, count(|r| r.launches), "launches");
+    assert_eq!(bytes_moved, count(|r| r.bytes_moved), "bytes_moved");
+    assert_eq!(
+        redundant_flops,
+        count(|r| r.redundant_flops),
+        "redundant_flops"
+    );
+    assert_eq!(halo_rounds, count(|r| r.halo_rounds), "halo_rounds");
+    assert_eq!(executions, count(|r| r.executions), "executions");
+    assert_eq!(
+        faults_injected,
+        count(|r| r.faults_injected),
+        "faults_injected"
+    );
+    assert_eq!(
+        faults_recovered,
+        count(|r| r.faults_recovered),
+        "faults_recovered"
+    );
+    assert_eq!(retries, count(|r| r.retries), "retries");
+}
+
 /// The CG gate: 4-device Poisson CG at 16³ over 8 iterations, fusion off
 /// vs Conservative. The residual history must match bit for bit, and
 /// fusion must cut kernel launches by at least 40 % and bytes swept by at
-/// least 25 %; the summed per-call reports must agree with the counter
-/// delta over the same window. Under `--nocapture` it prints README's
-/// fusion table.
+/// least 25 %; one `run_iters(8)` report on a twin solver must be the
+/// field-wise sum of the eight single-iteration reports. Under
+/// `--nocapture` it prints README's fusion table.
 #[test]
 fn poisson_cg_fusion_cuts_launches_and_bytes_bit_identically() {
     const DIM: usize = 16;
@@ -290,26 +345,25 @@ fn poisson_cg_fusion_cuts_launches_and_bytes_bit_identically() {
             fusion,
             ..Default::default()
         };
-        let mut solver = neon_apps::PoissonSolver::with_options(&grid, options).unwrap();
-        let c = (DIM / 2) as i32;
-        let rhs = |x, y, z| if (x, y, z) == (c, c, c) { 1.0 } else { 0.0 };
-        solver.set_rhs(rhs);
-        solver.solve_iters(3);
-        solver.set_rhs(rhs);
-        let before = solver.counters_snapshot();
-        let (mut launches, mut bytes, mut residuals) = (0, 0, Vec::new());
+        let warmed = || {
+            let mut solver = neon_apps::PoissonSolver::with_options(&grid, options).unwrap();
+            let c = (DIM / 2) as i32;
+            let rhs = |x, y, z| if (x, y, z) == (c, c, c) { 1.0 } else { 0.0 };
+            solver.set_rhs(rhs);
+            solver.solve_iters(3);
+            solver.set_rhs(rhs);
+            solver
+        };
+        let mut solver = warmed();
+        let (mut reports, mut residuals) = (Vec::new(), Vec::new());
         for _ in 0..8 {
-            let report = solver.solve_iters(1);
-            launches += report.launches;
-            bytes += report.bytes_moved;
+            reports.push(solver.cg.iteration_skeleton().run());
             residuals.push(solver.cg.state.rs_old.host_value().to_bits());
         }
-        let window = solver.counters_snapshot() - before;
-        assert_eq!(
-            (window.kernel_launches, window.kernel_bytes_moved),
-            (launches, bytes)
-        );
-        (launches as f64, bytes as f64, residuals)
+        let total = warmed().cg.iteration_skeleton().run_iters(8);
+        assert_fieldwise_sum(&total, &reports);
+        assert!(total.link_busy > SimTime::ZERO, "4 devices exchange halos");
+        (total.launches as f64, total.bytes_moved as f64, residuals)
     };
     let (off_launches, off_bytes, off_bits) = run(FusionLevel::Off);
     let (launches, bytes, bits) = run(FusionLevel::Conservative);

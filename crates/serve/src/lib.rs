@@ -26,10 +26,10 @@
 //!    the *same* process-wide plan cache entry ([`ServeReport::cache_hits`]
 //!    counts the sharing).
 //! 4. **Per-tenant accounting** ([`TenantAccount`]) — kernel launches,
-//!    bytes moved and link-busy time are sliced out of the shared
-//!    simulator counters with [`neon_sys::CounterSnapshot`] deltas taken
-//!    at quantum boundaries; device-time and queue-wait come from the
-//!    event loop itself.
+//!    bytes moved and link-busy time are summed from the
+//!    [`neon_core::ExecReport`] each committed quantum returns (a job's
+//!    first quantum carries its setup); device-time and queue-wait come
+//!    from the event loop itself.
 //!
 //! Faults compose with serving, and both kinds below take one handler:
 //! abort the quanta the fault touches, heal the fleet, re-plan and migrate

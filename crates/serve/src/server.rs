@@ -32,9 +32,9 @@ use std::time::Instant;
 
 use neon_apps::{JobSpec, SolverJob};
 use neon_comm::{choose, Algorithm, CollectiveKind};
-use neon_core::{OccLevel, SkeletonOptions};
+use neon_core::{ExecReport, OccLevel, SkeletonOptions};
 use neon_set::Checkpoint;
-use neon_sys::{Backend, CounterSnapshot, DeviceId, PermanentFault, Result, SimTime};
+use neon_sys::{Backend, DeviceId, PermanentFault, Result, SimTime};
 
 use crate::types::{
     EvictionEvent, JobOutcome, JobRequest, RouteChange, SchedPolicy, ServeConfig, ServeReport,
@@ -118,7 +118,9 @@ struct Active {
     start: f64,
     end: f64,
     iters_delta: u64,
-    counters_before: CounterSnapshot,
+    /// The quantum's work (including any setup the job folded into it),
+    /// committed to the tenant's account when the quantum ends.
+    report: ExecReport,
     /// Captured at quantum start iff a pending fault touches the quantum's
     /// devices; the abort path restores it.
     cp: Option<Checkpoint>,
@@ -371,9 +373,8 @@ impl Server {
                     let js = &mut jobs[a.widx];
                     let tenant = js.req.tenant;
                     let job = js.job.as_ref().expect("active job is built");
-                    let delta = job.counters() - a.counters_before;
                     let device_us = (a.end - a.start) * a.devices.len() as f64;
-                    accounts[tenant].commit(&delta, a.iters_delta, device_us);
+                    accounts[tenant].commit(&a.report, a.iters_delta, device_us);
                     vtime[tenant] += device_us / self.tenants[tenant].weight;
                     waiting.retune(tenant, vtime[tenant]);
                     if job.is_done() {
@@ -599,7 +600,6 @@ impl Server {
             t.checkpoint_us += us;
             us
         });
-        let counters_before = job.counters();
         let iters_before = job.completed();
         let report = job.advance(span);
         let iters_delta = job.completed() - iters_before;
@@ -619,7 +619,7 @@ impl Server {
             start: clock,
             end,
             iters_delta,
-            counters_before,
+            report,
             cp,
         });
         true

@@ -2,7 +2,8 @@
 
 use neon_apps::JobSpec;
 use neon_comm::Algorithm;
-use neon_sys::{CounterSnapshot, DeviceId, PermanentFault, SimTime};
+use neon_core::ExecReport;
+use neon_sys::{DeviceId, PermanentFault, SimTime};
 
 /// One tenant of the server: a name and a fair-share weight. A tenant with
 /// weight 2 is entitled to twice the device-time of a tenant with weight 1
@@ -211,8 +212,9 @@ impl JobOutcome {
     }
 }
 
-/// Per-tenant accounting, sliced out of the shared `QueueSim` / `ExecReport`
-/// counters with snapshot deltas.
+/// Per-tenant accounting: the sum of the [`ExecReport`]s of the tenant's
+/// committed quanta, plus what the event loop itself measures (device
+/// time, queue wait, checkpoints).
 #[derive(Debug, Clone)]
 pub struct TenantAccount {
     /// Tenant name.
@@ -267,11 +269,11 @@ impl TenantAccount {
         }
     }
 
-    pub(crate) fn commit(&mut self, delta: &CounterSnapshot, iterations: u64, device_us: f64) {
+    pub(crate) fn commit(&mut self, report: &ExecReport, iterations: u64, device_us: f64) {
         self.iterations += iterations;
-        self.launches += delta.kernel_launches;
-        self.bytes_moved += delta.kernel_bytes_moved;
-        self.link_busy_us += delta.link_busy.as_us();
+        self.launches += report.launches;
+        self.bytes_moved += report.bytes_moved;
+        self.link_busy_us += report.link_busy.as_us();
         self.device_busy_us += device_us;
     }
 }

@@ -3,7 +3,7 @@
 //! recovery, and cross-tenant plan sharing.
 
 use neon_apps::JobSpec;
-use neon_core::{OccLevel, SkeletonOptions};
+use neon_core::{ExecReport, OccLevel, SkeletonOptions};
 use neon_serve::{
     solo_run_bits, DeviceLoss, JobRequest, LinkFault, SchedPolicy, ServeConfig, Server, TenantSpec,
 };
@@ -101,6 +101,44 @@ fn multiplexed_jobs_are_bit_identical_to_solo_runs() {
         report.cache_hits,
         report.cache_misses
     );
+}
+
+/// Per-tenant accounting is the sum of the tenant's quantum reports, so it
+/// must equal the sum of its jobs' solo `advance(total)` reports — the
+/// cg-init setup a Poisson job folds into its first quantum included.
+#[test]
+fn tenant_accounts_sum_their_jobs_solo_reports() {
+    let fleet = Backend::dgx_a100(4);
+    let mut server = Server::new(
+        &fleet,
+        vec![TenantSpec::new("a", 1.0), TenantSpec::new("b", 2.0)],
+        ServeConfig {
+            quantum_iters: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let report = server.run(mixed_requests());
+
+    let mut solo = vec![ExecReport::default(); report.tenants.len()];
+    for o in &report.outcomes {
+        assert!(o.completed && o.evictions.is_empty(), "{:?}", o.spec);
+        let subset: Vec<DeviceId> = (0..o.first_ndev.expect("ran")).map(DeviceId).collect();
+        let backend = fleet.with_devices(&subset).unwrap();
+        let mut job = o.spec.build(&backend, options()).unwrap();
+        solo[o.tenant].accumulate(job.advance(job.total()));
+    }
+    for (t, s) in report.tenants.iter().zip(&solo) {
+        assert_eq!(t.launches, s.launches, "launches of {}", t.name);
+        assert_eq!(t.bytes_moved, s.bytes_moved, "bytes of {}", t.name);
+        let link_us = s.link_busy.as_us();
+        assert!(link_us > 0.0, "{} runs 2-device jobs", t.name);
+        assert!(
+            (t.link_busy_us - link_us).abs() <= 1e-9 * link_us,
+            "link busy of {}: {} vs solo {link_us}",
+            t.name,
+            t.link_busy_us
+        );
+    }
 }
 
 #[test]

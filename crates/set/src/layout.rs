@@ -1,9 +1,9 @@
 //! Memory layouts for vector fields.
 //!
 //! The layout lives at the Set layer (rather than in `neon-domain`)
-//! because it is a *policy*, not a grid property: the compile pipeline's
-//! `layout-select` pass recommends a layout per data object from its
-//! recorded access pattern. The field views in `neon-domain` turn it into
+//! because it is a *policy*, not a grid property: apps pick it per field
+//! at allocation time from the field's access pattern
+//! (`neon_core::recommend_layout`). The field views in `neon-domain` turn it into
 //! strides once per view — element `(i, q)` of a run sits `i·cell +
 //! q·comp` past the first, `(card, 1)` under AoS and `(1, pitch)` under
 //! SoA — and address partition storage through those.
@@ -24,14 +24,6 @@ pub enum MemLayout {
 }
 
 impl MemLayout {
-    /// Short label used in IR dumps and diagnostics.
-    pub fn label(self) -> &'static str {
-        match self {
-            MemLayout::SoA => "soa",
-            MemLayout::AoS => "aos",
-        }
-    }
-
     /// Halo transfers one partition pair needs for a cardinality-`card`
     /// field in this layout: component planes are contiguous under AoS
     /// (2 copies) but strided under SoA (2 per component).

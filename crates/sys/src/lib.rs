@@ -50,6 +50,6 @@ pub use fault::{
 pub use hash::StableHasher;
 pub use memory::{AllocationTicket, MemoryLedger};
 pub use pool::{host_cores, WorkerPool};
-pub use queue::{CounterSnapshot, EventId, QueueSim, StreamId};
+pub use queue::{EventId, QueueSim, StreamId};
 pub use topology::{LinkKind, LinkModel, LinkResourceId, Topology};
 pub use trace::{SpanKind, Trace, TraceSpan};

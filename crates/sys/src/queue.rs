@@ -12,6 +12,11 @@
 //! This is sufficient to faithfully replay any schedule the Skeleton layer
 //! produces and to measure its makespan, including every overlap effect that
 //! OCC optimizations are designed to exploit.
+//!
+//! The only tallies kept here are per link resource (busy time, contention
+//! events, bytes), because only the queue sees transfers contend. Kernel
+//! work (launches, bytes swept, halo rounds) is counted once, by the
+//! executor, in the report each execution returns.
 
 use std::sync::Arc;
 
@@ -42,75 +47,6 @@ impl StreamId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(pub usize);
 
-/// A point-in-time snapshot of a [`QueueSim`]'s cumulative utilization
-/// counters. Subtracting two snapshots (`after - before`) yields the traffic
-/// of exactly the window between them, which is how concurrent tenants slice
-/// their own usage out of shared counters without a global
-/// [`QueueSim::reset_counters`] (which would race under multi-tenancy).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CounterSnapshot {
-    /// Kernel launches recorded so far.
-    pub kernel_launches: u64,
-    /// Bytes swept by recorded kernel launches.
-    pub kernel_bytes_moved: u64,
-    /// Ghost-zone flops recomputed by temporally-blocked kernels: work a
-    /// depth-1 execution would have received from a halo exchange instead.
-    pub redundant_flops: u64,
-    /// Halo exchange rounds executed (one per halo node per execution,
-    /// regardless of how many segment transfers the round performs).
-    pub halo_rounds: u64,
-    /// Total busy time summed over every link resource.
-    pub link_busy: SimTime,
-    /// Contention events summed over every link resource.
-    pub link_contended: u64,
-    /// Bytes moved through the shared host root complex (link resource 0
-    /// by [`Topology`] convention) — the slow path on PCIe boxes and on
-    /// mixed NVLink-island topologies, where every cross-island transfer
-    /// lands here. Hierarchical collectives exist to shrink this number.
-    ///
-    /// [`Topology`]: crate::topology::Topology
-    pub slow_link_bytes: u64,
-}
-
-impl CounterSnapshot {
-    /// Accumulate another snapshot/delta into this one (used when a job's
-    /// traffic spans several executors, e.g. across a device-loss migration).
-    pub fn accumulate(&mut self, other: &CounterSnapshot) {
-        self.kernel_launches += other.kernel_launches;
-        self.kernel_bytes_moved += other.kernel_bytes_moved;
-        self.redundant_flops += other.redundant_flops;
-        self.halo_rounds += other.halo_rounds;
-        self.link_busy += other.link_busy;
-        self.link_contended += other.link_contended;
-        self.slow_link_bytes += other.slow_link_bytes;
-    }
-}
-
-impl std::ops::Sub for CounterSnapshot {
-    type Output = CounterSnapshot;
-
-    /// Delta between two snapshots. Saturates rather than panics so a delta
-    /// taken across a [`QueueSim::reset_counters`] degrades to zero instead
-    /// of poisoning accounting.
-    fn sub(self, before: CounterSnapshot) -> CounterSnapshot {
-        CounterSnapshot {
-            kernel_launches: self.kernel_launches.saturating_sub(before.kernel_launches),
-            kernel_bytes_moved: self
-                .kernel_bytes_moved
-                .saturating_sub(before.kernel_bytes_moved),
-            redundant_flops: self.redundant_flops.saturating_sub(before.redundant_flops),
-            halo_rounds: self.halo_rounds.saturating_sub(before.halo_rounds),
-            link_busy: if self.link_busy.as_us() >= before.link_busy.as_us() {
-                self.link_busy - before.link_busy
-            } else {
-                SimTime::ZERO
-            },
-            link_contended: self.link_contended.saturating_sub(before.link_contended),
-            slow_link_bytes: self.slow_link_bytes.saturating_sub(before.slow_link_bytes),
-        }
-    }
-}
-
 /// Occupancy bookkeeping for one physical link resource.
 #[derive(Debug, Clone, Copy, Default)]
 struct LinkState {
@@ -138,15 +74,6 @@ pub struct QueueSim {
     /// Extra delay paid by a transfer that found one of its link resources
     /// busy — models root-complex / switch arbitration.
     link_arbitration: SimTime,
-    /// Cumulative kernel launches recorded (utilization counter; survives
-    /// [`QueueSim::reset`] like the link counters).
-    kernel_launches: u64,
-    /// Cumulative bytes swept by recorded kernel launches.
-    kernel_bytes_moved: u64,
-    /// Cumulative ghost-zone flops recomputed by temporally-blocked launches.
-    redundant_flops: u64,
-    /// Cumulative halo exchange rounds recorded.
-    halo_rounds: u64,
     trace: Option<Trace>,
     /// Fault injector consulted for kernel launches (transfers are consulted
     /// by the executor at halo-node granularity instead).
@@ -164,10 +91,6 @@ impl QueueSim {
             events: Vec::new(),
             links: Vec::new(),
             link_arbitration: SimTime::from_us(2.0),
-            kernel_launches: 0,
-            kernel_bytes_moved: 0,
-            redundant_flops: 0,
-            halo_rounds: 0,
             trace: None,
             injector: None,
         }
@@ -383,9 +306,8 @@ impl QueueSim {
 
     /// [`QueueSim::enqueue_transfer`] that additionally attributes `bytes`
     /// of payload to every occupied resource, feeding the per-resource
-    /// byte counters ([`QueueSim::link_bytes`]) and the snapshot's
-    /// [`CounterSnapshot::slow_link_bytes`]. The timing model is identical
-    /// to the unsized variant.
+    /// byte counters ([`QueueSim::link_bytes`], [`QueueSim::slow_link_bytes`]).
+    /// The timing model is identical to the unsized variant.
     #[allow(clippy::too_many_arguments)]
     pub fn enqueue_transfer_sized(
         &mut self,
@@ -479,42 +401,10 @@ impl QueueSim {
         }
     }
 
-    /// Zero the cumulative utilization counters (kernel launches, bytes
-    /// moved, per-link busy totals and contention counts) without touching
-    /// clocks, events or the trace. [`QueueSim::reset`] deliberately keeps
-    /// these counters so multi-execution reports accumulate.
-    ///
-    /// This is a *global* reset: under multi-tenancy (several jobs sharing
-    /// one process, as in `neon-serve`) it erases everyone's counters, not
-    /// just the caller's. Prefer [`QueueSim::counters_snapshot`] and delta
-    /// subtraction, which compose; this method is kept for single-owner
-    /// callers and tests.
-    pub fn reset_counters(&mut self) {
-        self.kernel_launches = 0;
-        self.kernel_bytes_moved = 0;
-        self.redundant_flops = 0;
-        self.halo_rounds = 0;
-        for l in &mut self.links {
-            l.busy_total = SimTime::ZERO;
-            l.contended = 0;
-            l.bytes_total = 0;
-        }
-    }
-
-    /// Snapshot the cumulative utilization counters. Take one snapshot
-    /// before a measured (or tenant-attributed) window and one after;
-    /// `after - before` is the window's own traffic, untouched by whatever
-    /// other jobs did to the same counters in between their own windows.
-    pub fn counters_snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            kernel_launches: self.kernel_launches,
-            kernel_bytes_moved: self.kernel_bytes_moved,
-            redundant_flops: self.redundant_flops,
-            halo_rounds: self.halo_rounds,
-            link_busy: self.links.iter().map(|l| l.busy_total).sum(),
-            link_contended: self.links.iter().map(|l| l.contended).sum(),
-            slow_link_bytes: self.links.first().map_or(0, |l| l.bytes_total),
-        }
+    /// Busy time summed over every link resource since construction (a
+    /// caller meters a window by the difference across it).
+    pub fn link_busy_total(&self) -> SimTime {
+        self.links.iter().map(|l| l.busy_total).sum()
     }
 
     /// Total occupied time of a link resource (utilization counter; zero for
@@ -535,43 +425,14 @@ impl QueueSim {
         self.links.get(r).map_or(0, |l| l.bytes_total)
     }
 
-    /// Record one kernel launch sweeping `bytes` (utilization counter; the
-    /// executor calls this once per compute launch it enqueues).
-    pub fn record_launch(&mut self, bytes: u64) {
-        self.kernel_launches += 1;
-        self.kernel_bytes_moved += bytes;
-    }
-
-    /// Cumulative kernel launches recorded since construction (survives
-    /// [`QueueSim::reset`]).
-    pub fn kernel_launches(&self) -> u64 {
-        self.kernel_launches
-    }
-
-    /// Cumulative bytes swept by recorded kernel launches.
-    pub fn kernel_bytes_moved(&self) -> u64 {
-        self.kernel_bytes_moved
-    }
-
-    /// Record ghost-zone flops a temporally-blocked launch recomputed
-    /// instead of receiving via halo exchange (utilization counter).
-    pub fn record_redundant_flops(&mut self, flops: u64) {
-        self.redundant_flops += flops;
-    }
-
-    /// Cumulative ghost-zone flops recomputed by temporally-blocked launches.
-    pub fn redundant_flops(&self) -> u64 {
-        self.redundant_flops
-    }
-
-    /// Record one halo exchange round (all segments of one halo node).
-    pub fn record_halo_round(&mut self) {
-        self.halo_rounds += 1;
-    }
-
-    /// Cumulative halo exchange rounds recorded.
-    pub fn halo_rounds(&self) -> u64 {
-        self.halo_rounds
+    /// Bytes moved through the shared host root complex (link resource 0
+    /// by [`Topology`] convention) — the slow path on PCIe boxes and on
+    /// mixed NVLink-island topologies, where every cross-island transfer
+    /// lands here. Hierarchical collectives exist to shrink this number.
+    ///
+    /// [`Topology`]: crate::topology::Topology
+    pub fn slow_link_bytes(&self) -> u64 {
+        self.link_bytes(0)
     }
 
     /// Number of link resources touched so far.
@@ -835,102 +696,13 @@ mod tests {
         assert_eq!(q.num_link_resources(), 4);
         assert_eq!(q.link_busy_time(3).as_us(), 10.0);
         assert_eq!(q.link_busy_time(99), SimTime::ZERO);
+        q.enqueue_transfer(s(0, 0), SimTime::ZERO, d, &[1], "c", SpanKind::Transfer);
+        assert_eq!(q.link_busy_total().as_us(), 15.0, "summed over resources");
         q.reset();
         // Counters survive reset; occupancy does not.
         assert_eq!(q.link_busy_time(3).as_us(), 10.0);
-        let (c0, _) = q.enqueue_transfer(s(0, 0), SimTime::ZERO, d, &[3], "c", SpanKind::Transfer);
+        let (c0, _) = q.enqueue_transfer(s(0, 0), SimTime::ZERO, d, &[3], "d", SpanKind::Transfer);
         assert_eq!(c0.as_us(), 0.0);
-    }
-
-    #[test]
-    fn kernel_launch_counters_accumulate_and_survive_reset() {
-        let mut q = QueueSim::new(1, 1);
-        assert_eq!(q.kernel_launches(), 0);
-        assert_eq!(q.kernel_bytes_moved(), 0);
-        q.record_launch(1024);
-        q.record_launch(512);
-        assert_eq!(q.kernel_launches(), 2);
-        assert_eq!(q.kernel_bytes_moved(), 1536);
-        q.reset();
-        assert_eq!(q.kernel_launches(), 2, "utilization counters survive reset");
-        assert_eq!(q.kernel_bytes_moved(), 1536);
-    }
-
-    #[test]
-    fn temporal_counters_accumulate_snapshot_and_reset() {
-        let mut q = QueueSim::new(1, 1);
-        assert_eq!(q.redundant_flops(), 0);
-        assert_eq!(q.halo_rounds(), 0);
-        q.record_redundant_flops(300);
-        q.record_halo_round();
-        q.record_halo_round();
-        assert_eq!(q.redundant_flops(), 300);
-        assert_eq!(q.halo_rounds(), 2);
-        q.reset();
-        assert_eq!(q.redundant_flops(), 300, "survive queue reset");
-        assert_eq!(q.halo_rounds(), 2);
-        let before = q.counters_snapshot();
-        q.record_redundant_flops(50);
-        q.record_halo_round();
-        let delta = q.counters_snapshot() - before;
-        assert_eq!(delta.redundant_flops, 50);
-        assert_eq!(delta.halo_rounds, 1);
-        let mut total = CounterSnapshot::default();
-        total.accumulate(&delta);
-        total.accumulate(&delta);
-        assert_eq!(total.redundant_flops, 100);
-        assert_eq!(total.halo_rounds, 2);
-        q.reset_counters();
-        assert_eq!(q.redundant_flops(), 0);
-        assert_eq!(q.halo_rounds(), 0);
-    }
-
-    #[test]
-    fn reset_counters_zeroes_utilization_only() {
-        let mut q = QueueSim::new(2, 1);
-        let d = SimTime::from_us(10.0);
-        q.record_launch(1024);
-        q.enqueue_transfer(s(0, 0), SimTime::ZERO, d, &[0], "a", SpanKind::Transfer);
-        q.enqueue_transfer(s(1, 0), SimTime::ZERO, d, &[0], "b", SpanKind::Transfer);
-        assert_eq!(q.link_contention_events(0), 1);
-        q.reset_counters();
-        assert_eq!(q.kernel_launches(), 0);
-        assert_eq!(q.kernel_bytes_moved(), 0);
-        assert_eq!(q.link_busy_time(0), SimTime::ZERO);
-        assert_eq!(q.link_contention_events(0), 0);
-        // Clocks are untouched: the streams are still busy.
-        assert!(q.makespan().as_us() > 0.0);
-    }
-
-    #[test]
-    fn counter_snapshots_slice_windows_without_reset() {
-        let mut q = QueueSim::new(2, 1);
-        let d = SimTime::from_us(10.0);
-        q.record_launch(1024);
-        q.enqueue_transfer(s(0, 0), SimTime::ZERO, d, &[0], "a", SpanKind::Transfer);
-        let before = q.counters_snapshot();
-        // "Tenant" window: one launch, two contending transfers.
-        q.record_launch(512);
-        q.enqueue_transfer(s(0, 0), SimTime::ZERO, d, &[1], "b", SpanKind::Transfer);
-        q.enqueue_transfer(s(1, 0), SimTime::ZERO, d, &[1], "c", SpanKind::Transfer);
-        let delta = q.counters_snapshot() - before;
-        assert_eq!(delta.kernel_launches, 1);
-        assert_eq!(delta.kernel_bytes_moved, 512);
-        assert_eq!(delta.link_busy.as_us(), 20.0);
-        assert_eq!(delta.link_contended, 1);
-        // The cumulative counters were never disturbed.
-        assert_eq!(q.kernel_launches(), 2);
-        // Deltas accumulate across executors/migrations.
-        let mut total = CounterSnapshot::default();
-        total.accumulate(&delta);
-        total.accumulate(&delta);
-        assert_eq!(total.kernel_launches, 2);
-        assert_eq!(total.link_busy.as_us(), 40.0);
-        // A delta taken across a reset saturates to zero instead of panicking.
-        let hi = q.counters_snapshot();
-        q.reset_counters();
-        let across = q.counters_snapshot() - hi;
-        assert_eq!(across, CounterSnapshot::default());
     }
 
     #[test]
@@ -1017,7 +789,7 @@ mod tests {
         let mut q = QueueSim::new(2, 1);
         let d = SimTime::from_us(10.0);
         // Resource 0 is the host root complex by Topology convention: its
-        // traffic is the snapshot's slow_link_bytes.
+        // traffic is `slow_link_bytes`.
         q.enqueue_transfer_sized(
             s(0, 0),
             SimTime::ZERO,
@@ -1047,8 +819,8 @@ mod tests {
         assert_eq!(q.link_bytes(0), 100);
         assert_eq!(q.link_bytes(1), 70);
         assert_eq!(q.link_bytes(99), 0);
-        let before = q.counters_snapshot();
-        assert_eq!(before.slow_link_bytes, 100);
+        assert_eq!(q.slow_link_bytes(), 100);
+        // A second sized transfer over the same resource adds to its count.
         q.enqueue_transfer_sized(
             s(0, 0),
             SimTime::ZERO,
@@ -1058,14 +830,12 @@ mod tests {
             "slow2",
             SpanKind::Transfer,
         );
-        let delta = q.counters_snapshot() - before;
-        assert_eq!(delta.slow_link_bytes, 25);
-        // reset() keeps byte counters, reset_counters() zeroes them.
+        assert_eq!(q.link_bytes(0), 125);
+        assert_eq!(q.slow_link_bytes(), 125);
+        // reset() keeps byte counters.
         q.reset();
         assert_eq!(q.link_bytes(0), 125);
-        q.reset_counters();
-        assert_eq!(q.link_bytes(0), 0);
-        assert_eq!(q.counters_snapshot().slow_link_bytes, 0);
+        assert_eq!(q.slow_link_bytes(), 125);
     }
 
     #[test]

@@ -11,7 +11,7 @@ echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
 # Every test target once, among them: the golden IR dump (compiler
-# pipeline output pinned, incl. layout-select), the layout/shape
+# pipeline output pinned, one section per pass), the layout/shape
 # properties (AoS = SoA and span kernels = per-cell reference, bit for
 # bit), the FEM and LBM row-path properties (each interior body = its
 # per-cell body, bit for bit), every EXPERIMENTS.md verdict on the paper's

@@ -346,7 +346,7 @@ proptest! {
                 EngineConfig { algorithm: Some(alg), ..EngineConfig::default() },
             );
             engine.schedule(&mut q, kind, bytes, &zeros(n), 0, "slow");
-            q.counters_snapshot().slow_link_bytes
+            q.slow_link_bytes()
         };
         let flat = choose_flat(kind, bytes, &topo);
         let hier_slow = run(Algorithm::Hierarchical);
