@@ -22,7 +22,7 @@
 //! ```
 
 use neon_core::{
-    ExecError, ExecReport, FaultPlan, FaultStats, OccLevel, ResilientError, ResilientRun, Skeleton,
+    ExecError, ExecReport, FaultPlan, OccLevel, ResilientError, ResilientRun, Skeleton,
     SkeletonOptions,
 };
 use neon_domain::{ops, Container, Field, GridLike, MemLayout, ScalarSet};
@@ -281,11 +281,6 @@ impl<G: GridLike> CgSolver<G> {
         self.iter.install_fault_plan(plan);
     }
 
-    /// Fault statistics of the iteration skeleton.
-    pub fn fault_stats(&self) -> FaultStats {
-        self.iter.fault_stats()
-    }
-
     /// Current residual norm.
     pub fn residual(&self) -> f64 {
         self.state.residual_norm()
@@ -294,13 +289,6 @@ impl<G: GridLike> CgSolver<G> {
     /// The iteration skeleton (for graph introspection and traces).
     pub fn iteration_skeleton(&mut self) -> &mut Skeleton {
         &mut self.iter
-    }
-
-    /// The compiled plan of the iteration skeleton. The serving layer's
-    /// tests compare `plan().schedule_arc()` pointers across tenants to
-    /// prove plan-cache sharing.
-    pub fn iteration_plan(&self) -> &std::sync::Arc<neon_core::CompiledPlan> {
-        self.iter.plan()
     }
 
     /// Capture a checkpoint of the iteration skeleton's write set at

@@ -140,11 +140,6 @@ impl<G: GridLike> PoissonSolver<G> {
         self.cg.install_fault_plan(plan);
     }
 
-    /// Fault statistics of the CG iteration skeleton.
-    pub fn fault_stats(&self) -> neon_core::FaultStats {
-        self.cg.fault_stats()
-    }
-
     /// Residual norm ‖b − A·x‖.
     pub fn residual(&self) -> f64 {
         self.cg.residual()

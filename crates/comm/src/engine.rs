@@ -327,11 +327,6 @@ impl CollectiveEngine {
         }
     }
 
-    /// Replace the configuration, keeping the topology.
-    pub fn set_config(&mut self, config: EngineConfig) {
-        self.config = config;
-    }
-
     /// The topology this engine schedules against.
     pub fn topology(&self) -> &Topology {
         &self.topo

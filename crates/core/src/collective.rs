@@ -118,13 +118,13 @@ pub fn lower_collectives(g: &Graph, ndev: usize) -> Graph {
     }
     // Transitive reduction may have deleted the direct edge between a
     // reduce kernel and a later toucher of its scalar (a longer path
-    // through other data already orders the two kernels). Repointing then
-    // finds nothing to move and the collective dangles, unordered against
-    // the scalar's next use. Re-anchor: order each collective before every
-    // later toucher of its uids that the kernel reaches but the collective
-    // does not. The collective's only in-edge is kernel → collective, so a
-    // new edge cannot close a cycle (the toucher reaching the collective
-    // would mean it also reaches the kernel that reaches it).
+    // through other data already orders the two kernels), and OCC rewires
+    // a split reduce's cell-local edges half to half, so a later toucher
+    // may follow only the internal half. Repointing then finds nothing to
+    // move and the collective dangles, unordered against the scalar's
+    // next use. Re-anchor: order each collective before every later
+    // toucher of its uids — one the kernel or its other OCC half reaches —
+    // that is not already ordered against it.
     let reaches = |out: &Graph, from: crate::graph::NodeId, to: crate::graph::NodeId| -> bool {
         let mut stack = vec![from];
         let mut seen = vec![false; out.len()];
@@ -144,18 +144,34 @@ pub fn lower_collectives(g: &Graph, ndev: usize) -> Graph {
         false
     };
     for (id, cid, uids) in lowered {
+        // The reduce's other OCC half, if it was split: it accumulates
+        // into the same partials.
+        let others: Vec<_> = (0..original)
+            .filter(|&k| k != id)
+            .filter(|&k| {
+                let c = out.node(k).container();
+                c.zip(out.node(id).container())
+                    .is_some_and(|(a, b)| a.same_instance(b))
+            })
+            .collect();
         for uid in uids {
             let touchers: Vec<_> = (0..out.len())
-                .filter(|&m| m != id && m != cid)
+                .filter(|&m| m != id && m != cid && !others.contains(&m))
                 .filter(|&m| {
                     out.node(m)
                         .container()
                         .is_some_and(|c| c.accesses().iter().any(|a| a.uid == uid))
                 })
-                .filter(|&m| reaches(&out, id, m))
                 .collect();
             for m in touchers {
-                if !reaches(&out, cid, m) {
+                // A toucher the kernel reaches cannot reach the collective,
+                // whose only in-edge leaves the kernel; one only the other
+                // half reaches might.
+                let later = reaches(&out, id, m)
+                    || others
+                        .iter()
+                        .any(|&k| reaches(&out, k, m) && !reaches(&out, m, cid));
+                if later && !reaches(&out, cid, m) {
                     out.add_edge(Edge {
                         from: cid,
                         to: m,

@@ -5,7 +5,8 @@
 //! thermal throttling, a flaky VRM, a neighbour hammering the same PCIe
 //! switch. On real clusters stragglers are detected from noisy wall-clock
 //! samples; here every kernel span comes off the deterministic virtual
-//! clock ([`crate::Executor::per_device_kernel_time`]), so the monitor's
+//! clock (each execution's per-device kernel busy time, which a
+//! [`crate::Skeleton`] feeds its monitor), so the monitor's
 //! entire history — EWMAs, flag decisions, re-weighting — is bit-identical
 //! across runs and can be asserted in tests.
 //!
@@ -97,8 +98,9 @@ impl HealthReport {
     }
 }
 
-/// EWMA-based straggler detector. Feed it one
-/// [`crate::Executor::per_device_kernel_time`] slice per iteration.
+/// EWMA-based straggler detector. Feed it one per-device kernel-busy
+/// sample per iteration ([`crate::Skeleton::enable_straggler_monitor`]
+/// does so on every run).
 #[derive(Debug, Clone)]
 pub struct StragglerMonitor {
     policy: StragglerPolicy,

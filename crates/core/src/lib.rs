@@ -21,12 +21,16 @@
 //!   conflict ordering, halo precedence, schedule/event soundness);
 //! * [`plan`] — immutable [`CompiledPlan`]s and the process-wide plan
 //!   cache keyed by sequence signature × backend fingerprint × options;
-//! * [`exec`] — the executor: virtual-clock timing replay plus functional
-//!   execution of the kernels on real partition data, borrowing plan data
-//!   by index;
+//! * [`skeleton`] — the [`Skeleton`]: compiles a sequence and runs it,
+//!   each execution a virtual-clock timing replay plus a functional replay
+//!   of the kernels on real partition data, borrowing plan data by index;
+//! * [`exec`] — the execution types: run-time settings, the per-execution
+//!   [`ExecReport`] and [`ExecError`];
 //! * `timing` — the timing replay's pre-priced program: launches, halo
-//!   transfers and collective schedules priced once per executor, so an
-//!   iteration only folds completion times.
+//!   transfers and collective schedules priced once per skeleton, so an
+//!   iteration only folds completion times;
+//! * `functional` — the functional replay: the serial reference walk and
+//!   the event-driven per-device worker pool.
 //!
 //! ```no_run
 //! # use neon_core::{Skeleton, SkeletonOptions, OccLevel};
@@ -46,6 +50,7 @@
 pub mod collective;
 pub mod devplan;
 pub mod exec;
+mod functional;
 pub mod fuse;
 pub mod graph;
 pub mod health;
@@ -64,16 +69,14 @@ mod validate_differential;
 
 pub use collective::{lower_collectives, merge_collectives, CollectiveMode};
 pub use devplan::{build_device_plan, DevAction, DevStep, DevicePlan};
-pub use exec::{CommMode, ExecError, ExecReport, Executor, FunctionalMode, HaloPolicy};
+pub use exec::{CommMode, ExecError, ExecReport, FunctionalMode, HaloPolicy};
 pub use fuse::{fuse_graph, FusePass, FusionLevel};
 pub use graph::{build_dependency_graph, Edge, EdgeKind, Graph, Node, NodeId, NodeKind};
 pub use health::{HealthReport, StragglerMonitor, StragglerPolicy};
 pub use layout_select::{recommend_layout, AccessSummary, LayoutPolicy};
 pub use multigpu::to_multigpu_graph;
 pub use neon_comm::Algorithm as CollectiveAlgorithm;
-pub use neon_sys::{
-    FaultPlan, FaultSite, FaultSiteKind, FaultStats, LinkEvent, PermanentFault, RetryPolicy,
-};
+pub use neon_sys::{FaultPlan, FaultSite, FaultSiteKind, LinkEvent, PermanentFault, RetryPolicy};
 pub use occ::{apply_occ, OccLevel};
 pub use pass::{CompileError, CompileLog, Ir, Pass, PassCtx, PassManager, PassTiming};
 pub use plan::{

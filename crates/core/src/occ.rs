@@ -21,11 +21,12 @@
 //! starts early), internal stencil/reduce halves launch before boundary
 //! halves (so the stream isn't blocked waiting on the halo).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use neon_set::{ComputePattern, Container, ContainerKind, DataUid, DataView};
 
 use crate::graph::{Edge, EdgeKind, Graph, Node, NodeId, NodeKind};
+use crate::validate;
 
 /// The OCC optimization level of a skeleton.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -71,6 +72,17 @@ impl std::fmt::Display for OccLevel {
 enum Mapped {
     One(NodeId),
     Two { int: NodeId, bnd: NodeId },
+}
+
+impl Mapped {
+    /// The output nodes standing for one input node.
+    fn nodes(self) -> impl Iterator<Item = NodeId> {
+        let (a, b) = match self {
+            Mapped::One(a) => (a, None),
+            Mapped::Two { int, bnd } => (int, Some(bnd)),
+        };
+        std::iter::once(a).chain(b)
+    }
 }
 
 fn accesses_via_stencil(c: &Container, uid: DataUid) -> bool {
@@ -177,14 +189,15 @@ pub fn apply_occ(g: &Graph, level: OccLevel) -> Graph {
 
     // --- build the split graph -----------------------------------------
     let mut out = Graph::new();
-    let mut mapping: HashMap<NodeId, Mapped> = HashMap::new();
+    // `mapping[id]`: what input node `id` became.
+    let mut mapping: Vec<Mapped> = Vec::with_capacity(g.len());
 
     for (id, node) in g.nodes().iter().enumerate() {
         let split =
             stencil_splits.contains(&id) || map_splits.contains(&id) || succ_splits.contains(&id);
         if !split {
             let nid = out.add_node(node.clone());
-            mapping.insert(id, Mapped::One(nid));
+            mapping.push(Mapped::One(nid));
             continue;
         }
         let NodeKind::Compute {
@@ -219,7 +232,7 @@ pub fn apply_occ(g: &Graph, level: OccLevel) -> Graph {
             let bnd = out.add_node(make(DataView::Boundary, false, *reduce_finalize));
             (int, bnd)
         };
-        mapping.insert(id, Mapped::Two { int, bnd });
+        mapping.push(Mapped::Two { int, bnd });
 
         if container.is_reduce() && !boundary_first {
             // Both halves accumulate into the same partials: serialize.
@@ -249,8 +262,8 @@ pub fn apply_occ(g: &Graph, level: OccLevel) -> Graph {
 
     // --- rewire edges ----------------------------------------------------
     for e in g.edges() {
-        let mu = mapping[&e.from];
-        let mv = mapping[&e.to];
+        let mu = mapping[e.from];
+        let mv = mapping[e.to];
         let mut push = |from: NodeId, to: NodeId| {
             if from != to {
                 out.add_edge(Edge {
@@ -314,6 +327,8 @@ pub fn apply_occ(g: &Graph, level: OccLevel) -> Graph {
         }
     }
 
+    order_split_conflicts(&mut out, &mapping);
+
     // Paper Fig. 4d hint: launch the successor-internal halves before the
     // stencil-boundary halves, so they fill the halo-wait gap on the
     // compute stream. Added after rewiring so we can refuse hints that
@@ -340,12 +355,12 @@ pub fn apply_occ(g: &Graph, level: OccLevel) -> Graph {
             false
         };
         for &sid in &stencil_splits {
-            let Mapped::Two { bnd: s_bnd, .. } = mapping[&sid] else {
+            let Mapped::Two { bnd: s_bnd, .. } = mapping[sid] else {
                 continue;
             };
             for e in g.data_children(sid) {
                 if succ_splits.contains(&e.to) {
-                    if let Mapped::Two { int: r_int, .. } = mapping[&e.to] {
+                    if let Mapped::Two { int: r_int, .. } = mapping[e.to] {
                         if !reaches(&out, s_bnd, r_int) {
                             out.add_edge(Edge {
                                 from: r_int,
@@ -361,6 +376,52 @@ pub fn apply_occ(g: &Graph, level: OccLevel) -> Graph {
     }
 
     out
+}
+
+/// Order every two output nodes that stand for different input nodes,
+/// conflict on a data object, and are left unordered by the rewiring.
+///
+/// The rewiring preserves each input edge, but an input pair ordered only
+/// through a third node loses its ordering when that node splits: the
+/// multi-GPU pass's transitive reduction drops `u → v` when `u → m → v`
+/// implies it, and if the `m` edges are cell-local they are rewired half to
+/// half, so nothing orders `u`'s internal half before `v`'s boundary half.
+/// Each such pair gains one edge, on the data object they conflict on, in
+/// input order: the input orders every two conflicting nodes, and some
+/// half of the earlier one still reaches a half of the later one. Only
+/// pairs with a split end can lose their ordering, and a graph that
+/// already orders every conflict gains nothing.
+fn order_split_conflicts(out: &mut Graph, mapping: &[Mapped]) {
+    if mapping.iter().all(|m| matches!(m, Mapped::One(_))) {
+        return;
+    }
+    let acyclic = "edges in input order keep the graph acyclic";
+    let mut reach = out.reachability().expect(acyclic);
+    for (u, &mu) in mapping.iter().enumerate() {
+        for &mv in &mapping[u + 1..] {
+            if matches!((mu, mv), (Mapped::One(_), Mapped::One(_))) {
+                continue;
+            }
+            for a in mu.nodes() {
+                for b in mv.nodes() {
+                    if reach.reaches(a, b) || reach.reaches(b, a) {
+                        continue;
+                    }
+                    let forward = mu.nodes().any(|x| mv.nodes().any(|y| reach.reaches(x, y)));
+                    let (from, to) = if forward { (a, b) } else { (b, a) };
+                    if let Some((uid, kind)) = validate::conflict(out, from, to) {
+                        out.add_edge(Edge {
+                            from,
+                            to,
+                            kind,
+                            data: Some(uid),
+                        });
+                        reach = out.reachability().expect(acyclic);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -327,6 +327,9 @@ impl Pass for CollectivePass {
     }
 }
 
+/// Cap on concurrent compute streams per device.
+const MAX_STREAMS: usize = 8;
+
 /// Maps nodes to streams, organizes events and fixes the enqueue order
 /// (paper §V-C).
 pub struct SchedulePass;
@@ -336,12 +339,12 @@ impl Pass for SchedulePass {
         "schedule"
     }
     fn run(&self, ir: &mut Ir, cx: &PassCtx) {
-        let max_streams = if cx.backend.concurrent_kernels() {
-            cx.key.max_streams
+        let streams = if cx.backend.concurrent_kernels() {
+            MAX_STREAMS
         } else {
             1 // the CPU back end runs one kernel at a time (paper §IV-A)
         };
-        ir.schedule = Some(build_schedule_opts(&ir.graph, max_streams, cx.key.hints));
+        ir.schedule = Some(build_schedule_opts(&ir.graph, streams, cx.key.hints));
     }
 }
 

@@ -156,10 +156,10 @@ impl CompiledPlan {
     }
 
     /// Wrap an already-built graph and schedule (no containers, no
-    /// dependency graph, no timings), for an executor built directly with
-    /// [`crate::exec::Executor::from_plan`]; skeleton-built plans carry the
-    /// full state.
-    pub fn from_parts(graph: Graph, schedule: Schedule) -> Arc<CompiledPlan> {
+    /// dependency graph, no timings), for a skeleton built directly from a
+    /// plan in a unit test; compiled plans carry the full state.
+    #[cfg(test)]
+    pub(crate) fn from_parts(graph: Graph, schedule: Schedule) -> Arc<CompiledPlan> {
         let data_parents = precompute_parents(&graph);
         // No backend here: infer the device count from the graph itself.
         let ndev = infer_ndev(&graph);
@@ -202,8 +202,9 @@ fn precompute_halo_descs(g: &Graph) -> Vec<Vec<neon_set::HaloDescriptor>> {
         .collect()
 }
 
-/// Largest device index referenced by the graph, for the compatibility
-/// path that wraps a bare graph + schedule without a backend in hand.
+/// Largest device index referenced by the graph, for
+/// [`CompiledPlan::from_parts`], which has no backend in hand.
+#[cfg(test)]
 fn infer_ndev(g: &Graph) -> usize {
     let mut n = 1usize;
     for node in g.nodes() {
@@ -228,8 +229,6 @@ fn infer_ndev(g: &Graph) -> usize {
 pub struct CompileKey {
     /// OCC level (the `occ` pass).
     pub occ: OccLevel,
-    /// Cap on concurrent compute streams per device (the `schedule` pass).
-    pub max_streams: usize,
     /// Honour scheduling hints (the `schedule` pass).
     pub hints: bool,
     /// Fusion level (the `fuse`, `temporal-fuse` and
@@ -754,10 +753,6 @@ mod tests {
         let flips = [
             SkeletonOptions {
                 occ: OccLevel::TwoWayExtended,
-                ..Default::default()
-            },
-            SkeletonOptions {
-                max_streams: 2,
                 ..Default::default()
             },
             SkeletonOptions {

@@ -79,17 +79,17 @@ impl Schedule {
     }
 }
 
-/// Build the execution plan for `g` with at most `max_streams` concurrent
+/// Build the execution plan for `g` with at most `stream_cap` concurrent
 /// streams (1 for the CPU back end, which runs one kernel at a time).
-pub fn build_schedule(g: &Graph, max_streams: usize) -> Schedule {
-    build_schedule_opts(g, max_streams, true)
+pub fn build_schedule(g: &Graph, stream_cap: usize) -> Schedule {
+    build_schedule_opts(g, stream_cap, true)
 }
 
 /// [`build_schedule`] with the scheduling hints optionally ignored
 /// (ablation: the paper argues hints are what turns *potential* overlap
 /// into actual overlap).
-pub fn build_schedule_opts(g: &Graph, max_streams: usize, use_hints: bool) -> Schedule {
-    assert!(max_streams >= 1);
+pub fn build_schedule_opts(g: &Graph, stream_cap: usize, use_hints: bool) -> Schedule {
+    assert!(stream_cap >= 1);
     let n = g.len();
     if n == 0 {
         return Schedule {
@@ -102,7 +102,7 @@ pub fn build_schedule_opts(g: &Graph, max_streams: usize, use_hints: bool) -> Sc
     // Phase 1: stream mapping over data-only BFS levels.
     let levels = g.bfs_levels(false);
     let width = levels.iter().map(Vec::len).max().unwrap_or(1);
-    let num_streams = width.clamp(1, max_streams);
+    let num_streams = width.clamp(1, stream_cap);
     let mut stream_of = vec![usize::MAX; n];
     for level in &levels {
         let mut used = vec![false; num_streams];

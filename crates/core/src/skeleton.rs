@@ -21,7 +21,11 @@
 //!
 //! validating pipeline invariants after every pass, and then executes the
 //! resulting [`CompiledPlan`] — repeatedly, for iterative solvers —
-//! entirely without user intervention.
+//! entirely without user intervention. The skeleton owns everything a run
+//! needs besides the plan: the virtual clock, the pre-priced timing
+//! program, the functional replay's workers, the fault injector and the
+//! straggler monitor, each configured by the [`SkeletonOptions`] it was
+//! built with.
 //!
 //! Plans are cached process-wide (see [`crate::plan`]): a solver that
 //! rebuilds a skeleton for the same sequence shape, backend and
@@ -31,11 +35,13 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use neon_comm::{CollectiveEngine, EngineConfig};
 use neon_set::{Checkpoint, ComputePattern, Container, StateHandle};
-use neon_sys::{Backend, FaultPlan, FaultStats, RetryPolicy, SimTime, Trace};
+use neon_sys::{Backend, FaultInjector, FaultPlan, QueueSim, RetryPolicy, SimTime, Trace};
 
 use crate::collective::CollectiveMode;
-use crate::exec::{CommMode, ExecError, ExecReport, Executor, FunctionalMode, HaloPolicy};
+use crate::exec::{CommMode, ExecError, ExecReport, FunctionalMode, HaloPolicy};
+use crate::functional::{self, ParallelReplay};
 use crate::fuse::FusionLevel;
 use crate::graph::Graph;
 use crate::health::{HealthReport, StragglerMonitor, StragglerPolicy};
@@ -44,6 +50,7 @@ use crate::occ::OccLevel;
 use crate::pass::{CompileError, PassTiming};
 use crate::plan::{self, CompileKey, CompiledPlan};
 use crate::schedule::Schedule;
+use crate::timing::{TimingProgram, TimingScratch};
 
 /// Fault-recovery policy of a skeleton (paper-style self-healing: retry
 /// transient faults, checkpoint periodically, roll back when retry is
@@ -123,17 +130,15 @@ impl ResilienceOptions {
 
 /// Configuration of a skeleton.
 ///
-/// Four fields shape the compiled plan and form its [`CompileKey`] (see
-/// [`SkeletonOptions::compile_key`]): `occ`, `max_streams`, `hints` and
-/// `fusion`. The rest configure the executor, the cache, allocation or
-/// diagnostics; skeletons differing only there share one plan.
+/// Three fields shape the compiled plan and form its [`CompileKey`] (see
+/// [`SkeletonOptions::compile_key`]): `occ`, `hints` and `fusion`. The
+/// rest configure the run, the cache, allocation or diagnostics;
+/// skeletons differing only there share one plan.
 #[derive(Debug, Clone, Copy)]
 pub struct SkeletonOptions {
     /// The OCC optimization level (a single switch, as the paper argues a
     /// system should offer — no best level exists for all configurations).
     pub occ: OccLevel,
-    /// Cap on concurrent compute streams per device.
-    pub max_streams: usize,
     /// Honour scheduling hints in the task ordering (ablation switch).
     pub hints: bool,
     /// Model concurrent kernels as each getting full bandwidth (ablation
@@ -190,7 +195,6 @@ impl Default for SkeletonOptions {
     fn default() -> Self {
         SkeletonOptions {
             occ: OccLevel::Standard,
-            max_streams: 8,
             hints: true,
             kernel_concurrency: false,
             halo_policy: HaloPolicy::ExplicitTransfers,
@@ -213,7 +217,6 @@ impl SkeletonOptions {
     pub fn compile_key(&self) -> CompileKey {
         CompileKey {
             occ: self.occ,
-            max_streams: self.max_streams,
             hints: self.hints,
             fusion: self.fusion,
         }
@@ -234,15 +237,40 @@ impl SkeletonOptions {
     }
 }
 
-/// A compiled, executable application sequence.
+/// A compiled, executable application sequence, and its run-time state.
 pub struct Skeleton {
     name: String,
     options: SkeletonOptions,
     plan: Arc<CompiledPlan>,
-    executor: Executor,
     from_cache: bool,
+    backend: Backend,
+    /// The virtual clock. Lanes per device: `[0, compute_streams)`
+    /// kernels, then two transfer lanes, the host lane and the collective
+    /// lane.
+    queue: QueueSim,
+    /// Lowers collectives under `options.collectives`.
+    engine: CollectiveEngine,
+    /// Whether kernels run on real data (vs. timing-only).
+    functional: bool,
+    /// The plan lowered to pre-priced timing steps: built on the first
+    /// execution, so a plan-cache hit that never runs pays nothing for
+    /// it. Boxed: a skeleton that never runs stays small.
+    timing: Option<Box<TimingProgram>>,
+    /// The timing replay's per-iteration tables, reused across executions.
+    timing_scratch: TimingScratch,
+    /// The parallel functional replay's workers and event slots.
+    parallel: ParallelReplay,
+    /// Fault injector shared with the virtual-clock queue (kernel faults
+    /// are observed inside its enqueue; transfer faults at halo nodes).
+    injector: Option<Arc<FaultInjector>>,
+    /// Logical solver iteration of the *next* execution — the coordinate
+    /// fault plans target. Advanced by each successful execution; a
+    /// resilient runner rewinds it on rollback.
+    logical_iteration: u64,
+    /// Per-iteration makespans of the most recent [`Skeleton::run_iters`].
+    iter_makespans: Vec<SimTime>,
     /// Optional straggler monitor, fed one per-device kernel-span sample
-    /// per execution routed through the skeleton's run entry points.
+    /// per execution.
     monitor: Option<StragglerMonitor>,
 }
 
@@ -271,23 +299,47 @@ impl Skeleton {
     ) -> Result<Self, CompileError> {
         options.resilience.validate()?;
         let (plan, from_cache) = plan::compile(backend, containers, options)?;
-        let mut executor = Executor::from_plan(backend.clone(), Arc::clone(&plan));
-        executor.set_kernel_concurrency(options.kernel_concurrency);
-        executor.set_halo_policy(options.halo_policy);
-        executor.set_collective_mode(options.collectives);
-        executor.set_comm_mode(options.comm);
-        executor.set_functional_mode(options.functional_mode);
+        Ok(Self::from_plan(backend, name, plan, options, from_cache))
+    }
+
+    /// A skeleton running an already compiled `plan` under `options`.
+    /// Functional execution is enabled iff every compute node's iteration
+    /// space has real storage.
+    pub(crate) fn from_plan(
+        backend: &Backend,
+        name: &str,
+        plan: Arc<CompiledPlan>,
+        options: SkeletonOptions,
+        from_cache: bool,
+    ) -> Self {
+        let mut queue = QueueSim::new(backend.num_devices(), plan.schedule().num_streams + 4);
         if options.trace {
-            executor.enable_trace();
+            queue.enable_trace();
         }
-        Ok(Skeleton {
+        let engine = CollectiveEngine::with_config(
+            Arc::clone(backend.shared_topology()),
+            EngineConfig {
+                algorithm: options.collectives.fixed_algorithm(),
+                ..EngineConfig::default()
+            },
+        );
+        Skeleton {
             name: name.to_string(),
             options,
+            functional: functional::has_real_storage(plan.graph()),
+            parallel: ParallelReplay::new(plan.device_plan()),
             plan,
-            executor,
             from_cache,
+            backend: backend.clone(),
+            queue,
+            engine,
+            timing: None,
+            timing_scratch: TimingScratch::default(),
+            injector: None,
+            logical_iteration: 0,
+            iter_makespans: Vec::new(),
             monitor: None,
-        })
+        }
     }
 
     /// The skeleton's name.
@@ -372,125 +424,222 @@ impl Skeleton {
 
     /// Whether kernels run on real data.
     pub fn is_functional(&self) -> bool {
-        self.executor.is_functional()
+        self.functional
     }
 
     /// Force timing-only execution (for huge benchmark domains).
     pub fn set_functional(&mut self, on: bool) {
-        self.executor.set_functional(on);
+        assert!(
+            !on || functional::has_real_storage(self.plan.graph()),
+            "cannot enable functional execution on virtual storage"
+        );
+        self.functional = on;
     }
 
     /// Change how the functional replay parallelizes (see
     /// [`FunctionalMode`]). Takes effect on the next run.
     pub fn set_functional_mode(&mut self, mode: FunctionalMode) {
-        self.executor.set_functional_mode(mode);
+        self.options.functional_mode = mode;
     }
 
     /// How the functional replay currently parallelizes.
     pub fn functional_mode(&self) -> FunctionalMode {
-        self.executor.functional_mode()
+        self.options.functional_mode
     }
 
-    /// Per-iteration makespans of the most recent [`Skeleton::run_iters`].
+    /// Makespans of the individual iterations of the most recent
+    /// [`Skeleton::run_iters`], in order.
+    ///
+    /// [`ExecReport::time_per_execution`] only exposes the mean; this is
+    /// the full per-iteration distribution for variance reporting.
     pub fn per_iteration_makespans(&self) -> &[SimTime] {
-        self.executor.per_iteration_makespans()
+        &self.iter_makespans
     }
 
     /// Execute the sequence once.
+    ///
+    /// Panics on a structural failure or an unrecovered fault; use
+    /// [`Skeleton::try_run`] to handle those as values.
     pub fn run(&mut self) -> ExecReport {
-        let r = self.executor.execute();
-        self.observe_health();
-        r
+        self.try_run()
+            .unwrap_or_else(|e| panic!("execution failed: {e}"))
     }
 
     /// Execute the sequence `n` times (an iterative solver's outer loop).
     ///
-    /// With a straggler monitor enabled, each iteration contributes one
+    /// Individual iteration makespans are readable via
+    /// [`Skeleton::per_iteration_makespans`] until the next call. With a
+    /// straggler monitor enabled, each iteration contributes one
     /// per-device kernel-span sample to the EWMA.
+    ///
+    /// When tracing, asserts (debug builds) that each iteration emits the
+    /// same number of spans — the compiled schedule is replayed verbatim,
+    /// so a drifting span count means the run grew hidden state.
     pub fn run_iters(&mut self, n: usize) -> ExecReport {
-        if self.monitor.is_none() {
-            return self.executor.execute_iters(n);
-        }
         let mut total = ExecReport::default();
+        let mut spans_per_iter: Option<usize> = None;
+        // Reserve up front so the steady-state loop never reallocates.
+        self.iter_makespans.clear();
+        self.iter_makespans.reserve(n);
         for _ in 0..n {
-            total.accumulate(self.run());
+            let before = self.queue.trace().map(|t| t.spans().len());
+            let report = self.run();
+            self.iter_makespans.push(report.makespan);
+            total.accumulate(report);
+            // With a fault injector installed the span count legitimately
+            // varies per iteration (retry spans appear where faults fire),
+            // so the stability check only applies to clean runs.
+            if self.injector.is_some() {
+                continue;
+            }
+            if let (Some(b), Some(t)) = (before, self.queue.trace()) {
+                let delta = t.spans().len() - b;
+                if let Some(expected) = spans_per_iter {
+                    debug_assert_eq!(
+                        expected, delta,
+                        "trace span count must be stable across iterations"
+                    );
+                }
+                spans_per_iter = Some(delta);
+            }
         }
         total
     }
 
-    /// Average virtual time of one execution over `n` runs.
-    pub fn time_per_iteration(&mut self, n: usize) -> SimTime {
-        self.run_iters(n).time_per_execution()
-    }
-
     /// Take the recorded trace (requires `options.trace`).
     pub fn take_trace(&mut self) -> Option<Trace> {
-        self.executor.take_trace()
+        self.queue.take_trace()
     }
 
-    /// The underlying executor (virtual clock, fault injector, link counters).
-    pub fn executor(&self) -> &Executor {
-        &self.executor
-    }
-
-    /// Mutable access to the underlying executor.
-    pub fn executor_mut(&mut self) -> &mut Executor {
-        &mut self.executor
-    }
-
-    /// Install a fault plan; retry behavior follows
-    /// `options.resilience` (recovery disabled ⇒ single attempt, every
-    /// fault escapes as a structured error).
+    /// Install a fault plan, replacing any previous one. Faults are
+    /// delivered deterministically by `(iteration, device, kind, nth)`;
+    /// retry behavior follows `options.resilience` (recovery disabled ⇒
+    /// single attempt, every fault escapes as a structured error), with
+    /// exponential backoff on the virtual clock.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         let policy = self.options.resilience.retry_policy();
-        self.executor.install_fault_plan(plan, policy);
-    }
-
-    /// Lifetime fault counters (zero without an installed plan).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.executor.fault_stats()
-    }
-
-    /// Set the logical iteration the next run executes as (the coordinate
-    /// fault plans target).
-    pub fn set_logical_iteration(&mut self, iteration: u64) {
-        self.executor.set_logical_iteration(iteration);
+        let injector = FaultInjector::new(plan, policy, self.backend.num_devices());
+        self.queue.set_fault_injector(Some(Arc::clone(&injector)));
+        self.injector = Some(injector);
     }
 
     /// Execute the sequence once, reporting failures as values instead of
-    /// panicking (see [`Executor::try_execute`]).
+    /// panicking.
+    ///
+    /// With a fault plan installed, recovered transients show up only as
+    /// extra virtual time and report counters. A fault that escapes retry
+    /// aborts the functional replay exactly at the faulted operation —
+    /// earlier operations of the iteration have already mutated data, so
+    /// the caller must restore a checkpoint before continuing. A scheduled
+    /// device loss fails every execution from its iteration on.
     pub fn try_run(&mut self) -> Result<ExecReport, ExecError> {
-        let r = self.executor.try_execute();
-        if r.is_ok() {
-            self.observe_health();
+        let report = self.execute()?;
+        if let Some(m) = &mut self.monitor {
+            m.observe(self.timing_scratch.dev_kernel());
         }
-        r
+        Ok(report)
+    }
+
+    /// One execution: the virtual-timing replay, then (when functional)
+    /// the functional replay in the configured mode.
+    fn execute(&mut self) -> Result<ExecReport, ExecError> {
+        // Clone the Arc so plan data can be borrowed by index while the
+        // queue (and scratch) are mutated — nothing inside is copied.
+        let plan = Arc::clone(&self.plan);
+        let t0 = self.queue.makespan();
+        let link_busy_before = self.queue.link_busy_total();
+        let iteration = self.logical_iteration;
+        let stats_before = self.injector.as_ref().map(|i| i.stats());
+        if let Some(inj) = &self.injector {
+            if let Err(fault) = inj.begin_iteration(iteration) {
+                return Err(ExecError::from_permanent(fault, iteration));
+            }
+        }
+        let mut report = ExecReport {
+            executions: 1,
+            ..Default::default()
+        };
+        let program = match &mut self.timing {
+            Some(program) => program,
+            slot @ None => slot.insert(Box::new(TimingProgram::build(
+                &plan,
+                &self.backend,
+                &self.engine,
+                &self.options,
+            )?)),
+        };
+        let abort = program.replay(
+            &plan,
+            &mut self.queue,
+            self.injector.as_ref(),
+            &mut self.timing_scratch,
+            t0,
+            &mut report,
+        );
+        if self.functional {
+            let ndev = self.backend.num_devices();
+            match (abort, self.options.functional_mode) {
+                (Some(at), _) => functional::run_serial(&plan, ndev, Some(&at)),
+                (None, FunctionalMode::Serial) => functional::run_serial(&plan, ndev, None),
+                (None, FunctionalMode::Parallel) => self.parallel.run(&plan)?,
+            }
+        }
+
+        // Align all streams at the end of one execution so iterations
+        // measure cleanly (a zero-cost barrier on the virtual clock).
+        let end = self.queue.sync_all();
+        report.makespan = end - t0;
+        report.link_busy = self.queue.link_busy_total() - link_busy_before;
+        if let (Some(before), Some(inj)) = (stats_before, &self.injector) {
+            let after = inj.stats();
+            report.faults_injected = after.injected - before.injected;
+            report.faults_recovered = after.recovered - before.recovered;
+            report.retries = after.retries - before.retries;
+        }
+        if self.queue.trace().is_some() {
+            let topo = self.backend.topology();
+            let stats: Vec<(String, f64, u64)> = (0..topo.num_link_resources())
+                .map(|r| {
+                    (
+                        topo.link_resource_name(r).to_string(),
+                        self.queue.link_busy_time(r).as_us(),
+                        self.queue.link_contention_events(r),
+                    )
+                })
+                .collect();
+            if let Some(trace) = self.queue.trace_mut() {
+                for (name, busy, contended) in stats {
+                    trace.set_counter(&format!("link:{name}:busy_us"), busy);
+                    trace.set_counter(&format!("link:{name}:contended"), contended as f64);
+                }
+            }
+        }
+        if let (Some(at), Some(inj)) = (abort, &self.injector) {
+            // The iteration aborted: leave `logical_iteration` in place so
+            // a bare retry re-runs the same iteration (its fault specs are
+            // consumed, so the re-run is clean).
+            return Err(ExecError::TransientFaultEscaped {
+                device: at.site.device,
+                kind: at.site.kind,
+                iteration,
+                attempts: inj.policy().max_attempts,
+            });
+        }
+        self.logical_iteration = iteration + 1;
+        Ok(report)
     }
 
     /// Enable the deterministic straggler monitor: every execution routed
     /// through this skeleton's run entry points feeds one per-device
-    /// kernel-span sample (off the virtual clock —
-    /// [`Executor::per_device_kernel_time`]) into an EWMA judged by
+    /// kernel-busy sample (off the virtual clock) into an EWMA judged by
     /// `policy`. Replaces any previous monitor.
     pub fn enable_straggler_monitor(&mut self, policy: StragglerPolicy) {
-        self.monitor = Some(StragglerMonitor::new(
-            self.executor.queue().num_devices(),
-            policy,
-        ));
+        self.monitor = Some(StragglerMonitor::new(self.backend.num_devices(), policy));
     }
 
     /// The current fleet-health snapshot, if a monitor is enabled.
     pub fn health_report(&self) -> Option<HealthReport> {
         self.monitor.as_ref().map(|m| m.report())
-    }
-
-    /// Fold the most recent execution's per-device kernel spans into the
-    /// monitor (no-op when disabled). Called by the run entry points;
-    /// exposed for callers that drive the executor directly.
-    pub fn observe_health(&mut self) {
-        if let Some(m) = &mut self.monitor {
-            m.observe(self.executor.per_device_kernel_time());
-        }
     }
 
     /// Type-erased state handles of every data object the sequence
@@ -545,11 +694,10 @@ impl Skeleton {
         let end = start + n as u64;
         let mut i = start;
         while i < end {
-            self.executor.set_logical_iteration(i);
-            match self.executor.try_execute() {
+            self.logical_iteration = i;
+            match self.try_run() {
                 Ok(r) => {
                     report.accumulate(r);
-                    self.observe_health();
                     i += 1;
                     if (i - start).is_multiple_of(interval) && i < end {
                         checkpoint = Checkpoint::capture(i, &handles);

@@ -1,9 +1,9 @@
-//! The virtual-timing replay, priced once per executor.
+//! The virtual-timing replay, priced once per skeleton.
 //!
 //! Everything about an iteration's timing that does not depend on *when*
 //! its inputs become ready is fixed by the compiled plan, the backend and
-//! the executor's settings. [`TimingProgram::build`] lowers the plan to a
-//! program once, on an executor's first execution:
+//! the skeleton's options. [`TimingProgram::build`] lowers the plan to a
+//! program once, on a skeleton's first execution:
 //!
 //! * per compute node and device, the launch's duration, bytes, redundant
 //!   flops and lane (kernels cost `launch + bytes/bandwidth`, roofline),
@@ -29,7 +29,10 @@
 //!
 //! Fault observation is exactly that of an unpriced walk: the kernel
 //! verdict inside [`QueueSim::enqueue_from`], one transfer verdict per
-//! (halo node, destination), one link verdict per collective chunk.
+//! (halo node, destination), one link verdict per collective chunk. A
+//! fault that escapes retry stops the replay after its task, and the
+//! replay reports that task as an [`Abort`]: the functional replay runs
+//! exactly the work before it.
 
 use std::sync::Arc;
 
@@ -37,12 +40,15 @@ use neon_comm::{
     ChunkPolicy, CollectiveEngine, CollectiveKind, CollectiveSchedule, CollectiveScratch,
 };
 use neon_sys::topology::LinkResourceId;
-use neon_sys::{Backend, DeviceId, FaultInjector, FaultSiteKind, FaultVerdict, QueueSim, SimTime};
+use neon_sys::{
+    Backend, DeviceId, FaultInjector, FaultSite, FaultSiteKind, FaultVerdict, QueueSim, SimTime,
+};
 use neon_sys::{SpanKind, StreamId};
 
 use crate::exec::{CommMode, ExecError, ExecReport, HaloPolicy};
 use crate::graph::NodeKind;
 use crate::plan::CompiledPlan;
+use crate::skeleton::SkeletonOptions;
 
 /// Unified-memory migration page size, in bytes (2 MiB on modern GPUs).
 const UM_PAGE_BYTES: u64 = 2 << 20;
@@ -51,16 +57,14 @@ const UM_FAULT_US: f64 = 25.0;
 /// Unified-memory sustained migration bandwidth, in GB/s.
 const UM_BANDWIDTH_GB_S: f64 = 50.0;
 
-/// The executor settings a program is priced under; changing any of them
-/// drops the program.
+/// Where a fault that escaped retry stopped an iteration's timing replay.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TimingSettings {
-    /// Kernels run on their scheduled stream instead of lane 0.
-    pub kernel_concurrency: bool,
-    /// Halo coherency model.
-    pub halo_policy: HaloPolicy,
-    /// Communication signaling granularity.
-    pub comm_mode: CommMode,
+pub(crate) struct Abort {
+    /// Index of the schedule task whose operation failed.
+    pub task: usize,
+    /// The escaped fault; for a kernel, `site.device` is the device whose
+    /// launch failed.
+    pub site: FaultSite,
 }
 
 /// A pre-priced kernel launch on one device.
@@ -189,12 +193,14 @@ impl TimingScratch {
 }
 
 impl TimingProgram {
-    /// Price every task of `plan` on `backend` under `settings`.
+    /// Price every task of `plan` on `backend` under the `kernel_concurrency`,
+    /// `halo_policy` and `comm` of `options`; collectives are lowered by
+    /// `engine`, which carries `options.collectives`.
     pub(crate) fn build(
         plan: &CompiledPlan,
         backend: &Backend,
         engine: &CollectiveEngine,
-        settings: TimingSettings,
+        options: &SkeletonOptions,
     ) -> Result<Self, ExecError> {
         let graph = plan.graph();
         let ndev = backend.num_devices();
@@ -204,8 +210,8 @@ impl TimingProgram {
         let compute_streams = plan.schedule().num_streams;
         // Unified memory has no explicit transfers to chunk, so chunk
         // events only apply to the explicit-transfer policy.
-        let chunked = settings.comm_mode == CommMode::ChunkEvents
-            && settings.halo_policy == HaloPolicy::ExplicitTransfers;
+        let chunked = options.comm == CommMode::ChunkEvents
+            && options.halo_policy == HaloPolicy::ExplicitTransfers;
         let chunk_policy = ChunkPolicy::for_topology(topo);
         let sync = backend.device(DeviceId(0)).sync_overhead();
         let mut p = TimingProgram {
@@ -238,7 +244,7 @@ impl TimingProgram {
                 });
             }
         }
-        if settings.halo_policy == HaloPolicy::UnifiedMemory {
+        if options.halo_policy == HaloPolicy::UnifiedMemory {
             p.um_names = graph
                 .nodes()
                 .iter()
@@ -324,7 +330,7 @@ impl TimingProgram {
                             dur,
                             bytes,
                             redundant,
-                            lane: if settings.kernel_concurrency {
+                            lane: if options.kernel_concurrency {
                                 task.stream
                             } else {
                                 0
@@ -338,7 +344,7 @@ impl TimingProgram {
                         finalize: reduce_finalize.then_some(sync),
                     }
                 }
-                NodeKind::Halo { .. } => match settings.halo_policy {
+                NodeKind::Halo { .. } => match options.halo_policy {
                     HaloPolicy::ExplicitTransfers => {
                         let first = p.transfers.len();
                         for desc in plan.halo_descriptors(node) {
@@ -415,9 +421,8 @@ impl TimingProgram {
 
     /// Replay one iteration starting at `t0`, accumulating into `report`.
     ///
-    /// Returns the collective node at which a [`FaultSiteKind::Link`]
-    /// escape fired, if one did: link faults are observed inside the
-    /// collective, so the functional replay aborts at node granularity.
+    /// Returns where a fault that escaped retry stopped the iteration, if
+    /// one did.
     pub(crate) fn replay(
         &self,
         plan: &CompiledPlan,
@@ -426,7 +431,7 @@ impl TimingProgram {
         scratch: &mut TimingScratch,
         t0: SimTime,
         report: &mut ExecReport,
-    ) -> Option<usize> {
+    ) -> Option<Abort> {
         let graph = plan.graph();
         let ndev = self.ndev;
         let backoff = injector.map_or(SimTime::ZERO, |i| i.policy().backoff);
@@ -458,9 +463,8 @@ impl TimingProgram {
                 .map(|&p| ends[p * ndev + d])
                 .fold(t0, SimTime::max)
         };
-        let mut escape_node = None;
 
-        for step in &self.steps {
+        for (task, step) in self.steps.iter().enumerate() {
             match *step {
                 Step::Compute {
                     node,
@@ -643,27 +647,17 @@ impl TimingProgram {
                         collective,
                     );
                     ends[node * ndev..(node + 1) * ndev].copy_from_slice(collective.done());
-                    // Link faults are observed inside the engine, chunk by
-                    // chunk; if one escaped here, remember the node so the
-                    // functional replay can abort before its finalize.
-                    if escape_node.is_none()
-                        && injector
-                            .and_then(|i| i.escape_site())
-                            .is_some_and(|s| s.kind == FaultSiteKind::Link)
-                    {
-                        escape_node = Some(node);
-                    }
                 }
             }
-            if injector.is_some_and(|i| i.escape_site().is_some()) {
+            if let Some(site) = injector.and_then(|i| i.escape_site()) {
                 // The iteration is aborting: the rest of it never runs, so
                 // later operations must not advance the clock or consume
                 // fault specs (the injector also stops matching once the
-                // escape marker is set — this break just saves the work).
-                break;
+                // escape marker is set — stopping here just saves the work).
+                return Some(Abort { task, site });
             }
         }
-        escape_node
+        None
     }
 
     /// Stage a halo node's per-device input readiness into `lanes`
@@ -750,12 +744,13 @@ fn consult(
 #[cfg(test)]
 mod tests {
     use neon_set::{Container, DataView};
-    use neon_sys::{Backend, SimTime};
+    use neon_sys::Backend;
 
-    use crate::exec::{ExecError, Executor};
+    use crate::exec::ExecError;
     use crate::graph::{Graph, Node, NodeKind};
     use crate::plan::CompiledPlan;
     use crate::schedule::build_schedule;
+    use crate::skeleton::{Skeleton, SkeletonOptions};
 
     #[test]
     fn a_compute_node_without_iteration_space_fails_every_execution() {
@@ -772,13 +767,18 @@ mod tests {
         ));
         let schedule = build_schedule(&g, 1);
         let plan = CompiledPlan::from_parts(g, schedule);
-        let mut exec = Executor::from_plan(Backend::dgx_a100(2), plan);
+        let options = SkeletonOptions {
+            trace: true,
+            ..Default::default()
+        };
+        let mut sk = Skeleton::from_plan(&Backend::dgx_a100(2), "spaceless", plan, options, false);
         for _ in 0..2 {
-            match exec.try_execute() {
+            match sk.try_run() {
                 Err(ExecError::MissingIterationSpace { node }) => assert_eq!(node, "spaceless"),
                 other => panic!("expected MissingIterationSpace, got {other:?}"),
             }
-            assert_eq!(exec.queue().makespan(), SimTime::ZERO, "nothing enqueued");
         }
+        let trace = sk.take_trace().expect("tracing is on");
+        assert!(trace.spans().is_empty(), "nothing enqueued");
     }
 }

@@ -27,7 +27,7 @@ use std::cmp::Ordering;
 
 use neon_set::{ComputePattern, DataUid, DataView};
 
-use crate::graph::{Graph, NodeId, NodeKind};
+use crate::graph::{EdgeKind, Graph, NodeId, NodeKind};
 use crate::schedule::Schedule;
 
 /// A violated pipeline invariant.
@@ -153,33 +153,83 @@ const WRITE: u8 = 2;
 /// Any access to the object is a stencil (non-local) access.
 const STENCIL: u8 = 4;
 
-/// Append one `(node, data object, use flags)` entry per access of node
-/// `id` to `uses`.
+/// One `(data object, use flags)` entry per access of a node of `kind`.
 ///
 /// Halo nodes report nothing (their conflicts are covered by the halo
 /// precedence check); collective nodes report only the reduced scalars —
 /// the carried container's field reads belong to the accumulating kernel,
 /// not to the communication step.
-fn push_node_uses(id: NodeId, kind: &NodeKind, uses: &mut Vec<(NodeId, DataUid, u8)>) {
-    match kind {
-        NodeKind::Halo { .. } => {}
-        NodeKind::Collective { container, .. } => uses.extend(
-            container
-                .accesses()
-                .iter()
-                .filter(|a| a.pattern == ComputePattern::Reduce)
-                .map(|a| (id, a.uid, READ | WRITE)),
-        ),
+fn node_uses(kind: &NodeKind) -> impl Iterator<Item = (DataUid, u8)> + '_ {
+    let (container, collective) = match kind {
+        NodeKind::Halo { .. } => (None, false),
+        NodeKind::Collective { container, .. } => (Some(container), true),
         NodeKind::Compute { container, .. } | NodeKind::Host { container } => {
-            uses.extend(container.accesses().iter().map(|a| {
-                let flag = |on: bool, f: u8| if on { f } else { 0 };
-                let use_ = flag(a.mode.reads(), READ)
-                    | flag(a.mode.writes(), WRITE)
-                    | flag(a.pattern == ComputePattern::Stencil, STENCIL);
-                (id, a.uid, use_)
-            }))
+            (Some(container), false)
+        }
+    };
+    container
+        .into_iter()
+        .flat_map(|c| c.accesses())
+        .filter(move |a| !collective || a.pattern == ComputePattern::Reduce)
+        .map(move |a| {
+            if collective {
+                return (a.uid, READ | WRITE);
+            }
+            let flag = |on: bool, f: u8| if on { f } else { 0 };
+            let use_ = flag(a.mode.reads(), READ)
+                | flag(a.mode.writes(), WRITE)
+                | flag(a.pattern == ComputePattern::Stencil, STENCIL);
+            (a.uid, use_)
+        })
+}
+
+/// Whether two nodes using one data object with flags `fa` and `fb` race
+/// when unordered: two readers never do, and cell-local accesses over
+/// `disjoint` iteration sets cannot.
+fn races(fa: u8, fb: u8, disjoint: bool) -> bool {
+    let both = fa | fb;
+    both & WRITE != 0 && (both & STENCIL != 0 || !disjoint)
+}
+
+/// Whether the views of two nodes iterate provably disjoint cell sets.
+fn disjoint_views(a: DataView, b: DataView) -> bool {
+    matches!(
+        (a, b),
+        (DataView::Internal, DataView::Boundary) | (DataView::Boundary, DataView::Internal)
+    )
+}
+
+/// The first data object on which nodes `a` and `b` of `g` race if
+/// unordered (check 2's rule), with the kind of an `a → b` edge ordering
+/// them; `None` if they cannot race.
+pub(crate) fn conflict(g: &Graph, a: NodeId, b: NodeId) -> Option<(DataUid, EdgeKind)> {
+    let (na, nb) = (g.node(a), g.node(b));
+    if let (Some(ca), Some(cb)) = (na.container(), nb.container()) {
+        if ca.same_instance(cb) {
+            return None;
         }
     }
+    let disjoint = disjoint_views(na.view(), nb.view());
+    // A node's flags on `uid`, folded over its accesses; `None` if it has
+    // none.
+    let flags = |kind: &NodeKind, uid: DataUid| {
+        node_uses(kind)
+            .filter(|&(u, _)| u == uid)
+            .map(|(_, f)| f)
+            .reduce(|f, g| f | g)
+    };
+    node_uses(&na.kind).find_map(|(uid, fa)| {
+        let fa = flags(&na.kind, uid).unwrap_or(fa);
+        let fb = flags(&nb.kind, uid)?;
+        races(fa, fb, disjoint).then(|| {
+            let kind = match (fa & WRITE != 0, fb & READ != 0) {
+                (true, true) => EdgeKind::RaW,
+                (true, false) => EdgeKind::WaW,
+                (false, _) => EdgeKind::WaR,
+            };
+            (uid, kind)
+        })
+    })
 }
 
 /// The name of a data object: its first access record in node order.
@@ -208,7 +258,7 @@ pub fn validate_graph(g: &Graph, ndev: usize, check_halos: bool) -> Result<(), V
     // access; node `i`'s entries are `uses[offsets[i]..offsets[i + 1]]`.
     let mut uses = Vec::new();
     for (i, n) in g.nodes().iter().enumerate() {
-        push_node_uses(i, &n.kind, &mut uses);
+        uses.extend(node_uses(&n.kind).map(|(uid, f)| (i, uid, f)));
     }
     uses.sort_unstable_by_key(|&(i, uid, _)| (i, uid));
     uses.dedup_by(|next, kept| {
@@ -232,11 +282,7 @@ pub fn validate_graph(g: &Graph, ndev: usize, check_halos: bool) -> Result<(), V
                     continue; // split halves / kernel+collective of one launch
                 }
             }
-            // Whether the two views iterate provably disjoint cell sets.
-            let disjoint = matches!(
-                (na.view(), nb.view()),
-                (DataView::Internal, DataView::Boundary) | (DataView::Boundary, DataView::Internal)
-            );
+            let disjoint = disjoint_views(na.view(), nb.view());
             let (ua, ub) = (
                 &uses[offsets[a]..offsets[a + 1]],
                 &uses[offsets[b]..offsets[b + 1]],
@@ -250,10 +296,7 @@ pub fn validate_graph(g: &Graph, ndev: usize, check_halos: bool) -> Result<(), V
                     Ordering::Greater => j += 1,
                     Ordering::Equal => {
                         (i, j) = (i + 1, j + 1);
-                        // Two readers never conflict; cell-local accesses
-                        // over disjoint iteration sets cannot race.
-                        let both = fa | fb;
-                        if both & WRITE != 0 && (both & STENCIL != 0 || !disjoint) {
+                        if races(fa, fb, disjoint) {
                             return Err(ValidationError::UnorderedConflict {
                                 a: na.name.clone(),
                                 b: nb.name.clone(),

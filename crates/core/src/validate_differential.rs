@@ -4,9 +4,9 @@
 //! Random container sequences go through the compile stages at every OCC
 //! level on 1–4 devices, long enough that graphs pass 64 and 128 nodes (so
 //! reachability rows span several words). Every stage's graph and the final
-//! schedule are checked as built and after one seeded corruption; both
-//! implementations must return the same verdict, and both reductions the
-//! same edge list, in order.
+//! schedule are checked as built, where both must validate, and after one
+//! seeded corruption; both implementations must return the same verdict,
+//! and both reductions the same edge list, in order.
 
 use neon_domain::{
     DenseGrid, Dim3, Field, GridLike as _, MemLayout, ScalarSet, Stencil, StorageMode,
@@ -554,7 +554,11 @@ fn check_graph(g: &Graph, ndev: usize, halos: bool, rng: &mut TestRng, what: &st
     for (g, label) in [(g, "as built"), (&corrupted, kind.unwrap_or("untouched"))] {
         let what = format!("{what}, {label}");
         let old = oracle::validate_graph(g, ndev, halos);
-        assert_same_verdict(validate_graph(g, ndev, halos), old.clone(), g, &what);
+        let new = validate_graph(g, ndev, halos);
+        if label == "as built" {
+            assert_eq!(new, Ok(()), "{what}: the pipeline's own output");
+        }
+        assert_same_verdict(new, old.clone(), g, &what);
         t.errors += usize::from(old.is_err());
         if !matches!(old, Err(ValidationError::Cycle { .. })) {
             let (mut new, mut old) = (g.clone(), g.clone());
@@ -594,6 +598,9 @@ fn bitset_validator_and_reduction_match_the_hashset_oracles() {
                 let what = format!("{what} schedule, {label}");
                 let old = oracle::validate_ir(&lowered, Some(s), ndev, true);
                 let new = validate_ir(&lowered, Some(s), ndev, true);
+                if label == "as built" {
+                    assert_eq!(new, Ok(()), "{what}: the pipeline's own output");
+                }
                 assert_same_verdict(new, old.clone(), &lowered, &what);
                 assert_eq!(
                     validate_schedule(&lowered, s),

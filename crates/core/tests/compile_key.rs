@@ -1,7 +1,8 @@
-//! The plan-cache key is [`neon_core::CompileKey`]: the four options the
+//! The plan-cache key is [`neon_core::CompileKey`]: the three options the
 //! passes read. Everything else in [`SkeletonOptions`] configures the
-//! executor, so skeletons that differ only there must share one compiled
-//! plan and still run exactly as if each had compiled its own. And a
+//! run, so skeletons that differ only there must share one compiled plan
+//! and still run exactly as if each had compiled its own — and each
+//! timing option must actually move the timing. And a
 //! program's dispatch form (span kernels or per-cell closures) is not part
 //! of the key either, so a span program and its `ops::reference` twin
 //! share one plan. And a plan rebound from the cache is the plan a fresh
@@ -23,7 +24,7 @@ use neon_domain::{
     FieldWrite as _, GridLike as _, MemLayout, ScalarSet, Stencil, StorageMode,
 };
 use neon_set::uid_roles;
-use neon_sys::Backend;
+use neon_sys::{Backend, SimTime};
 
 const ITERS: usize = 3;
 
@@ -146,6 +147,84 @@ fn runtime_options_share_a_plan_and_run_as_if_compiled_fresh() {
         );
         assert!(!fresh.compiled_from_cache());
         assert_eq!(shared, observe(fresh, bits), "{flip:?}");
+    }
+}
+
+/// Each timing option moves the makespan of a program it applies to, so
+/// a skeleton that priced its run without the option could not pass the
+/// fresh-compile comparison above by accident. The CG iteration runs on
+/// one compute stream; the D3Q19 step's internal and boundary kernels
+/// take two, which kernel concurrency lets overlap.
+#[test]
+fn each_timing_option_moves_the_makespan() {
+    let b = Backend::dgx_a100(8);
+    let g = DenseGrid::new(
+        &b,
+        Dim3::new(16, 16, 64),
+        &[&Stencil::seven_point()],
+        StorageMode::Virtual,
+    )
+    .unwrap();
+    let state = CgState::new(&g, 1, MemLayout::SoA).unwrap();
+    let cg = || -> Vec<Container> { cg_iteration(&g, &state, laplacian_apply(&g, &state)) };
+    let gl = DenseGrid::new(
+        &b,
+        Dim3::cube(256),
+        &[&Stencil::d3q19()],
+        StorageMode::Virtual,
+    )
+    .unwrap();
+    let f = ["f0", "f1"].map(|n| Field::<f64, _>::new(&gl, n, 19, 0.0, MemLayout::SoA).unwrap());
+    let lbm = || vec![stream_collide(&gl, &f[0], &f[1], LbmParams::default())];
+
+    let base = SkeletonOptions {
+        occ: OccLevel::Standard,
+        ..Default::default()
+    };
+    type Program<'a> = &'a dyn Fn() -> Vec<Container>;
+    let cases: [(Program, SkeletonOptions); 4] = [
+        (
+            &cg,
+            SkeletonOptions {
+                halo_policy: HaloPolicy::UnifiedMemory,
+                ..base
+            },
+        ),
+        (
+            &cg,
+            SkeletonOptions {
+                collectives: CollectiveMode::Fixed(CollectiveAlgorithm::HostStaged),
+                ..base
+            },
+        ),
+        (
+            &cg,
+            SkeletonOptions {
+                comm: CommMode::ChunkEvents,
+                ..base
+            },
+        ),
+        (
+            &lbm,
+            SkeletonOptions {
+                kernel_concurrency: true,
+                ..base
+            },
+        ),
+    ];
+    let makespans = |make: Program, options| {
+        let mut sk = Skeleton::sequence(&b, "timing", make(), options);
+        sk.run_iters(ITERS);
+        sk.per_iteration_makespans().to_vec()
+    };
+    for (make, options) in cases {
+        let (before, after) = (makespans(make, base), makespans(make, options));
+        // Past the benchmark's bound on a virtual-clock metric's drift.
+        let moved = |(b, a): (&SimTime, &SimTime)| (a.as_us() - b.as_us()).abs() > 1e-9 * b.as_us();
+        assert!(
+            before.iter().zip(&after).any(moved),
+            "{options:?} should change the makespan"
+        );
     }
 }
 

@@ -139,7 +139,7 @@ fn run_case(
         .expect("transient-only plans must always heal");
     if faulted {
         assert_eq!(run.report.faults_injected, run.report.faults_recovered);
-        assert_eq!(sk.fault_stats().escaped, 0, "no transient may escape");
+        assert_eq!(run.rollbacks, 0, "no transient may escape");
     }
     let mut bits = Vec::new();
     s.x.for_each(|_, _, _, _, v| bits.push(v.to_bits()));

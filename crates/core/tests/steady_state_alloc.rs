@@ -37,7 +37,7 @@ use neon_apps::lbm::LbmParams;
 use neon_apps::poisson::laplacian_apply;
 use neon_core::{
     CollectiveAlgorithm, CollectiveMode, CommMode, FaultPlan, FunctionalMode, HaloPolicy, OccLevel,
-    RetryPolicy, Skeleton, SkeletonOptions,
+    Skeleton, SkeletonOptions,
 };
 use neon_domain::{
     Container, DataView, DenseGrid, Dim3, Field, FieldStencil, FieldWrite, GridLike, KernelFn,
@@ -189,8 +189,7 @@ fn steady_state_execute_does_not_allocate() {
         let mut sk = Skeleton::sequence(&b, "steady-cg", seq, options);
         assert!(!sk.is_functional());
         if faults {
-            sk.executor_mut()
-                .install_fault_plan(FaultPlan::none(), RetryPolicy::default());
+            sk.install_fault_plan(FaultPlan::none());
         }
         sk.run_iters(ITERS); // builds the timing program, warms scratch
         let before = ALLOCS.load(Ordering::Relaxed);

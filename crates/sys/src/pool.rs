@@ -3,7 +3,7 @@
 //! The functional execution path runs one host thread per simulated device.
 //! Spawning a fresh `std::thread::scope` for every kernel launch costs a
 //! thread create/join round-trip per launch — thousands per solver run. A
-//! [`WorkerPool`] instead spawns its workers **once** (per `Executor`) and
+//! [`WorkerPool`] instead spawns its workers **once** (per `Skeleton`) and
 //! parks them on a condvar between jobs, so the steady-state dispatch cost
 //! is a mutex round-trip plus a wake-up.
 //!
