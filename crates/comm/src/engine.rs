@@ -21,7 +21,8 @@
 //! every iteration. [`CollectiveEngine::schedule`] is `lower` + `run` for
 //! one-off calls.
 //!
-//! Only *timing* lives here; the data semantics are in [`crate::buffers`].
+//! Only *timing* lives here; the values are folded in rank order by the
+//! executor (`neon_set::ScalarSet::finalize`).
 //! Reduction compute time is folded into the link latency term, as in the
 //! rest of the simulator's calibration.
 //!

@@ -487,6 +487,8 @@ impl TimingProgram {
                             // *arriving* into this device — never for its
                             // outgoing sends. Both spans ride the same
                             // lane, so they serialize like a split launch.
+                            // They are one launch, so only the interior span
+                            // consults the fault injector.
                             Some((interior, bnd)) => {
                                 let mut e0 = t0;
                                 let mut arrive = t0;
@@ -508,7 +510,7 @@ impl TimingProgram {
                                 );
                                 let at = ie.max(arrive);
                                 queue
-                                    .enqueue_from(stream, at, bnd, bnd_name, SpanKind::Kernel)
+                                    .enqueue_from_clean(stream, at, bnd, bnd_name, SpanKind::Kernel)
                                     .1
                             }
                             None => {

@@ -506,15 +506,17 @@ mod tests {
     #[test]
     fn unordered_conflict_rejected() {
         let mut g = pipeline(2, OccLevel::None);
-        // Corrupt: drop every data edge into the stencil node, leaving the
-        // producer map racing with the consumer.
+        // Corrupt: drop every edge out of the stencil node. Its halo stays
+        // ordered before it, so the one fault left is the dot reading `y`
+        // unordered against the stencil that writes it.
         let stencil = (0..g.len()).find(|&i| g.node(i).name == "laplace").unwrap();
-        g.edges_mut().retain(|e| e.to != stencil);
+        g.edges_mut().retain(|e| e.from != stencil);
         let err = validate_graph(&g, 2, true).unwrap_err();
         assert!(
             matches!(
-                err,
-                ValidationError::UnorderedConflict { .. } | ValidationError::MissingHalo { .. }
+                &err,
+                ValidationError::UnorderedConflict { a, b, data }
+                    if (a.as_str(), b.as_str(), data.as_str()) == ("laplace", "dot(y,y)", "y")
             ),
             "got {err}"
         );

@@ -147,11 +147,10 @@ fn recovered_faults_populate_counters_and_trace() {
 /// the iteration before it: every task before the faulted one whole, and
 /// of the faulted task the devices before device 1. The program is
 /// `halo(x)`, `stencil x→y`, `y ← 2y` on two devices, faulted at the
-/// second kernel observation on device 1. In epoch mode that is the
-/// map's launch. Under chunk events the stencil, which consumes halo
-/// bytes, is priced as an interior and a boundary span, each one kernel
-/// observation, so it is the stencil's boundary span, and the stencil
-/// never completes on device 1.
+/// second kernel launch on device 1: the map's. Under chunk events the
+/// stencil, which consumes halo bytes, is priced as an interior and a
+/// boundary span, but it is still one launch, so the same fault hits the
+/// map in both communication modes.
 #[test]
 fn an_escaped_kernel_fault_leaves_exactly_the_work_before_it() {
     let backend = Backend::dgx_a100(2);
@@ -196,9 +195,9 @@ fn an_escaped_kernel_fault_leaves_exactly_the_work_before_it() {
     let swept = values(&y_ref);
     let (z0, z1) = grid.owned_z_range(DeviceId(0));
 
-    for (comm, stencil_faulted) in [(CommMode::Epoch, false), (CommMode::ChunkEvents, true)] {
+    for comm in [CommMode::Epoch, CommMode::ChunkEvents] {
         let (x, y, sten) = fields("prefix");
-        let (x_before, y_before) = (values(&x), values(&y));
+        let x_before = values(&x);
         let seq = vec![sten, ops::scale_const(&grid, 2.0, &y)];
         let mut sk = Skeleton::sequence(
             &backend,
@@ -221,20 +220,18 @@ fn an_escaped_kernel_fault_leaves_exactly_the_work_before_it() {
             }
             other => panic!("{comm:?}: expected an escaped kernel fault, got {other:?}"),
         }
+        // The stencil ran whole; the map on device 0 only.
         let expected: Vec<(usize, f64)> = swept
             .iter()
-            .zip(&y_before)
-            .map(|(&(z, full), &(_, initial))| {
-                let on_dev0 = (z0..z1).contains(&z);
-                let value = match (stencil_faulted, on_dev0) {
-                    // The stencil ran on device 0 only; the map never ran.
-                    (true, true) => full,
-                    (true, false) => initial,
-                    // The stencil ran whole; the map on device 0 only.
-                    (false, true) => 2.0 * full,
-                    (false, false) => full,
-                };
-                (z, value)
+            .map(|&(z, full)| {
+                (
+                    z,
+                    if (z0..z1).contains(&z) {
+                        2.0 * full
+                    } else {
+                        full
+                    },
+                )
             })
             .collect();
         let bits = |v: &[(usize, f64)]| v.iter().map(|(_, x)| x.to_bits()).collect::<Vec<_>>();

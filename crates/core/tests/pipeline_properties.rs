@@ -34,9 +34,14 @@ enum Op {
     /// deterministic test below: chained with dots, its values would
     /// outgrow exact f64 integers).
     AxpyA,
+    /// `c ← a mod 3`, a host step reading the reduced scalar `a`.
+    Host,
+    /// `z ← c·x + z`, reading the host-written scalar `c`.
+    AxpyC,
 }
 
-/// Every op: three maps, six two-field maps, six stencils, two dots.
+/// Every op: three maps, six two-field maps, six stencils, two dots, a
+/// host step and the axpy that reads its scalar.
 fn all_ops() -> Vec<Op> {
     let mut ops: Vec<Op> = (0..3).map(Op::Map).collect();
     for f in 0..3 {
@@ -45,7 +50,7 @@ fn all_ops() -> Vec<Op> {
             ops.push(Op::Stencil(f, g));
         }
     }
-    ops.extend([Op::DotA, Op::DotB]);
+    ops.extend([Op::DotA, Op::DotB, Op::Host, Op::AxpyC]);
     ops
 }
 
@@ -63,6 +68,8 @@ struct Setup {
     fields: [Field<f64, DenseGrid>; 3],
     dot_a: ScalarSet<f64>,
     dot_b: ScalarSet<f64>,
+    /// Written by the host step.
+    c: ScalarSet<f64>,
 }
 
 fn setup(n_dev: usize) -> Setup {
@@ -76,12 +83,14 @@ fn setup(n_dev: usize) -> Setup {
     fields[2].fill(|a, b, c, _| ((a * 3 + b * 11 + c * 5) % 5) as f64 - 2.0);
     let dot_a = ScalarSet::<f64>::new(n_dev, "a", 0.0, |p, q| p + q);
     let dot_b = ScalarSet::<f64>::new(n_dev, "b", 0.0, |p, q| p + q);
+    let c = ScalarSet::<f64>::new(n_dev, "c", 0.0, |p, q| p + q);
     Setup {
         backend,
         grid,
         fields,
         dot_a,
         dot_b,
+        c,
     }
 }
 
@@ -108,7 +117,7 @@ fn stencil_sum(
 const NAMES: [&str; 3] = ["x", "y", "z"];
 
 fn build_sequence(s: &Setup, ops_list: &[Op]) -> Vec<Container> {
-    let [x, y, _] = &s.fields;
+    let [x, y, z] = &s.fields;
     ops_list
         .iter()
         .map(|op| match *op {
@@ -139,13 +148,21 @@ fn build_sequence(s: &Setup, ops_list: &[Op]) -> Vec<Container> {
             Op::DotA => ops::dot(&s.grid, x, y, &s.dot_a),
             Op::DotB => ops::dot(&s.grid, y, y, &s.dot_b),
             Op::AxpyA => ops::axpy_scalar(&s.grid, &s.dot_a, 1.0, x, y),
+            Op::Host => {
+                let (a, c) = (s.dot_a.clone(), s.c.clone());
+                Container::host("host-c", s.grid.num_partitions(), move |ldr| {
+                    let (ar, cw) = (ldr.scalar_reader(&a), ldr.scalar_writer(&c));
+                    Box::new(move || cw.set(ar.get().rem_euclid(3.0)))
+                })
+            }
+            Op::AxpyC => ops::axpy_scalar(&s.grid, &s.c, 1.0, x, z),
         })
         .collect()
 }
 
-/// The observable state after a run: every field's exact bits and both
-/// reduction scalars.
-type State = (Vec<u64>, f64, f64);
+/// The observable state after a run: every field's exact bits, both
+/// reduction scalars and the host step's scalar.
+type State = (Vec<u64>, f64, f64, f64);
 
 /// Compile + run one sequence for `logical` logical iterations (a
 /// temporal super-step covers `k` of them per execution), returning the
@@ -166,7 +183,12 @@ fn run_case_opts(ops_list: &[Op], n_dev: usize, options: SkeletonOptions, logica
     for f in &s.fields {
         f.for_each(|_, _, _, _, v| bits.push(v.to_bits()));
     }
-    (bits, s.dot_a.host_value(), s.dot_b.host_value())
+    (
+        bits,
+        s.dot_a.host_value(),
+        s.dot_b.host_value(),
+        s.c.host_value(),
+    )
 }
 
 /// The state `ops_list` leaves under `occ` and `fusion`, and the state
@@ -220,6 +242,7 @@ proptest! {
             );
             prop_assert_eq!(got.1, reference.1, "{:?} with {:?} changes dot a", occ, fusion);
             prop_assert_eq!(got.2, reference.2, "{:?} with {:?} changes dot b", occ, fusion);
+            prop_assert_eq!(got.3, reference.3, "{:?} with {:?} changes c", occ, fusion);
         }
     }
 
@@ -257,6 +280,7 @@ proptest! {
         );
         prop_assert_eq!(got.1, reference.1, "parallel changes dot a");
         prop_assert_eq!(got.2, reference.2, "parallel changes dot b");
+        prop_assert_eq!(got.3, reference.3, "parallel changes c");
     }
 }
 

@@ -14,60 +14,68 @@
 //!   computing the inactive *padding* cells inside partially-active
 //!   blocks.
 //!
-//! Layout per partition mirrors the element-sparse grid at block
-//! granularity: `[internal | boundary-low | boundary-high | halo-low |
-//! halo-high]` blocks, each `B³` cells, so halo updates are again two
-//! contiguous copies per partition pair (× cardinality for SoA). The
-//! halo radius must not exceed `B` (one block layer of halo).
+//! The grid is the element-sparse grid of its block lattice. The lattice
+//! has `⌈dim/B⌉` blocks per axis, a block being active iff one of its
+//! in-domain cells is, and goes through the element-sparse grid's core
+//! ([`crate::sparse`]): z-slabs balanced by active blocks per block layer,
+//! each stored in the class order `[internal | boundary-low |
+//! boundary-high | halo-low | halo-high]` with one block layer of boundary
+//! and of halo, a dense slab index for lookups, and the lattice's 27-point
+//! connectivity, which is the block neighbour table. Every block is `B³`
+//! cells, so a halo update is the element-sparse grid's two contiguous
+//! copies per partition pair (× cardinality for SoA) scaled by `B³`. The
+//! halo radius must not exceed `B` (one block layer of halo). The grid
+//! itself adds the per-class in-domain cell counts, one span per block
+//! row, the intra-block neighbour arithmetic, and ghost rings and host
+//! lookups at cell depth.
 //!
 //! Block-level activity means a cell is iterated iff its block is active
 //! *and* it lies inside the domain box; mask-inactive cells inside an
 //! active block are computed as padding (their values are whatever the
 //! kernels produce — the usual bGrid contract).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use neon_set::{Cell, DataView, Elem, IterationSpace, Span, StorageMode, Sweep};
 use neon_sys::{AllocationTicket, Backend, DeviceId, NeonSysError, Result};
 
-use crate::grid::{weighted_slab_partition, Dim3, FieldParts, GridLike};
+use crate::grid::{Dim3, FieldParts, GridLike};
 use crate::layout::MemLayout;
+use crate::sparse::{class_halo_segments, partition_lattice, Classes, SlabIndex, SparsePart};
 use crate::stencil::{union_offsets, Offset3, Stencil};
 use crate::view::{FieldRead, FieldStencil, HaloSegment, PartRead};
 
 /// Block-connectivity sentinel: the neighbouring block is inactive.
-pub const BLOCK_NONE: u32 = u32::MAX;
+pub const BLOCK_NONE: u32 = crate::sparse::SPARSE_NONE;
 
 #[derive(Debug)]
 struct BlockPart {
     /// Owned global block-layer range `[bz0, bz1)`.
     bz0: usize,
     bz1: usize,
-    n_int: u32,
-    n_bnd_lo: u32,
-    n_bnd_hi: u32,
-    n_halo_lo: u32,
-    n_halo_hi: u32,
+    /// Blocks per class.
+    classes: Classes,
+    /// In-domain cells (padding excluded) of the owned blocks, and of the
+    /// internal ones.
+    owned_cells: u64,
+    internal_cells: u64,
     /// Origins (block coords) of stored blocks, class-ordered.
     origins: Vec<(i32, i32, i32)>,
-    /// `stored × 27` block neighbour table (3×3×3, index `(dx+1) +
-    /// 3(dy+1) + 9(dz+1)`), defined for owned blocks. Shared with the
-    /// stencil views, which index it directly.
+    /// `owned × 27` block neighbour table (3×3×3, index `(dx+1) +
+    /// 3(dy+1) + 9(dz+1)`). Shared with the stencil views, which index it
+    /// directly.
     block_conn: Arc<[u32]>,
     /// Block coords → local block id (owned + halo).
-    lookup: HashMap<(i32, i32, i32), u32>,
-    /// In-domain cell count per owned block (padding excluded).
-    cells_in_domain: Vec<u32>,
+    lookup: SlabIndex,
     _tickets: Vec<AllocationTicket>,
 }
 
 impl BlockPart {
     fn n_owned(&self) -> u32 {
-        self.n_int + self.n_bnd_lo + self.n_bnd_hi
+        self.classes.n_owned()
     }
     fn n_stored(&self) -> u32 {
-        self.n_owned() + self.n_halo_lo + self.n_halo_hi
+        self.classes.n_stored()
     }
 }
 
@@ -131,201 +139,91 @@ impl BlockSparseGrid {
             });
         }
         let n = backend.num_devices();
-        let nbx = dim.x.div_ceil(block);
-        let nby = dim.y.div_ceil(block);
-        let nbz = dim.z.div_ceil(block);
+        let [nbx, nby, nbz] = [dim.x, dim.y, dim.z].map(|extent| extent.div_ceil(block));
         if nbz < n {
             return Err(NeonSysError::InvalidConfig {
                 what: format!("{dim} has fewer block layers ({nbz}) than the {n} devices"),
             });
         }
 
-        // Which blocks are active, and active blocks per block-layer.
-        let block_active = |bx: i32, by: i32, bz: i32| -> bool {
-            for z in 0..block as i32 {
-                for y in 0..block as i32 {
-                    for x in 0..block as i32 {
-                        let (gx, gy, gz) = (
-                            bx * block as i32 + x,
-                            by * block as i32 + y,
-                            bz * block as i32 + z,
-                        );
-                        if dim.contains(gx, gy, gz) && mask(gx, gy, gz) {
-                            return true;
-                        }
+        // One pass over the lattice: which blocks are active, and per block
+        // layer the active blocks (the partition weights) and their
+        // in-domain cells.
+        let mut active = Vec::with_capacity(nbx * nby * nbz);
+        let mut layer_blocks = vec![0u64; nbz];
+        let mut layer_cells = vec![0u64; nbz];
+        for bz in 0..nbz {
+            for by in 0..nby {
+                for bx in 0..nbx {
+                    let (x0, y0, z0) = (bx * block, by * block, bz * block);
+                    let (cx, cy, cz) = (
+                        block.min(dim.x - x0),
+                        block.min(dim.y - y0),
+                        block.min(dim.z - z0),
+                    );
+                    let cell = |x: usize, y: usize, z: usize| {
+                        mask((x0 + x) as i32, (y0 + y) as i32, (z0 + z) as i32)
+                    };
+                    let on = (0..cz).any(|z| (0..cy).any(|y| (0..cx).any(|x| cell(x, y, z))));
+                    if on {
+                        layer_blocks[bz] += 1;
+                        layer_cells[bz] += (cx * cy * cz) as u64;
                     }
-                }
-            }
-            false
-        };
-        let mut layer_weights = vec![0u64; nbz];
-        let mut any = false;
-        for (bz, w) in layer_weights.iter_mut().enumerate() {
-            for by in 0..nby as i32 {
-                for bx in 0..nbx as i32 {
-                    if block_active(bx, by, bz as i32) {
-                        *w += 1;
-                        any = true;
-                    }
+                    active.push(on);
                 }
             }
         }
-        if !any {
+        if layer_blocks.iter().all(|&w| w == 0) {
             return Err(NeonSysError::InvalidConfig {
                 what: "block-sparse grid has no active blocks".to_string(),
             });
         }
-        let slabs = weighted_slab_partition(&layer_weights, n);
 
-        // In-domain cell count of one block.
-        let in_domain_count = |bx: i32, by: i32, bz: i32| -> u32 {
-            let cx = (dim.x as i32 - bx * block as i32).clamp(0, block as i32);
-            let cy = (dim.y as i32 - by * block as i32).clamp(0, block as i32);
-            let cz = (dim.z as i32 - bz * block as i32).clamp(0, block as i32);
-            (cx * cy * cz) as u32
+        // The blocks are the cells of an element-sparse lattice whose
+        // 27-point connectivity, in slot order `(dx+1) + 3(dy+1) +
+        // 9(dz+1)`, is the block neighbour table.
+        let block_active = |bx: i32, by: i32, bz: i32| {
+            active[(bz as usize * nby + by as usize) * nbx + bx as usize]
         };
-
-        let collect = |bza: i64, bzb: i64| -> Vec<(i32, i32, i32)> {
-            let bza = bza.max(0) as usize;
-            let bzb = (bzb.max(0) as usize).min(nbz);
-            let mut v = Vec::new();
-            for bz in bza..bzb {
-                for by in 0..nby as i32 {
-                    for bx in 0..nbx as i32 {
-                        if block_active(bx, by, bz as i32) {
-                            v.push((bx, by, bz as i32));
-                        }
-                    }
-                }
-            }
-            v
-        };
-
+        let block_offsets = Stencil::twenty_seven_point();
+        let lattice_parts = partition_lattice(
+            Dim3::new(nbx, nby, nbz),
+            &layer_blocks,
+            1,
+            n,
+            &block_active,
+            block_offsets.offsets(),
+            mode,
+        )?;
         let mut parts = Vec::with_capacity(n);
-        let mut active_cells = 0u64;
-        for (p, &(bz0, bz1)) in slabs.iter().enumerate() {
-            let has_lo = p > 0;
-            let has_hi = p + 1 < n;
-            // Each neighbour takes one block layer as boundary; a single
-            // layer cannot be both boundaries without being counted twice.
-            if usize::from(has_lo) + usize::from(has_hi) > bz1 - bz0 {
-                return Err(NeonSysError::InvalidConfig {
-                    what: format!(
-                        "block-sparse partition of block layers [{bz0}, {bz1}) too thin \
-                         for a boundary layer on both sides"
-                    ),
-                });
-            }
-            let internal = collect(
-                bz0 as i64 + i64::from(has_lo),
-                bz1 as i64 - i64::from(has_hi),
-            );
-            let bnd_lo = if has_lo {
-                collect(bz0 as i64, bz0 as i64 + 1)
-            } else {
-                Vec::new()
-            };
-            let bnd_hi = if has_hi {
-                collect(bz1 as i64 - 1, bz1 as i64)
-            } else {
-                Vec::new()
-            };
-            let halo_lo = if has_lo {
-                collect(bz0 as i64 - 1, bz0 as i64)
-            } else {
-                Vec::new()
-            };
-            let halo_hi = if has_hi {
-                collect(bz1 as i64, bz1 as i64 + 1)
-            } else {
-                Vec::new()
-            };
-            let (n_int, n_bnd_lo, n_bnd_hi) = (
-                internal.len() as u32,
-                bnd_lo.len() as u32,
-                bnd_hi.len() as u32,
-            );
-            let (n_halo_lo, n_halo_hi) = (halo_lo.len() as u32, halo_hi.len() as u32);
-
-            let mut origins = internal;
-            origins.extend(bnd_lo);
-            origins.extend(bnd_hi);
-            let n_owned = origins.len();
-            origins.extend(halo_lo);
-            origins.extend(halo_hi);
-            let n_stored = origins.len();
-
-            let dev = DeviceId(p);
+        for (p, part) in lattice_parts.into_iter().enumerate() {
+            let SparsePart {
+                z0: bz0,
+                z1: bz1,
+                classes,
+                cells: origins,
+                conn: block_conn,
+                index: lookup,
+                ..
+            } = part;
             // Account block metadata: 27×u32 connectivity + 3×i32 origin
             // per stored block.
-            let tickets = vec![
-                backend.ledger(dev).alloc(n_stored as u64 * 27 * 4)?,
-                backend.ledger(dev).alloc(n_stored as u64 * 12)?,
-            ];
-
-            let (lookup, block_conn, cells_in_domain);
-            if mode == StorageMode::Real {
-                let lk: HashMap<(i32, i32, i32), u32> = origins
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &b)| (b, i as u32))
-                    .collect();
-                let mut table: Arc<[u32]> = std::iter::repeat_n(BLOCK_NONE, n_owned * 27).collect();
-                let conn = Arc::get_mut(&mut table).expect("freshly built table is unshared");
-                for (i, &(bx, by, bz)) in origins[..n_owned].iter().enumerate() {
-                    for dz in -1..=1i32 {
-                        for dy in -1..=1i32 {
-                            for dx in -1..=1i32 {
-                                let s = ((dx + 1) + 3 * (dy + 1) + 9 * (dz + 1)) as usize;
-                                if let Some(&t) = lk.get(&(bx + dx, by + dy, bz + dz)) {
-                                    conn[i * 27 + s] = t;
-                                }
-                            }
-                        }
-                    }
-                }
-                let cid: Vec<u32> = origins[..n_owned]
-                    .iter()
-                    .map(|&(bx, by, bz)| in_domain_count(bx, by, bz))
-                    .collect();
-                lookup = lk;
-                block_conn = table;
-                cells_in_domain = cid;
-            } else {
-                // Virtual mode keeps only counts; compute the per-class
-                // in-domain totals directly from the origins we already
-                // gathered (then drop them).
-                lookup = HashMap::new();
-                block_conn = Arc::default();
-                cells_in_domain = origins[..n_owned]
-                    .iter()
-                    .map(|&(bx, by, bz)| in_domain_count(bx, by, bz))
-                    .collect();
-            }
-            active_cells += cells_in_domain.iter().map(|&c| c as u64).sum::<u64>();
-
+            let ledger = backend.ledger(DeviceId(p));
+            let stored = classes.n_stored() as u64;
+            let tickets = vec![ledger.alloc(stored * 27 * 4)?, ledger.alloc(stored * 12)?];
+            let sum = |a: usize, b: usize| layer_cells[a..b].iter().sum::<u64>();
+            let (bl, bh) = (usize::from(p > 0), usize::from(p + 1 < n));
             parts.push(BlockPart {
                 bz0,
                 bz1,
-                n_int,
-                n_bnd_lo,
-                n_bnd_hi,
-                n_halo_lo,
-                n_halo_hi,
-                origins: if mode == StorageMode::Real {
-                    origins
-                } else {
-                    Vec::new()
-                },
+                classes,
+                owned_cells: sum(bz0, bz1),
+                internal_cells: sum(bz0 + bl, bz1 - bh),
+                origins,
                 block_conn,
                 lookup,
-                cells_in_domain,
                 _tickets: tickets,
             });
-        }
-        for p in 0..n.saturating_sub(1) {
-            assert_eq!(parts[p].n_bnd_hi, parts[p + 1].n_halo_lo);
-            assert_eq!(parts[p + 1].n_bnd_lo, parts[p].n_halo_hi);
         }
 
         Ok(BlockSparseGrid {
@@ -336,8 +234,8 @@ impl BlockSparseGrid {
                 radius,
                 offsets: Arc::new(offsets),
                 mode,
+                active_cells: parts.iter().map(|p| p.owned_cells).sum(),
                 parts,
-                active_cells,
             }),
         })
     }
@@ -366,15 +264,6 @@ impl BlockSparseGrid {
     pub fn stored_cells(&self, dev: DeviceId) -> u64 {
         self.stored_blocks(dev) as u64 * self.cells_per_block() as u64
     }
-
-    fn class_range(&self, dev: DeviceId, view: DataView) -> (u32, u32) {
-        let p = self.part(dev);
-        match view {
-            DataView::Standard => (0, p.n_owned()),
-            DataView::Internal => (0, p.n_int),
-            DataView::Boundary => (p.n_int, p.n_owned()),
-        }
-    }
 }
 
 impl IterationSpace for BlockSparseGrid {
@@ -387,12 +276,12 @@ impl IterationSpace for BlockSparseGrid {
     }
 
     fn cell_count(&self, dev: DeviceId, view: DataView) -> u64 {
-        let (a, b) = self.class_range(dev, view);
         let p = self.part(dev);
-        p.cells_in_domain[a as usize..b as usize]
-            .iter()
-            .map(|&c| c as u64)
-            .sum()
+        match view {
+            DataView::Standard => p.owned_cells,
+            DataView::Internal => p.internal_cells,
+            DataView::Boundary => p.owned_cells - p.internal_cells,
+        }
     }
 
     fn for_each_span(&self, dev: DeviceId, sweep: Sweep, f: &mut dyn FnMut(&Span)) {
@@ -403,7 +292,11 @@ impl IterationSpace for BlockSparseGrid {
         let p = self.part(dev);
         let dim = self.inner.dim;
         let bb = self.inner.block;
-        let (a, b) = self.class_range(dev, sweep.region.owned_view());
+        let (a, b) = match sweep.region.owned_view() {
+            DataView::Standard => (0, p.n_owned()),
+            DataView::Internal => (0, p.classes.n_int),
+            DataView::Boundary => (p.classes.n_int, p.n_owned()),
+        };
         // One span per x-row of a block, clipped to the domain box (the
         // padding past it is never iterated). An active block has a cell
         // inside the box, so every clipped extent is at least 1. Rows are
@@ -544,70 +437,11 @@ impl GridLike for BlockSparseGrid {
     }
 
     fn halo_segments(&self, card: usize, layout: MemLayout) -> Vec<HaloSegment> {
-        if self.inner.radius == 0 || self.inner.parts.len() == 1 {
+        if self.inner.radius == 0 {
             return Vec::new();
         }
-        let bpb = self.cells_per_block();
-        let mut segs = Vec::new();
-        for i in 0..self.inner.parts.len() - 1 {
-            let lo = DeviceId(i);
-            let hi = DeviceId(i + 1);
-            let plo = self.part(lo);
-            let phi = self.part(hi);
-            let up_src = (plo.n_int + plo.n_bnd_lo) as usize * bpb;
-            let up_dst = phi.n_owned() as usize * bpb;
-            let up_len = plo.n_bnd_hi as usize * bpb;
-            let dn_src = phi.n_int as usize * bpb;
-            let dn_dst = (plo.n_owned() + plo.n_halo_lo) as usize * bpb;
-            let dn_len = phi.n_bnd_lo as usize * bpb;
-            match layout {
-                MemLayout::SoA => {
-                    let stride_lo = self.alloc_len(lo);
-                    let stride_hi = self.alloc_len(hi);
-                    for c in 0..card {
-                        if up_len > 0 {
-                            segs.push(HaloSegment {
-                                src: lo,
-                                dst: hi,
-                                src_off: c * stride_lo + up_src,
-                                dst_off: c * stride_hi + up_dst,
-                                len: up_len,
-                            });
-                        }
-                        if dn_len > 0 {
-                            segs.push(HaloSegment {
-                                src: hi,
-                                dst: lo,
-                                src_off: c * stride_hi + dn_src,
-                                dst_off: c * stride_lo + dn_dst,
-                                len: dn_len,
-                            });
-                        }
-                    }
-                }
-                MemLayout::AoS => {
-                    if up_len > 0 {
-                        segs.push(HaloSegment {
-                            src: lo,
-                            dst: hi,
-                            src_off: up_src * card,
-                            dst_off: up_dst * card,
-                            len: up_len * card,
-                        });
-                    }
-                    if dn_len > 0 {
-                        segs.push(HaloSegment {
-                            src: hi,
-                            dst: lo,
-                            src_off: dn_src * card,
-                            dst_off: dn_dst * card,
-                            len: dn_len * card,
-                        });
-                    }
-                }
-            }
-        }
-        segs
+        let classes = self.inner.parts.iter().map(|p| p.classes);
+        class_halo_segments(classes, self.cells_per_block(), card, layout)
     }
 
     fn for_each_ghost_ring(&self, dev: DeviceId, level: usize, f: &mut dyn FnMut(Cell)) {
@@ -621,7 +455,7 @@ impl GridLike for BlockSparseGrid {
         let bb = self.inner.block as i32;
         let bpb = (bb * bb * bb) as u32;
         let owned = p.n_owned();
-        let halo_lo_end = owned + p.n_halo_lo;
+        let halo_lo_end = owned + p.classes.n_halo_lo;
         // One intra-block z-layer of every halo block, in-domain cells only
         // (same padding contract as ordinary iteration).
         let scan_layer = |range: std::ops::Range<u32>, iz: i32, f: &mut dyn FnMut(Cell)| {
@@ -656,7 +490,7 @@ impl GridLike for BlockSparseGrid {
             .position(|p| (bz as usize) >= p.bz0 && (bz as usize) < p.bz1)
             .map(DeviceId)?;
         let part = self.part(dev);
-        let bi = *part.lookup.get(&(bx, by, bz))?;
+        let bi = part.lookup.get(bx, by, bz)?;
         if bi >= part.n_owned() {
             return None; // halo copy, not owned here
         }
@@ -991,5 +825,406 @@ mod tests {
             })
             .sum();
         assert_eq!(iterated, 8 * 8 * 8);
+    }
+
+    /// The grid built on the sparse core against the hash-map block build
+    /// it replaced.
+    mod oracle {
+        use std::collections::HashMap;
+
+        use proptest::prelude::*;
+
+        use super::*;
+        use crate::grid::weighted_slab_partition;
+
+        /// One partition as the hash-map build made it.
+        struct Part {
+            bz0: usize,
+            bz1: usize,
+            /// Blocks per class, in storage order.
+            counts: [u32; 5],
+            origins: Vec<(i32, i32, i32)>,
+            block_conn: Vec<u32>,
+            lookup: HashMap<(i32, i32, i32), u32>,
+            /// In-domain cells per owned block.
+            cells_in_domain: Vec<u32>,
+        }
+
+        impl Part {
+            fn n_owned(&self) -> u32 {
+                self.counts[..3].iter().sum()
+            }
+            fn n_stored(&self) -> u32 {
+                self.counts.iter().sum()
+            }
+        }
+
+        /// The partitions the hash-map build made, or `None` where it
+        /// rejected the grid (no active block, or a partition too thin).
+        fn oracle_parts(
+            dim: Dim3,
+            block: usize,
+            n: usize,
+            mask: &impl Fn(i32, i32, i32) -> bool,
+        ) -> Option<Vec<Part>> {
+            let b = block as i32;
+            let block_active = |bx: i32, by: i32, bz: i32| -> bool {
+                for z in 0..b {
+                    for y in 0..b {
+                        for x in 0..b {
+                            let (gx, gy, gz) = (bx * b + x, by * b + y, bz * b + z);
+                            if dim.contains(gx, gy, gz) && mask(gx, gy, gz) {
+                                return true;
+                            }
+                        }
+                    }
+                }
+                false
+            };
+            let (nbx, nby, nbz) = (
+                dim.x.div_ceil(block),
+                dim.y.div_ceil(block),
+                dim.z.div_ceil(block),
+            );
+            let collect = |bza: i64, bzb: i64| -> Vec<(i32, i32, i32)> {
+                let (bza, bzb) = (bza.max(0) as usize, (bzb.max(0) as usize).min(nbz));
+                let mut v = Vec::new();
+                for bz in bza..bzb {
+                    for by in 0..nby as i32 {
+                        for bx in 0..nbx as i32 {
+                            if block_active(bx, by, bz as i32) {
+                                v.push((bx, by, bz as i32));
+                            }
+                        }
+                    }
+                }
+                v
+            };
+            let weights: Vec<u64> = (0..nbz)
+                .map(|bz| collect(bz as i64, bz as i64 + 1).len() as u64)
+                .collect();
+            if weights.iter().all(|&w| w == 0) {
+                return None;
+            }
+            let mut parts = Vec::new();
+            for (p, (bz0, bz1)) in weighted_slab_partition(&weights, n).into_iter().enumerate() {
+                let (lo, hi) = (i64::from(p > 0), i64::from(p + 1 < n));
+                if (lo + hi) as usize > bz1 - bz0 {
+                    return None;
+                }
+                let (z0, z1) = (bz0 as i64, bz1 as i64);
+                let classes = [
+                    collect(z0 + lo, z1 - hi),
+                    if lo > 0 {
+                        collect(z0, z0 + 1)
+                    } else {
+                        Vec::new()
+                    },
+                    if hi > 0 {
+                        collect(z1 - 1, z1)
+                    } else {
+                        Vec::new()
+                    },
+                    if lo > 0 {
+                        collect(z0 - 1, z0)
+                    } else {
+                        Vec::new()
+                    },
+                    if hi > 0 {
+                        collect(z1, z1 + 1)
+                    } else {
+                        Vec::new()
+                    },
+                ];
+                let counts = classes.each_ref().map(|c| c.len() as u32);
+                let origins = classes.concat();
+                let n_owned = counts[..3].iter().sum::<u32>() as usize;
+                let lookup: HashMap<(i32, i32, i32), u32> = origins
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &o)| (o, i as u32))
+                    .collect();
+                let mut block_conn = vec![BLOCK_NONE; n_owned * 27];
+                for (i, &(bx, by, bz)) in origins[..n_owned].iter().enumerate() {
+                    for dz in -1..=1i32 {
+                        for dy in -1..=1i32 {
+                            for dx in -1..=1i32 {
+                                let s = ((dx + 1) + 3 * (dy + 1) + 9 * (dz + 1)) as usize;
+                                if let Some(&t) = lookup.get(&(bx + dx, by + dy, bz + dz)) {
+                                    block_conn[i * 27 + s] = t;
+                                }
+                            }
+                        }
+                    }
+                }
+                let in_domain = |o: i32, extent: usize| (extent as i32 - o * b).clamp(0, b) as u32;
+                let cells_in_domain = origins[..n_owned]
+                    .iter()
+                    .map(|&(bx, by, bz)| {
+                        in_domain(bx, dim.x) * in_domain(by, dim.y) * in_domain(bz, dim.z)
+                    })
+                    .collect();
+                parts.push(Part {
+                    bz0,
+                    bz1,
+                    counts,
+                    origins,
+                    block_conn,
+                    lookup,
+                    cells_in_domain,
+                });
+            }
+            Some(parts)
+        }
+
+        /// The halo segments of the hash-map build.
+        fn oracle_segments(
+            parts: &[Part],
+            bpb: usize,
+            card: usize,
+            layout: MemLayout,
+        ) -> Vec<HaloSegment> {
+            let mut segs = Vec::new();
+            for i in 0..parts.len().saturating_sub(1) {
+                let (lo, hi) = (DeviceId(i), DeviceId(i + 1));
+                let (plo, phi) = (&parts[i], &parts[i + 1]);
+                let up_src = (plo.counts[0] + plo.counts[1]) as usize * bpb;
+                let up_dst = phi.n_owned() as usize * bpb;
+                let up_len = plo.counts[2] as usize * bpb;
+                let dn_src = phi.counts[0] as usize * bpb;
+                let dn_dst = (plo.n_owned() + plo.counts[3]) as usize * bpb;
+                let dn_len = phi.counts[1] as usize * bpb;
+                let mut push = |src, dst, src_off, dst_off, len| {
+                    if len > 0 {
+                        segs.push(HaloSegment {
+                            src,
+                            dst,
+                            src_off,
+                            dst_off,
+                            len,
+                        });
+                    }
+                };
+                match layout {
+                    MemLayout::SoA => {
+                        let stride_lo = plo.n_stored() as usize * bpb;
+                        let stride_hi = phi.n_stored() as usize * bpb;
+                        for c in 0..card {
+                            let (a, b) = (c * stride_lo, c * stride_hi);
+                            push(lo, hi, a + up_src, b + up_dst, up_len);
+                            push(hi, lo, b + dn_src, a + dn_dst, dn_len);
+                        }
+                    }
+                    MemLayout::AoS => {
+                        push(lo, hi, up_src * card, up_dst * card, up_len * card);
+                        push(hi, lo, dn_src * card, dn_dst * card, dn_len * card);
+                    }
+                }
+            }
+            segs
+        }
+
+        /// Ring `level` of partition `part` as the hash-map build walked it:
+        /// one intra-block layer of every halo block, in-domain cells only.
+        fn oracle_ring(part: &Part, dim: Dim3, block: usize, level: usize) -> Vec<Cell> {
+            let mut ring = Vec::new();
+            if level > block {
+                return ring;
+            }
+            let b = block as i32;
+            let bpb = (b * b * b) as u32;
+            let (owned, halo_lo_end) = (part.n_owned(), part.n_owned() + part.counts[3]);
+            let mut scan_layer = |range: std::ops::Range<u32>, iz: i32| {
+                for bi in range {
+                    let (bx, by, bz) = part.origins[bi as usize];
+                    let gz = bz * b + iz;
+                    for y in 0..b {
+                        for x in 0..b {
+                            let (gx, gy) = (bx * b + x, by * b + y);
+                            if dim.contains(gx, gy, gz) {
+                                let intra = ((iz * b + y) * b + x) as u32;
+                                ring.push(Cell::new(bi * bpb + intra, gx, gy, gz));
+                            }
+                        }
+                    }
+                }
+            };
+            scan_layer(owned..halo_lo_end, b - level as i32);
+            scan_layer(halo_lo_end..part.n_stored(), level as i32 - 1);
+            ring
+        }
+
+        /// `locate` as the hash-map build answered it.
+        fn oracle_locate(
+            parts: &[Part],
+            dim: Dim3,
+            block: usize,
+            (x, y, z): (i32, i32, i32),
+        ) -> Option<(DeviceId, u32)> {
+            if !dim.contains(x, y, z) {
+                return None;
+            }
+            let b = block as i32;
+            let (bx, by, bz) = (x.div_euclid(b), y.div_euclid(b), z.div_euclid(b));
+            let dev = parts
+                .iter()
+                .position(|p| (p.bz0..p.bz1).contains(&(bz as usize)))?;
+            let part = &parts[dev];
+            let bi = *part.lookup.get(&(bx, by, bz))?;
+            if bi >= part.n_owned() {
+                return None;
+            }
+            let intra = ((z.rem_euclid(b) * b + y.rem_euclid(b)) * b + x.rem_euclid(b)) as u32;
+            Some((DeviceId(dev), bi * (b * b * b) as u32 + intra))
+        }
+
+        /// An axis-aligned box of removed cells: x, y and z ranges.
+        type Hole = ((i32, i32), (i32, i32), (i32, i32));
+
+        /// A random mask: the full box, the box with holes, or a speckle of
+        /// isolated cells at one in `density`.
+        #[derive(Debug, Clone)]
+        struct Mask {
+            kind: usize,
+            seed: u64,
+            density: u64,
+            holes: Vec<Hole>,
+        }
+
+        impl Mask {
+            fn active(&self, x: i32, y: i32, z: i32) -> bool {
+                match self.kind {
+                    0 => true,
+                    1 => !self.holes.iter().any(|&((x0, x1), (y0, y1), (z0, z1))| {
+                        (x0..x1).contains(&x) && (y0..y1).contains(&y) && (z0..z1).contains(&z)
+                    }),
+                    _ => {
+                        let h = (x as u64)
+                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                            .wrapping_add((y as u64).wrapping_mul(0xc2b2_ae3d_27d4_eb4f))
+                            .wrapping_add((z as u64).wrapping_mul(0x1656_67b1_9e37_79f9))
+                            ^ self.seed;
+                        (h.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 32).is_multiple_of(self.density)
+                    }
+                }
+            }
+        }
+
+        fn masks() -> impl Strategy<Value = Mask> {
+            let hole = (0i32..12, 1i32..9, 0i32..12, 1i32..9, 0i32..24, 1i32..9)
+                .prop_map(|(x, dx, y, dy, z, dz)| ((x, x + dx), (y, y + dy), (z, z + dz)));
+            (
+                0usize..3,
+                any::<u64>(),
+                1u64..200,
+                prop::collection::vec(hole, 0..5),
+            )
+                .prop_map(|(kind, seed, density, holes)| Mask {
+                    kind,
+                    seed,
+                    density,
+                    holes,
+                })
+        }
+
+        /// Rings `1..=B + 1` of partition `dev`, the last past the stored
+        /// halo blocks.
+        fn rings(g: &BlockSparseGrid, dev: DeviceId) -> Vec<Vec<Cell>> {
+            (1..=g.block_edge() + 1)
+                .map(|level| {
+                    let mut ring = Vec::new();
+                    g.for_each_ghost_ring(dev, level, &mut |c| ring.push(c));
+                    ring
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(160))]
+
+            #[test]
+            fn sparse_core_build_equals_the_hash_map_build(
+                mask in masks(),
+                size in (1usize..14, 1usize..14, 2usize..26),
+                block in 2usize..=4,
+                n_dev in 1usize..=4,
+                stencil in 0usize..4,
+            ) {
+                let dim = Dim3::new(size.0, size.1, size.2);
+                prop_assume!(dim.z.div_ceil(block) >= n_dev);
+                let stencil = match stencil {
+                    0 => Stencil::seven_point(),
+                    1 => Stencil::d3q19(),
+                    2 => Stencil::twenty_seven_point(),
+                    _ => Stencil::star(2),
+                };
+                let active = |x, y, z| mask.active(x, y, z);
+                let want = oracle_parts(dim, block, n_dev, &active);
+                let bpb = block * block * block;
+                for mode in [StorageMode::Real, StorageMode::Virtual] {
+                    let backend = Backend::dgx_a100(n_dev);
+                    let built = BlockSparseGrid::new(&backend, dim, block, &[&stencil], active, mode);
+                    prop_assert_eq!(built.is_ok(), want.is_some(), "{:?}: accepted", mode);
+                    let (Ok(g), Some(want)) = (built, want.as_ref()) else { continue };
+                    let real = mode == StorageMode::Real;
+                    for (p, (part, w)) in g.inner.parts.iter().zip(want).enumerate() {
+                        let dev = DeviceId(p);
+                        let c = part.classes;
+                        prop_assert_eq!((part.bz0, part.bz1), (w.bz0, w.bz1));
+                        prop_assert_eq!(
+                            [c.n_int, c.n_bnd_lo, c.n_bnd_hi, c.n_halo_lo, c.n_halo_hi],
+                            w.counts,
+                            "{:?}: classes of partition {}", mode, p
+                        );
+                        if real {
+                            prop_assert_eq!(&part.origins, &w.origins, "origins of {}", p);
+                            prop_assert_eq!(&part.block_conn[..], &w.block_conn[..], "conn of {}", p);
+                        } else {
+                            prop_assert!(part.origins.is_empty() && part.block_conn.is_empty());
+                        }
+                        let cells = |r: std::ops::Range<u32>| -> u64 {
+                            w.cells_in_domain[r.start as usize..r.end as usize]
+                                .iter()
+                                .map(|&c| c as u64)
+                                .sum()
+                        };
+                        let n_int = w.counts[0];
+                        prop_assert_eq!(g.cell_count(dev, DataView::Standard), cells(0..w.n_owned()));
+                        prop_assert_eq!(g.cell_count(dev, DataView::Internal), cells(0..n_int));
+                        prop_assert_eq!(
+                            g.cell_count(dev, DataView::Boundary),
+                            cells(n_int..w.n_owned())
+                        );
+                        prop_assert_eq!(g.alloc_len(dev), w.n_stored() as usize * bpb);
+                        prop_assert_eq!(
+                            backend.ledger(dev).in_use(),
+                            w.n_stored() as u64 * (27 * 4 + 12),
+                            "{:?}: ledger of {}", mode, p
+                        );
+                        let want_rings: Vec<Vec<Cell>> = (1..=block + 1)
+                            .map(|level| if real { oracle_ring(w, dim, block, level) } else { Vec::new() })
+                            .collect();
+                        prop_assert_eq!(rings(&g, dev), want_rings, "{:?}: rings of {}", mode, p);
+                    }
+                    let total: u64 = want.iter().flat_map(|w| &w.cells_in_domain).map(|&c| c as u64).sum();
+                    prop_assert_eq!(g.active_cells(), total);
+                    for (card, layout) in [(1, MemLayout::SoA), (3, MemLayout::SoA), (3, MemLayout::AoS)] {
+                        prop_assert_eq!(
+                            g.halo_segments(card, layout),
+                            oracle_segments(want, bpb, card, layout),
+                            "{:?}: {} × {:?}", mode, card, layout
+                        );
+                    }
+                    for z in -1..=dim.z as i32 {
+                        for y in -1..=dim.y as i32 {
+                            for x in -1..=dim.x as i32 {
+                                let at = if real { oracle_locate(want, dim, block, (x, y, z)) } else { None };
+                                prop_assert_eq!(g.locate(x, y, z), at, "{:?}: locate({}, {}, {})", mode, x, y, z);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

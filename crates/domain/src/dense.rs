@@ -33,7 +33,9 @@ use neon_sys::{Backend, DeviceId, NeonSysError, Result};
 use crate::grid::{proportional_slab_partition, slab_partition, Dim3, FieldParts, GridLike};
 use crate::layout::MemLayout;
 use crate::stencil::{union_offsets, Offset3, Stencil};
-use crate::view::{FieldRead, FieldStencil, HaloSegment, Lanes, PartRead, Stride};
+use crate::view::{
+    push_pair_segments, FieldRead, FieldStencil, HaloSegment, Lanes, PartRead, Stride,
+};
 
 #[derive(Debug, Clone, Copy)]
 struct DensePart {
@@ -572,65 +574,23 @@ impl GridLike for DenseGrid {
             depth <= cap,
             "halo depth {depth} exceeds allocated capacity {cap}"
         );
-        if depth == 0 || self.inner.parts.len() == 1 {
-            return Vec::new();
-        }
         let sxy = self.sxy();
         let mut segs = Vec::new();
-        for p in 0..self.inner.parts.len() - 1 {
-            let lo = DeviceId(p);
-            let hi = DeviceId(p + 1);
+        for p in 1..self.inner.parts.len() {
+            let lo = DeviceId(p - 1);
             let nz_lo = self.part(lo).nz();
-            let nz_hi = self.part(hi).nz();
             // Element offsets within one component's storage: owned layers
             // occupy local z-layers [cap, cap + nz); a depth-d exchange
             // copies each side's d owned layers nearest the cut into the
             // d halo layers nearest the other side's owned region, so only
             // owner-computed values ever cross devices.
-            let up_src = (cap + nz_lo - depth) * sxy; // lo's top d owned layers
-            let up_dst = (cap - depth) * sxy; // hi's halo layers [cap-d, cap)
-            let dn_src = cap * sxy; // hi's bottom d owned layers
-            let dn_dst = (cap + nz_lo) * sxy; // lo's halo above owned
             let len = depth * sxy;
-            match layout {
-                MemLayout::SoA => {
-                    let stride_lo = self.alloc_len(lo);
-                    let stride_hi = self.alloc_len(hi);
-                    for c in 0..card {
-                        segs.push(HaloSegment {
-                            src: lo,
-                            dst: hi,
-                            src_off: c * stride_lo + up_src,
-                            dst_off: c * stride_hi + up_dst,
-                            len,
-                        });
-                        segs.push(HaloSegment {
-                            src: hi,
-                            dst: lo,
-                            src_off: c * stride_hi + dn_src,
-                            dst_off: c * stride_lo + dn_dst,
-                            len,
-                        });
-                    }
-                    let _ = nz_hi;
-                }
-                MemLayout::AoS => {
-                    segs.push(HaloSegment {
-                        src: lo,
-                        dst: hi,
-                        src_off: up_src * card,
-                        dst_off: up_dst * card,
-                        len: len * card,
-                    });
-                    segs.push(HaloSegment {
-                        src: hi,
-                        dst: lo,
-                        src_off: dn_src * card,
-                        dst_off: dn_dst * card,
-                        len: len * card,
-                    });
-                }
-            }
+            // lo's top d owned layers → hi's halo layers [cap-d, cap).
+            let up = ((cap + nz_lo - depth) * sxy, (cap - depth) * sxy, len);
+            // hi's bottom d owned layers → lo's halo above its owned ones.
+            let down = (cap * sxy, (cap + nz_lo) * sxy, len);
+            let strides = (self.alloc_len(lo), self.alloc_len(DeviceId(p)));
+            push_pair_segments(&mut segs, lo, (up, down), strides, card, layout);
         }
         segs
     }

@@ -9,18 +9,21 @@
 //! * [`SparseGrid`] — element-sparse: only masked-active cells, with a
 //!   connectivity table.
 //! * [`BlockSparseGrid`] — sparsity at `B³`-block granularity: per-block
-//!   (not per-cell) connectivity at the cost of computing padding cells.
+//!   (not per-cell) connectivity at the cost of computing padding cells,
+//!   built as the element-sparse grid of its block lattice.
 //! * [`Field`] — scalar/vector quantities over a grid, SoA or AoS,
 //!   loadable into containers with map/stencil/reduce patterns.
 //! * [`Stencil`] — neighbour shapes (7-point, 27-point, D3Q19, D2Q9, …).
 //! * [`ops`] — prebuilt BLAS-style containers (AXPY, dot, copy, …) with a
 //!   unified interface across grid types.
 //!
-//! Both grids partition along z into slabs (each device talks to ≤ 2
+//! All three grids partition along z into slabs (each device talks to ≤ 2
 //! neighbours), classify owned cells into *internal* / *boundary* views
 //! based on the registered stencils, and lay boundary cells out
 //! contiguously so halo updates are 2 copies per partition (2·cardinality
 //! for SoA fields) with no marshaling — all as described in the paper.
+//! One halo-pair rule turns each grid's two copies per partition pair
+//! into the segments of either layout.
 
 pub mod block;
 pub mod dense;

@@ -35,6 +35,14 @@
 //! Partitioning balances **active** cells per device: z-slabs are chosen
 //! by per-layer active counts ([`crate::grid::weighted_slab_partition`]).
 //!
+//! The partitioning, class counts and tables depend only on a lattice
+//! extent, per-layer weights, a radius, the device count, a mask, the
+//! offsets and the storage mode, so they are one core that the
+//! block-sparse grid shares: its blocks are the cells of an element-sparse
+//! lattice with 27-point offsets, whose connectivity is the block
+//! neighbour table ([`crate::block`]). The halo segments of both come from
+//! the class counts, scaled by the cells a lattice cell stands for.
+//!
 //! The tables are built without hashing. Each partition first collects its
 //! cells, class by class, from the mask. One pass over that list then fills
 //! a dense **slab index**: one `u32` per box cell of the stored layers
@@ -57,26 +65,44 @@ use neon_sys::{AllocationTicket, Backend, DeviceId, NeonSysError, Result};
 use crate::grid::{weighted_slab_partition, Dim3, FieldParts, GridLike};
 use crate::layout::MemLayout;
 use crate::stencil::{union_offsets, Offset3, Stencil};
-use crate::view::{FieldRead, FieldStencil, HaloSegment, Lanes, PartRead, Stride};
+use crate::view::{
+    push_pair_segments, FieldRead, FieldStencil, HaloSegment, Lanes, PartRead, Stride,
+};
 
 /// Connectivity sentinel: neighbour is inactive or outside the domain.
 pub const SPARSE_NONE: u32 = u32::MAX;
 
+/// How many cells a partition stores in each class, in storage order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Classes {
+    pub(crate) n_int: u32,
+    pub(crate) n_bnd_lo: u32,
+    pub(crate) n_bnd_hi: u32,
+    pub(crate) n_halo_lo: u32,
+    pub(crate) n_halo_hi: u32,
+}
+
+impl Classes {
+    pub(crate) fn n_owned(&self) -> u32 {
+        self.n_int + self.n_bnd_lo + self.n_bnd_hi
+    }
+    pub(crate) fn n_stored(&self) -> u32 {
+        self.n_owned() + self.n_halo_lo + self.n_halo_hi
+    }
+}
+
+/// One partition of a sparse lattice: its slab, class counts and tables.
 #[derive(Debug)]
-struct SparsePart {
-    z0: usize,
-    z1: usize,
-    n_int: u32,
-    n_bnd_lo: u32,
-    n_bnd_hi: u32,
-    n_halo_lo: u32,
-    n_halo_hi: u32,
+pub(crate) struct SparsePart {
+    pub(crate) z0: usize,
+    pub(crate) z1: usize,
+    pub(crate) classes: Classes,
     /// Coordinates of stored cells (owned then halo), class-ordered.
     /// Empty in virtual mode.
-    cells: Vec<(i32, i32, i32)>,
+    pub(crate) cells: Vec<(i32, i32, i32)>,
     /// Connectivity: `owned × slots` local indices. Empty in virtual mode.
     /// Shared with the stencil views, which index it directly.
-    conn: Arc<[u32]>,
+    pub(crate) conn: Arc<[u32]>,
     /// Start index of every x-run of owned cells, in cell order, closed by
     /// `n_owned`. A run is maximal among cells of one class with the same
     /// interior bit. Empty in virtual mode.
@@ -88,21 +114,9 @@ struct SparsePart {
     n_int_runs: usize,
     /// Host lookup from coords to local index (owned + halo cells).
     /// Empty in virtual mode.
-    index: SlabIndex,
+    pub(crate) index: SlabIndex,
     /// Ledger registrations for connectivity + cell-coordinate storage.
     _tickets: Vec<AllocationTicket>,
-}
-
-impl SparsePart {
-    fn n_owned(&self) -> u32 {
-        self.n_int + self.n_bnd_lo + self.n_bnd_hi
-    }
-    fn n_halo(&self) -> u32 {
-        self.n_halo_lo + self.n_halo_hi
-    }
-    fn n_stored(&self) -> u32 {
-        self.n_owned() + self.n_halo()
-    }
 }
 
 #[derive(Debug)]
@@ -154,7 +168,6 @@ impl SparseGrid {
             });
         }
         let offsets = union_offsets(stencils);
-        let nslots = offsets.len();
         let radius = offsets
             .iter()
             .map(|o| o.dz.unsigned_abs() as usize)
@@ -178,95 +191,15 @@ impl SparseGrid {
                 what: "sparse grid has no active cells".to_string(),
             });
         }
-        let slabs = weighted_slab_partition(&layer_counts, n);
-
-        let layer_sum =
-            |a: usize, b: usize| -> u64 { layer_counts[a.min(dim.z)..b.min(dim.z)].iter().sum() };
-
-        let mut parts = Vec::with_capacity(n);
-        for (p, &(z0, z1)) in slabs.iter().enumerate() {
-            let has_lo = p > 0;
-            let has_hi = p + 1 < n;
-            let nz = z1 - z0;
-            if (has_lo as usize + has_hi as usize) * radius > nz {
-                return Err(NeonSysError::InvalidConfig {
-                    what: format!("sparse partition [{z0}, {z1}) too thin for radius {radius}"),
-                });
-            }
-            let bl = if has_lo { radius } else { 0 };
-            let bh = if has_hi { radius } else { 0 };
-            // The stored slab: the owned layers and, toward each
-            // neighbour, `radius` halo layers.
-            let (z_lo, z_hi) = (z0 - bl, (z1 + bh).min(dim.z));
-            let n_bnd_lo = layer_sum(z0, z0 + bl) as u32;
-            let n_bnd_hi = layer_sum(z1 - bh, z1) as u32;
-            // Guard against double counting when bl + bh == nz.
-            let n_owned = layer_sum(z0, z1) as u32;
-            let n_int = n_owned - n_bnd_lo - n_bnd_hi;
-            let n_halo_lo = layer_sum(z_lo, z0) as u32;
-            let n_halo_hi = layer_sum(z1, z_hi) as u32;
-            let n_stored = (n_owned + n_halo_lo + n_halo_hi) as u64;
-
+        let mut parts = partition_lattice(dim, &layer_counts, radius, n, &mask, &offsets, mode)?;
+        for (p, part) in parts.iter_mut().enumerate() {
             // Account device memory: connectivity (u32 per slot per owned
             // cell) + stored-cell coordinates (3 × i32).
-            let dev = DeviceId(p);
-            let conn_bytes = n_owned as u64 * nslots as u64 * 4;
-            let coord_bytes = n_stored * 12;
-            let tickets = vec![
-                backend.ledger(dev).alloc(conn_bytes)?,
-                backend.ledger(dev).alloc(coord_bytes)?,
+            let ledger = backend.ledger(DeviceId(p));
+            part._tickets = vec![
+                ledger.alloc(part.classes.n_owned() as u64 * offsets.len() as u64 * 4)?,
+                ledger.alloc(part.classes.n_stored() as u64 * 12)?,
             ];
-
-            let tables = if mode == StorageMode::Real {
-                build_partition_tables(
-                    dim,
-                    &mask,
-                    &offsets,
-                    (z0, z1),
-                    (bl, bh),
-                    (z_lo, z_hi),
-                    n_stored as usize,
-                )
-            } else {
-                PartitionTables::default()
-            };
-
-            if mode == StorageMode::Real {
-                debug_assert_eq!(tables.cells.len() as u64, n_stored);
-            }
-            if n_stored > u32::MAX as u64 {
-                return Err(NeonSysError::InvalidConfig {
-                    what: "sparse partition exceeds 32-bit cell indices".to_string(),
-                });
-            }
-
-            parts.push(SparsePart {
-                z0,
-                z1,
-                n_int,
-                n_bnd_lo,
-                n_bnd_hi,
-                n_halo_lo,
-                n_halo_hi,
-                cells: tables.cells,
-                conn: tables.conn,
-                run_starts: tables.run_starts,
-                run_interior: tables.run_interior,
-                n_int_runs: tables.n_int_runs,
-                index: tables.index,
-                _tickets: tickets,
-            });
-        }
-
-        // Cross-partition consistency: boundary/halo mirrors must agree.
-        for p in 0..n.saturating_sub(1) {
-            assert_eq!(
-                parts[p].n_bnd_hi,
-                parts[p + 1].n_halo_lo,
-                "boundary/halo mismatch between partitions {p} and {}",
-                p + 1
-            );
-            assert_eq!(parts[p + 1].n_bnd_lo, parts[p].n_halo_hi);
         }
 
         Ok(SparseGrid {
@@ -294,8 +227,132 @@ impl SparseGrid {
 
     /// Number of stored (owned + halo) cells on `dev`.
     pub fn stored_cells(&self, dev: DeviceId) -> u64 {
-        self.part(dev).n_stored() as u64
+        self.part(dev).classes.n_stored() as u64
     }
+}
+
+/// The partitions of a sparse lattice, the core the element-sparse and
+/// block-sparse grids share: `dim`'s z-layers split over `ndev` slabs
+/// balanced by the per-layer `weights`, each slab's class counts summed
+/// from those weights with `radius` boundary and halo layers toward each
+/// neighbour, and, with real storage, the cell list, connectivity over
+/// `offsets`, slab index and x-runs of the cells where `mask` holds.
+/// `weights[z]` must count those cells in layer `z`. Charges no ledger.
+pub(crate) fn partition_lattice(
+    dim: Dim3,
+    weights: &[u64],
+    radius: usize,
+    ndev: usize,
+    mask: &impl Fn(i32, i32, i32) -> bool,
+    offsets: &[Offset3],
+    mode: StorageMode,
+) -> Result<Vec<SparsePart>> {
+    let layer_sum = |a: usize, b: usize| weights[a..b].iter().sum::<u64>() as u32;
+    let mut parts = Vec::with_capacity(ndev);
+    for (p, (z0, z1)) in weighted_slab_partition(weights, ndev)
+        .into_iter()
+        .enumerate()
+    {
+        let bl = if p > 0 { radius } else { 0 };
+        let bh = if p + 1 < ndev { radius } else { 0 };
+        if bl + bh > z1 - z0 {
+            return Err(NeonSysError::InvalidConfig {
+                what: format!("partition of z-layers [{z0}, {z1}) too thin for radius {radius}"),
+            });
+        }
+        // The stored slab: the owned layers and, toward each neighbour,
+        // `radius` halo layers.
+        let (z_lo, z_hi) = (z0 - bl, (z1 + bh).min(dim.z));
+        let n_stored = weights[z_lo..z_hi].iter().sum::<u64>();
+        if n_stored > u32::MAX as u64 {
+            return Err(NeonSysError::InvalidConfig {
+                what: "sparse partition exceeds 32-bit cell indices".to_string(),
+            });
+        }
+        let classes = Classes {
+            n_int: layer_sum(z0 + bl, z1 - bh),
+            n_bnd_lo: layer_sum(z0, z0 + bl),
+            n_bnd_hi: layer_sum(z1 - bh, z1),
+            n_halo_lo: layer_sum(z_lo, z0),
+            n_halo_hi: layer_sum(z1, z_hi),
+        };
+        let tables = if mode == StorageMode::Real {
+            build_partition_tables(
+                dim,
+                mask,
+                offsets,
+                (z0, z1),
+                (bl, bh),
+                (z_lo, z_hi),
+                n_stored as usize,
+            )
+        } else {
+            PartitionTables::default()
+        };
+        parts.push(SparsePart {
+            z0,
+            z1,
+            classes,
+            cells: tables.cells,
+            conn: tables.conn,
+            run_starts: tables.run_starts,
+            run_interior: tables.run_interior,
+            n_int_runs: tables.n_int_runs,
+            index: tables.index,
+            _tickets: Vec::new(),
+        });
+    }
+    // Cross-partition consistency: boundary/halo mirrors must agree.
+    for (p, pair) in parts.windows(2).enumerate() {
+        let (lo, hi) = (pair[0].classes, pair[1].classes);
+        assert_eq!(
+            (lo.n_bnd_hi, hi.n_bnd_lo),
+            (hi.n_halo_lo, lo.n_halo_hi),
+            "boundary/halo mismatch between partitions {p} and {}",
+            p + 1
+        );
+    }
+    Ok(parts)
+}
+
+/// The halo segments of class-ordered partitions, `scale` elements per
+/// stored cell and component: each adjacent pair copies the lower one's
+/// boundary-high class into the upper one's halo-low class, and the upper
+/// one's boundary-low class into the lower one's halo-high class.
+pub(crate) fn class_halo_segments(
+    classes: impl Iterator<Item = Classes>,
+    scale: usize,
+    card: usize,
+    layout: MemLayout,
+) -> Vec<HaloSegment> {
+    let mut segs = Vec::new();
+    let mut below: Option<Classes> = None;
+    for (p, hi) in classes.enumerate() {
+        if let Some(lo) = below {
+            let at = |cells: u32| cells as usize * scale;
+            let up = (
+                at(lo.n_int + lo.n_bnd_lo),
+                at(hi.n_owned()),
+                at(lo.n_bnd_hi),
+            );
+            let down = (
+                at(hi.n_int),
+                at(lo.n_owned() + lo.n_halo_lo),
+                at(hi.n_bnd_lo),
+            );
+            let strides = (at(lo.n_stored()), at(hi.n_stored()));
+            push_pair_segments(
+                &mut segs,
+                DeviceId(p - 1),
+                (up, down),
+                strides,
+                card,
+                layout,
+            );
+        }
+        below = Some(hi);
+    }
+    segs
 }
 
 /// Cell list, connectivity table, slab index and x-runs of one partition.
@@ -340,6 +397,7 @@ fn build_partition_tables(
     let n_owned = cells.len();
     collect_range(&mut cells, z_lo, z0);
     collect_range(&mut cells, z1, z_hi);
+    debug_assert_eq!(cells.len(), n_stored);
     connect_partition(dim, offsets, cells, n_int, n_owned, (z_lo, z_hi))
 }
 
@@ -348,7 +406,7 @@ fn build_partition_tables(
 /// one `u32` per box cell of the slab. Empty in virtual mode, where every
 /// lookup misses.
 #[derive(Debug, Default)]
-struct SlabIndex {
+pub(crate) struct SlabIndex {
     nx: usize,
     ny: usize,
     z_lo: usize,
@@ -379,7 +437,7 @@ impl SlabIndex {
     }
 
     /// The local index of the stored cell at `(x, y, z)`, if any.
-    fn get(&self, x: i32, y: i32, z: i32) -> Option<u32> {
+    pub(crate) fn get(&self, x: i32, y: i32, z: i32) -> Option<u32> {
         let inside = (0..self.nx as i32).contains(&x)
             && (0..self.ny as i32).contains(&y)
             && (self.z_lo as i32..self.z_hi as i32).contains(&z);
@@ -487,7 +545,7 @@ impl IterationSpace for SparseGrid {
     }
 
     fn cell_count(&self, dev: DeviceId, view: DataView) -> u64 {
-        let p = self.part(dev);
+        let p = self.part(dev).classes;
         match view {
             DataView::Standard => p.n_owned() as u64,
             DataView::Internal => p.n_int as u64,
@@ -632,7 +690,7 @@ impl GridLike for SparseGrid {
     }
 
     fn alloc_len(&self, dev: DeviceId) -> usize {
-        self.part(dev).n_stored() as usize
+        self.part(dev).classes.n_stored() as usize
     }
 
     fn as_space(&self) -> Arc<dyn IterationSpace> {
@@ -649,71 +707,7 @@ impl GridLike for SparseGrid {
     }
 
     fn halo_segments(&self, card: usize, layout: MemLayout) -> Vec<HaloSegment> {
-        if self.inner.radius == 0 || self.inner.parts.len() == 1 {
-            return Vec::new();
-        }
-        let mut segs = Vec::new();
-        for i in 0..self.inner.parts.len() - 1 {
-            let lo = DeviceId(i);
-            let hi = DeviceId(i + 1);
-            let plo = self.part(lo);
-            let phi = self.part(hi);
-            // Upward: lo's boundary-high → hi's halo-low.
-            let up_src = (plo.n_int + plo.n_bnd_lo) as usize;
-            let up_dst = phi.n_owned() as usize;
-            let up_len = plo.n_bnd_hi as usize;
-            // Downward: hi's boundary-low → lo's halo-high.
-            let dn_src = phi.n_int as usize;
-            let dn_dst = (plo.n_owned() + plo.n_halo_lo) as usize;
-            let dn_len = phi.n_bnd_lo as usize;
-            match layout {
-                MemLayout::SoA => {
-                    let stride_lo = self.alloc_len(lo);
-                    let stride_hi = self.alloc_len(hi);
-                    for c in 0..card {
-                        if up_len > 0 {
-                            segs.push(HaloSegment {
-                                src: lo,
-                                dst: hi,
-                                src_off: c * stride_lo + up_src,
-                                dst_off: c * stride_hi + up_dst,
-                                len: up_len,
-                            });
-                        }
-                        if dn_len > 0 {
-                            segs.push(HaloSegment {
-                                src: hi,
-                                dst: lo,
-                                src_off: c * stride_hi + dn_src,
-                                dst_off: c * stride_lo + dn_dst,
-                                len: dn_len,
-                            });
-                        }
-                    }
-                }
-                MemLayout::AoS => {
-                    if up_len > 0 {
-                        segs.push(HaloSegment {
-                            src: lo,
-                            dst: hi,
-                            src_off: up_src * card,
-                            dst_off: up_dst * card,
-                            len: up_len * card,
-                        });
-                    }
-                    if dn_len > 0 {
-                        segs.push(HaloSegment {
-                            src: hi,
-                            dst: lo,
-                            src_off: dn_src * card,
-                            dst_off: dn_dst * card,
-                            len: dn_len * card,
-                        });
-                    }
-                }
-            }
-        }
-        segs
+        class_halo_segments(self.inner.parts.iter().map(|p| p.classes), 1, card, layout)
     }
 
     fn for_each_ghost_ring(&self, dev: DeviceId, level: usize, f: &mut dyn FnMut(Cell)) {
@@ -726,15 +720,15 @@ impl GridLike for SparseGrid {
         let z_hi = (p.z1 - 1 + level) as i64;
         // Halo classes are contiguous and collected in ascending z, so a
         // ring is a z-filter over the two halo ranges.
-        let owned = p.n_owned() as usize;
-        let halo_lo_end = owned + p.n_halo_lo as usize;
+        let owned = p.classes.n_owned() as usize;
+        let halo_lo_end = owned + p.classes.n_halo_lo as usize;
         for i in owned..halo_lo_end {
             let (x, y, z) = p.cells[i];
             if z as i64 == z_lo {
                 f(Cell::new(i as u32, x, y, z));
             }
         }
-        for i in halo_lo_end..p.n_stored() as usize {
+        for i in halo_lo_end..p.cells.len() {
             let (x, y, z) = p.cells[i];
             if z as i64 == z_hi {
                 f(Cell::new(i as u32, x, y, z));
@@ -869,7 +863,7 @@ mod tests {
         for d in 0..2 {
             let part = &g.inner.parts[d];
             let nslots = offsets.len();
-            for i in 0..part.n_owned() as usize {
+            for i in 0..part.classes.n_owned() as usize {
                 let (x, y, z) = part.cells[i];
                 for (s, o) in offsets.iter().enumerate() {
                     let n = part.conn[i * nslots + s];
@@ -890,15 +884,15 @@ mod tests {
     fn boundary_halo_mirror_counts() {
         let g = grid(4);
         for p in 0..3 {
-            let a = &g.inner.parts[p];
-            let b = &g.inner.parts[p + 1];
-            assert_eq!(a.n_bnd_hi, b.n_halo_lo);
-            assert_eq!(b.n_bnd_lo, a.n_halo_hi);
+            let (a, b) = (&g.inner.parts[p], &g.inner.parts[p + 1]);
+            let (ac, bc) = (a.classes, b.classes);
+            assert_eq!(ac.n_bnd_hi, bc.n_halo_lo);
+            assert_eq!(bc.n_bnd_lo, ac.n_halo_hi);
             // And the mirrored cells are the same coordinates in order.
             let a_bnd_hi: Vec<_> =
-                a.cells[(a.n_int + a.n_bnd_lo) as usize..a.n_owned() as usize].to_vec();
+                a.cells[(ac.n_int + ac.n_bnd_lo) as usize..ac.n_owned() as usize].to_vec();
             let b_halo_lo: Vec<_> =
-                b.cells[b.n_owned() as usize..(b.n_owned() + b.n_halo_lo) as usize].to_vec();
+                b.cells[bc.n_owned() as usize..(bc.n_owned() + bc.n_halo_lo) as usize].to_vec();
             assert_eq!(a_bnd_hi, b_halo_lo);
         }
     }
@@ -979,12 +973,15 @@ mod tests {
                         c.z
                     );
                     assert!(mask(c.x, c.y, c.z));
-                    assert!(c.lin >= p.n_owned() && c.lin < p.n_stored());
+                    assert!(c.lin >= p.classes.n_owned() && c.lin < p.classes.n_stored());
                     ring_total += 1;
                 });
             }
             // Every stored halo cell belongs to exactly one ring.
-            assert_eq!(ring_total, p.n_halo() as u64);
+            assert_eq!(
+                ring_total,
+                (p.classes.n_halo_lo + p.classes.n_halo_hi) as u64
+            );
             // Levels past the stored radius enumerate nothing.
             g.for_each_ghost_ring(dev, g.radius() + 1, &mut |_| {
                 panic!("ring beyond halo storage")

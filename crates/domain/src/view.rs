@@ -546,6 +546,52 @@ pub struct HaloSegment {
     pub len: usize,
 }
 
+/// One halo copy of a partition pair: `(src_off, dst_off, len)` in
+/// elements of one component.
+pub(crate) type PairCopy = (usize, usize, usize);
+
+/// The halo rule every grid shares: push the segments of one adjacent
+/// pair, `lo` and `lo + 1`, onto `segs`. `up` copies `lo`'s boundary into
+/// the upper partition's halo and `down` the other way; `strides` are the
+/// two partitions' per-component storage lengths. SoA pushes up then down
+/// for each component, AoS up then down once over interleaved cells.
+/// Zero-length copies are skipped.
+pub(crate) fn push_pair_segments(
+    segs: &mut Vec<HaloSegment>,
+    lo: DeviceId,
+    (up, down): (PairCopy, PairCopy),
+    (stride_lo, stride_hi): (usize, usize),
+    card: usize,
+    layout: MemLayout,
+) {
+    let hi = DeviceId(lo.0 + 1);
+    let mut push = |src, dst, (src_off, dst_off, len): PairCopy| {
+        if len > 0 {
+            segs.push(HaloSegment {
+                src,
+                dst,
+                src_off,
+                dst_off,
+                len,
+            });
+        }
+    };
+    match layout {
+        MemLayout::SoA => {
+            for c in 0..card {
+                let (at_lo, at_hi) = (c * stride_lo, c * stride_hi);
+                push(lo, hi, (at_lo + up.0, at_hi + up.1, up.2));
+                push(hi, lo, (at_hi + down.0, at_lo + down.1, down.2));
+            }
+        }
+        MemLayout::AoS => {
+            let cells = |(src, dst, len): PairCopy| (src * card, dst * card, len * card);
+            push(lo, hi, cells(up));
+            push(hi, lo, cells(down));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

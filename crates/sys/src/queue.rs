@@ -254,8 +254,9 @@ impl QueueSim {
         self.enqueue_from_clean(s, earliest, duration, name, kind)
     }
 
-    /// [`QueueSim::enqueue_from`] without the fault-injection consult.
-    fn enqueue_from_clean(
+    /// [`QueueSim::enqueue_from`] without the fault-injection consult: for
+    /// the later spans of one launch whose first span was consulted.
+    pub fn enqueue_from_clean(
         &mut self,
         s: StreamId,
         earliest: SimTime,

@@ -1,10 +1,11 @@
 //! Property and acceptance tests for the `neon-comm` collective layer
 //! and its integration into the Skeleton.
 //!
-//! * **Bit-identity**: the functional all-reduce is a canonical rank-order
-//!   fold, so for *any* device count, payload and link class it must be
-//!   bit-identical to sequentially folding the device buffers in rank
-//!   order (even for non-associative floating-point combines).
+//! * **Schedules**: for any device count, payload and link class, an
+//!   all-reduce schedule finishes on every device, and takes time when
+//!   there is more than one. Bit-identity across algorithms is pinned end
+//!   to end, on a solver's bits, by `cg_residual_identical_across_algorithms`
+//!   and `hierarchical_auto_routes_mixed_islands_and_matches_ring_bits`.
 //! * **Makespan monotonicity**: on NVLink all-to-all topologies with ≥4
 //!   devices, the ring algorithm never loses to the host-staged baseline.
 //! * **End-to-end acceptance**: an 8-device CG iteration whose dot
@@ -13,7 +14,7 @@
 
 use proptest::prelude::*;
 
-use neon::comm::{all_reduce, Algorithm, CollectiveEngine, CollectiveKind, EngineConfig};
+use neon::comm::{Algorithm, CollectiveEngine, CollectiveKind, EngineConfig};
 use neon::prelude::*;
 use neon_sys::{QueueSim, Topology};
 
@@ -30,45 +31,15 @@ fn topo_for(class: bool, n: usize) -> Topology {
 }
 
 proptest! {
-    /// The functional all-reduce equals the sequential rank-order fold
-    /// bit-for-bit, regardless of device count, payload size, payload
-    /// values, or which link class (and hence which algorithm the
-    /// auto-selector picks) carries it.
+    /// An all-reduce of any payload on either link class (and hence
+    /// whichever algorithm the auto-selector picks) finishes on every
+    /// device, at a positive virtual time when there is more than one.
     #[test]
-    fn all_reduce_bit_identical_to_sequential_fold(
+    fn all_reduce_schedule_finishes_on_every_device(
         ndev in 1usize..=8,
         len in 1usize..48,
-        seed in any::<u64>(),
         nvlink in any::<bool>(),
     ) {
-        // Deterministic but irregular payloads; addition over these is
-        // genuinely non-associative in f64.
-        let mut s = seed | 1;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((s >> 11) as f64 / (1u64 << 53) as f64) * 1e6 - 5e5
-        };
-        let bufs: Vec<Vec<f64>> =
-            (0..ndev).map(|_| (0..len).map(|_| next()).collect()).collect();
-
-        // Expected: sequential fold in rank order, element-wise.
-        let expected: Vec<f64> = (0..len)
-            .map(|i| bufs.iter().skip(1).fold(bufs[0][i], |acc, b| acc + b[i]))
-            .collect();
-
-        let mut reduced = bufs.clone();
-        all_reduce(&mut reduced, |a, b| a + b);
-        for (d, buf) in reduced.iter().enumerate() {
-            prop_assert_eq!(
-                buf.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                expected.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "device {} diverged from the sequential fold", d
-            );
-        }
-
-        // The timing engine schedules the same payload on either link
-        // class without affecting the data path; every device finishes at
-        // the same (non-negative) virtual time.
         let topo = topo_for(nvlink, ndev);
         let engine = CollectiveEngine::new(topo);
         let mut q = QueueSim::new(ndev, 1);
